@@ -173,6 +173,7 @@ def cmd_query(args) -> int:
             n=args.n,
             box=(tuple(args.box[:3]), tuple(args.box[3:])) if args.box else None,
             window=tuple(args.window) if args.window else None,
+            seeds=args.seeds or [],
             hops=args.hops,
         )
     doc = _run_query(tveg, spec, args)
@@ -254,9 +255,7 @@ def cmd_export(args) -> int:
     f = next((f for f in series.fields if f.time_index == args.t), None)
     if f is None:
         raise ValueError(f"no time step {args.t} in series")
-    seg = morse.compute_saddles(f, morse.compute_segmentation(f))
-    morse.compute_persistence(f, seg)
-    seg = morse.simplify(seg, theta)
+    seg = morse.morse_step(f, theta)
     labels_path, sidecar = tvio.export_segmentation(seg, args.output)
     print(
         f"export: {len(seg.maxima)} regions -> {labels_path} "
@@ -329,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"))
     q.add_argument("--window", type=int, nargs=2, default=None,
                    metavar=("T0", "T1"))
+    q.add_argument("--seeds", type=int, nargs="+", default=None,
+                   metavar="NODE", help="node ids for a neighborhood query")
     q.add_argument("--hops", type=int, default=0)
     q.add_argument("--tracks", default=None)
     q.add_argument("-o", "--output", default=None)

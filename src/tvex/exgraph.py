@@ -57,10 +57,7 @@ def build_extremum_graph(
     sum of |f(m) - f(s)| over the maximum's incident saddles, computed
     after saddle deduplication.
     """
-    seg = morse.compute_segmentation(f)
-    seg = morse.compute_saddles(f, seg)
-    morse.compute_persistence(f, seg)
-    seg = morse.simplify(seg, theta)
+    seg = morse.morse_step(f, theta)
 
     t = f.time_index
     id_map: dict[int, int] = {}
@@ -85,14 +82,13 @@ def build_extremum_graph(
     arcs = []
     local = len(maxima)
     saddle_by_id = {s.id: s for s in seg.saddles}
+    max_value = {m.id: m.value for m in seg.maxima}
     for (la, lb) in sorted(seg.adjacency):
         s = saddle_by_id[seg.adjacency[(la, lb)]]
         gid = make_node_id(t, local)
         local += 1
         # saddle persistence: the value the pair would cancel at
-        spers = min(
-            seg.maximum(la).value - s.value, seg.maximum(lb).value - s.value
-        )
+        spers = min(max_value[la] - s.value, max_value[lb] - s.value)
         saddles.append(
             morse.CriticalPoint(
                 id=gid,
@@ -114,9 +110,13 @@ def build_extremum_graph(
         arcs=sorted(arcs),
         segmentation=seg if keep_segmentation else None,
     )
-    # relabel the stored segmentation to global ids for geometry lookups
+    # eta in one pass over the sorted arcs: each maximum's terms are added
+    # in the same (saddle id) order as neighborhood_contribution adds them
+    eta = {m.id: 0.0 for m in g.maxima}
+    for mid, sid in g.arcs:
+        eta[mid] += abs(g.node(mid).value - g.node(sid).value)
     for m in g.maxima:
-        m.eta = neighborhood_contribution(g, m.id)
+        m.eta = eta[m.id]
     return g
 
 

@@ -63,12 +63,6 @@ class Segmentation:
     saddles: list[CriticalPoint] = dfield(default_factory=list)
     adjacency: dict[tuple[int, int], int] = dfield(default_factory=dict)
 
-    def maximum(self, max_id: int) -> CriticalPoint:
-        for m in self.maxima:
-            if m.id == max_id:
-                return m
-        raise KeyError(f"unknown maximum id {max_id}")
-
 
 def vertex_order(f: ScalarField3D) -> np.ndarray:
     """Rank of every voxel under the (value, voxel id) total order.
@@ -77,7 +71,8 @@ def vertex_order(f: ScalarField3D) -> np.ndarray:
     voxel. This is the simulated-simplicity tie-break used everywhere.
     """
     n = f.num_voxels
-    order = np.lexsort((np.arange(n), f.values))
+    # a stable sort keeps equal values in voxel-id order
+    order = np.argsort(f.values, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     return rank
@@ -113,9 +108,15 @@ def find_maxima(f: ScalarField3D) -> list[int]:
     return sorted(np.flatnonzero(nxt == np.arange(f.num_voxels)).tolist())
 
 
-def compute_segmentation(f: ScalarField3D) -> Segmentation:
-    """Label every voxel with the maximum its steepest-ascent path reaches."""
-    rank = vertex_order(f)
+def compute_segmentation(
+    f: ScalarField3D, rank: np.ndarray | None = None
+) -> Segmentation:
+    """Label every voxel with the maximum its steepest-ascent path reaches.
+
+    `rank` is `vertex_order(f)`, computed here when not given.
+    """
+    if rank is None:
+        rank = vertex_order(f)
     nxt = _steepest_neighbor(f, rank)
     labels = nxt.copy()
     while True:
@@ -123,22 +124,32 @@ def compute_segmentation(f: ScalarField3D) -> Segmentation:
         if np.array_equal(jumped, labels):
             break
         labels = jumped
-    maxima_ids = sorted(np.flatnonzero(nxt == np.arange(f.num_voxels)).tolist())
-    maxima = [
-        CriticalPoint(
-            id=v,
-            index=3,
-            coords=f.world_coords(v),
-            value=float(f.values[v]),
-            vertex=v,
-            t=f.time_index,
-        )
-        for v in maxima_ids
-    ]
+    maxima_ids = np.flatnonzero(nxt == np.arange(f.num_voxels))
+    maxima = _critical_points(f, 3, maxima_ids, maxima_ids)
     return Segmentation(field=f, labels=labels, maxima=maxima)
 
 
-def compute_saddles(f: ScalarField3D, seg: Segmentation) -> Segmentation:
+def _critical_points(
+    f: ScalarField3D, index: int, ids: np.ndarray, verts: np.ndarray
+) -> list[CriticalPoint]:
+    """CriticalPoints of one index at the given voxels, coordinates and
+    values gathered for all of them at once. Each point gets its own
+    copy of its coordinates, so points that simplification drops do not
+    keep the whole block alive."""
+    coords = f.world_coords_many(verts)
+    return [
+        CriticalPoint(
+            id=i, index=index, coords=c.copy(), value=val, vertex=v, t=f.time_index
+        )
+        for i, c, val, v in zip(
+            ids.tolist(), coords, f.values[verts].tolist(), verts.tolist()
+        )
+    ]
+
+
+def compute_saddles(
+    f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
+) -> Segmentation:
     """Fill in saddles and the region-adjacency map.
 
     For each unordered pair of adjacent labels the saddle is the
@@ -148,7 +159,8 @@ def compute_saddles(f: ScalarField3D, seg: Segmentation) -> Segmentation:
     """
     nx, ny, nz = f.dims
     n = f.num_voxels
-    rank = vertex_order(f)
+    if rank is None:
+        rank = vertex_order(f)
     labels = seg.labels
     r3 = rank.reshape(nz, ny, nx)
     l3 = labels.reshape(nz, ny, nx)
@@ -200,23 +212,21 @@ def compute_saddles(f: ScalarField3D, seg: Segmentation) -> Segmentation:
     sad_vert = np.full(uniq.size, -1, dtype=np.int64)
     sad_vert[inverse[achieving]] = lo_verts[achieving]
 
-    n_vox = n
-    for k in range(uniq.size):
-        key = int(uniq[k])
-        la, lb = key // n_vox, key % n_vox
-        v = int(sad_vert[k])
-        sid = n_vox + k  # saddle ids offset past voxel-id maxima ids
-        cp = CriticalPoint(
-            id=sid,
-            index=2,
-            coords=f.world_coords(v),
-            value=float(f.values[v]),
-            vertex=v,
-            t=f.time_index,
-        )
-        seg.saddles.append(cp)
-        seg.adjacency[(la, lb)] = sid
+    # saddle ids offset past voxel-id maxima ids
+    sids = n + np.arange(uniq.size, dtype=np.int64)
+    seg.saddles = _critical_points(f, 2, sids, sad_vert)
+    seg.adjacency = {
+        (key // n, key % n): sid for key, sid in zip(uniq.tolist(), sids.tolist())
+    }
     return seg
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _pairing(
@@ -228,34 +238,29 @@ def _pairing(
 ) -> dict[int, tuple[float, int, int]]:
     """Merge-order persistence pairing on the region-adjacency graph.
 
-    Edges are processed in decreasing saddle order (Kruskal style); when
-    two components merge, the component whose best maximum is lower gets
-    paired: pers = f(m) - f(saddle). Returns
-    {max_id: (pers, partner_label, saddle_id)}; the global maximum maps
-    to (f(max) - f(min), -1, -1).
+    Edges are processed in decreasing (saddle rank, saddle id) order
+    (Kruskal style); when two components merge, the component whose best
+    maximum is lower gets paired: pers = f(m) - f(saddle). The order
+    does not depend on region labels, so pairing a graph with some pairs
+    already canceled gives the remaining pairs the same partners.
+    Returns {max_id: (pers, partner_label, saddle_id)}; the global
+    maximum maps to (f(max) - f(min), -1, -1).
     """
     max_ids = [m.id for m in maxima]
     mrank = {m.id: rank[m.vertex] for m in maxima}
     parent = {mid: mid for mid in max_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     comp_best = dict(mrank)  # root -> rank of its best maximum
     comp_best_id = {mid: mid for mid in max_ids}
     by_val = {m.id: m.value for m in maxima}
 
     edges = []
     for (la, lb), sid in adjacency.items():
-        edges.append((rank[saddle_by_id[sid].vertex], la, lb, sid))
+        edges.append((rank[saddle_by_id[sid].vertex], sid, la, lb))
     edges.sort(reverse=True)
 
     result: dict[int, tuple[float, int, int]] = {}
-    for _, la, lb, sid in edges:
-        ra, rb = find(la), find(lb)
+    for _, sid, la, lb in edges:
+        ra, rb = _find(parent, la), _find(parent, lb)
         if ra == rb:
             continue
         if comp_best[ra] < comp_best[rb]:
@@ -276,13 +281,16 @@ def _pairing(
     return result
 
 
-def compute_persistence(f: ScalarField3D, seg: Segmentation) -> dict[int, float]:
+def compute_persistence(
+    f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
+) -> dict[int, float]:
     """Persistence of every maximum; also stored on the CriticalPoints.
 
     The globally greatest maximum gets the essential value
     f(global max) - f(global min).
     """
-    rank = vertex_order(f)
+    if rank is None:
+        rank = vertex_order(f)
     saddle_by_id = {s.id: s for s in seg.saddles}
     pairing = _pairing(f, seg.maxima, seg.adjacency, saddle_by_id, rank)
     pers = {mid: p for mid, (p, _, _) in pairing.items()}
@@ -291,74 +299,103 @@ def compute_persistence(f: ScalarField3D, seg: Segmentation) -> dict[int, float]
     return pers
 
 
-def simplify(seg: Segmentation, theta: float) -> Segmentation:
-    """Cancel maximum-saddle pairs with persistence below theta.
+def simplify(
+    seg: Segmentation, theta: float, rank: np.ndarray | None = None
+) -> Segmentation:
+    """Cancel every maximum-saddle pair with persistence below theta.
 
-    Pairs are canceled in increasing persistence order (ties by maximum
-    id). Each cancellation relabels the canceled maximum's region to the
-    maximum across the pairing saddle and re-merges adjacencies, keeping
-    the highest saddle per surviving pair. The global maximum is never
-    canceled.
+    One Kruskal sweep: cancelling the least persistent pair leaves every
+    other pair unchanged (elder rule), so the raw graph is paired once
+    and all pairs below theta cancel together. A canceled maximum's
+    region joins its partner across the pairing saddle; partners that
+    are canceled themselves resolve through a union-find to the one
+    surviving maximum of their tree. Each surviving region pair keeps
+    the saddle of greatest (rank, saddle id). The global maximum is
+    never canceled; persistence is recomputed on the simplified graph.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
-    rank = vertex_order(f)
-    labels = seg.labels.copy()
-    maxima = {m.id: m for m in seg.maxima}
+    if rank is None:
+        rank = vertex_order(f)
     saddle_by_id = {s.id: s for s in seg.saddles}
-    adjacency = dict(seg.adjacency)
+    pairing = _pairing(f, seg.maxima, seg.adjacency, saddle_by_id, rank)
+    canceled = {
+        mid: partner
+        for mid, (p, partner, _) in pairing.items()
+        if partner != -1 and p < theta
+    }
 
-    while len(maxima) > 1:
-        pairing = _pairing(f, list(maxima.values()), adjacency, saddle_by_id, rank)
-        candidates = [
-            (p, mid, partner, sid)
-            for mid, (p, partner, sid) in pairing.items()
-            if partner != -1
-        ]
-        if not candidates:
-            break
-        p, mid, partner, sid = min(candidates)
-        if p >= theta:
-            break
-        # relabel the canceled region across the pairing saddle
-        labels[labels == mid] = partner
-        new_adj: dict[tuple[int, int], int] = {}
-        for (la, lb), s in adjacency.items():
-            if mid in (la, lb):
-                other = lb if la == mid else la
-                if other == partner:
-                    continue
-                key = (min(partner, other), max(partner, other))
-            else:
-                key = (la, lb)
-            if key in new_adj:
-                keep = new_adj[key]
-                if rank[saddle_by_id[s].vertex] > rank[saddle_by_id[keep].vertex]:
-                    new_adj[key] = s
-            else:
-                new_adj[key] = s
-        adjacency = new_adj
-        del maxima[mid]
+    # canceled (maximum, partner) pairs form a forest in which every
+    # tree holds exactly one survivor
+    parent = {m.id: m.id for m in seg.maxima}
+    for mid, partner in canceled.items():
+        parent[_find(parent, mid)] = _find(parent, partner)
+    survivor = {
+        _find(parent, m.id): m.id for m in seg.maxima if m.id not in canceled
+    }
+    rep = {m.id: survivor[_find(parent, m.id)] for m in seg.maxima}
+
+    if canceled:
+        lut = np.arange(f.num_voxels, dtype=seg.labels.dtype)
+        lut[list(canceled)] = [rep[mid] for mid in canceled]
+        labels = lut[seg.labels]
+    else:
+        labels = seg.labels.copy()  # no voxel-sized lookup table needed
+
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for (la, lb), sid in seg.adjacency.items():
+        a, b = rep[la], rep[lb]
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        cand = (int(rank[saddle_by_id[sid].vertex]), sid)
+        if key not in best or cand > best[key]:
+            best[key] = cand
+    adjacency = {key: sid for key, (_, sid) in sorted(best.items())}
 
     out = Segmentation(
         field=f,
         labels=labels,
-        maxima=sorted(maxima.values(), key=lambda m: m.id),
+        maxima=sorted(
+            (m for m in seg.maxima if m.id not in canceled), key=lambda m: m.id
+        ),
         saddles=sorted(
-            (saddle_by_id[s] for s in set(adjacency.values())), key=lambda s: s.id
+            (saddle_by_id[s] for s in adjacency.values()), key=lambda s: s.id
         ),
         adjacency=adjacency,
     )
-    compute_persistence(f, out)
+    compute_persistence(f, out, rank)
     attach_manifolds(out)
     return out
 
 
+def morse_step(f: ScalarField3D, theta: float) -> Segmentation:
+    """One step's Morse pipeline: segmentation, saddles and simplification
+    at threshold theta, sharing one voxel order.
+
+    `simplify` pairs the raw graph itself and sets the persistence of
+    the survivors, so the raw persistence is not computed separately.
+    """
+    rank = vertex_order(f)
+    seg = compute_segmentation(f, rank)
+    seg = compute_saddles(f, seg, rank)
+    return simplify(seg, theta, rank)
+
+
 def attach_manifolds(seg: Segmentation) -> None:
-    """Store each maximum's descending-manifold voxel set on it."""
-    for m in seg.maxima:
-        m.dscmfold = np.flatnonzero(seg.labels == m.id)
+    """Store each maximum's descending-manifold voxel set on it.
+
+    One stable argsort groups the voxels by label in id order; each
+    maximum gets its slice.
+    """
+    order = np.argsort(seg.labels, kind="stable")
+    sorted_labels = seg.labels[order]
+    ids = np.array([m.id for m in seg.maxima], dtype=np.int64)
+    lo = np.searchsorted(sorted_labels, ids, side="left")
+    hi = np.searchsorted(sorted_labels, ids, side="right")
+    for m, a, b in zip(seg.maxima, lo.tolist(), hi.tolist()):
+        m.dscmfold = order[a:b]
 
 
 def descending_geometry(seg: Segmentation, mask: np.ndarray) -> dict[int, np.ndarray]:

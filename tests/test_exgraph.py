@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvex import morse, pipeline
 from tvex.exgraph import (
     build_extremum_graph,
     make_node_id,
@@ -11,7 +12,7 @@ from tvex.exgraph import (
 )
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 
-from conftest import random_field
+from conftest import random_field, two_blob_series
 
 
 def test_node_id_roundtrip():
@@ -85,6 +86,15 @@ def test_eta_is_sum_of_saddle_gaps(rng):
         assert neighborhood_contribution(g, m.id) == pytest.approx(expect)
 
 
+def test_eta_sums_in_saddle_order(rng):
+    """Many saddles per maximum: another summation order changes the
+    last bits, so eta must add the terms in sorted-arc order."""
+    f = random_field(rng, (7, 7, 7), time_index=1)
+    g = build_extremum_graph(f, 0.05)
+    for m in g.maxima:
+        assert m.eta == neighborhood_contribution(g, m.id)
+
+
 def test_neighborhood_contribution_rejects_saddle(rng):
     f = random_field(rng, (5, 5, 5), time_index=1)
     g = build_extremum_graph(f, 0.1)
@@ -118,3 +128,32 @@ def test_saddle_persistence_is_cancellation_value(rng):
         pair = touching[s.id]
         expect = min(by_id[m].value - s.value for m in pair)
         assert s.pers == pytest.approx(expect)
+
+
+def test_vertex_order_runs_once_per_step(rng, monkeypatch):
+    calls = [0]
+    real = morse.vertex_order
+
+    def counted(f):
+        calls[0] += 1
+        return real(f)
+
+    monkeypatch.setattr(morse, "vertex_order", counted)
+    build_extremum_graph(random_field(rng, (6, 6, 6), time_index=1), 0.2)
+    assert calls[0] == 1
+    series = two_blob_series(steps=3, dims=(8, 8, 8))
+    pipeline.build_graphs(series, 0.05, threads=1)
+    assert calls[0] == 1 + len(series)
+
+
+def test_graph_holds_no_voxel_rank(rng):
+    f = random_field(rng, (6, 6, 6), time_index=1)
+    rank = morse.vertex_order(f)
+    g = build_extremum_graph(f, 0.1)
+    seg = g.segmentation
+    held = [vars(g), vars(seg)] + [vars(cp) for cp in g.maxima + g.saddles]
+    held += [vars(cp) for cp in seg.maxima + seg.saddles]
+    for attrs in held:
+        for value in attrs.values():
+            if isinstance(value, np.ndarray) and value.shape == rank.shape:
+                assert not np.array_equal(value, rank)

@@ -12,6 +12,7 @@ from tvex.cli import main
 from tvex.field import generate_gauss8, save_series
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 from tvex.pipeline import compute_tveg, resolve_theta
+from tvex.query import track_neighborhood
 from tvex.temporal import ScoreWeights
 from tvex.tracks import extract_tracks
 
@@ -283,6 +284,26 @@ class TestCli:
         )
         doc = json.loads(res.read_text())
         assert set(doc) == {"merges", "splits", "deletions", "generations"}
+
+    def test_query_neighborhood_from_flags(self, tmp_path, capsys):
+        series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert (
+            main(["tveg", "--manifest", manifest, "--theta", "0.05r", "-o", out]) == 0
+        )
+        tveg_path = os.path.join(out, "tveg.json")
+        tveg = tvio.load_tveg_json(tveg_path)
+        track = extract_tracks(tveg, mode="simple-paths")[0]
+        seeds = [n for _, n in track.nodes]
+        res = tmp_path / "nb.json"
+        argv = ["query", "--tveg", tveg_path, "--kind", "neighborhood", "--seeds"]
+        argv += [str(n) for n in seeds] + ["--hops", "2", "-o", str(res)]
+        assert main(argv) == 0
+        want = track_neighborhood(tveg, track, 2)
+        assert want
+        doc = json.loads(res.read_text())
+        assert doc == {"neighborhood": {str(t): nodes for t, nodes in want.items()}}
 
     def test_segmentation_export_cli(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)

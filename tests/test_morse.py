@@ -78,6 +78,18 @@ class TestVertexOrder:
         # 0.1 < 0.2 < 0.5(id 0) < 0.5(id 2)
         assert r.tolist() == [2, 1, 3, 0]
 
+    @given(arrays(np.float64, st.integers(1, 200), elements=st.integers(0, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lexsort_with_ties(self, values):
+        f = ScalarField3D(
+            dims=(values.size, 1, 1),
+            origin=np.zeros(3),
+            spacing=np.ones(3),
+            values=values,
+        )
+        order = np.lexsort((np.arange(values.size), values))
+        assert np.array_equal(vertex_order(f), np.argsort(order))
+
 
 class TestFindMaxima:
     def test_constant_field_single_maximum(self):

@@ -1,0 +1,158 @@
+"""One-sweep simplification against the iterative reference loop."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tvex.field import ScalarField3D
+from tvex.morse import (
+    compute_persistence,
+    compute_saddles,
+    compute_segmentation,
+    merge_tree_oracle,
+    simplify,
+    vertex_order,
+)
+
+from iterative_simplify import iterative_simplify
+
+
+def as_field(a: np.ndarray) -> ScalarField3D:
+    nz, ny, nx = a.shape
+    return ScalarField3D(
+        dims=(nx, ny, nz), origin=np.zeros(3), spacing=np.ones(3), values=a.ravel()
+    )
+
+
+def raw_segmentation(f: ScalarField3D):
+    seg = compute_saddles(f, compute_segmentation(f))
+    compute_persistence(f, seg)
+    return seg
+
+
+def assert_same(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert [m.id for m in got.maxima] == [m.id for m in want.maxima]
+    assert [m.pers for m in got.maxima] == [m.pers for m in want.maxima]
+    assert got.adjacency == want.adjacency
+    assert [s.id for s in got.saddles] == [s.id for s in want.saddles]
+    for m, w in zip(got.maxima, want.maxima):
+        assert np.array_equal(m.dscmfold, w.dscmfold)
+
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6))
+float_fields = arrays(
+    dtype=np.float64,
+    shape=shapes,
+    elements=st.floats(0.0, 1.0, allow_nan=False, width=32),
+)
+# few distinct values: many equal-valued voxels and shared saddle voxels
+integer_fields = arrays(dtype=np.float64, shape=shapes, elements=st.integers(0, 3))
+theta_fractions = st.floats(0.0, 1.2, allow_nan=False)
+
+
+class TestSweepMatchesIterative:
+    @given(float_fields, theta_fractions)
+    @settings(max_examples=80, deadline=None)
+    def test_float_fields(self, a, frac):
+        f = as_field(a)
+        theta = frac * float(np.ptp(f.values))
+        assert_same(
+            simplify(raw_segmentation(f), theta),
+            iterative_simplify(raw_segmentation(f), theta),
+        )
+
+    @given(integer_fields, theta_fractions)
+    @settings(max_examples=80, deadline=None)
+    def test_integer_fields(self, a, frac):
+        f = as_field(a)
+        theta = frac * float(np.ptp(f.values))
+        assert_same(
+            simplify(raw_segmentation(f), theta),
+            iterative_simplify(raw_segmentation(f), theta),
+        )
+
+    def test_random_fields_and_thresholds(self, rng):
+        for i in range(30):
+            dims = tuple(int(d) for d in rng.integers(3, 8, 3))
+            values = rng.normal(size=dims[0] * dims[1] * dims[2])
+            if i % 2:
+                values = np.round(values, 1)
+            f = ScalarField3D(
+                dims=dims, origin=np.zeros(3), spacing=np.ones(3), values=values
+            )
+            span = float(np.ptp(values))
+            for theta in (0.0, 0.1 * span, 0.4 * span, 2.0 * span):
+                assert_same(
+                    simplify(raw_segmentation(f), theta),
+                    iterative_simplify(raw_segmentation(f), theta),
+                )
+
+    @given(float_fields, theta_fractions)
+    @settings(max_examples=40, deadline=None)
+    def test_kept_maxima_are_those_above_theta(self, a, frac):
+        """Survivors are the maxima whose raw persistence reaches theta,
+        with that persistence (elder rule)."""
+        f = as_field(a)
+        theta = frac * float(np.ptp(f.values))
+        pers = merge_tree_oracle(f)
+        top = max(pers, key=lambda v: (f.values[v], v))
+        out = simplify(raw_segmentation(f), theta)
+        want = {v: p for v, p in pers.items() if p >= theta or v == top}
+        assert {m.id: m.pers for m in out.maxima} == want
+
+    def test_rank_argument_gives_same_result(self, rng):
+        f = as_field(rng.integers(0, 4, (5, 6, 4)).astype(np.float64))
+        rank = vertex_order(f)
+        assert_same(
+            simplify(raw_segmentation(f), 1.5, rank),
+            simplify(raw_segmentation(f), 1.5),
+        )
+
+
+# nx=5, ny=3, nz=1; voxel id = x + 5 * y. Peaks A (id 0, value 10),
+# B (id 4, value 9) and C (id 12, value 6). Voxel 7 (value 2) ascends to C
+# and borders A's voxel 1 and B's voxel 3, so the highest A-C and B-C
+# crossings share the one saddle voxel 7; A and B meet lower, at voxel 2.
+SHARED_SADDLE = [
+    [10.0, 5.0, 0.0, 5.5, 9.0],
+    [0.2, 0.1, 2.0, 0.15, 0.3],
+    [0.05, 0.06, 6.0, 0.07, 0.08],
+]
+
+
+class TestSharedSaddleVoxel:
+    def field(self):
+        return as_field(np.array([SHARED_SADDLE]))
+
+    def test_raw_graph(self):
+        seg = raw_segmentation(self.field())
+        assert [m.id for m in seg.maxima] == [0, 4, 12]
+        by_id = {s.id: s for s in seg.saddles}
+        vertex = {pair: by_id[sid].vertex for pair, sid in seg.adjacency.items()}
+        assert vertex == {(0, 4): 2, (0, 12): 7, (4, 12): 7}
+
+    def test_canceled_region_joins_the_greater_saddle_id(self):
+        """C's two saddle edges tie in rank; (4, 12) has the greater saddle
+        id, so C joins B there although A is the higher peak."""
+        f = self.field()
+        seg = raw_segmentation(f)
+        sid = dict(seg.adjacency)
+        out = simplify(seg, 5.0)  # pers: C 4, B 7, A 10
+        assert [m.id for m in out.maxima] == [0, 4]
+        # C's region (voxels 7, 11, 12, 13) is relabeled to B
+        assert out.labels.tolist() == [0, 0, 4, 4, 4, 0, 0, 4, 4, 4, 0, 4, 4, 4, 4]
+        # A and B now meet at voxel 7 through the former A-C saddle
+        assert out.adjacency == {(0, 4): sid[(0, 12)]}
+        assert [m.pers for m in out.maxima] == [10.0, 7.0]
+        assert_same(out, iterative_simplify(raw_segmentation(f), 5.0))
+
+    def test_partner_chain_resolves_to_the_survivor(self):
+        """C's partner B is canceled too, so C's region ends up in A."""
+        f = self.field()
+        out = simplify(raw_segmentation(f), 8.0)
+        assert [m.id for m in out.maxima] == [0]
+        assert np.all(out.labels == 0)
+        assert out.adjacency == {}
+        assert_same(out, iterative_simplify(raw_segmentation(f), 8.0))
