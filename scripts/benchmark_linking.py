@@ -19,24 +19,20 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tvex.exgraph import ExtremumGraph
-from tvex.morse import CriticalPoint
 from tvex.temporal import ScoreWeights, link_pair
 
 
 def synthetic_maxima(rng, n, t):
-    return [
-        CriticalPoint(
-            id=(t << 32) | i,
-            index=3,
-            coords=rng.uniform(-1.0, 1.0, 3),
-            value=float(rng.uniform(0.5, 2.0)),
-            pers=float(rng.uniform(0.05, 1.0)),
-            eta=float(rng.uniform(0.1, 3.0)),
-            vertex=i,
-            t=t,
-        )
-        for i in range(n)
-    ]
+    """Graph of n maxima and no saddles at step t."""
+    return ExtremumGraph(
+        t=t,
+        n_max=n,
+        vertex=np.arange(n),
+        coords=rng.uniform(-1.0, 1.0, (n, 3)),
+        value=rng.uniform(0.5, 2.0, n),
+        pers=rng.uniform(0.05, 1.0, n),
+        eta=rng.uniform(0.1, 3.0, n),
+    )
 
 
 def main() -> int:
@@ -47,8 +43,8 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    g0 = ExtremumGraph(t=1, maxima=synthetic_maxima(rng, args.n, 1))
-    g1 = ExtremumGraph(t=2, maxima=synthetic_maxima(rng, args.n, 2))
+    g0 = synthetic_maxima(rng, args.n, 1)
+    g1 = synthetic_maxima(rng, args.n, 2)
 
     link_pair(g0, g1, ScoreWeights())  # warm up
     times = []

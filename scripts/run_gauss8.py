@@ -19,6 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tvex import io as tvio
 from tvex.field import generate_gauss8, save_series
+from tvex.morse import find_root
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreWeights
 from tvex.tracks import extract_tracks
@@ -27,26 +28,20 @@ from tvex.tracks import extract_tracks
 def component_spans(tvg) -> list[tuple[int, int]]:
     """Sorted (first step, last step) of each temporal-arc graph component."""
     parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     step = {}
     for g in tvg.graphs:
-        for m in g.maxima:
-            parent[m.id] = m.id
-            step[m.id] = g.t
+        for mid in g.maxima.tolist():
+            parent[mid] = mid
+            step[mid] = g.t
     for a in tvg.all_arcs():
-        ra, rb = find(a.m0), find(a.m1)
+        ra, rb = find_root(parent, a.m0), find_root(parent, a.m1)
         if ra != rb:
             parent[ra] = rb
     spans = {}
     for n, t in step.items():
-        lo, hi = spans.get(find(n), (t, t))
-        spans[find(n)] = (min(lo, t), max(hi, t))
+        root = find_root(parent, n)
+        lo, hi = spans.get(root, (t, t))
+        spans[root] = (min(lo, t), max(hi, t))
     return sorted(spans.values())
 
 

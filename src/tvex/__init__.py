@@ -12,16 +12,12 @@ from .field import (
     generate_gauss8,
     load_series,
     save_series,
-    superlevel_mask,
 )
 from .morse import (
-    CriticalPoint,
     Segmentation,
     compute_persistence,
     compute_saddles,
     compute_segmentation,
-    descending_geometry,
-    find_maxima,
     merge_tree_oracle,
     simplify,
 )

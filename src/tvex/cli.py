@@ -17,6 +17,7 @@ import numpy as np
 
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
+from .exgraph import build_extremum_graph
 from .field import generate_gauss8, load_series, save_series
 from .temporal import ScoreWeights
 
@@ -69,9 +70,7 @@ def cmd_eg(args) -> int:
             raise ValueError(f"no time step {args.t} in series")
     n_nodes = 0
     for f in fields:
-        g = pipeline.build_graphs(
-            type(series)(fields=[f]), theta, keep_segmentation=False
-        )[0]
+        g = build_extremum_graph(f, theta)
         path = os.path.join(args.output, f"exgraph_{f.time_index:04d}.json")
         tvio.export_extremum_graph_json(g, path)
         n_nodes += len(g.maxima) + len(g.saddles)
@@ -110,13 +109,7 @@ def cmd_events(args) -> int:
         ev = tvquery.events_in_window(tveg, tuple(args.window))
     else:
         ev = tveg.events
-    doc = {
-        "merges": ev.merges,
-        "splits": ev.splits,
-        "deletions": [[n, t] for n, t in ev.deletions],
-        "generations": [[n, t] for n, t in ev.generations],
-    }
-    text = tvio.canonical_json(doc)
+    text = tvio.canonical_json(tvio.events_to_dict(ev))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -211,13 +204,7 @@ def _run_query(tveg, spec, args) -> dict:
     if spec.kind == "window-events":
         if spec.window is None:
             raise ValueError("window-events query needs --window")
-        ev = tvquery.events_in_window(tveg, spec.window)
-        return {
-            "merges": ev.merges,
-            "splits": ev.splits,
-            "deletions": [[n, t] for n, t in ev.deletions],
-            "generations": [[n, t] for n, t in ev.generations],
-        }
+        return tvio.events_to_dict(tvquery.events_in_window(tveg, spec.window))
     if spec.kind == "neighborhood":
         if not spec.seeds:
             raise ValueError("neighborhood query needs --seeds")

@@ -9,6 +9,8 @@ import numpy as np
 from .field import ScalarField3D
 from . import morse
 
+ROW_MASK = 0xFFFFFFFF
+
 
 def make_node_id(t: int, local: int) -> int:
     """Global 64-bit node id from (time step, local index)."""
@@ -21,115 +23,101 @@ def split_node_id(node_id: int) -> tuple[int, int]:
 
 @dataclass
 class ExtremumGraph:
-    """Graph of maxima and 2-saddles at one time step.
+    """Graph of maxima and 2-saddles at one time step, stored as columns.
 
-    Arcs join one maximum and one saddle; every saddle mediates exactly
-    one unordered maximum pair and therefore has two incident arcs.
+    Row i of every column is the node with id make_node_id(t, i), so a
+    node's row is its local id. Rows [0, n_max) are the maxima in voxel-id
+    order, the rest are saddles. `coords` has shape (k, 3); `eta` is 0
+    for saddles. `arcs` holds (maximum id, saddle id) rows sorted
+    ascending; every saddle mediates exactly one unordered maximum pair
+    and therefore has two arcs.
     """
 
     t: int
-    maxima: list[morse.CriticalPoint] = dfield(default_factory=list)
-    saddles: list[morse.CriticalPoint] = dfield(default_factory=list)
-    arcs: list[tuple[int, int]] = dfield(default_factory=list)
+    n_max: int
+    vertex: np.ndarray
+    value: np.ndarray
+    pers: np.ndarray
+    eta: np.ndarray
+    coords: np.ndarray
+    arcs: np.ndarray = dfield(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     segmentation: morse.Segmentation | None = None
 
-    def __post_init__(self):
-        self._by_id = {cp.id: cp for cp in self.maxima}
-        self._by_id.update({cp.id: cp for cp in self.saddles})
+    @property
+    def ids(self) -> np.ndarray:
+        return make_node_id(self.t, 0) + np.arange(len(self.value), dtype=np.int64)
 
-    def node(self, node_id: int) -> morse.CriticalPoint:
-        return self._by_id[node_id]
+    @property
+    def maxima(self) -> np.ndarray:
+        """Ids of the maxima, in row order."""
+        return self.ids[: self.n_max]
 
-    def incident_saddles(self, max_id: int) -> list[int]:
-        return sorted(s for m, s in self.arcs if m == max_id)
+    @property
+    def saddles(self) -> np.ndarray:
+        """Ids of the saddles, in row order."""
+        return self.ids[self.n_max :]
 
-    def maxima_ids(self) -> list[int]:
-        return [m.id for m in self.maxima]
 
-
-def build_extremum_graph(
-    f: ScalarField3D, theta: float, keep_segmentation: bool = True
-) -> ExtremumGraph:
+def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
     """Run the full per-step pipeline and assemble the graph.
 
-    Maxima get local indices in voxel-id order, saddles follow in
-    adjacency-pair order; global ids encode (t, local index). eta is the
-    sum of |f(m) - f(s)| over the maximum's incident saddles, computed
-    after saddle deduplication.
+    Maxima take the first rows in voxel-id order, saddles follow in
+    adjacency-pair order. A saddle's persistence is the value its pair
+    would cancel at; eta is the sum of |f(m) - f(s)| over the maximum's
+    incident saddles, computed after saddle deduplication.
     """
     seg = morse.morse_step(f, theta)
-
-    t = f.time_index
-    id_map: dict[int, int] = {}
-    maxima = []
-    for local, m in enumerate(sorted(seg.maxima, key=lambda m: m.id)):
-        gid = make_node_id(t, local)
-        id_map[m.id] = gid
-        maxima.append(
-            morse.CriticalPoint(
-                id=gid,
-                index=3,
-                coords=m.coords,
-                value=m.value,
-                pers=m.pers,
-                vertex=m.vertex,
-                t=t,
-                dscmfold=m.dscmfold,
-            )
-        )
-
-    saddles = []
-    arcs = []
-    local = len(maxima)
-    saddle_by_id = {s.id: s for s in seg.saddles}
-    max_value = {m.id: m.value for m in seg.maxima}
-    for (la, lb) in sorted(seg.adjacency):
-        s = saddle_by_id[seg.adjacency[(la, lb)]]
-        gid = make_node_id(t, local)
-        local += 1
-        # saddle persistence: the value the pair would cancel at
-        spers = min(max_value[la] - s.value, max_value[lb] - s.value)
-        saddles.append(
-            morse.CriticalPoint(
-                id=gid,
-                index=2,
-                coords=s.coords,
-                value=s.value,
-                pers=spers,
-                vertex=s.vertex,
-                t=t,
-            )
-        )
-        arcs.append((id_map[la], gid))
-        arcs.append((id_map[lb], gid))
-
-    g = ExtremumGraph(
-        t=t,
-        maxima=maxima,
-        saddles=saddles,
-        arcs=sorted(arcs),
-        segmentation=seg if keep_segmentation else None,
+    maxima = seg.maxima  # in voxel-id order
+    row = {m.id: i for i, m in enumerate(maxima)}
+    pairs = sorted(seg.adjacency.items())
+    saddle_vertex = {s.id: s.vertex for s in seg.saddles}
+    n_max = len(maxima)
+    vertex = np.array(
+        [m.vertex for m in maxima] + [saddle_vertex[sid] for _, sid in pairs],
+        dtype=np.int64,
     )
-    # eta in one pass over the sorted arcs: each maximum's terms are added
-    # in the same (saddle id) order as neighborhood_contribution adds them
-    eta = {m.id: 0.0 for m in g.maxima}
-    for mid, sid in g.arcs:
-        eta[mid] += abs(g.node(mid).value - g.node(sid).value)
-    for m in g.maxima:
-        m.eta = eta[m.id]
-    return g
+    value = f.values[vertex]
+    pair_rows = np.array(
+        [(row[la], row[lb]) for (la, lb), _ in pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    sad_rows = np.arange(n_max, len(vertex), dtype=np.int64)
+
+    pers = np.empty(len(vertex))
+    pers[:n_max] = [m.pers for m in maxima]
+    sval = value[n_max:]
+    pers[n_max:] = np.minimum(value[pair_rows[:, 0]] - sval, value[pair_rows[:, 1]] - sval)
+
+    arcs = np.concatenate(
+        [np.column_stack([pair_rows[:, k], sad_rows]) for k in (0, 1)]
+    )
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    # eta in sorted-arc order: each maximum's terms are added in the same
+    # (saddle id) order as neighborhood_contribution adds them
+    eta = np.zeros(len(vertex))
+    np.add.at(eta, arcs[:, 0], np.abs(value[arcs[:, 0]] - value[arcs[:, 1]]))
+
+    return ExtremumGraph(
+        t=f.time_index,
+        n_max=n_max,
+        vertex=vertex,
+        value=value,
+        pers=pers,
+        eta=eta,
+        coords=f.world_coords_many(vertex).reshape(-1, 3),
+        arcs=arcs + make_node_id(f.time_index, 0),
+        segmentation=seg,
+    )
 
 
 def neighborhood_contribution(g: ExtremumGraph, max_id: int) -> float:
-    """eta(m): sum over incident saddles of |f(m) - f(s)|."""
-    m = g.node(max_id)
-    if m.index != 3:
-        raise KeyError(f"{max_id} is not a maximum")
-    return float(sum(abs(m.value - g.node(s).value) for _, s in _incident(g, max_id)))
+    """eta(m): sum over incident saddles of |f(m) - f(s)|.
 
-
-def _incident(g: ExtremumGraph, max_id: int) -> list[tuple[int, int]]:
-    arcs = [(m, s) for m, s in g.arcs if m == max_id]
-    if not arcs and max_id not in {m.id for m in g.maxima}:
-        raise KeyError(f"unknown maximum id {max_id}")
-    return arcs
+    One term at a time over the arcs; the reference for the eta column.
+    """
+    t, row = split_node_id(max_id)
+    if t != g.t or row >= g.n_max:
+        raise KeyError(f"{max_id} is not a maximum of step {g.t}")
+    value = g.value.tolist()
+    return float(
+        sum(abs(value[row] - value[s & ROW_MASK]) for m, s in g.arcs.tolist() if m == max_id)
+    )

@@ -45,11 +45,6 @@ class ScalarField3D:
     def num_voxels(self) -> int:
         return self.values.size
 
-    def grid(self) -> np.ndarray:
-        """Values as a (nz, ny, nx) view."""
-        nx, ny, nz = self.dims
-        return self.values.reshape(nz, ny, nx)
-
     def voxel_coords(self, voxel: int) -> tuple[int, int, int]:
         """Grid indices (ix, iy, iz) of a linear voxel id."""
         nx, ny, _ = self.dims
@@ -245,8 +240,3 @@ def generate_gauss8(
             )
         )
     return FieldSeries(fields=fields)
-
-
-def superlevel_mask(f: ScalarField3D, isovalue: float) -> np.ndarray:
-    """Per-voxel boolean mask of the superlevel set {f >= isovalue}."""
-    return f.values >= isovalue

@@ -8,13 +8,13 @@ and export -> parse -> export round-trips exactly.
 from __future__ import annotations
 
 import json
-import os
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .exgraph import ExtremumGraph
-from .field import ScalarField3D
-from .morse import CriticalPoint, Segmentation
+from .exgraph import ROW_MASK, ExtremumGraph, make_node_id
+from .morse import Segmentation
 from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from .tracks import Track
 
@@ -56,29 +56,121 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _node_dict(cp: CriticalPoint) -> dict:
+def _step_dict(g: ExtremumGraph) -> dict:
+    """One step's nodes, in row order, and its spatial arcs."""
+    index = [3] * g.n_max + [2] * (len(g.value) - g.n_max)
+    nodes = [
+        {
+            "id": nid,
+            "index": idx,
+            "x": x,
+            "value": value,
+            "pers": pers,
+            "eta": eta,
+            "vertex": vertex,
+            "t": g.t,
+        }
+        for nid, idx, x, value, pers, eta, vertex in zip(
+            g.ids.tolist(),
+            index,
+            g.coords.tolist(),
+            g.value.tolist(),
+            g.pers.tolist(),
+            g.eta.tolist(),
+            g.vertex.tolist(),
+        )
+    ]
+    return {"t": g.t, "nodes": nodes, "arcs": g.arcs.tolist()}
+
+
+_NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
+
+
+def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
+    """Column tables of the stored steps.
+
+    Each column is converted once for the whole file and sliced per
+    step. Rejects a file whose steps are not contiguous in t, whose node
+    ids are not (t, row) in row order, whose maxima do not come first,
+    or whose arcs are not sorted (maximum, saddle) pairs of their step.
+    """
+    ts = [int(step["t"]) for step in steps]
+    if any(b != a + 1 for a, b in zip(ts, ts[1:])):
+        raise ValueError("steps must be contiguous in t")
+    sizes, n_max, cols = [], [], []
+    for t, step in zip(ts, steps):
+        k = len(step["nodes"])
+        ids, node_t, index, *rest = list(zip(*map(_NODE_FIELDS, step["nodes"]))) or [()] * 8
+        base = make_node_id(t, 0)
+        if ids != tuple(range(base, base + k)) or node_t.count(t) != k:
+            raise ValueError(f"step {t}: node ids are not (t, row) in row order")
+        sizes.append(k)
+        n_max.append(index.count(3))
+        if index != (3,) * n_max[-1] + (2,) * (k - n_max[-1]):
+            raise ValueError(f"step {t}: nodes must be maxima first, then saddles")
+        cols.append(rest)
+    # vertex, value, pers, eta and x of all steps, one list each
+    columns = [list(chain.from_iterable(c)) for c in zip(*cols)] or [[]] * 5
+    vertex = np.array(columns[0], dtype=np.int64)
+    value, pers, eta = (np.array(c, dtype=np.float64) for c in columns[1:4])
+    coords = np.array(columns[4], dtype=np.float64).reshape(len(vertex), 3)
+
+    n_arcs = [len(step["arcs"]) for step in steps]
+    arcs = np.array(
+        list(chain.from_iterable(step["arcs"] for step in steps)), dtype=np.int64
+    ).reshape(-1, 2)
+    # each arc as rows of its step, checked against that step's layout
+    of = np.repeat(np.arange(len(steps)), n_arcs)
+    rows = arcs - (np.array(ts, dtype=np.int64) << 32)[of, None]
+    m, s = rows[:, 0], rows[:, 1]
+    lo, hi = np.array(n_max, dtype=np.int64)[of], np.array(sizes, dtype=np.int64)[of]
+    ok = (0 <= m) & (m < lo) & (lo <= s) & (s < hi)
+    ok &= np.lexsort((s, m, of)) == np.arange(len(arcs))
+    if not ok.all():
+        t = ts[of[np.argmin(ok)]]
+        raise ValueError(f"step {t}: arcs must be sorted (maximum, saddle) pairs")
+
+    node_at = np.cumsum([0] + sizes).tolist()
+    arc_at = np.cumsum([0] + n_arcs).tolist()
+    return [
+        ExtremumGraph(
+            t=t,
+            n_max=nm,
+            vertex=vertex[a:b],
+            value=value[a:b],
+            pers=pers[a:b],
+            eta=eta[a:b],
+            coords=coords[a:b],
+            arcs=arcs[c:d],
+        )
+        for t, nm, a, b, c, d in zip(
+            ts, n_max, node_at, node_at[1:], arc_at, arc_at[1:]
+        )
+    ]
+
+
+def events_to_dict(ev: EventSets) -> dict:
     return {
-        "id": cp.id,
-        "index": cp.index,
-        "x": [float(v) for v in cp.coords],
-        "value": cp.value,
-        "pers": cp.pers,
-        "eta": cp.eta,
-        "vertex": cp.vertex,
-        "t": cp.t,
+        "merges": ev.merges,
+        "splits": ev.splits,
+        "deletions": [[n, t] for n, t in ev.deletions],
+        "generations": [[n, t] for n, t in ev.generations],
     }
 
 
-def _node_from_dict(d: dict) -> CriticalPoint:
-    return CriticalPoint(
-        id=int(d["id"]),
-        index=int(d["index"]),
-        coords=np.asarray(d["x"], dtype=np.float64),
-        value=float(d["value"]),
-        pers=float(d["pers"]),
-        eta=float(d["eta"]),
-        vertex=int(d["vertex"]),
-        t=int(d["t"]),
+def events_from_dict(doc: dict) -> EventSets:
+    def record(e: dict) -> dict:
+        return {
+            "node": int(e["node"]),
+            "time": int(e["time"]),
+            "participants": [int(p) for p in e["participants"]],
+        }
+
+    return EventSets(
+        merges=[record(e) for e in doc["merges"]],
+        splits=[record(e) for e in doc["splits"]],
+        deletions=[(int(n), int(t)) for n, t in doc["deletions"]],
+        generations=[(int(n), int(t)) for n, t in doc["generations"]],
     )
 
 
@@ -91,14 +183,7 @@ def tveg_to_dict(tveg: Tveg) -> dict:
             "L2": tveg.weights.L2,
             "L3": tveg.weights.L3,
         },
-        "steps": [
-            {
-                "t": g.t,
-                "nodes": [_node_dict(cp) for cp in g.maxima + g.saddles],
-                "arcs": [[m, s] for m, s in g.arcs],
-            }
-            for g in tveg.graphs
-        ],
+        "steps": [_step_dict(g) for g in tveg.graphs],
         "temporal_arcs": [
             {
                 "t": t,
@@ -111,12 +196,7 @@ def tveg_to_dict(tveg: Tveg) -> dict:
             }
             for t in sorted(tveg.arcs_by_pair)
         ],
-        "events": {
-            "merges": tveg.events.merges,
-            "splits": tveg.events.splits,
-            "deletions": [[n, t] for n, t in tveg.events.deletions],
-            "generations": [[n, t] for n, t in tveg.events.generations],
-        },
+        "events": events_to_dict(tveg.events),
     }
 
 
@@ -127,20 +207,14 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
 
 
 def load_tveg_json(path: str) -> Tveg:
-    """Rebuild a Tveg from an exported file (without voxel geometry)."""
+    """Rebuild a Tveg from an exported file (without voxel geometry).
+
+    Raises ValueError when a step's layout is not the one exported or
+    the steps are not contiguous in t.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    graphs = []
-    for step in doc["steps"]:
-        nodes = [_node_from_dict(d) for d in step["nodes"]]
-        graphs.append(
-            ExtremumGraph(
-                t=int(step["t"]),
-                maxima=[n for n in nodes if n.index == 3],
-                saddles=[n for n in nodes if n.index == 2],
-                arcs=[(int(a), int(b)) for a, b in step["arcs"]],
-            )
-        )
+    graphs = _graphs_from_steps(doc["steps"])
     arcs_by_pair = {}
     filter_meta = {}
     for pair in doc["temporal_arcs"]:
@@ -152,32 +226,11 @@ def load_tveg_json(path: str) -> Tveg:
         filter_meta[t] = FilterMeta(
             mu=float(fm["mu"]), sigma=float(fm["sigma"]), tau=float(fm["tau"])
         )
-    ev = doc["events"]
-    events = EventSets(
-        merges=[
-            {
-                "node": int(e["node"]),
-                "time": int(e["time"]),
-                "participants": [int(p) for p in e["participants"]],
-            }
-            for e in ev["merges"]
-        ],
-        splits=[
-            {
-                "node": int(e["node"]),
-                "time": int(e["time"]),
-                "participants": [int(p) for p in e["participants"]],
-            }
-            for e in ev["splits"]
-        ],
-        deletions=[(int(n), int(t)) for n, t in ev["deletions"]],
-        generations=[(int(n), int(t)) for n, t in ev["generations"]],
-    )
     w = doc["weights"]
     return Tveg(
         graphs=graphs,
         arcs_by_pair=arcs_by_pair,
-        events=events,
+        events=events_from_dict(doc["events"]),
         weights=ScoreWeights(
             G=float(w["G"]), L1=float(w["L1"]), L2=float(w["L2"]), L3=float(w["L3"])
         ),
@@ -244,8 +297,10 @@ def export_tracks_geometry(
     """Legacy ASCII polydata export of tracks stacked along z.
 
     Point z' = z * z_scale + t * slab_height; slab_height defaults to
-    the scaled z-extent of the domain so consecutive steps do not
-    overlap. Point scalars: time index, track id, event code.
+    the scaled z-extent of the node coordinates so consecutive steps do
+    not overlap. Point scalars: time index, track id, event code. With
+    `include_spatial`, each track maximum also gets a line to each of
+    its saddles.
     """
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
@@ -256,12 +311,20 @@ def export_tracks_geometry(
     ptrack: list[int] = []
     pevent: list[int] = []
     lines: list[tuple[int, int]] = []
+    # per step: node coordinates, and the saddle rows of maximum row r
+    # at saddles[first[r]:first[r + 1]] (arcs are sorted by maximum)
+    steps: dict[int, tuple[list, list[int], list[int]]] = {}
 
     for track_id, tr in enumerate(tracks):
         index: dict[tuple[int, int], int] = {}
         for t, mid in tr.nodes:
-            cp = tveg.graph_at(t).node(mid)
-            x, y, z = (float(v) for v in cp.coords)
+            g, row = tveg.max_row(t, mid)
+            if t not in steps:
+                ids = make_node_id(t, 0) + np.arange(g.n_max + 1)
+                first = np.searchsorted(g.arcs[:, 0], ids)
+                saddles = g.arcs[:, 1] & ROW_MASK
+                steps[t] = (g.coords.tolist(), first.tolist(), saddles.tolist())
+            x, y, z = steps[t][0][row]
             index[(t, mid)] = len(points)
             points.append((x, y, z * z_scale + t * slab_height))
             ptime.append(t)
@@ -272,18 +335,15 @@ def export_tracks_geometry(
             lines.append((index[(ta, a)], index[(tb, b)]))
         if include_spatial:
             for t, mid in tr.nodes:
-                g = tveg.graph_at(t)
-                for m, s in g.arcs:
-                    if m != mid:
-                        continue
-                    cp = g.node(s)
-                    x, y, z = (float(v) for v in cp.coords)
-                    sid = len(points)
+                coords, first, saddles = steps[t]
+                row = mid & ROW_MASK
+                for s in saddles[first[row] : first[row + 1]]:
+                    x, y, z = coords[s]
+                    lines.append((index[(t, mid)], len(points)))
                     points.append((x, y, z * z_scale + t * slab_height))
                     ptime.append(t)
                     ptrack.append(track_id)
                     pevent.append(0)
-                    lines.append((index[(t, mid)], sid))
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -309,16 +369,12 @@ def export_tracks_geometry(
 
 
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:
-    for g in tveg.graphs:
-        if g.segmentation is not None:
-            f = g.segmentation.field
-            return float((f.dims[2] - 1) * f.spacing[2] * z_scale)
-    # fall back to the z-extent of the stored node coordinates
-    zs = [float(cp.coords[2]) for g in tveg.graphs for cp in g.maxima + g.saddles]
-    if not zs:
+    """The scaled z-extent of all node coordinates (1 if flat)."""
+    zs = np.concatenate([g.coords[:, 2] for g in tveg.graphs] or [np.empty(0)])
+    if not zs.size:
         return 1.0
-    extent = max(zs) - min(zs)
-    return float(extent * z_scale) if extent > 0 else 1.0
+    extent = float(zs.max() - zs.min())
+    return extent * z_scale if extent > 0 else 1.0
 
 
 def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
@@ -359,10 +415,5 @@ def load_segmentation_labels(labels_path: str, dims) -> np.ndarray:
 
 
 def export_extremum_graph_json(g: ExtremumGraph, path: str) -> None:
-    doc = {
-        "t": g.t,
-        "nodes": [_node_dict(cp) for cp in g.maxima + g.saddles],
-        "arcs": [[m, s] for m, s in g.arcs],
-    }
     with open(path, "w") as fh:
-        fh.write(canonical_json(doc))
+        fh.write(canonical_json(_step_dict(g)))

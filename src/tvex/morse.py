@@ -8,7 +8,7 @@ Boundary voxels use clipped neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class CriticalPoint:
 
     index is 3 for maxima and 2 for saddles (3D data). `vertex` is the
     linear voxel id hosting the point; `dscmfold` holds the voxel ids
-    of the descending manifold (maxima only); `geom` is the optional
-    clipped region.
+    of the descending manifold (maxima only).
     """
 
     id: int
@@ -41,20 +40,17 @@ class CriticalPoint:
     coords: np.ndarray
     value: float
     pers: float = 0.0
-    eta: float = 0.0
     vertex: int = -1
-    t: int = 0
     dscmfold: np.ndarray | None = None
-    geom: np.ndarray | None = None
 
 
 @dataclass
 class Segmentation:
     """Descending-manifold segmentation of one field.
 
-    labels[v] is the voxel id of the maximum owning voxel v. adjacency
-    maps unordered maximum-id pairs to the mediating saddle's position
-    in `saddles`.
+    labels[v] is the voxel id of the maximum owning voxel v; `maxima`
+    are in id order. adjacency maps unordered maximum-id pairs to the
+    id of the mediating saddle.
     """
 
     field: ScalarField3D
@@ -101,13 +97,6 @@ def _steepest_neighbor(f: ScalarField3D, rank: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def find_maxima(f: ScalarField3D) -> list[int]:
-    """Voxel ids that beat all 26-neighbors under the total order."""
-    rank = vertex_order(f)
-    nxt = _steepest_neighbor(f, rank)
-    return sorted(np.flatnonzero(nxt == np.arange(f.num_voxels)).tolist())
-
-
 def compute_segmentation(
     f: ScalarField3D, rank: np.ndarray | None = None
 ) -> Segmentation:
@@ -138,9 +127,7 @@ def _critical_points(
     keep the whole block alive."""
     coords = f.world_coords_many(verts)
     return [
-        CriticalPoint(
-            id=i, index=index, coords=c.copy(), value=val, vertex=v, t=f.time_index
-        )
+        CriticalPoint(id=i, index=index, coords=c.copy(), value=val, vertex=v)
         for i, c, val, v in zip(
             ids.tolist(), coords, f.values[verts].tolist(), verts.tolist()
         )
@@ -221,8 +208,11 @@ def compute_saddles(
     return seg
 
 
-def _find(parent: dict[int, int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
+def find_root(parent: dict[int, int] | list[int], x: int) -> int:
+    """Union-find root of x in a parent map, halving the path on the way.
+
+    A root is its own parent; callers link roots by their own rule.
+    """
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -260,7 +250,7 @@ def _pairing(
 
     result: dict[int, tuple[float, int, int]] = {}
     for _, sid, la, lb in edges:
-        ra, rb = _find(parent, la), _find(parent, lb)
+        ra, rb = find_root(parent, la), find_root(parent, lb)
         if ra == rb:
             continue
         if comp_best[ra] < comp_best[rb]:
@@ -311,7 +301,9 @@ def simplify(
     are canceled themselves resolve through a union-find to the one
     surviving maximum of their tree. Each surviving region pair keeps
     the saddle of greatest (rank, saddle id). The global maximum is
-    never canceled; persistence is recomputed on the simplified graph.
+    never canceled; persistence is recomputed on the simplified graph
+    and set on copies of the surviving maxima, so `seg` is left as it
+    was. Saddles are shared with `seg`; nothing here changes them.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -330,11 +322,11 @@ def simplify(
     # tree holds exactly one survivor
     parent = {m.id: m.id for m in seg.maxima}
     for mid, partner in canceled.items():
-        parent[_find(parent, mid)] = _find(parent, partner)
+        parent[find_root(parent, mid)] = find_root(parent, partner)
     survivor = {
-        _find(parent, m.id): m.id for m in seg.maxima if m.id not in canceled
+        find_root(parent, m.id): m.id for m in seg.maxima if m.id not in canceled
     }
-    rep = {m.id: survivor[_find(parent, m.id)] for m in seg.maxima}
+    rep = {m.id: survivor[find_root(parent, m.id)] for m in seg.maxima}
 
     if canceled:
         lut = np.arange(f.num_voxels, dtype=seg.labels.dtype)
@@ -358,7 +350,8 @@ def simplify(
         field=f,
         labels=labels,
         maxima=sorted(
-            (m for m in seg.maxima if m.id not in canceled), key=lambda m: m.id
+            (replace(m) for m in seg.maxima if m.id not in canceled),
+            key=lambda m: m.id,
         ),
         saddles=sorted(
             (saddle_by_id[s] for s in adjacency.values()), key=lambda s: s.id
@@ -396,16 +389,6 @@ def attach_manifolds(seg: Segmentation) -> None:
     hi = np.searchsorted(sorted_labels, ids, side="right")
     for m, a, b in zip(seg.maxima, lo.tolist(), hi.tolist()):
         m.dscmfold = order[a:b]
-
-
-def descending_geometry(seg: Segmentation, mask: np.ndarray) -> dict[int, np.ndarray]:
-    """Clip each descending manifold by a per-voxel boolean mask."""
-    if mask.shape != seg.labels.shape:
-        raise ValueError("mask shape does not match field")
-    out = {}
-    for m in seg.maxima:
-        out[m.id] = np.flatnonzero((seg.labels == m.id) & mask)
-    return out
 
 
 def merge_tree_oracle(f: ScalarField3D) -> dict[int, float]:

@@ -34,10 +34,7 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
 
 
 def build_graphs(
-    series: FieldSeries,
-    theta: float,
-    threads: int | None = None,
-    keep_segmentation: bool = True,
+    series: FieldSeries, theta: float, threads: int | None = None
 ) -> list[ExtremumGraph]:
     """Per-step extremum graphs, optionally built on a thread pool.
 
@@ -46,15 +43,9 @@ def build_graphs(
     """
     workers = threads if threads is not None else thread_count()
     if workers <= 1 or len(series) == 1:
-        return [
-            build_extremum_graph(f, theta, keep_segmentation=keep_segmentation)
-            for f in series.fields
-        ]
+        return [build_extremum_graph(f, theta) for f in series.fields]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(build_extremum_graph, f, theta, keep_segmentation)
-            for f in series.fields
-        ]
+        futures = [pool.submit(build_extremum_graph, f, theta) for f in series.fields]
         return [fut.result() for fut in futures]
 
 

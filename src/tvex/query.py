@@ -6,6 +6,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from .exgraph import ROW_MASK, make_node_id
 from .temporal import EventSets, ScoreTuple, Tveg
 from .tracks import Track
 
@@ -74,18 +75,14 @@ def select_in_region(
     hi = np.asarray(box[1], dtype=np.float64)
     t0, t1 = window
     chosen: set[int] = set()
-    saddles: set[int] = set()
     spatial: list[tuple[int, int]] = []
     for g in tveg.graphs:
         if g.t < t0 or g.t > t1:
             continue
-        for m in g.maxima:
-            if np.all(m.coords >= lo) and np.all(m.coords <= hi):
-                chosen.add(m.id)
-        for m, s in g.arcs:
-            if m in chosen:
-                spatial.append((m, s))
-                saddles.add(s)
+        pts = g.coords[: g.n_max]
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)  # per maximum row
+        chosen.update(g.maxima[inside].tolist())
+        spatial.extend(map(tuple, g.arcs[inside[g.arcs[:, 0] & ROW_MASK]].tolist()))
     temporal = [
         a
         for t in sorted(tveg.arcs_by_pair)
@@ -94,7 +91,7 @@ def select_in_region(
     ]
     return Selection(
         maxima=sorted(chosen),
-        saddles=sorted(saddles),
+        saddles=sorted({s for _, s in spatial}),
         spatial_arcs=sorted(spatial),
         temporal_arcs=temporal,
     )
@@ -118,23 +115,29 @@ def track_neighborhood(
     """Graph ball of radius `hops` around each track node in its G^t.
 
     Returns {t: sorted node ids}; layers alternate between maxima and
-    saddles as BFS expands through extremum-graph arcs.
+    saddles as the ball grows through extremum-graph arcs, one sweep
+    over the step's arcs per hop. A node id that is not in its step
+    raises KeyError.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    out: dict[int, set[int]] = {}
-    for t, mid in track.nodes:
+    seeds: dict[int, list[int]] = {}
+    for t, node in track.nodes:
+        seeds.setdefault(t, []).append(node)
+    out: dict[int, list[int]] = {}
+    for t in sorted(seeds):
         g = tveg.graph_at(t)
-        adj: dict[int, set[int]] = {}
-        for m, s in g.arcs:
-            adj.setdefault(m, set()).add(s)
-            adj.setdefault(s, set()).add(m)
-        frontier = {mid}
-        seen = {mid}
+        base = make_node_id(t, 0)
+        rows = [node - base for node in seeds[t]]
+        if not all(0 <= r < len(g.value) for r in rows):
+            raise KeyError(f"a seed is not a node of step {t}")
+        ball = np.zeros(len(g.value), dtype=bool)
+        ball[rows] = True
+        m, s = (g.arcs - base).T
         for _ in range(hops):
-            frontier = {
-                nb for node in frontier for nb in adj.get(node, ()) if nb not in seen
-            }
-            seen |= frontier
-        out.setdefault(t, set()).update(seen)
-    return {t: sorted(nodes) for t, nodes in sorted(out.items())}
+            # every arc with an end in the ball brings in its other end
+            hit = ball[m] | ball[s]
+            ball[m[hit]] = True
+            ball[s[hit]] = True
+        out[t] = (np.flatnonzero(ball) + base).tolist()
+    return out

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .exgraph import ExtremumGraph
-from .morse import CriticalPoint
 
 
 @dataclass(frozen=True)
@@ -85,36 +84,41 @@ class Tveg:
         return out
 
     def graph_at(self, t: int) -> ExtremumGraph:
-        for g in self.graphs:
-            if g.t == t:
-                return g
-        raise KeyError(f"no graph at time {t}")
+        """The graph of step t; graphs are contiguous in t."""
+        i = t - self.graphs[0].t if self.graphs else -1
+        if not 0 <= i < len(self.graphs):
+            raise KeyError(f"no graph at time {t}")
+        return self.graphs[i]
 
-
-def _attr_arrays(maxima: list[CriticalPoint]):
-    pers = np.array([m.pers for m in maxima])
-    val = np.array([m.value for m in maxima])
-    pos = np.array([m.coords for m in maxima])
-    eta = np.array([m.eta for m in maxima])
-    return pers, val, pos, eta
+    def max_row(self, t: int, node_id: int) -> tuple[ExtremumGraph, int]:
+        """The graph of step t and the row of its maximum `node_id`."""
+        g = self.graph_at(t)
+        row = node_id & 0xFFFFFFFF
+        if node_id >> 32 != t or row >= g.n_max:
+            raise KeyError(f"no maximum {node_id} at time {t}")
+        return g, row
 
 
 def normalize_components(
-    M0: list[CriticalPoint], M1: list[CriticalPoint]
+    g0: ExtremumGraph, g1: ExtremumGraph
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Component matrices P, J, D, N of shape (|M0|, |M1|), scaled to [0, 1].
+    """Component matrices P, J, D, N over the maxima of g0 and g1, of
+    shape (|M0|, |M1|), scaled to [0, 1].
 
     Each raw matrix is divided by its maximum over all candidate pairs;
     an all-equal component (max 0) normalizes to zeros.
     """
-    if not M0 or not M1:
+    n0, n1 = g0.n_max, g1.n_max
+    if not n0 or not n1:
         raise ValueError("both maxima sets must be non-empty")
-    p0, v0, x0, e0 = _attr_arrays(M0)
-    p1, v1, x1, e1 = _attr_arrays(M1)
-    P = np.abs(p0[:, None] - p1[None, :])
-    J = np.abs(v0[:, None] - v1[None, :])
-    D = np.linalg.norm(x0[:, None, :] - x1[None, :, :], axis=2)
-    N = np.abs(e0[:, None] - e1[None, :])
+
+    def diff(col0: np.ndarray, col1: np.ndarray) -> np.ndarray:
+        return np.abs(col0[:n0, None] - col1[None, :n1])
+
+    P = diff(g0.pers, g1.pers)
+    J = diff(g0.value, g1.value)
+    D = np.linalg.norm(g0.coords[:n0, None, :] - g1.coords[None, :n1, :], axis=2)
+    N = diff(g0.eta, g1.eta)
     out = []
     for comp in (P, J, D, N):
         peak = comp.max()
@@ -123,22 +127,23 @@ def normalize_components(
 
 
 def compute_scores(
-    M0: list[CriticalPoint], M1: list[CriticalPoint], w: ScoreWeights
+    g0: ExtremumGraph, g1: ExtremumGraph, w: ScoreWeights
 ) -> list[ScoreTuple]:
-    """Two lowest-scoring targets per source (one if |M1| == 1).
+    """Two lowest-scoring targets per maximum of g0 among the maxima of
+    g1 (one if g1 has a single maximum).
 
     score = G*P + L1*J + L2*D + L3*N over the normalized components.
     Ties break by (score, target id) ascending. Output is sorted by
     (m0, m1) for determinism.
     """
-    P, J, D, N = normalize_components(M0, M1)
+    P, J, D, N = normalize_components(g0, g1)
     S = w.G * P + w.L1 * J + w.L2 * D + w.L3 * N
-    ids1 = [m.id for m in M1]
+    ids1 = g1.maxima.tolist()
     out = []
-    for i, m0 in enumerate(M0):
-        ranked = sorted(zip(S[i], ids1), key=lambda p: (p[0], p[1]))
+    for m0, row in zip(g0.maxima.tolist(), S.tolist()):
+        ranked = sorted(zip(row, ids1))
         for s, mid in ranked[:2]:
-            out.append(ScoreTuple(m0=m0.id, m1=mid, s=float(s)))
+            out.append(ScoreTuple(m0=m0, m1=mid, s=s))
     return sorted(out, key=lambda a: (a.m0, a.m1))
 
 
@@ -215,13 +220,11 @@ def link_pair(
     g0: ExtremumGraph, g1: ExtremumGraph, w: ScoreWeights
 ) -> tuple[list[ScoreTuple], EventSets, FilterMeta]:
     """Full correspondence computation for one consecutive pair."""
-    M0, M1 = g0.maxima, g1.maxima
-    ids0 = [m.id for m in M0]
-    ids1 = [m.id for m in M1]
-    if not M0 or not M1:
+    ids0, ids1 = g0.maxima.tolist(), g1.maxima.tolist()
+    if not ids0 or not ids1:
         ev = detect_events([], ids0, ids1, g0.t)
         return [], ev, FilterMeta(mu=0.0, sigma=0.0, tau=0.0)
-    S = compute_scores(M0, M1, w)
+    S = compute_scores(g0, g1, w)
     S, meta = filter_scores(S)
     S = remove_z_configurations(S)
     ev = detect_events(S, ids0, ids1, g0.t)

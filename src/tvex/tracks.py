@@ -7,6 +7,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .exgraph import split_node_id
+from .morse import find_root
 from .temporal import ScoreTuple, Tveg
 
 
@@ -34,7 +35,8 @@ class Track:
             return 0.0
         coords = []
         for t, mid in self.nodes:
-            coords.append(tveg.graph_at(t).node(mid).coords)
+            g, row = tveg.max_row(t, mid)
+            coords.append(g.coords[row])
         steps = [
             float(np.linalg.norm(b - a)) for a, b in zip(coords, coords[1:])
         ]
@@ -45,32 +47,34 @@ def _node_time(node_id: int) -> int:
     return split_node_id(node_id)[0]
 
 
+def _union(parent: dict[int, int] | list[int], a: int, b: int) -> None:
+    """Join the sets of a and b under the smaller root."""
+    ra, rb = find_root(parent, a), find_root(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
+    """One bundle per connected component; each component's nodes and
+    arcs are grouped by their root in one pass."""
     parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a in arcs:
         parent.setdefault(a.m0, a.m0)
         parent.setdefault(a.m1, a.m1)
-        ra, rb = find(a.m0), find(a.m1)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
+        _union(parent, a.m0, a.m1)
+    nodes: dict[int, list[int]] = {}
     for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    out = []
-    for root in sorted(groups):
-        nodes = sorted((_node_time(n), n) for n in groups[root])
-        comp_arcs = sorted(
-            (a.m0, a.m1) for a in arcs if find(a.m0) == root
+        nodes.setdefault(find_root(parent, node), []).append(node)
+    comp_arcs: dict[int, list[tuple[int, int]]] = {}
+    for a in arcs:
+        comp_arcs.setdefault(find_root(parent, a.m0), []).append((a.m0, a.m1))
+    return [
+        Track(
+            nodes=sorted((_node_time(n), n) for n in nodes[root]),
+            arcs=sorted(comp_arcs[root]),
         )
-        out.append(Track(nodes=nodes, arcs=comp_arcs))
-    return out
+        for root in sorted(nodes)
+    ]
 
 
 def _simple_paths(arcs: list[ScoreTuple]) -> list[Track]:
@@ -147,14 +151,15 @@ def refine_by_overlap(
     """
     geom: dict[int, np.ndarray] = {}
     for g in tveg.graphs:
-        f = g.segmentation.field if g.segmentation else None
-        if f is None:
+        seg = g.segmentation
+        if seg is None:
             raise ValueError("refinement needs stored segmentations")
-        mask = f.values >= isovalue
-        for m in g.maxima:
+        mask = seg.field.values >= isovalue
+        # the segmentation's maxima are in row order
+        for mid, m in zip(g.maxima.tolist(), seg.maxima):
             if m.dscmfold is None:
                 raise ValueError("refinement needs descending manifolds")
-            geom[m.id] = m.dscmfold[mask[m.dscmfold]]
+            geom[mid] = m.dscmfold[mask[m.dscmfold]]
 
     kept: list[ScoreTuple] = []
     for t in sorted(tveg.arcs_by_pair):
@@ -184,19 +189,6 @@ def collate_by_saddle(tracks: list[Track], tveg: Tveg) -> list[list[int]]:
     steps), sorted by smallest member.
     """
     parent = list(range(len(tracks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    # saddle adjacency per time step: maximum id -> incident saddles
     node_tracks: dict[tuple[int, int], list[int]] = {}
     for i, tr in enumerate(tracks):
         for node in tr.nodes:
@@ -204,16 +196,16 @@ def collate_by_saddle(tracks: list[Track], tveg: Tveg) -> list[list[int]]:
 
     for g in tveg.graphs:
         saddle_maxima: dict[int, list[int]] = {}
-        for m, s in g.arcs:
+        for m, s in g.arcs.tolist():
             saddle_maxima.setdefault(s, []).append(m)
-        for s, maxes in saddle_maxima.items():
+        for maxes in saddle_maxima.values():
             holders = []
             for m in maxes:
                 holders.extend(node_tracks.get((g.t, m), []))
             for a, b in zip(holders, holders[1:]):
-                union(a, b)
+                _union(parent, a, b)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(tracks)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(find_root(parent, i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]

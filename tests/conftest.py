@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from tvex.exgraph import ExtremumGraph
 from tvex.field import FieldSeries, ScalarField3D
-from tvex.morse import CriticalPoint
 
 
 def random_field(rng, dims, time_index=0):
@@ -18,23 +18,30 @@ def random_field(rng, dims, time_index=0):
     )
 
 
+def maxima_graph(t, coords, value, pers, eta):
+    """Extremum graph of maxima only, one row per maximum."""
+    n = len(value)
+    return ExtremumGraph(
+        t=t,
+        n_max=n,
+        vertex=np.arange(n, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+        pers=np.asarray(pers, dtype=np.float64),
+        eta=np.asarray(eta, dtype=np.float64),
+        coords=np.asarray(coords, dtype=np.float64).reshape(n, 3),
+    )
+
+
 def random_maxima(rng, n, t):
-    """Synthetic maxima with plausible attribute ranges."""
-    out = []
-    for i in range(n):
-        out.append(
-            CriticalPoint(
-                id=(t << 32) | i,
-                index=3,
-                coords=rng.uniform(-1.0, 1.0, 3),
-                value=float(rng.uniform(0.5, 2.0)),
-                pers=float(rng.uniform(0.05, 1.0)),
-                eta=float(rng.uniform(0.1, 3.0)),
-                vertex=i,
-                t=t,
-            )
-        )
-    return out
+    """Synthetic maxima with plausible attribute ranges, drawn one
+    maximum at a time."""
+    cols = {"coords": [], "value": [], "pers": [], "eta": []}
+    for _ in range(n):
+        cols["coords"].append(rng.uniform(-1.0, 1.0, 3))
+        cols["value"].append(float(rng.uniform(0.5, 2.0)))
+        cols["pers"].append(float(rng.uniform(0.05, 1.0)))
+        cols["eta"].append(float(rng.uniform(0.1, 3.0)))
+    return maxima_graph(t, **cols)
 
 
 def two_blob_series(steps=4, dims=(12, 12, 12)):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from tvex import io as tvio
-from tvex.exgraph import ExtremumGraph
 from tvex.field import FieldSeries, generate_gauss8
 from tvex.morse import (
     compute_persistence,
@@ -74,9 +73,9 @@ def _component_spans(graphs, arcs_by_pair):
 
     step = {}
     for g in graphs:
-        for m in g.maxima:
-            parent[m.id] = m.id
-            step[m.id] = g.t
+        for mid in g.maxima.tolist():
+            parent[mid] = mid
+            step[mid] = g.t
     for arcs in arcs_by_pair.values():
         for a in arcs:
             ra, rb = find(a.m0), find(a.m1)
@@ -101,8 +100,8 @@ def _tau_tie_variants(tvg, ulps=4):
     kept, dropped = dict(tvg.arcs_by_pair), dict(tvg.arcs_by_pair)
     tied = False
     for t, meta in tvg.filter_meta.items():
-        M0, M1 = tvg.graph_at(t).maxima, tvg.graph_at(t + 1).maxima
-        if meta.sigma == 0 or not M0 or not M1:
+        M0, M1 = tvg.graph_at(t), tvg.graph_at(t + 1)
+        if meta.sigma == 0 or not M0.n_max or not M1.n_max:
             continue
         tol = ulps * np.spacing(meta.tau)
         S = compute_scores(M0, M1, tvg.weights)
@@ -119,7 +118,7 @@ def _check_2b(graphs, arcs_by_pair):
     spans = _component_spans(graphs, arcs_by_pair)
     first, last = graphs[0].t, graphs[-1].t
     through = [s for s in spans if s == (first, last)]
-    ids = {g.t: [m.id for m in g.maxima] for g in graphs}
+    ids = {g.t: g.maxima.tolist() for g in graphs}
     offending = []
     for t, arcs in sorted(arcs_by_pair.items()):
         srcs = {a.m0 for a in arcs}
@@ -161,7 +160,7 @@ def test_criterion_1_oracle_equivalence(rng):
 def test_criterion_2a_maxima_on_midplane(gauss8_run):
     series, tvg, _ = gauss8_run
     sp = float(series.fields[0].spacing[0])
-    worst = max(abs(float(m.coords[0])) for g in tvg.graphs for m in g.maxima)
+    worst = max(abs(x) for g in tvg.graphs for x in g.coords[: g.n_max, 0].tolist())
     _report(
         "2a",
         "all maxima within 1.5 voxel spacings of the x=0 plane",
@@ -207,8 +206,8 @@ def test_criterion_2c_time_reversal_symmetry(gauss8_run):
     mirror_ok = True
     for t in range(1, T // 2 + 1):
         g0, g1 = tvg.graph_at(t), tvg.graph_at(T + 1 - t)
-        a0 = sorted((m.value, m.pers, m.eta) for m in g0.maxima)
-        a1 = sorted((m.value, m.pers, m.eta) for m in g1.maxima)
+        a0 = sorted(zip(*(c[: g0.n_max].tolist() for c in (g0.value, g0.pers, g0.eta))))
+        a1 = sorted(zip(*(c[: g1.n_max].tolist() for c in (g1.value, g1.pers, g1.eta))))
         if (
             a0 != a1
             or len(g0.saddles) != len(g1.saddles)
@@ -290,12 +289,12 @@ def test_criterion_3_structural_invariants(rng, gauss8_run):
             meta = tvg.filter_meta[t]
             if meta.sigma > 0 and any(a.s >= meta.tau for a in arcs):
                 problems.append(f"score >= tau at {t}")
-            for m in by_t[t].maxima:
-                if m.id not in od and (m.id, t) not in del_set:
-                    problems.append(f"missing deletion {m.id}@{t}")
-            for m in by_t[t + 1].maxima:
-                if m.id not in ind and (m.id, t + 1) not in gen_set:
-                    problems.append(f"missing generation {m.id}@{t+1}")
+            for m in by_t[t].maxima.tolist():
+                if m not in od and (m, t) not in del_set:
+                    problems.append(f"missing deletion {m}@{t}")
+            for m in by_t[t + 1].maxima.tolist():
+                if m not in ind and (m, t + 1) not in gen_set:
+                    problems.append(f"missing generation {m}@{t+1}")
             for n, d in ind.items():
                 if (d > 1) != ((n, t + 1) in merge_nodes):
                     problems.append(f"merge record mismatch {n}@{t+1}")
@@ -383,8 +382,8 @@ def test_criterion_5_byte_identical_determinism(tmp_path):
 
 
 def test_criterion_6_pair_linking_performance(rng):
-    g0 = ExtremumGraph(t=1, maxima=random_maxima(rng, 150, 1))
-    g1 = ExtremumGraph(t=2, maxima=random_maxima(rng, 150, 2))
+    g0 = random_maxima(rng, 150, 1)
+    g1 = random_maxima(rng, 150, 2)
     times = []
     for _ in range(20):
         t0 = time.perf_counter()

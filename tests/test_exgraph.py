@@ -23,16 +23,16 @@ def test_node_id_roundtrip():
 def test_ids_encode_time(rng):
     f = random_field(rng, (6, 6, 6), time_index=7)
     g = build_extremum_graph(f, 0.1)
-    for cp in g.maxima + g.saddles:
-        assert split_node_id(cp.id)[0] == 7
-        assert cp.t == 7
+    for nid in g.ids.tolist():
+        assert split_node_id(nid)[0] == 7
+        assert g.t == 7
 
 
 def test_maxima_before_saddles_in_local_index(rng):
     f = random_field(rng, (6, 6, 6), time_index=3)
     g = build_extremum_graph(f, 0.1)
-    max_locals = [split_node_id(m.id)[1] for m in g.maxima]
-    sad_locals = [split_node_id(s.id)[1] for s in g.saddles]
+    max_locals = [split_node_id(m)[1] for m in g.maxima.tolist()]
+    sad_locals = [split_node_id(s)[1] for s in g.saddles.tolist()]
     assert max_locals == list(range(len(max_locals)))
     assert sad_locals == list(
         range(len(max_locals), len(max_locals) + len(sad_locals))
@@ -43,21 +43,21 @@ def test_every_saddle_has_degree_two(rng):
     f = random_field(rng, (7, 7, 7), time_index=1)
     g = build_extremum_graph(f, 0.15)
     deg = {}
-    for m, s in g.arcs:
+    for m, s in g.arcs.tolist():
         deg[s] = deg.get(s, 0) + 1
-    assert set(deg) == {s.id for s in g.saddles}
+    assert set(deg) == set(g.saddles.tolist())
     assert all(d == 2 for d in deg.values())
 
 
 def test_arcs_join_maxima_to_saddles(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.1)
-    max_ids = {m.id for m in g.maxima}
-    sad_ids = {s.id for s in g.saddles}
-    for m, s in g.arcs:
+    max_ids = set(g.maxima.tolist())
+    sad_ids = set(g.saddles.tolist())
+    for m, s in g.arcs.tolist():
         assert m in max_ids
         assert s in sad_ids
-    assert g.arcs == sorted(g.arcs)
+    assert g.arcs.tolist() == sorted(g.arcs.tolist())
 
 
 def test_graph_matches_simplified_segmentation(rng):
@@ -70,20 +70,20 @@ def test_graph_matches_simplified_segmentation(rng):
     ref = simplify(seg, theta)
     g = build_extremum_graph(f, theta)
     assert len(g.maxima) == len(ref.maxima)
-    assert sorted(m.vertex for m in g.maxima) == sorted(m.vertex for m in ref.maxima)
+    assert sorted(g.vertex[: g.n_max].tolist()) == sorted(m.vertex for m in ref.maxima)
     assert len(g.saddles) == len(ref.adjacency)
 
 
 def test_eta_is_sum_of_saddle_gaps(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.15)
-    by_id = {cp.id: cp for cp in g.maxima + g.saddles}
-    for m in g.maxima:
+    value = dict(zip(g.ids.tolist(), g.value.tolist()))
+    for m, eta in zip(g.maxima.tolist(), g.eta.tolist()):
         expect = sum(
-            abs(m.value - by_id[s].value) for mm, s in g.arcs if mm == m.id
+            abs(value[m] - value[s]) for mm, s in g.arcs.tolist() if mm == m
         )
-        assert m.eta == pytest.approx(expect)
-        assert neighborhood_contribution(g, m.id) == pytest.approx(expect)
+        assert eta == pytest.approx(expect)
+        assert neighborhood_contribution(g, m) == pytest.approx(expect)
 
 
 def test_eta_sums_in_saddle_order(rng):
@@ -91,43 +91,43 @@ def test_eta_sums_in_saddle_order(rng):
     last bits, so eta must add the terms in sorted-arc order."""
     f = random_field(rng, (7, 7, 7), time_index=1)
     g = build_extremum_graph(f, 0.05)
-    for m in g.maxima:
-        assert m.eta == neighborhood_contribution(g, m.id)
+    for m, eta in zip(g.maxima.tolist(), g.eta.tolist()):
+        assert eta == neighborhood_contribution(g, m)
 
 
 def test_neighborhood_contribution_rejects_saddle(rng):
     f = random_field(rng, (5, 5, 5), time_index=1)
     g = build_extremum_graph(f, 0.1)
-    if g.saddles:
+    if len(g.saddles):
         with pytest.raises(KeyError):
-            neighborhood_contribution(g, g.saddles[0].id)
+            neighborhood_contribution(g, int(g.saddles[0]))
 
 
 def test_incident_saddles_sorted(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.1)
-    for m in g.maxima:
-        inc = g.incident_saddles(m.id)
+    for m in g.maxima.tolist():
+        inc = [s for mm, s in g.arcs.tolist() if mm == m]
         assert inc == sorted(inc)
 
 
 def test_keep_segmentation_flag(rng):
+    """The graph always keeps its step's segmentation; no flag drops it."""
     f = random_field(rng, (5, 5, 5), time_index=1)
-    assert build_extremum_graph(f, 0.1, keep_segmentation=True).segmentation is not None
-    assert build_extremum_graph(f, 0.1, keep_segmentation=False).segmentation is None
+    assert build_extremum_graph(f, 0.1).segmentation is not None
 
 
 def test_saddle_persistence_is_cancellation_value(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.1)
-    by_id = {cp.id: cp for cp in g.maxima + g.saddles}
+    value = dict(zip(g.ids.tolist(), g.value.tolist()))
     touching = {}
-    for m, s in g.arcs:
+    for m, s in g.arcs.tolist():
         touching.setdefault(s, []).append(m)
-    for s in g.saddles:
-        pair = touching[s.id]
-        expect = min(by_id[m].value - s.value for m in pair)
-        assert s.pers == pytest.approx(expect)
+    for s, pers in zip(g.saddles.tolist(), g.pers[g.n_max :].tolist()):
+        pair = touching[s]
+        expect = min(value[m] - value[s] for m in pair)
+        assert pers == pytest.approx(expect)
 
 
 def test_vertex_order_runs_once_per_step(rng, monkeypatch):
@@ -151,7 +151,7 @@ def test_graph_holds_no_voxel_rank(rng):
     rank = morse.vertex_order(f)
     g = build_extremum_graph(f, 0.1)
     seg = g.segmentation
-    held = [vars(g), vars(seg)] + [vars(cp) for cp in g.maxima + g.saddles]
+    held = [vars(g), vars(seg)]
     held += [vars(cp) for cp in seg.maxima + seg.saddles]
     for attrs in held:
         for value in attrs.values():

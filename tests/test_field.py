@@ -12,7 +12,6 @@ from tvex.field import (
     generate_gauss8,
     load_series,
     save_series,
-    superlevel_mask,
 )
 
 from conftest import random_field
@@ -67,14 +66,6 @@ class TestScalarField3D:
         many = f.world_coords_many(ids)
         for v in (0, 17, f.num_voxels - 1):
             assert np.array_equal(many[v], f.world_coords(v))
-
-    def test_grid_view_is_x_fastest(self, rng):
-        f = random_field(rng, (3, 4, 5))
-        g = f.grid()
-        assert g.shape == (5, 4, 3)
-        assert g[0, 0, 1] == f.values[1]
-        assert g[0, 1, 0] == f.values[3]
-        assert g[1, 0, 0] == f.values[12]
 
 
 class TestFieldSeries:
@@ -195,9 +186,3 @@ class TestGauss8:
         series = generate_gauss8((6, 6, 6), steps=steps)
         for t in range(1, steps + 1):
             assert np.array_equal(series[t - 1].values, series[steps - t].values)
-
-
-def test_superlevel_mask(rng):
-    f = random_field(rng, (4, 4, 4))
-    mask = superlevel_mask(f, 0.5)
-    assert np.array_equal(mask, f.values >= 0.5)

@@ -14,7 +14,7 @@ from tvex.morse import compute_persistence, compute_saddles, compute_segmentatio
 from tvex.pipeline import compute_tveg, resolve_theta
 from tvex.query import track_neighborhood
 from tvex.temporal import ScoreWeights
-from tvex.tracks import extract_tracks
+from tvex.tracks import Track, extract_tracks
 
 from conftest import random_field, two_blob_series
 
@@ -72,6 +72,54 @@ class TestTvegRoundtrip:
             assert back.filter_meta[t].tau == meta.tau
 
 
+def _corrupt_steps(doc, how):
+    steps = doc["steps"]
+    if how == "ids out of order":
+        nodes = steps[1]["nodes"]
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+    elif how == "id of another step":
+        steps[1]["nodes"][0]["id"] += 1 << 32
+    elif how == "saddle among maxima":
+        steps[1]["nodes"][0]["index"] = 2
+    elif how == "steps not contiguous":
+        del steps[1]
+    elif how == "arcs not sorted":
+        steps[1]["arcs"].reverse()
+    elif how == "arc to another step":
+        steps[1]["arcs"][0][1] += 1 << 32
+    elif how == "six coordinates":
+        for step in steps:
+            for node in step["nodes"]:
+                node["x"] += node["x"]
+
+
+class TestTvegLoaderChecks:
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "ids out of order",
+            "id of another step",
+            "saddle among maxima",
+            "steps not contiguous",
+            "arcs not sorted",
+            "arc to another step",
+            "six coordinates",
+        ],
+    )
+    def test_rejects_layout_with_exit_2(self, tvg, tmp_path, capsys, how):
+        p = str(tmp_path / "t.json")
+        tvio.export_tveg_json(tvg, p)
+        doc = json.load(open(p))
+        assert len(doc["steps"][1]["arcs"]) >= 2
+        _corrupt_steps(doc, how)
+        with open(p, "w") as fh:
+            fh.write(tvio.canonical_json(doc))
+        with pytest.raises(ValueError):
+            tvio.load_tveg_json(p)
+        assert main(["events", "--tveg", p]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestTracksRoundtrip:
     def test_json_roundtrip(self, tvg, tmp_path):
         tracks = extract_tracks(tvg, mode="simple-paths")
@@ -111,6 +159,31 @@ class TestGeometryExport:
         for (x, y, z), t in zip(pts, times):
             assert 10.0 * t - 1.0 <= z <= 10.0 * t + 1.0
 
+
+    def test_loaded_copy_gives_identical_vtk(self, tvg, tmp_path):
+        """The default slab height comes from the node coordinates, which
+        tveg.json keeps, so a loaded copy exports the same file."""
+        p = str(tmp_path / "t.json")
+        tvio.export_tveg_json(tvg, p)
+        back = tvio.load_tveg_json(p)
+        tracks = extract_tracks(tvg, mode="simple-paths")
+        for spatial in (False, True):
+            a, b = str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")
+            tvio.export_tracks_geometry(tracks, tvg, a, include_spatial=spatial)
+            tvio.export_tracks_geometry(tracks, back, b, include_spatial=spatial)
+            assert open(a, "rb").read() == open(b, "rb").read()
+
+
+    def test_track_node_must_be_a_maximum(self, tvg, tmp_path, capsys):
+        p = str(tmp_path / "t.json")
+        tvio.export_tveg_json(tvg, p)
+        g = tvg.graphs[0]
+        for node in (int(g.saddles[0]), int(g.maxima[0]) + (1 << 32)):
+            tp = str(tmp_path / "tracks.json")
+            tvio.export_tracks_json([Track(nodes=[(g.t, node)])], tp)
+            argv = ["export", "--tveg", p, "--tracks", tp, "-o", str(tmp_path / "x.vtk")]
+            assert main(argv) == 2
+            assert "no maximum" in capsys.readouterr().err
 
 class TestSegmentationExport:
     def test_raw_roundtrip(self, rng, tmp_path):

@@ -12,14 +12,17 @@ from tvex.morse import (
     compute_persistence,
     compute_saddles,
     compute_segmentation,
-    descending_geometry,
-    find_maxima,
     merge_tree_oracle,
     simplify,
     vertex_order,
 )
 
 from conftest import random_field
+
+
+def segmentation_maxima(f: ScalarField3D) -> list[int]:
+    """Voxel ids of the maxima compute_segmentation finds."""
+    return [m.vertex for m in compute_segmentation(f).maxima]
 
 
 def brute_force_maxima(f: ScalarField3D) -> list[int]:
@@ -97,26 +100,26 @@ class TestFindMaxima:
             dims=(3, 3, 3), origin=np.zeros(3), spacing=np.ones(3), values=np.ones(27)
         )
         # ties break by voxel id, so the last voxel wins everywhere
-        assert find_maxima(f) == [26]
+        assert segmentation_maxima(f) == [26]
 
     def test_matches_brute_force_random(self, rng):
         for _ in range(20):
             dims = tuple(int(d) for d in rng.integers(2, 7, 3))
             f = random_field(rng, dims)
-            assert find_maxima(f) == brute_force_maxima(f)
+            assert segmentation_maxima(f) == brute_force_maxima(f)
 
     @given(small_fields)
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_property(self, a):
         f = as_field(a)
-        assert find_maxima(f) == brute_force_maxima(f)
+        assert segmentation_maxima(f) == brute_force_maxima(f)
 
 
 class TestSegmentation:
     def test_labels_are_maxima(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_segmentation(f)
-        maxima = set(find_maxima(f))
+        maxima = set(brute_force_maxima(f))
         assert set(np.unique(seg.labels)) == maxima
 
     def test_maxima_label_themselves(self, rng):
@@ -308,20 +311,16 @@ class TestSimplify:
             assert m.dscmfold is not None
             assert np.array_equal(m.dscmfold, np.flatnonzero(out.labels == m.id))
 
-
-def test_descending_geometry_clips(rng):
-    f = random_field(rng, (5, 5, 5))
-    seg = compute_saddles(f, compute_segmentation(f))
-    compute_persistence(f, seg)
-    mask = f.values >= 0.5
-    geom = descending_geometry(seg, mask)
-    for m in seg.maxima:
-        expect = np.flatnonzero((seg.labels == m.id) & mask)
-        assert np.array_equal(geom[m.id], expect)
-
-
-def test_descending_geometry_shape_check(rng):
-    f = random_field(rng, (4, 4, 4))
-    seg = compute_segmentation(f)
-    with pytest.raises(ValueError):
-        descending_geometry(seg, np.ones(5, dtype=bool))
+    def test_leaves_its_input_and_earlier_results_alone(self):
+        """Simplifying one raw segmentation at two thresholds: the first
+        result keeps its own persistence and manifolds."""
+        f = random_field(np.random.default_rng(1), (6, 6, 6))
+        seg = compute_saddles(f, compute_segmentation(f))
+        raw = [(m.pers, m.dscmfold) for m in seg.maxima]
+        out1 = simplify(seg, 0.1)
+        pers1 = [m.pers for m in out1.maxima]
+        simplify(seg, 0.5)
+        assert [m.pers for m in out1.maxima] == pers1
+        for m in out1.maxima:
+            assert np.array_equal(m.dscmfold, np.flatnonzero(out1.labels == m.id))
+        assert [(m.pers, m.dscmfold) for m in seg.maxima] == raw

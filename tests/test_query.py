@@ -77,7 +77,7 @@ class TestLeastDeviation:
 class TestRegionSelection:
     def test_box_filters_maxima(self, tvg):
         sel = select_in_region(tvg, ((-2, -2, -2), (2, 2, 2)), (1, 4))
-        all_ids = sorted(m.id for g in tvg.graphs for m in g.maxima)
+        all_ids = sorted(m for g in tvg.graphs for m in g.maxima.tolist())
         assert sel.maxima == all_ids
 
     def test_half_space_keeps_one_blob(self, tvg):
@@ -86,7 +86,8 @@ class TestRegionSelection:
         assert len(sel.maxima) == 4
         for mid in sel.maxima:
             t = mid >> 32
-            assert float(tvg.graph_at(t).node(mid).coords[1]) >= 0.0
+            g, row = tvg.max_row(t, mid)
+            assert float(g.coords[row, 1]) >= 0.0
 
     def test_window_limits_steps(self, tvg):
         sel = select_in_region(tvg, ((-2, -2, -2), (2, 2, 2)), (2, 3))
@@ -132,7 +133,7 @@ class TestTrackNeighborhood:
         nb = track_neighborhood(tvg, tr, 1)
         for t, mid in tr.nodes:
             g = tvg.graph_at(t)
-            expect = {mid} | {s for m, s in g.arcs if m == mid}
+            expect = {mid} | {s for m, s in g.arcs.tolist() if m == mid}
             assert expect <= set(nb[t])
 
     def test_hops_monotone(self, tvg, tracks):
@@ -147,3 +148,9 @@ class TestTrackNeighborhood:
     def test_rejects_negative_hops(self, tvg, tracks):
         with pytest.raises(ValueError):
             track_neighborhood(tvg, tracks[0], -1)
+
+    def test_rejects_seed_outside_its_step(self, tvg):
+        g = tvg.graphs[0]
+        for seed in (int(g.ids[-1]) + 1, int(g.maxima[0]) + (1 << 32)):
+            with pytest.raises(KeyError):
+                track_neighborhood(tvg, Track(nodes=[(g.t, seed)]), 1)

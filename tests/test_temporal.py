@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvex.morse import CriticalPoint
 from tvex.temporal import (
     ScoreTuple,
     ScoreWeights,
@@ -19,22 +18,17 @@ from tvex.temporal import (
     remove_z_configurations,
     temporal_arcs,
 )
-from tvex.exgraph import ExtremumGraph
 
-from conftest import random_maxima
+from conftest import maxima_graph, random_maxima
 
 
-def mk_max(t, local, coords=(0, 0, 0), value=1.0, pers=0.5, eta=1.0):
-    return CriticalPoint(
-        id=(t << 32) | local,
-        index=3,
-        coords=np.asarray(coords, dtype=np.float64),
-        value=value,
-        pers=pers,
-        eta=eta,
-        vertex=local,
-        t=t,
-    )
+def mk_maxima(t, n, coords=(0, 0, 0), value=1.0, pers=0.5, eta=1.0):
+    """n maxima at step t; each attribute is one value for all or a list."""
+    def col(x):
+        return np.broadcast_to(np.asarray(x, dtype=np.float64), (n,))
+
+    coords = np.broadcast_to(np.asarray(coords, dtype=np.float64), (n, 3))
+    return maxima_graph(t, coords, col(value), col(pers), col(eta))
 
 
 class TestScoreWeights:
@@ -54,7 +48,7 @@ class TestScoreWeights:
 class TestNormalizeComponents:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            normalize_components([], [mk_max(2, 0)])
+            normalize_components(mk_maxima(1, 0), mk_maxima(2, 1))
 
     def test_scaled_to_unit_interval(self, rng):
         M0 = random_maxima(rng, 4, 1)
@@ -66,8 +60,8 @@ class TestNormalizeComponents:
             assert comp.max() == pytest.approx(1.0)
 
     def test_constant_component_becomes_zero(self):
-        M0 = [mk_max(1, 0, pers=0.5), mk_max(1, 1, pers=0.5)]
-        M1 = [mk_max(2, 0, pers=0.5, coords=(1, 0, 0))]
+        M0 = mk_maxima(1, 2, pers=0.5)
+        M1 = mk_maxima(2, 1, pers=0.5, coords=(1, 0, 0))
         P, J, D, N = normalize_components(M0, M1)
         assert np.all(P == 0.0)  # all pers equal -> no discrimination
         assert np.all(J == 0.0)
@@ -83,7 +77,7 @@ class TestComputeScores:
         per_src = {}
         for a in out:
             per_src.setdefault(a.m0, []).append(a)
-        assert set(per_src) == {m.id for m in M0}
+        assert set(per_src) == set(M0.maxima.tolist())
         assert all(len(v) == 2 for v in per_src.values())
 
     def test_single_target_gives_one_arc_each(self, rng):
@@ -91,7 +85,7 @@ class TestComputeScores:
         M1 = random_maxima(rng, 1, 2)
         out = compute_scores(M0, M1, ScoreWeights())
         assert len(out) == 3
-        assert {a.m1 for a in out} == {M1[0].id}
+        assert {a.m1 for a in out} == {int(M1.maxima[0])}
 
     def test_chosen_targets_minimize_score(self, rng):
         M0 = random_maxima(rng, 4, 1)
@@ -102,8 +96,8 @@ class TestComputeScores:
 
         P, J, D, N = nc(M0, M1)
         S = w.G * P + w.L1 * J + w.L2 * D + w.L3 * N
-        for i, m0 in enumerate(M0):
-            kept = sorted(a.s for a in out if a.m0 == m0.id)
+        for i, m0 in enumerate(M0.maxima.tolist()):
+            kept = sorted(a.s for a in out if a.m0 == m0)
             best = sorted(S[i])[:2]
             assert kept == pytest.approx(best)
 
@@ -115,14 +109,10 @@ class TestComputeScores:
         assert out == compute_scores(M0, M1, ScoreWeights())
 
     def test_distance_only_weights_pick_nearest(self):
-        M0 = [mk_max(1, 0, coords=(0, 0, 0))]
-        M1 = [
-            mk_max(2, 0, coords=(0, 0, 3)),
-            mk_max(2, 1, coords=(0, 0, 1)),
-            mk_max(2, 2, coords=(0, 0, 2)),
-        ]
+        M0 = mk_maxima(1, 1, coords=(0, 0, 0))
+        M1 = mk_maxima(2, 3, coords=[(0, 0, 3), (0, 0, 1), (0, 0, 2)])
         out = compute_scores(M0, M1, ScoreWeights(G=0, L1=0, L2=1, L3=0))
-        assert {a.m1 for a in out} == {M1[1].id, M1[2].id}
+        assert {a.m1 for a in out} == set(M1.maxima[[1, 2]].tolist())
 
 
 class TestFilterScores:
@@ -255,12 +245,12 @@ class TestLinkPairInvariants:
     @settings(max_examples=80, deadline=None)
     def test_structural_invariants(self, n0, n1, seed):
         rng = np.random.default_rng(seed)
-        g0 = ExtremumGraph(t=1, maxima=random_maxima(rng, n0, 1))
-        g1 = ExtremumGraph(t=2, maxima=random_maxima(rng, n1, 2))
+        g0 = random_maxima(rng, n0, 1)
+        g1 = random_maxima(rng, n1, 2)
         arcs, ev, meta = link_pair(g0, g1, ScoreWeights())
 
-        ids0 = set(g0.maxima_ids())
-        ids1 = set(g1.maxima_ids())
+        ids0 = set(g0.maxima.tolist())
+        ids1 = set(g1.maxima.tolist())
         od, ind = {}, {}
         for a in arcs:
             assert a.m0 in ids0 and a.m1 in ids1
@@ -286,20 +276,18 @@ class TestLinkPairInvariants:
 
 class TestTemporalArcs:
     def test_rejects_single_graph(self, rng):
-        g = ExtremumGraph(t=1, maxima=random_maxima(rng, 2, 1))
+        g = random_maxima(rng, 2, 1)
         with pytest.raises(ValueError, match="at least 2"):
             temporal_arcs([g], ScoreWeights())
 
     def test_rejects_noncontiguous(self, rng):
-        g1 = ExtremumGraph(t=1, maxima=random_maxima(rng, 2, 1))
-        g3 = ExtremumGraph(t=3, maxima=random_maxima(rng, 2, 3))
+        g1 = random_maxima(rng, 2, 1)
+        g3 = random_maxima(rng, 2, 3)
         with pytest.raises(ValueError, match="contiguous"):
             temporal_arcs([g1, g3], ScoreWeights())
 
     def test_arcs_only_between_consecutive_steps(self, rng):
-        graphs = [
-            ExtremumGraph(t=t, maxima=random_maxima(rng, 3, t)) for t in (1, 2, 3, 4)
-        ]
+        graphs = [random_maxima(rng, 3, t) for t in (1, 2, 3, 4)]
         tvg = temporal_arcs(graphs, ScoreWeights())
         assert sorted(tvg.arcs_by_pair) == [1, 2, 3]
         for t, arcs in tvg.arcs_by_pair.items():
@@ -308,15 +296,13 @@ class TestTemporalArcs:
                 assert a.m1 >> 32 == t + 1
 
     def test_events_accumulate_over_pairs(self, rng):
-        graphs = [
-            ExtremumGraph(t=t, maxima=random_maxima(rng, 3, t)) for t in (1, 2, 3)
-        ]
+        graphs = [random_maxima(rng, 3, t) for t in (1, 2, 3)]
         tvg = temporal_arcs(graphs, ScoreWeights())
         per_pair = [
             detect_events(
                 tvg.arcs_by_pair[t],
-                graphs[t - 1].maxima_ids(),
-                graphs[t].maxima_ids(),
+                graphs[t - 1].maxima.tolist(),
+                graphs[t].maxima.tolist(),
                 t,
             )
             for t in (1, 2)

@@ -12,9 +12,8 @@ from tvex.tracks import (
     refine_by_overlap,
     spatial_overlap,
 )
-from tvex.exgraph import ExtremumGraph
 
-from conftest import random_maxima
+from conftest import maxima_graph, random_maxima
 
 
 def nid(t, i):
@@ -49,10 +48,10 @@ class TestTrackDataclass:
 
     def test_deviation_mean_step(self, rng):
         maxima = {1: random_maxima(rng, 1, 1), 2: random_maxima(rng, 1, 2)}
-        graphs = [ExtremumGraph(t=t, maxima=maxima[t]) for t in (1, 2)]
+        graphs = [maxima[t] for t in (1, 2)]
         tvg = toy_tveg([], graphs=graphs)
-        tr = Track(nodes=[(1, maxima[1][0].id), (2, maxima[2][0].id)])
-        expect = float(np.linalg.norm(maxima[2][0].coords - maxima[1][0].coords))
+        tr = Track(nodes=[(1, int(maxima[1].maxima[0])), (2, int(maxima[2].maxima[0]))])
+        expect = float(np.linalg.norm(maxima[2].coords[0] - maxima[1].coords[0]))
         assert tr.deviation(tvg) == pytest.approx(expect)
 
 
@@ -91,9 +90,7 @@ class TestSimplePaths:
         assert len(tracks) == 3
 
     def test_every_arc_in_exactly_one_path(self, rng):
-        graphs = [
-            ExtremumGraph(t=t, maxima=random_maxima(rng, 4, t)) for t in range(1, 6)
-        ]
+        graphs = [random_maxima(rng, 4, t) for t in range(1, 6)]
         from tvex.temporal import temporal_arcs
 
         tvg = temporal_arcs(graphs, ScoreWeights())
@@ -165,8 +162,8 @@ class TestRefineByOverlap:
             assert all(d == 1 for d in out_deg.values())
 
     def test_requires_segmentations(self):
-        g1 = ExtremumGraph(t=1, maxima=[])
-        g2 = ExtremumGraph(t=2, maxima=[])
+        g1 = maxima_graph(1, [], [], [], [])
+        g2 = maxima_graph(2, [], [], [], [])
         tvg = Tveg(
             graphs=[g1, g2],
             arcs_by_pair={},
