@@ -62,30 +62,20 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
     """Run the full per-step pipeline and assemble the graph.
 
     Maxima take the first rows in voxel-id order, saddles follow in
-    adjacency-pair order. A saddle's persistence is the value its pair
+    region-pair order. A saddle's persistence is the value its pair
     would cancel at; eta is the sum of |f(m) - f(s)| over the maximum's
     incident saddles, computed after saddle deduplication.
     """
     seg = morse.morse_step(f, theta)
-    maxima = seg.maxima  # in voxel-id order
-    row = {m.id: i for i, m in enumerate(maxima)}
-    pairs = sorted(seg.adjacency.items())
-    saddle_vertex = {s.id: s.vertex for s in seg.saddles}
-    n_max = len(maxima)
-    vertex = np.array(
-        [m.vertex for m in maxima] + [saddle_vertex[sid] for _, sid in pairs],
-        dtype=np.int64,
-    )
+    n_max = len(seg.maxima)
+    vertex = np.concatenate([seg.maxima, seg.saddles])
     value = f.values[vertex]
-    pair_rows = np.array(
-        [(row[la], row[lb]) for (la, lb), _ in pairs], dtype=np.int64
-    ).reshape(-1, 2)
+    pair_rows = np.searchsorted(seg.maxima, seg.pairs)
     sad_rows = np.arange(n_max, len(vertex), dtype=np.int64)
 
-    pers = np.empty(len(vertex))
-    pers[:n_max] = [m.pers for m in maxima]
     sval = value[n_max:]
-    pers[n_max:] = np.minimum(value[pair_rows[:, 0]] - sval, value[pair_rows[:, 1]] - sval)
+    sad_pers = np.minimum(value[pair_rows[:, 0]] - sval, value[pair_rows[:, 1]] - sval)
+    pers = np.concatenate([seg.pers, sad_pers])
 
     arcs = np.concatenate(
         [np.column_stack([pair_rows[:, k], sad_rows]) for k in (0, 1)]

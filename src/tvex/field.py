@@ -114,6 +114,9 @@ def load_series(manifest_path: str) -> FieldSeries:
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    for key in ("dims", "steps"):
+        if key not in manifest:
+            raise ValueError(f"manifest {manifest_path} has no {key!r} entry")
     dims = tuple(int(d) for d in manifest["dims"])
     origin = manifest.get("origin", [0.0, 0.0, 0.0])
     spacing = manifest.get("spacing", [1.0, 1.0, 1.0])

@@ -385,20 +385,29 @@ def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
     labels_path = path_prefix + ".labels.raw"
     sidecar_path = path_prefix + ".labels.json"
     seg.labels.astype("<u4").tofile(labels_path)
+    f = seg.field
+    maxima = seg.maxima.tolist()
+    sizes = np.bincount(np.searchsorted(seg.maxima, seg.labels), minlength=len(maxima))
     sidecar = {
-        "dims": list(seg.field.dims),
+        "dims": list(f.dims),
         "dtype": "<u4",
         "order": "x-fastest",
         "maxima": [
             {
-                "label": m.id,
-                "x": [float(v) for v in m.coords],
-                "value": m.value,
-                "pers": m.pers,
-                "vertex": m.vertex,
-                "region_voxels": int(np.count_nonzero(seg.labels == m.id)),
+                "label": m,
+                "x": x,
+                "value": value,
+                "pers": pers,
+                "vertex": m,
+                "region_voxels": size,
             }
-            for m in seg.maxima
+            for m, x, value, pers, size in zip(
+                maxima,
+                f.world_coords_many(seg.maxima).tolist(),
+                f.values[seg.maxima].tolist(),
+                seg.pers.tolist(),
+                sizes.tolist(),
+            )
         ],
     }
     with open(sidecar_path, "w") as fh:

@@ -8,7 +8,7 @@ Boundary voxels use clipped neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
@@ -26,38 +26,30 @@ NEIGHBOR_OFFSETS = [
 HALF_OFFSETS = [o for o in NEIGHBOR_OFFSETS if o > (0, 0, 0)]
 
 
-@dataclass
-class CriticalPoint:
-    """One critical point with its attributes.
-
-    index is 3 for maxima and 2 for saddles (3D data). `vertex` is the
-    linear voxel id hosting the point; `dscmfold` holds the voxel ids
-    of the descending manifold (maxima only).
-    """
-
-    id: int
-    index: int
-    coords: np.ndarray
-    value: float
-    pers: float = 0.0
-    vertex: int = -1
-    dscmfold: np.ndarray | None = None
+def _empty_ids(*shape: int) -> np.ndarray:
+    return np.empty(shape, dtype=np.int64)
 
 
 @dataclass
 class Segmentation:
-    """Descending-manifold segmentation of one field.
+    """Descending-manifold segmentation of one field, stored as columns.
 
-    labels[v] is the voxel id of the maximum owning voxel v; `maxima`
-    are in id order. adjacency maps unordered maximum-id pairs to the
-    id of the mediating saddle.
+    labels[v] is the voxel id of the maximum owning voxel v. `maxima`
+    holds the maxima's voxel ids in ascending order and `pers` their
+    persistence (0 until computed). Row i of `pairs`, `saddles` and
+    `saddle_ids` is one pair of adjacent regions: its (lo, hi) maximum
+    ids, rows sorted ascending; the voxel of the saddle mediating it;
+    and that saddle's raw id, which breaks ties between saddles on one
+    voxel. Raw saddle ids follow the raw rows; simplification keeps them.
     """
 
     field: ScalarField3D
     labels: np.ndarray
-    maxima: list[CriticalPoint] = dfield(default_factory=list)
-    saddles: list[CriticalPoint] = dfield(default_factory=list)
-    adjacency: dict[tuple[int, int], int] = dfield(default_factory=dict)
+    maxima: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
+    pers: np.ndarray = dfield(default_factory=lambda: np.zeros(0))
+    pairs: np.ndarray = dfield(default_factory=lambda: _empty_ids(0, 2))
+    saddles: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
+    saddle_ids: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
 
 
 def vertex_order(f: ScalarField3D) -> np.ndarray:
@@ -75,26 +67,38 @@ def vertex_order(f: ScalarField3D) -> np.ndarray:
 
 
 def _steepest_neighbor(f: ScalarField3D, rank: np.ndarray) -> np.ndarray:
-    """next[v] = 26-neighbor of greatest rank if it beats v, else v."""
+    """next[v] = 26-neighbor of greatest rank if it beats v, else v.
+
+    Only the greatest neighbor rank and the index of the offset that
+    reached it are kept per voxel; the neighbor ids are formed once.
+    """
     nx, ny, nz = f.dims
     n = f.num_voxels
-    r3 = rank.reshape(nz, ny, nx)
     padded = np.full((nz + 2, ny + 2, nx + 2), -1, dtype=np.int64)
-    padded[1:-1, 1:-1, 1:-1] = r3
+    padded[1:-1, 1:-1, 1:-1] = rank.reshape(nz, ny, nx)
 
-    best = np.full(n, -1, dtype=np.int64)
-    best_idx = np.full(n, -1, dtype=np.int64)
-    for dz, dy, dx in NEIGHBOR_OFFSETS:
+    best = np.full((nz, ny, nx), -1, dtype=np.int64)
+    best_off = np.zeros((nz, ny, nx), dtype=np.int8)
+    better = np.empty((nz, ny, nx), dtype=bool)
+    for i, (dz, dy, dx) in enumerate(NEIGHBOR_OFFSETS):
         nb = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
-        nb = nb.ravel()
-        off = dx + nx * (dy + ny * dz)
-        better = nb > best
-        best = np.where(better, nb, best)
-        if np.any(better):
-            idx = np.arange(n, dtype=np.int64) + off
-            best_idx = np.where(better, idx, best_idx)
-    nxt = np.where(best > rank, best_idx, np.arange(n, dtype=np.int64))
-    return nxt
+        np.greater(nb, best, out=better)  # strict: the first winning offset stays
+        np.copyto(best, nb, where=better)
+        best_off[better] = i
+    steps = np.array(
+        [dx + nx * (dy + ny * dz) for dz, dy, dx in NEIGHBOR_OFFSETS], dtype=np.int64
+    )
+    own = np.arange(n, dtype=np.int64)
+    return np.where(best.ravel() > rank, own + steps[best_off.ravel()], own)
+
+
+def _jump(ptr: np.ndarray) -> np.ndarray:
+    """Follow pointers to their fixed points by pointer jumping."""
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            return ptr
+        ptr = jumped
 
 
 def compute_segmentation(
@@ -107,37 +111,16 @@ def compute_segmentation(
     if rank is None:
         rank = vertex_order(f)
     nxt = _steepest_neighbor(f, rank)
-    labels = nxt.copy()
-    while True:
-        jumped = labels[labels]
-        if np.array_equal(jumped, labels):
-            break
-        labels = jumped
-    maxima_ids = np.flatnonzero(nxt == np.arange(f.num_voxels))
-    maxima = _critical_points(f, 3, maxima_ids, maxima_ids)
-    return Segmentation(field=f, labels=labels, maxima=maxima)
-
-
-def _critical_points(
-    f: ScalarField3D, index: int, ids: np.ndarray, verts: np.ndarray
-) -> list[CriticalPoint]:
-    """CriticalPoints of one index at the given voxels, coordinates and
-    values gathered for all of them at once. Each point gets its own
-    copy of its coordinates, so points that simplification drops do not
-    keep the whole block alive."""
-    coords = f.world_coords_many(verts)
-    return [
-        CriticalPoint(id=i, index=index, coords=c.copy(), value=val, vertex=v)
-        for i, c, val, v in zip(
-            ids.tolist(), coords, f.values[verts].tolist(), verts.tolist()
-        )
-    ]
+    maxima = np.flatnonzero(nxt == np.arange(f.num_voxels))
+    return Segmentation(
+        field=f, labels=_jump(nxt), maxima=maxima, pers=np.zeros(len(maxima))
+    )
 
 
 def compute_saddles(
     f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
 ) -> Segmentation:
-    """Fill in saddles and the region-adjacency map.
+    """Fill in the region pairs and their saddles.
 
     For each unordered pair of adjacent labels the saddle is the
     crossing edge maximizing min(f(u), f(v)) under the total order; the
@@ -153,9 +136,11 @@ def compute_saddles(
     l3 = labels.reshape(nz, ny, nx)
     base3 = np.arange(n, dtype=np.int64).reshape(nz, ny, nx)
 
-    pair_keys = []
-    edge_ranks = []
-    lo_verts = []
+    # each list starts with an empty block: a field with no crossing edge
+    # gives empty columns
+    pair_keys = [_empty_ids(0)]
+    edge_ranks = [_empty_ids(0)]
+    lo_verts = [_empty_ids(0)]
     for dz, dy, dx in HALF_OFFSETS:
         zs = slice(0, nz - dz)
         ys_a = slice(max(0, -dy), ny - max(0, dy))
@@ -182,10 +167,6 @@ def compute_saddles(
         edge_ranks.append(lo_rank)
         lo_verts.append(lo_vert)
 
-    seg.saddles = []
-    seg.adjacency = {}
-    if not pair_keys:
-        return seg
     pair_keys = np.concatenate(pair_keys)
     edge_ranks = np.concatenate(edge_ranks)
     lo_verts = np.concatenate(lo_verts)
@@ -199,12 +180,9 @@ def compute_saddles(
     sad_vert = np.full(uniq.size, -1, dtype=np.int64)
     sad_vert[inverse[achieving]] = lo_verts[achieving]
 
-    # saddle ids offset past voxel-id maxima ids
-    sids = n + np.arange(uniq.size, dtype=np.int64)
-    seg.saddles = _critical_points(f, 2, sids, sad_vert)
-    seg.adjacency = {
-        (key // n, key % n): sid for key, sid in zip(uniq.tolist(), sids.tolist())
-    }
+    seg.pairs = np.column_stack([uniq // n, uniq % n])
+    seg.saddles = sad_vert
+    seg.saddle_ids = np.arange(uniq.size, dtype=np.int64)
     return seg
 
 
@@ -219,74 +197,56 @@ def find_root(parent: dict[int, int] | list[int], x: int) -> int:
     return x
 
 
-def _pairing(
-    f: ScalarField3D,
-    maxima: list[CriticalPoint],
-    adjacency: dict[tuple[int, int], int],
-    saddle_by_id: dict[int, CriticalPoint],
-    rank: np.ndarray,
-) -> dict[int, tuple[float, int, int]]:
+def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge-order persistence pairing on the region-adjacency graph.
 
     Edges are processed in decreasing (saddle rank, saddle id) order
     (Kruskal style); when two components merge, the component whose best
-    maximum is lower gets paired: pers = f(m) - f(saddle). The order
-    does not depend on region labels, so pairing a graph with some pairs
-    already canceled gives the remaining pairs the same partners.
-    Returns {max_id: (pers, partner_label, saddle_id)}; the global
-    maximum maps to (f(max) - f(min), -1, -1).
+    maximum is lower gets paired: pers = f(m) - f(saddle). A component's
+    root is its best maximum. The order does not depend on region
+    labels, so pairing a graph with some pairs already canceled gives
+    the remaining pairs the same partners.
+    Returns (pers, partner) per maximum row: partner is the row of the
+    maximum across the pairing saddle, -1 for the global maximum, whose
+    persistence is f(max) - f(min).
     """
-    max_ids = [m.id for m in maxima]
-    mrank = {m.id: rank[m.vertex] for m in maxima}
-    parent = {mid: mid for mid in max_ids}
-    comp_best = dict(mrank)  # root -> rank of its best maximum
-    comp_best_id = {mid: mid for mid in max_ids}
-    by_val = {m.id: m.value for m in maxima}
-
-    edges = []
-    for (la, lb), sid in adjacency.items():
-        edges.append((rank[saddle_by_id[sid].vertex], sid, la, lb))
-    edges.sort(reverse=True)
-
-    result: dict[int, tuple[float, int, int]] = {}
-    for _, sid, la, lb in edges:
-        ra, rb = find_root(parent, la), find_root(parent, lb)
+    k = len(seg.maxima)
+    order = np.lexsort((seg.saddle_ids, rank[seg.saddles]))[::-1]
+    ends = np.searchsorted(seg.maxima, seg.pairs[order])
+    mrank = rank[seg.maxima].tolist()
+    parent = list(range(k))
+    partner = [-1] * k
+    died = [-1] * k  # position in `order` of the saddle each row dies at
+    for i, (a, b) in enumerate(ends.tolist()):
+        ra, rb = find_root(parent, a), find_root(parent, b)
         if ra == rb:
             continue
-        if comp_best[ra] < comp_best[rb]:
-            loser_root, winner_root = ra, rb
-            loser_side, winner_side = la, lb
+        if mrank[ra] < mrank[rb]:
+            loser, winner, side = ra, rb, b
         else:
-            loser_root, winner_root = rb, ra
-            loser_side, winner_side = lb, la
-        loser_max = comp_best_id[loser_root]
-        sval = saddle_by_id[sid].value
-        result[loser_max] = (by_val[loser_max] - sval, winner_side, sid)
-        parent[loser_root] = winner_root  # winner keeps its best maximum
+            loser, winner, side = rb, ra, a
+        partner[loser], died[loser] = side, i
+        parent[loser] = winner
 
-    fmin = float(f.values.min())
-    for mid in max_ids:
-        if mid not in result:
-            result[mid] = (by_val[mid] - fmin, -1, -1)
-    return result
+    # a maximum that never dies (died = -1) picks the appended global minimum
+    vals = seg.field.values
+    floor = np.append(vals[seg.saddles[order]], vals.min())[died]
+    return vals[seg.maxima] - floor, np.array(partner, dtype=np.int64)
 
 
 def compute_persistence(
     f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
 ) -> dict[int, float]:
-    """Persistence of every maximum; also stored on the CriticalPoints.
+    """Persistence of every maximum, {voxel id: pers}; also stored in
+    `seg.pers`.
 
     The globally greatest maximum gets the essential value
     f(global max) - f(global min).
     """
     if rank is None:
         rank = vertex_order(f)
-    saddle_by_id = {s.id: s for s in seg.saddles}
-    pairing = _pairing(f, seg.maxima, seg.adjacency, saddle_by_id, rank)
-    pers = {mid: p for mid, (p, _, _) in pairing.items()}
-    for m in seg.maxima:
-        m.pers = pers[m.id]
-    return pers
+    seg.pers, _ = _pairing(seg, rank)
+    return dict(zip(seg.maxima.tolist(), seg.pers.tolist()))
 
 
 def simplify(
@@ -297,69 +257,52 @@ def simplify(
     One Kruskal sweep: cancelling the least persistent pair leaves every
     other pair unchanged (elder rule), so the raw graph is paired once
     and all pairs below theta cancel together. A canceled maximum's
-    region joins its partner across the pairing saddle; partners that
-    are canceled themselves resolve through a union-find to the one
-    surviving maximum of their tree. Each surviving region pair keeps
-    the saddle of greatest (rank, saddle id). The global maximum is
-    never canceled; persistence is recomputed on the simplified graph
-    and set on copies of the surviving maxima, so `seg` is left as it
-    was. Saddles are shared with `seg`; nothing here changes them.
+    region joins its partner across the pairing saddle. The canceled
+    (maximum, partner) links form a forest whose trees each hold one
+    survivor, so pointer jumping resolves partners that are canceled
+    themselves to the one surviving maximum of their tree. Each
+    surviving region pair keeps the saddle of greatest (rank, saddle
+    id). The global maximum is never canceled; persistence is recomputed
+    on the simplified graph. Returns a new Segmentation; `seg` is left
+    as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
     if rank is None:
         rank = vertex_order(f)
-    saddle_by_id = {s.id: s for s in seg.saddles}
-    pairing = _pairing(f, seg.maxima, seg.adjacency, saddle_by_id, rank)
-    canceled = {
-        mid: partner
-        for mid, (p, partner, _) in pairing.items()
-        if partner != -1 and p < theta
-    }
+    pers, partner = _pairing(seg, rank)
+    canceled = (partner >= 0) & (pers < theta)
+    rep = np.where(canceled, partner, np.arange(len(seg.maxima)))
+    rep = seg.maxima[_jump(rep)]  # surviving maximum id of every row
 
-    # canceled (maximum, partner) pairs form a forest in which every
-    # tree holds exactly one survivor
-    parent = {m.id: m.id for m in seg.maxima}
-    for mid, partner in canceled.items():
-        parent[find_root(parent, mid)] = find_root(parent, partner)
-    survivor = {
-        find_root(parent, m.id): m.id for m in seg.maxima if m.id not in canceled
-    }
-    rep = {m.id: survivor[find_root(parent, m.id)] for m in seg.maxima}
-
-    if canceled:
+    if canceled.any():
         lut = np.arange(f.num_voxels, dtype=seg.labels.dtype)
-        lut[list(canceled)] = [rep[mid] for mid in canceled]
+        lut[seg.maxima[canceled]] = rep[canceled]
         labels = lut[seg.labels]
     else:
         labels = seg.labels.copy()  # no voxel-sized lookup table needed
 
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    for (la, lb), sid in seg.adjacency.items():
-        a, b = rep[la], rep[lb]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        cand = (int(rank[saddle_by_id[sid].vertex]), sid)
-        if key not in best or cand > best[key]:
-            best[key] = cand
-    adjacency = {key: sid for key, (_, sid) in sorted(best.items())}
+    ends = rep[np.searchsorted(seg.maxima, seg.pairs)]
+    ends.sort(axis=1)
+    live = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    lo, hi = ends[live, 0], ends[live, 1]
+    # within each (lo, hi) group the last row has the greatest (rank, id)
+    order = np.lexsort((seg.saddle_ids[live], rank[seg.saddles[live]], hi, lo))
+    lo, hi = lo[order], hi[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    kept = live[order[last]]
 
     out = Segmentation(
         field=f,
         labels=labels,
-        maxima=sorted(
-            (replace(m) for m in seg.maxima if m.id not in canceled),
-            key=lambda m: m.id,
-        ),
-        saddles=sorted(
-            (saddle_by_id[s] for s in adjacency.values()), key=lambda s: s.id
-        ),
-        adjacency=adjacency,
+        maxima=seg.maxima[~canceled],
+        pairs=np.column_stack([lo[last], hi[last]]),
+        saddles=seg.saddles[kept],
+        saddle_ids=seg.saddle_ids[kept],
     )
     compute_persistence(f, out, rank)
-    attach_manifolds(out)
     return out
 
 
@@ -376,19 +319,15 @@ def morse_step(f: ScalarField3D, theta: float) -> Segmentation:
     return simplify(seg, theta, rank)
 
 
-def attach_manifolds(seg: Segmentation) -> None:
-    """Store each maximum's descending-manifold voxel set on it.
+def descending_manifolds(seg: Segmentation) -> list[np.ndarray]:
+    """Each maximum's descending-manifold voxel ids, ascending, in the
+    order of `seg.maxima`.
 
     One stable argsort groups the voxels by label in id order; each
     maximum gets its slice.
     """
     order = np.argsort(seg.labels, kind="stable")
-    sorted_labels = seg.labels[order]
-    ids = np.array([m.id for m in seg.maxima], dtype=np.int64)
-    lo = np.searchsorted(sorted_labels, ids, side="left")
-    hi = np.searchsorted(sorted_labels, ids, side="right")
-    for m, a, b in zip(seg.maxima, lo.tolist(), hi.tolist()):
-        m.dscmfold = order[a:b]
+    return np.split(order, np.searchsorted(seg.labels[order], seg.maxima[1:]))
 
 
 def merge_tree_oracle(f: ScalarField3D) -> dict[int, float]:

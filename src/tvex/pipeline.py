@@ -12,10 +12,14 @@ from .temporal import ScoreWeights, Tveg, temporal_arcs
 
 def thread_count() -> int:
     """Worker count from TVEX_THREADS (default 1)."""
+    text = os.environ.get("TVEX_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("TVEX_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TVEX_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def resolve_theta(spec: str | float, series: FieldSeries) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .exgraph import split_node_id
-from .morse import find_root
+from .morse import descending_manifolds, find_root
 from .temporal import ScoreTuple, Tveg
 
 
@@ -156,10 +156,8 @@ def refine_by_overlap(
             raise ValueError("refinement needs stored segmentations")
         mask = seg.field.values >= isovalue
         # the segmentation's maxima are in row order
-        for mid, m in zip(g.maxima.tolist(), seg.maxima):
-            if m.dscmfold is None:
-                raise ValueError("refinement needs descending manifolds")
-            geom[mid] = m.dscmfold[mask[m.dscmfold]]
+        for mid, region in zip(g.maxima.tolist(), descending_manifolds(seg)):
+            geom[mid] = region[mask[region]]
 
     kept: list[ScoreTuple] = []
     for t in sorted(tveg.arcs_by_pair):

@@ -18,6 +18,14 @@ def random_field(rng, dims, time_index=0):
     )
 
 
+def adjacency(seg) -> dict[tuple[int, int], int]:
+    """A segmentation's region pairs as {(lo, hi): raw saddle id}."""
+    return {
+        (la, lb): sid
+        for (la, lb), sid in zip(seg.pairs.tolist(), seg.saddle_ids.tolist())
+    }
+
+
 def maxima_graph(t, coords, value, pers, eta):
     """Extremum graph of maxima only, one row per maximum."""
     n = len(value)

@@ -8,8 +8,9 @@ ties are broken by (saddle rank, saddle id), as the sweep breaks them:
 the pairing's edge order, and which saddle a merged region pair keeps
 when several saddles sit on one voxel (the loop used to keep whichever
 came first in its dict, which depends on the cancellation history).
-The pairing and the manifold scan are kept here too, so the reference
-shares only the data types with the code it checks.
+The pairing and the manifold scan are kept here too: the segmentation's
+columns are read into dicts once, so the reference shares only the
+data type with the code it checks.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import numpy as np
 from tvex.morse import Segmentation, vertex_order
 
 
-def pairing(f, maxima, adjacency, saddle_by_id, rank):
+def pairing(f, max_ids, adjacency, saddle_vertex, rank):
     """{max_id: (pers, partner_label, saddle_id)} by a Kruskal sweep."""
-    max_ids = [m.id for m in maxima]
     parent = {mid: mid for mid in max_ids}
 
     def find(x):
@@ -30,13 +30,13 @@ def pairing(f, maxima, adjacency, saddle_by_id, rank):
             x = parent[x]
         return x
 
-    comp_best = {m.id: rank[m.vertex] for m in maxima}
+    comp_best = {mid: rank[mid] for mid in max_ids}
     comp_best_id = {mid: mid for mid in max_ids}
-    by_val = {m.id: m.value for m in maxima}
+    by_val = {mid: float(f.values[mid]) for mid in max_ids}
 
     edges = []
     for (la, lb), sid in adjacency.items():
-        edges.append((rank[saddle_by_id[sid].vertex], sid, la, lb))
+        edges.append((rank[saddle_vertex[sid]], sid, la, lb))
     edges.sort(reverse=True)
 
     result = {}
@@ -49,7 +49,7 @@ def pairing(f, maxima, adjacency, saddle_by_id, rank):
         else:
             loser_root, winner_root, winner_side = rb, ra, la
         loser_max = comp_best_id[loser_root]
-        sval = saddle_by_id[sid].value
+        sval = float(f.values[saddle_vertex[sid]])
         result[loser_max] = (by_val[loser_max] - sval, winner_side, sid)
         parent[loser_root] = winner_root
 
@@ -60,20 +60,28 @@ def pairing(f, maxima, adjacency, saddle_by_id, rank):
     return result
 
 
+def manifolds(seg: Segmentation) -> list[np.ndarray]:
+    """Each maximum's descending manifold by a full voxel scan."""
+    return [np.flatnonzero(seg.labels == m) for m in seg.maxima.tolist()]
+
+
 def iterative_simplify(seg: Segmentation, theta: float) -> Segmentation:
     """Cancel pairs below theta one by one; returns a new Segmentation
-    with persistence and manifolds set on the surviving maxima."""
+    with the persistence of the surviving maxima."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
     rank = vertex_order(f)
     labels = seg.labels.copy()
-    maxima = {m.id: m for m in seg.maxima}
-    saddle_by_id = {s.id: s for s in seg.saddles}
-    adjacency = dict(seg.adjacency)
+    maxima = set(seg.maxima.tolist())
+    saddle_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
+    adjacency = {
+        (la, lb): sid
+        for (la, lb), sid in zip(seg.pairs.tolist(), seg.saddle_ids.tolist())
+    }
 
     while len(maxima) > 1:
-        pairs = pairing(f, list(maxima.values()), adjacency, saddle_by_id, rank)
+        pairs = pairing(f, sorted(maxima), adjacency, saddle_vertex, rank)
         candidates = [
             (p, mid, partner, sid)
             for mid, (p, partner, sid) in pairs.items()
@@ -96,26 +104,22 @@ def iterative_simplify(seg: Segmentation, theta: float) -> Segmentation:
                 key = (la, lb)
             if key in new_adj:
                 keep = new_adj[key]
-                if (rank[saddle_by_id[s].vertex], s) > (
-                    rank[saddle_by_id[keep].vertex], keep
-                ):
+                if (rank[saddle_vertex[s]], s) > (rank[saddle_vertex[keep]], keep):
                     new_adj[key] = s
             else:
                 new_adj[key] = s
         adjacency = new_adj
-        del maxima[mid]
+        maxima.discard(mid)
 
-    out = Segmentation(
+    max_ids = sorted(maxima)
+    keys = sorted(adjacency)
+    pairs = pairing(f, max_ids, adjacency, saddle_vertex, rank)
+    return Segmentation(
         field=f,
         labels=labels,
-        maxima=sorted(maxima.values(), key=lambda m: m.id),
-        saddles=sorted(
-            (saddle_by_id[s] for s in set(adjacency.values())), key=lambda s: s.id
-        ),
-        adjacency=adjacency,
+        maxima=np.array(max_ids, dtype=np.int64),
+        pers=np.array([pairs[m][0] for m in max_ids]),
+        pairs=np.array(keys, dtype=np.int64).reshape(-1, 2),
+        saddles=np.array([saddle_vertex[adjacency[k]] for k in keys], dtype=np.int64),
+        saddle_ids=np.array([adjacency[k] for k in keys], dtype=np.int64),
     )
-    pairs = pairing(f, out.maxima, out.adjacency, saddle_by_id, rank)
-    for m in out.maxima:
-        m.pers = pairs[m.id][0]
-        m.dscmfold = np.flatnonzero(labels == m.id)
-    return out

@@ -198,9 +198,9 @@ class TestSegmentationExport:
         side = json.load(open(sidecar_path))
         assert side["dims"] == list(f.dims)
         by_label = {m["label"]: m for m in side["maxima"]}
-        for m in seg.maxima:
-            assert by_label[m.id]["region_voxels"] == int(
-                np.count_nonzero(seg.labels == m.id)
+        for m in seg.maxima.tolist():
+            assert by_label[m]["region_voxels"] == int(
+                np.count_nonzero(seg.labels == m)
             )
 
     def test_size_check_on_load(self, rng, tmp_path):
@@ -402,6 +402,28 @@ class TestCli:
         )
         assert os.path.exists(prefix + ".labels.raw")
         assert os.path.exists(prefix + ".labels.json")
+
+    def test_bad_thread_count_is_named(self, tmp_path, capsys, monkeypatch):
+        series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        argv = ["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]
+        for bad in ("abc", "0", "-2"):
+            monkeypatch.setenv("TVEX_THREADS", bad)
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: TVEX_THREADS must be a positive integer, got '{bad}'\n"
+
+    def test_manifest_missing_key_is_named(self, tmp_path, capsys):
+        series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        doc = json.loads(open(manifest).read())
+        for key in ("dims", "steps"):
+            path = tmp_path / f"no_{key}.json"
+            path.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+            argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: manifest {path} has no '{key}' entry\n"
 
     def test_unknown_time_step_fails(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)

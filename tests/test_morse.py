@@ -9,20 +9,23 @@ from hypothesis.extra.numpy import arrays
 from tvex.field import ScalarField3D
 from tvex.morse import (
     NEIGHBOR_OFFSETS,
+    _steepest_neighbor,
     compute_persistence,
     compute_saddles,
     compute_segmentation,
+    descending_manifolds,
     merge_tree_oracle,
+    morse_step,
     simplify,
     vertex_order,
 )
 
-from conftest import random_field
+from conftest import adjacency, random_field
 
 
 def segmentation_maxima(f: ScalarField3D) -> list[int]:
     """Voxel ids of the maxima compute_segmentation finds."""
-    return [m.vertex for m in compute_segmentation(f).maxima]
+    return compute_segmentation(f).maxima.tolist()
 
 
 def brute_force_maxima(f: ScalarField3D) -> list[int]:
@@ -115,6 +118,46 @@ class TestFindMaxima:
         assert segmentation_maxima(f) == brute_force_maxima(f)
 
 
+# shapes with one-voxel-thick axes, float and few-valued (tied) fields
+thin_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+thin_float_fields = arrays(
+    np.float64, thin_shapes, elements=st.floats(0.0, 1.0, allow_nan=False, width=32)
+)
+thin_integer_fields = arrays(np.float64, thin_shapes, elements=st.integers(0, 3))
+
+
+def brute_force_steepest(f: ScalarField3D) -> list[int]:
+    """next[v] by an explicit 26-neighbor loop per voxel."""
+    nx, ny, nz = f.dims
+    rank = vertex_order(f)
+    out = []
+    for v in range(f.num_voxels):
+        ix, iy, iz = f.voxel_coords(v)
+        best, best_u = rank[v], v
+        for dz, dy, dx in NEIGHBOR_OFFSETS:
+            jx, jy, jz = ix + dx, iy + dy, iz + dz
+            if 0 <= jx < nx and 0 <= jy < ny and 0 <= jz < nz:
+                u = jx + nx * (jy + ny * jz)
+                if rank[u] > best:
+                    best, best_u = rank[u], u
+        out.append(best_u)
+    return out
+
+
+class TestSteepestNeighbor:
+    @given(thin_float_fields)
+    @settings(max_examples=60, deadline=None)
+    def test_float_fields(self, a):
+        f = as_field(a)
+        assert _steepest_neighbor(f, vertex_order(f)).tolist() == brute_force_steepest(f)
+
+    @given(thin_integer_fields)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_fields(self, a):
+        f = as_field(a)
+        assert _steepest_neighbor(f, vertex_order(f)).tolist() == brute_force_steepest(f)
+
+
 class TestSegmentation:
     def test_labels_are_maxima(self, rng):
         f = random_field(rng, (6, 6, 6))
@@ -125,8 +168,8 @@ class TestSegmentation:
     def test_maxima_label_themselves(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_segmentation(f)
-        for m in seg.maxima:
-            assert seg.labels[m.vertex] == m.id
+        for m in seg.maxima.tolist():
+            assert seg.labels[m] == m
 
     def test_steepest_path_reaches_label(self, rng):
         """Following the steepest 26-neighbor from any voxel preserves its label."""
@@ -153,7 +196,7 @@ class TestSegmentation:
     def test_region_partition_covers_domain(self, rng):
         f = random_field(rng, (5, 5, 5))
         seg = compute_segmentation(f)
-        total = sum(int(np.count_nonzero(seg.labels == m.id)) for m in seg.maxima)
+        total = sum(int(np.count_nonzero(seg.labels == m)) for m in seg.maxima.tolist())
         assert total == f.num_voxels
 
 
@@ -161,14 +204,14 @@ class TestSaddles:
     def test_one_saddle_per_adjacent_pair(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
-        assert len(seg.saddles) == len(seg.adjacency)
-        assert len({s.id for s in seg.saddles}) == len(seg.saddles)
+        assert len(seg.saddles) == len(adjacency(seg))
+        assert len(set(seg.saddle_ids.tolist())) == len(seg.saddles)
 
     def test_adjacency_pairs_are_labels(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
-        labels = {m.id for m in seg.maxima}
-        for (la, lb) in seg.adjacency:
+        labels = set(seg.maxima.tolist())
+        for (la, lb) in adjacency(seg):
             assert la < lb
             assert la in labels and lb in labels
 
@@ -176,11 +219,11 @@ class TestSaddles:
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
         rank = vertex_order(f)
-        sid_to_cp = {s.id: s for s in seg.saddles}
-        for (la, lb), sid in seg.adjacency.items():
-            s = sid_to_cp[sid]
-            assert rank[s.vertex] < rank[la]
-            assert rank[s.vertex] < rank[lb]
+        sid_to_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
+        for (la, lb), sid in adjacency(seg).items():
+            s = sid_to_vertex[sid]
+            assert rank[s] < rank[la]
+            assert rank[s] < rank[lb]
 
     def test_saddle_is_highest_crossing_edge(self, rng):
         """Brute-force the best crossing edge for every adjacent pair."""
@@ -203,10 +246,10 @@ class TestSaddles:
                 lo = v if rank[v] < rank[u] else u
                 if key not in best or rank[lo] > rank[best[key]]:
                     best[key] = lo
-        sid_to_cp = {s.id: s for s in seg.saddles}
-        assert set(seg.adjacency) == set(best)
-        for key, sid in seg.adjacency.items():
-            assert sid_to_cp[sid].vertex == best[key]
+        sid_to_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
+        assert set(adjacency(seg)) == set(best)
+        for key, sid in adjacency(seg).items():
+            assert sid_to_vertex[sid] == best[key]
 
 
 class TestPersistence:
@@ -229,8 +272,8 @@ class TestPersistence:
         f = random_field(rng, (5, 5, 5))
         seg = compute_saddles(f, compute_segmentation(f))
         pers = compute_persistence(f, seg)
-        top = max(seg.maxima, key=lambda m: (m.value, m.id))
-        assert pers[top.id] == top.value - float(f.values.min())
+        top = max(seg.maxima.tolist(), key=lambda m: (f.values[m], m))
+        assert pers[top] == f.values[top] - float(f.values.min())
 
     def test_persistence_positive(self, rng):
         f = random_field(rng, (6, 6, 6))
@@ -257,7 +300,7 @@ class TestSimplify:
         seg = compute_saddles(f, compute_segmentation(f))
         compute_persistence(f, seg)
         out = simplify(seg, 0.0)
-        assert {m.id for m in out.maxima} == {m.id for m in seg.maxima}
+        assert set(out.maxima.tolist()) == set(seg.maxima.tolist())
 
     def test_rejects_negative_theta(self, rng):
         f = random_field(rng, (4, 4, 4))
@@ -272,23 +315,23 @@ class TestSimplify:
         compute_persistence(f, seg)
         theta = 0.3
         out = simplify(seg, theta)
-        assert all(m.pers >= theta for m in out.maxima)
+        assert all(p >= theta for p in out.pers.tolist())
 
     def test_global_max_survives_any_threshold(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
         compute_persistence(f, seg)
         out = simplify(seg, 1e9)
-        top = max(seg.maxima, key=lambda m: (m.value, m.id))
-        assert [m.id for m in out.maxima] == [top.id]
-        assert np.all(out.labels == top.id)
+        top = max(seg.maxima.tolist(), key=lambda m: (f.values[m], m))
+        assert out.maxima.tolist() == [top]
+        assert np.all(out.labels == top)
 
     def test_labels_remain_partition(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
         compute_persistence(f, seg)
         out = simplify(seg, 0.25)
-        assert set(np.unique(out.labels)) == {m.id for m in out.maxima}
+        assert set(np.unique(out.labels)) == set(out.maxima.tolist())
 
     def test_canceled_region_joins_pairing_neighbor(self):
         vals = np.zeros((1, 1, 7))
@@ -299,28 +342,36 @@ class TestSimplify:
         seg = compute_saddles(f, compute_segmentation(f))
         compute_persistence(f, seg)
         out = simplify(seg, 0.8)  # cancels the 0.9 peak (pers 0.7)
-        assert [m.id for m in out.maxima] == [5]
+        assert out.maxima.tolist() == [5]
         assert np.all(out.labels == 5)
 
-    def test_manifolds_attached(self, rng):
-        f = random_field(rng, (5, 5, 5))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
-        out = simplify(seg, 0.2)
-        for m in out.maxima:
-            assert m.dscmfold is not None
-            assert np.array_equal(m.dscmfold, np.flatnonzero(out.labels == m.id))
+    def test_manifolds_match_label_scan(self, rng):
+        f = random_field(rng, (6, 5, 4))
+        raw = compute_saddles(f, compute_segmentation(f))
+        for seg in (raw, simplify(raw, 0.2)):
+            regions = descending_manifolds(seg)
+            assert len(regions) == len(seg.maxima)
+            for i, region in enumerate(regions):
+                assert np.array_equal(region, np.flatnonzero(seg.labels == seg.maxima[i]))
+
+    def test_no_per_point_objects(self, rng):
+        """A segmentation holds its field and arrays, nothing per point."""
+        f = random_field(rng, (6, 6, 6))
+        seg = morse_step(f, 0.1)
+        for name, value in vars(seg).items():
+            assert value is f or isinstance(value, np.ndarray), name
 
     def test_leaves_its_input_and_earlier_results_alone(self):
         """Simplifying one raw segmentation at two thresholds: the first
         result keeps its own persistence and manifolds."""
         f = random_field(np.random.default_rng(1), (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
-        raw = [(m.pers, m.dscmfold) for m in seg.maxima]
+        raw = {k: v.copy() for k, v in vars(seg).items() if isinstance(v, np.ndarray)}
         out1 = simplify(seg, 0.1)
-        pers1 = [m.pers for m in out1.maxima]
+        pers1 = out1.pers.tolist()
         simplify(seg, 0.5)
-        assert [m.pers for m in out1.maxima] == pers1
-        for m in out1.maxima:
-            assert np.array_equal(m.dscmfold, np.flatnonzero(out1.labels == m.id))
-        assert [(m.pers, m.dscmfold) for m in seg.maxima] == raw
+        assert out1.pers.tolist() == pers1
+        for m, region in zip(out1.maxima.tolist(), descending_manifolds(out1)):
+            assert np.array_equal(region, np.flatnonzero(out1.labels == m))
+        for k, v in raw.items():
+            assert np.array_equal(getattr(seg, k), v)

@@ -10,12 +10,14 @@ from tvex.morse import (
     compute_persistence,
     compute_saddles,
     compute_segmentation,
+    descending_manifolds,
     merge_tree_oracle,
     simplify,
     vertex_order,
 )
 
-from iterative_simplify import iterative_simplify
+from conftest import adjacency
+from iterative_simplify import iterative_simplify, manifolds
 
 
 def as_field(a: np.ndarray) -> ScalarField3D:
@@ -32,13 +34,16 @@ def raw_segmentation(f: ScalarField3D):
 
 
 def assert_same(got, want):
-    assert np.array_equal(got.labels, want.labels)
-    assert [m.id for m in got.maxima] == [m.id for m in want.maxima]
-    assert [m.pers for m in got.maxima] == [m.pers for m in want.maxima]
-    assert got.adjacency == want.adjacency
-    assert [s.id for s in got.saddles] == [s.id for s in want.saddles]
-    for m, w in zip(got.maxima, want.maxima):
-        assert np.array_equal(m.dscmfold, w.dscmfold)
+    """Every column bit for bit, and the manifolds of `got` against a
+    voxel scan of `want`."""
+    for name in ("labels", "maxima", "pers", "pairs", "saddles", "saddle_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    got_mf, want_mf = descending_manifolds(got), manifolds(want)
+    assert len(got_mf) == len(want_mf)
+    for a, b in zip(got_mf, want_mf):
+        assert np.array_equal(a, b)
 
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6))
@@ -100,7 +105,7 @@ class TestSweepMatchesIterative:
         top = max(pers, key=lambda v: (f.values[v], v))
         out = simplify(raw_segmentation(f), theta)
         want = {v: p for v, p in pers.items() if p >= theta or v == top}
-        assert {m.id: m.pers for m in out.maxima} == want
+        assert dict(zip(out.maxima.tolist(), out.pers.tolist())) == want
 
     def test_rank_argument_gives_same_result(self, rng):
         f = as_field(rng.integers(0, 4, (5, 6, 4)).astype(np.float64))
@@ -128,9 +133,8 @@ class TestSharedSaddleVoxel:
 
     def test_raw_graph(self):
         seg = raw_segmentation(self.field())
-        assert [m.id for m in seg.maxima] == [0, 4, 12]
-        by_id = {s.id: s for s in seg.saddles}
-        vertex = {pair: by_id[sid].vertex for pair, sid in seg.adjacency.items()}
+        assert seg.maxima.tolist() == [0, 4, 12]
+        vertex = dict(zip(map(tuple, seg.pairs.tolist()), seg.saddles.tolist()))
         assert vertex == {(0, 4): 2, (0, 12): 7, (4, 12): 7}
 
     def test_canceled_region_joins_the_greater_saddle_id(self):
@@ -138,21 +142,21 @@ class TestSharedSaddleVoxel:
         id, so C joins B there although A is the higher peak."""
         f = self.field()
         seg = raw_segmentation(f)
-        sid = dict(seg.adjacency)
+        sid = adjacency(seg)
         out = simplify(seg, 5.0)  # pers: C 4, B 7, A 10
-        assert [m.id for m in out.maxima] == [0, 4]
+        assert out.maxima.tolist() == [0, 4]
         # C's region (voxels 7, 11, 12, 13) is relabeled to B
         assert out.labels.tolist() == [0, 0, 4, 4, 4, 0, 0, 4, 4, 4, 0, 4, 4, 4, 4]
         # A and B now meet at voxel 7 through the former A-C saddle
-        assert out.adjacency == {(0, 4): sid[(0, 12)]}
-        assert [m.pers for m in out.maxima] == [10.0, 7.0]
+        assert adjacency(out) == {(0, 4): sid[(0, 12)]}
+        assert out.pers.tolist() == [10.0, 7.0]
         assert_same(out, iterative_simplify(raw_segmentation(f), 5.0))
 
     def test_partner_chain_resolves_to_the_survivor(self):
         """C's partner B is canceled too, so C's region ends up in A."""
         f = self.field()
         out = simplify(raw_segmentation(f), 8.0)
-        assert [m.id for m in out.maxima] == [0]
+        assert out.maxima.tolist() == [0]
         assert np.all(out.labels == 0)
-        assert out.adjacency == {}
+        assert adjacency(out) == {}
         assert_same(out, iterative_simplify(raw_segmentation(f), 8.0))
