@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark temporal-arc computation for one pair of steps.
 
-Builds two synthetic maxima sets of the requested size and times the
-full scoring -> filtering -> z-removal -> event-detection chain.
+Builds two synthetic maxima sets of each requested size and times the
+full scoring -> filtering -> z-removal -> event-detection chain
+(`link_pair`), then each of those four stages on its own by calling the
+same `tvex.temporal` functions in the same order.
 
 Usage:
-    python3 scripts/benchmark_linking.py [--n 150] [--repeats 20]
+    python3 scripts/benchmark_linking.py [--n 150 [600 ...]] [--repeats 20]
 """
 
 import argparse
@@ -18,8 +20,11 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from tvex import temporal
 from tvex.exgraph import ExtremumGraph
 from tvex.temporal import ScoreWeights, link_pair
+
+STAGES = ("scores", "filter", "z-removal", "events")
 
 
 def synthetic_maxima(rng, n, t):
@@ -35,29 +40,59 @@ def synthetic_maxima(rng, n, t):
     )
 
 
+def staged_link(g0, g1, w):
+    """link_pair's chain one stage at a time; returns the arcs and the
+    seconds of each stage."""
+    clock = [time.perf_counter()]
+    arcs = temporal.compute_scores(g0, g1, w)
+    clock.append(time.perf_counter())
+    arcs, _ = temporal.filter_scores(arcs)
+    clock.append(time.perf_counter())
+    arcs = temporal.remove_z_configurations(arcs)
+    clock.append(time.perf_counter())
+    temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+    clock.append(time.perf_counter())
+    return arcs, [b - a for a, b in zip(clock, clock[1:])]
+
+
+def run(n, repeats, seed):
+    rng = np.random.default_rng(seed)
+    g0 = synthetic_maxima(rng, n, 1)
+    g1 = synthetic_maxima(rng, n, 2)
+    w = ScoreWeights()
+
+    link_pair(g0, g1, w)  # warm up
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        arcs, ev, _ = link_pair(g0, g1, w)
+        times.append(time.perf_counter() - t0)
+    split = []
+    for _ in range(repeats):
+        staged, seconds = staged_link(g0, g1, w)
+        split.append(seconds)
+    if staged != arcs:
+        raise SystemExit("staged chain disagrees with link_pair")
+
+    ms = [t * 1000 for t in times]
+    print(f"n={n}: {len(arcs)} arcs, "
+          f"{len(ev.merges)} merges / {len(ev.splits)} splits")
+    print(f"median {median(ms):.2f} ms, mean {mean(ms):.2f} ms, "
+          f"min {min(ms):.2f} ms, max {max(ms):.2f} ms over {repeats} runs")
+    print("stage medians: " + ", ".join(
+        f"{name} {median(s[i] for s in split) * 1000:.2f} ms"
+        for i, name in enumerate(STAGES)
+    ))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=150)
+    ap.add_argument("--n", type=int, nargs="+", default=[150])
     ap.add_argument("--repeats", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-
-    rng = np.random.default_rng(args.seed)
-    g0 = synthetic_maxima(rng, args.n, 1)
-    g1 = synthetic_maxima(rng, args.n, 2)
-
-    link_pair(g0, g1, ScoreWeights())  # warm up
-    times = []
-    for _ in range(args.repeats):
-        t0 = time.perf_counter()
-        arcs, ev, _ = link_pair(g0, g1, ScoreWeights())
-        times.append(time.perf_counter() - t0)
-
-    ms = [t * 1000 for t in times]
-    print(f"n={args.n}: {len(arcs)} arcs, "
-          f"{len(ev.merges)} merges / {len(ev.splits)} splits")
-    print(f"median {median(ms):.2f} ms, mean {mean(ms):.2f} ms, "
-          f"min {min(ms):.2f} ms, max {max(ms):.2f} ms over {args.repeats} runs")
+    for n in args.n:
+        run(n, args.repeats, args.seed)
     return 0
 
 

@@ -5,7 +5,7 @@ scored correspondence optimization; the linked structure supports event
 detection, track extraction, refinement, and queries.
 """
 
-from .exgraph import ExtremumGraph, build_extremum_graph, neighborhood_contribution
+from .exgraph import ExtremumGraph, build_extremum_graph
 from .field import (
     FieldSeries,
     ScalarField3D,

@@ -13,8 +13,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
 from .exgraph import build_extremum_graph

@@ -81,8 +81,8 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
         [np.column_stack([pair_rows[:, k], sad_rows]) for k in (0, 1)]
     )
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-    # eta in sorted-arc order: each maximum's terms are added in the same
-    # (saddle id) order as neighborhood_contribution adds them
+    # eta in sorted-arc order: each maximum's terms are added one at a
+    # time in ascending saddle id order
     eta = np.zeros(len(vertex))
     np.add.at(eta, arcs[:, 0], np.abs(value[arcs[:, 0]] - value[arcs[:, 1]]))
 
@@ -98,16 +98,3 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
         segmentation=seg,
     )
 
-
-def neighborhood_contribution(g: ExtremumGraph, max_id: int) -> float:
-    """eta(m): sum over incident saddles of |f(m) - f(s)|.
-
-    One term at a time over the arcs; the reference for the eta column.
-    """
-    t, row = split_node_id(max_id)
-    if t != g.t or row >= g.n_max:
-        raise KeyError(f"{max_id} is not a maximum of step {g.t}")
-    value = g.value.tolist()
-    return float(
-        sum(abs(value[row] - value[s & ROW_MASK]) for m, s in g.arcs.tolist() if m == max_id)
-    )

@@ -104,6 +104,12 @@ class FieldSeries:
         return hi - lo
 
 
+def _require(entry, keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        if not isinstance(entry, dict) or key not in entry:
+            raise ValueError(f"{where} has no {key!r} entry")
+
+
 def load_series(manifest_path: str) -> FieldSeries:
     """Load a series from a JSON manifest referencing raw volumes.
 
@@ -114,16 +120,15 @@ def load_series(manifest_path: str) -> FieldSeries:
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    for key in ("dims", "steps"):
-        if key not in manifest:
-            raise ValueError(f"manifest {manifest_path} has no {key!r} entry")
+    _require(manifest, ("dims", "steps"), f"manifest {manifest_path}")
     dims = tuple(int(d) for d in manifest["dims"])
     origin = manifest.get("origin", [0.0, 0.0, 0.0])
     spacing = manifest.get("spacing", [1.0, 1.0, 1.0])
     n = dims[0] * dims[1] * dims[2]
     base = os.path.dirname(os.path.abspath(manifest_path))
     fields = []
-    for step in manifest["steps"]:
+    for i, step in enumerate(manifest["steps"]):
+        _require(step, ("file", "t"), f"manifest {manifest_path}: step {i}")
         path = step["file"]
         if not os.path.isabs(path):
             path = os.path.join(base, path)

@@ -8,7 +8,7 @@ and export -> parse -> export round-trips exactly.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -44,6 +44,8 @@ def _canon(obj, out: list) -> None:
         out.append(format(float(obj), ".17g"))
     elif obj is None:
         out.append("null")
+    elif isinstance(obj, _Text):
+        out.append(obj)
     else:
         out.append(json.dumps(obj))
 
@@ -56,31 +58,32 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _step_dict(g: ExtremumGraph) -> dict:
-    """One step's nodes, in row order, and its spatial arcs."""
-    index = [3] * g.n_max + [2] * (len(g.value) - g.n_max)
-    nodes = [
-        {
-            "id": nid,
-            "index": idx,
-            "x": x,
-            "value": value,
-            "pers": pers,
-            "eta": eta,
-            "vertex": vertex,
-            "t": g.t,
-        }
-        for nid, idx, x, value, pers, eta, vertex in zip(
-            g.ids.tolist(),
-            index,
-            g.coords.tolist(),
-            g.value.tolist(),
-            g.pers.tolist(),
-            g.eta.tolist(),
-            g.vertex.tolist(),
-        )
-    ]
-    return {"t": g.t, "nodes": nodes, "arcs": g.arcs.tolist()}
+class _Text(str):
+    """Canonical JSON text already rendered; `_canon` writes it as is."""
+
+
+# one node of a step: keys in sorted order, floats as `_canon` prints
+# them ("%.17g" % v is format(v, ".17g"))
+_NODE = (
+    '{"eta":%.17g,"id":%d,"index":%d,"pers":%.17g,"t":%d,"value":%.17g,'
+    '"vertex":%d,"x":[%.17g,%.17g,%.17g]}'
+)
+
+
+def _step_json(g: ExtremumGraph) -> _Text:
+    """One step's canonical JSON object (spatial arcs, nodes in row order,
+    t), written per column: each column is converted to Python values
+    once and the whole step is one fill of the node and arc templates."""
+    k = len(g.value)
+    index = [3] * g.n_max + [2] * (k - g.n_max)
+    x, y, z = g.coords.T.tolist()
+    rows = zip(
+        g.eta.tolist(), g.ids.tolist(), index, g.pers.tolist(), repeat(g.t, k),
+        g.value.tolist(), g.vertex.tolist(), x, y, z,
+    )
+    nodes = ",".join([_NODE] * k) % tuple(chain.from_iterable(rows))
+    arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple(g.arcs.ravel().tolist())
+    return _Text('{"arcs":[%s],"nodes":[%s],"t":%d}' % (arcs, nodes, g.t))
 
 
 _NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
@@ -150,12 +153,8 @@ def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
 
 
 def events_to_dict(ev: EventSets) -> dict:
-    return {
-        "merges": ev.merges,
-        "splits": ev.splits,
-        "deletions": [[n, t] for n, t in ev.deletions],
-        "generations": [[n, t] for n, t in ev.generations],
-    }
+    """The four event lists by name; `_canon` writes (node, t) as a list."""
+    return vars(ev)
 
 
 def events_from_dict(doc: dict) -> EventSets:
@@ -174,36 +173,24 @@ def events_from_dict(doc: dict) -> EventSets:
     )
 
 
-def tveg_to_dict(tveg: Tveg) -> dict:
-    return {
+def export_tveg_json(tveg: Tveg, path: str) -> None:
+    """Write the whole structure as canonical JSON, steps per column."""
+    doc = {
         "theta": tveg.theta,
-        "weights": {
-            "G": tveg.weights.G,
-            "L1": tveg.weights.L1,
-            "L2": tveg.weights.L2,
-            "L3": tveg.weights.L3,
-        },
-        "steps": [_step_dict(g) for g in tveg.graphs],
+        "weights": vars(tveg.weights),
+        "steps": [_step_json(g) for g in tveg.graphs],
         "temporal_arcs": [
             {
                 "t": t,
                 "arcs": [[a.m0, a.m1, a.s] for a in tveg.arcs_by_pair[t]],
-                "filter": {
-                    "mu": tveg.filter_meta[t].mu,
-                    "sigma": tveg.filter_meta[t].sigma,
-                    "tau": tveg.filter_meta[t].tau,
-                },
+                "filter": vars(tveg.filter_meta[t]),
             }
             for t in sorted(tveg.arcs_by_pair)
         ],
         "events": events_to_dict(tveg.events),
     }
-
-
-def export_tveg_json(tveg: Tveg, path: str) -> None:
-    """Write the whole structure as canonical JSON."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(tveg_to_dict(tveg)))
+        fh.write(canonical_json(doc))
 
 
 def load_tveg_json(path: str) -> Tveg:
@@ -231,9 +218,7 @@ def load_tveg_json(path: str) -> Tveg:
         graphs=graphs,
         arcs_by_pair=arcs_by_pair,
         events=events_from_dict(doc["events"]),
-        weights=ScoreWeights(
-            G=float(w["G"]), L1=float(w["L1"]), L2=float(w["L2"]), L3=float(w["L3"])
-        ),
+        weights=ScoreWeights(*(float(w[k]) for k in ("G", "L1", "L2", "L3"))),
         filter_meta=filter_meta,
         theta=float(doc["theta"]),
     )
@@ -424,5 +409,6 @@ def load_segmentation_labels(labels_path: str, dims) -> np.ndarray:
 
 
 def export_extremum_graph_json(g: ExtremumGraph, path: str) -> None:
+    """Write one step as the object it is inside `tveg.json`."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(_step_dict(g)))
+        fh.write(canonical_json(_step_json(g)))

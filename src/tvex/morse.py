@@ -262,9 +262,10 @@ def simplify(
     survivor, so pointer jumping resolves partners that are canceled
     themselves to the one surviving maximum of their tree. Each
     surviving region pair keeps the saddle of greatest (rank, saddle
-    id). The global maximum is never canceled; persistence is recomputed
-    on the simplified graph. Returns a new Segmentation; `seg` is left
-    as it was.
+    id). The global maximum is never canceled. By the same elder rule a
+    survivor keeps its raw persistence, so pairing the simplified graph
+    again would give the values this sweep already has. Returns a new
+    Segmentation; `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -294,16 +295,15 @@ def simplify(
     last[:-1] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     kept = live[order[last]]
 
-    out = Segmentation(
+    return Segmentation(
         field=f,
         labels=labels,
         maxima=seg.maxima[~canceled],
+        pers=pers[~canceled],
         pairs=np.column_stack([lo[last], hi[last]]),
         saddles=seg.saddles[kept],
         saddle_ids=seg.saddle_ids[kept],
     )
-    compute_persistence(f, out, rank)
-    return out
 
 
 def morse_step(f: ScalarField3D, theta: float) -> Segmentation:

@@ -10,7 +10,10 @@ removed greedily by score.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field as dfield
+from itertools import compress
 
 import numpy as np
 
@@ -103,27 +106,31 @@ def normalize_components(
     g0: ExtremumGraph, g1: ExtremumGraph
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Component matrices P, J, D, N over the maxima of g0 and g1, of
-    shape (|M0|, |M1|), scaled to [0, 1].
+    shape (|M0|, |M1|), scaled to [0, 1]; new arrays the caller owns.
 
     Each raw matrix is divided by its maximum over all candidate pairs;
-    an all-equal component (max 0) normalizes to zeros.
+    an all-equal component (max 0) normalizes to zeros. D adds the
+    squared axis differences in x, y, z order, as `np.linalg.norm` does.
     """
     n0, n1 = g0.n_max, g1.n_max
     if not n0 or not n1:
         raise ValueError("both maxima sets must be non-empty")
 
-    def diff(col0: np.ndarray, col1: np.ndarray) -> np.ndarray:
-        return np.abs(col0[:n0, None] - col1[None, :n1])
+    def absdiff(col0: np.ndarray, col1: np.ndarray, out=None) -> np.ndarray:
+        d = np.subtract(col0[:n0, None], col1[None, :n1], out=out)
+        return np.abs(d, out=d)
 
-    P = diff(g0.pers, g1.pers)
-    J = diff(g0.value, g1.value)
-    D = np.linalg.norm(g0.coords[:n0, None, :] - g1.coords[None, :n1, :], axis=2)
-    N = diff(g0.eta, g1.eta)
-    out = []
+    D, d = np.zeros((n0, n1)), np.empty((n0, n1))
+    for k in range(3):
+        D += np.square(absdiff(g0.coords[:, k], g1.coords[:, k], d), out=d)
+    np.sqrt(D, out=D)
+    P = absdiff(g0.pers, g1.pers, d)
+    J, N = absdiff(g0.value, g1.value), absdiff(g0.eta, g1.eta)
     for comp in (P, J, D, N):
         peak = comp.max()
-        out.append(comp / peak if peak > 0 else np.zeros_like(comp))
-    return tuple(out)
+        if peak > 0:  # otherwise every entry is already 0
+            comp /= peak
+    return P, J, D, N
 
 
 def compute_scores(
@@ -132,19 +139,26 @@ def compute_scores(
     """Two lowest-scoring targets per maximum of g0 among the maxima of
     g1 (one if g1 has a single maximum).
 
-    score = G*P + L1*J + L2*D + L3*N over the normalized components.
-    Ties break by (score, target id) ascending. Output is sorted by
-    (m0, m1) for determinism.
+    score = G*P + L1*J + L2*D + L3*N, added left to right. Ties break by
+    (score, target id): columns are in target-id order and `argmin`
+    returns the first minimum, so a row's argmin is its best target and
+    its argmin once that is masked the second. Output is sorted by (m0, m1).
     """
-    P, J, D, N = normalize_components(g0, g1)
-    S = w.G * P + w.L1 * J + w.L2 * D + w.L3 * N
-    ids1 = g1.maxima.tolist()
-    out = []
-    for m0, row in zip(g0.maxima.tolist(), S.tolist()):
-        ranked = sorted(zip(row, ids1))
-        for s, mid in ranked[:2]:
-            out.append(ScoreTuple(m0=m0, m1=mid, s=s))
-    return sorted(out, key=lambda a: (a.m0, a.m1))
+    S, J, D, N = normalize_components(g0, g1)
+    S *= w.G
+    for comp, weight in ((J, w.L1), (D, w.L2), (N, w.L3)):
+        comp *= weight
+        S += comp
+    rows, picks, scores = np.arange(g0.n_max), [], []
+    for _ in range(min(2, g1.n_max)):
+        picks.append(S.argmin(axis=1))
+        scores.append(S[rows, picks[-1]])
+        S[rows, picks[-1]] = np.inf
+    m0 = np.tile(g0.maxima, len(picks))
+    m1 = g1.maxima[np.concatenate(picks)]
+    order = np.lexsort((m1, m0))
+    s = np.concatenate(scores)[order]
+    return list(map(ScoreTuple, m0[order].tolist(), m1[order].tolist(), s.tolist()))
 
 
 def filter_scores(S: list[ScoreTuple]) -> tuple[list[ScoreTuple], FilterMeta]:
@@ -201,19 +215,29 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
     Repeat until fixpoint: among arcs whose source has out-degree >= 2
     and whose target has in-degree >= 2, remove the one with the
     greatest score (ties: greater source id, then greater target id).
+
+    Removing an arc only lowers degrees, so an arc that stops offending
+    never offends again: popping the initial offenders from one max-heap
+    and removing those that still offend removes the same arcs in the
+    same order as rescanning after every removal.
     """
-    arcs = list(arcs)
-    while True:
-        out_deg: dict[int, int] = {}
-        in_deg: dict[int, int] = {}
-        for a in arcs:
-            out_deg[a.m0] = out_deg.get(a.m0, 0) + 1
-            in_deg[a.m1] = in_deg.get(a.m1, 0) + 1
-        offenders = [a for a in arcs if out_deg[a.m0] >= 2 and in_deg[a.m1] >= 2]
-        if not offenders:
-            return sorted(arcs, key=lambda a: (a.m0, a.m1))
-        worst = max(offenders, key=lambda a: (a.s, a.m0, a.m1))
-        arcs.remove(worst)
+    out_deg = Counter(a.m0 for a in arcs)
+    in_deg = Counter(a.m1 for a in arcs)
+
+    def offends(a: ScoreTuple) -> bool:
+        return out_deg[a.m0] >= 2 and in_deg[a.m1] >= 2
+
+    heap = [(-a.s, -a.m0, -a.m1, i) for i, a in enumerate(arcs) if offends(a)]
+    heapq.heapify(heap)
+    kept = [True] * len(arcs)
+    while heap:
+        i = heapq.heappop(heap)[3]
+        a = arcs[i]
+        if offends(a):
+            kept[i] = False
+            out_deg[a.m0] -= 1
+            in_deg[a.m1] -= 1
+    return sorted(compress(arcs, kept), key=lambda a: (a.m0, a.m1))
 
 
 def link_pair(

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from tvex import morse, pipeline
-from tvex.exgraph import (
-    build_extremum_graph,
-    make_node_id,
-    neighborhood_contribution,
-    split_node_id,
-)
+from tvex.exgraph import ROW_MASK, build_extremum_graph, make_node_id, split_node_id
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 
 from conftest import random_field, two_blob_series
+
+
+def neighborhood_contribution(g, max_id: int) -> float:
+    """eta(m): sum over incident saddles of |f(m) - f(s)|.
+
+    One term at a time over the arcs; the reference for the eta column.
+    """
+    t, row = split_node_id(max_id)
+    if t != g.t or row >= g.n_max:
+        raise KeyError(f"{max_id} is not a maximum of step {g.t}")
+    value = g.value.tolist()
+    return float(
+        sum(abs(value[row] - value[s & ROW_MASK]) for m, s in g.arcs.tolist() if m == max_id)
+    )
 
 
 def test_node_id_roundtrip():

@@ -311,6 +311,23 @@ class TestCli:
 
         capsys.readouterr()  # drain stage summaries
 
+    def test_eg_file_is_the_tveg_step(self, tmp_path, capsys):
+        """`tvex eg` writes each step as the bytes of its object inside
+        tveg.json."""
+        manifest = save_series(two_blob_series(steps=3), str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        for cmd in ("eg", "tveg"):
+            assert main([cmd, "--manifest", manifest, "--theta", "0", "-o", out]) == 0
+        text = open(os.path.join(out, "tveg.json")).read()
+        steps = json.loads(text)["steps"]
+        assert [len(step["arcs"]) > 0 for step in steps] == [True] * 3
+        for step in steps:
+            with open(os.path.join(out, f"exgraph_{step['t']:04d}.json")) as fh:
+                eg = fh.read()
+            assert eg == tvio.canonical_json(step)
+            assert eg[:-1] in text
+        capsys.readouterr()
+
     def test_tveg_rejects_single_step_range(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
         manifest = save_series(series, str(tmp_path / "d"))
@@ -424,6 +441,20 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err == f"error: manifest {path} has no '{key}' entry\n"
+
+    def test_manifest_step_missing_key_is_named(self, tmp_path, capsys):
+        series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        doc = json.loads(open(manifest).read())
+        for key in ("file", "t"):
+            step = {k: v for k, v in doc["steps"][1].items() if k != key}
+            bad = dict(doc, steps=[doc["steps"][0], step])
+            path = tmp_path / "d" / f"no_{key}.json"
+            path.write_text(json.dumps(bad))
+            argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: manifest {path}: step 1 has no '{key}' entry\n"
 
     def test_unknown_time_step_fails(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)

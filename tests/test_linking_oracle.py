@@ -1,0 +1,196 @@
+"""Column linking and the column tveg.json writer against the reference
+implementations in `linking_oracle`, bit for bit."""
+
+import os
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import linking_oracle as oracle
+from tvex import io as tvio
+from tvex.exgraph import build_extremum_graph
+from tvex.field import ScalarField3D
+from tvex.pipeline import compute_tveg
+from tvex.temporal import (
+    EventSets,
+    ScoreTuple,
+    ScoreWeights,
+    Tveg,
+    compute_scores,
+    normalize_components,
+    remove_z_configurations,
+    temporal_arcs,
+)
+
+from conftest import maxima_graph
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tvex")
+
+# few distinct values force ties in every component and in the scores;
+# an all-equal column gives an all-zero component
+small_ints = st.integers(0, 3).map(float)
+unit_floats = st.floats(0.0, 1.0, allow_nan=False, width=32)
+attribute = st.one_of(small_ints, unit_floats)
+
+
+@st.composite
+def maxima_sets(draw, t):
+    """A maxima-only graph of 1 to 9 maxima; coordinates are drawn from
+    a small pool, so several maxima may share a position."""
+    n = draw(st.integers(1, 9))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), 3), elements=attribute))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    cols = [draw(arrays(np.float64, n, elements=attribute)) for _ in range(3)]
+    return maxima_graph(t, pool[rows], *cols)
+
+
+@st.composite
+def score_weights(draw):
+    """Weights with any of them zero, summing to 1 within rounding."""
+    parts = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any))
+    total = sum(parts)
+    return ScoreWeights(*(p / total for p in parts))
+
+
+class TestScoring:
+    @given(maxima_sets(1), maxima_sets(2))
+    @settings(max_examples=150, deadline=None)
+    def test_normalize_components(self, g0, g1):
+        for got, want in zip(
+            normalize_components(g0, g1), oracle.normalize_components(g0, g1)
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @given(maxima_sets(1), maxima_sets(2), score_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_compute_scores(self, g0, g1, w):
+        got = compute_scores(g0, g1, w)
+        assert got == oracle.compute_scores(g0, g1, w)
+        assert all(type(a.m0) is int and type(a.s) is float for a in got)
+
+    def test_single_maximum_each_side(self):
+        g0 = maxima_graph(1, [[0.0, 0.0, 0.0]], [1.0], [0.5], [1.0])
+        g1 = maxima_graph(2, [[0.0, 0.0, 0.0]], [1.0], [0.5], [1.0])
+        got = compute_scores(g0, g1, ScoreWeights())
+        assert got == oracle.compute_scores(g0, g1, ScoreWeights())
+        assert got == [ScoreTuple(int(g0.maxima[0]), int(g1.maxima[0]), 0.0)]
+
+    def test_bench_sized_pair(self, rng):
+        g0, g1 = (
+            maxima_graph(t, rng.uniform(-1, 1, (n, 3)), *rng.uniform(0, 1, (3, n)))
+            for t, n in ((1, 300), (2, 280))
+        )
+        w = ScoreWeights()
+        got = compute_scores(g0, g1, w)
+        assert got == oracle.compute_scores(g0, g1, w)
+        assert remove_z_configurations(got) == oracle.remove_z_configurations(got)
+
+
+arc_lists = st.lists(
+    st.builds(
+        ScoreTuple,
+        m0=st.integers(0, 5),
+        m1=st.integers(10, 15),
+        s=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit_floats),
+    ),
+    max_size=30,
+)
+
+
+class TestZRemoval:
+    @given(arc_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan(self, arcs):
+        assert remove_z_configurations(arcs) == oracle.remove_z_configurations(arcs)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(10, 14)), unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_all_scores_tied(self, pairs):
+        arcs = [ScoreTuple(m0, m1, 0.5) for m0, m1 in pairs]
+        assert remove_z_configurations(arcs) == oracle.remove_z_configurations(arcs)
+
+
+def as_field(a: np.ndarray, t: int) -> ScalarField3D:
+    nz, ny, nx = a.shape
+    return ScalarField3D(
+        dims=(nx, ny, nz),
+        origin=np.full(3, -1.0),
+        spacing=np.full(3, 0.5),
+        values=a.ravel(),
+        time_index=t,
+    )
+
+
+# any finite float, including -0.0, subnormals and the extremes
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestStepWriter:
+    @given(
+        st.lists(
+            st.tuples(
+                arrays(np.float64, st.tuples(st.integers(0, 5), st.just(3)), elements=any_float),
+                st.integers(0, 2**40),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        any_float,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_graphs_without_saddles(self, steps, theta):
+        """Maxima-only steps, empty ones and single-node ones among them."""
+        graphs = []
+        for t, (cols, vertex) in enumerate(steps, start=1):
+            g = maxima_graph(t, cols, *cols.T)
+            g.vertex = vertex + np.arange(len(cols), dtype=np.int64)
+            graphs.append(g)
+        tveg = Tveg(graphs, {}, EventSets(), ScoreWeights(), {}, theta=theta)
+        self.assert_same_text(tveg)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 4), st.integers(1, 4), st.integers(2, 4)),
+            elements=attribute,
+        ),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_linked_graphs(self, a, frac):
+        """Steps with saddles, linked arcs, filter statistics and events."""
+        fields = [as_field(a, 1), as_field(a[::-1].copy(), 2), as_field(a.T.copy(), 3)]
+        theta = frac * float(np.ptp(a))
+        tveg = temporal_arcs(
+            [build_extremum_graph(f, theta) for f in fields], ScoreWeights()
+        )
+        tveg.theta = theta
+        self.assert_same_text(tveg)
+
+    @staticmethod
+    def assert_same_text(tveg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tveg.json")
+            tvio.export_tveg_json(tveg, path)
+            assert Path(path).read_text() == oracle.tveg_json(tveg)
+            for g in tveg.graphs:
+                tvio.export_extremum_graph_json(g, path)
+                assert Path(path).read_text() == oracle.extremum_graph_json(g)
+
+    def test_series_export_matches_dict_writer(self, small_series):
+        theta = 0.05 * small_series.global_range()
+        self.assert_same_text(compute_tveg(small_series, theta, ScoreWeights()))
+
+
+def test_src_has_one_step_writer():
+    """The dict step writer lives only in the oracle."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            text = Path(SRC, name).read_text()
+            assert not re.search(r"_step_dict|tveg_to_dict", text), name

@@ -107,6 +107,17 @@ class TestSweepMatchesIterative:
         want = {v: p for v, p in pers.items() if p >= theta or v == top}
         assert dict(zip(out.maxima.tolist(), out.pers.tolist())) == want
 
+    @given(st.one_of(float_fields, integer_fields), theta_fractions)
+    @settings(max_examples=80, deadline=None)
+    def test_survivors_keep_the_persistence_of_a_new_pairing(self, a, frac):
+        """The sweep's persistence equals pairing the simplified graph
+        again, bit for bit."""
+        f = as_field(a)
+        out = simplify(raw_segmentation(f), frac * float(np.ptp(f.values)))
+        sweep = out.pers.copy()
+        compute_persistence(f, out)
+        assert sweep.dtype == out.pers.dtype and np.array_equal(sweep, out.pers)
+
     def test_rank_argument_gives_same_result(self, rng):
         f = as_field(rng.integers(0, 4, (5, 6, 4)).astype(np.float64))
         rank = vertex_order(f)
