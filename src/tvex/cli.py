@@ -61,11 +61,7 @@ def cmd_eg(args) -> int:
     t0 = time.perf_counter()
     series, theta = _load_theta_series(args)
     os.makedirs(args.output, exist_ok=True)
-    fields = series.fields
-    if args.t is not None:
-        fields = [f for f in fields if f.time_index == args.t]
-        if not fields:
-            raise ValueError(f"no time step {args.t} in series")
+    fields = series.fields if args.t is None else [series.at(args.t)]
     n_nodes = 0
     for f in fields:
         g = build_extremum_graph(f, theta)
@@ -123,16 +119,14 @@ def cmd_events(args) -> int:
 
 def cmd_tracks(args) -> int:
     t0 = time.perf_counter()
+    tveg = tvio.load_tveg_json(args.tveg)
     if args.refine:
         if not args.manifest:
-            raise ValueError("--refine needs --manifest to recompute geometry")
-        series, theta = _load_theta_series(args)
-        tveg = pipeline.compute_tveg(series, theta, args.weights)
+            raise ValueError("--refine needs --manifest to read the volumes")
         result = tvtracks.refine_by_overlap(
-            tveg, isovalue=args.isovalue, min_len=args.min_len
+            tveg, load_series(args.manifest), args.isovalue, args.min_len
         )
     else:
-        tveg = tvio.load_tveg_json(args.tveg)
         result = tvtracks.extract_tracks(tveg, mode=args.mode)
     tvio.export_tracks_json(result, args.output)
     print(
@@ -237,10 +231,7 @@ def cmd_export(args) -> int:
         return 0
     # segmentation export needs the field
     series, theta = _load_theta_series(args)
-    f = next((f for f in series.fields if f.time_index == args.t), None)
-    if f is None:
-        raise ValueError(f"no time step {args.t} in series")
-    seg = morse.morse_step(f, theta)
+    seg = morse.morse_step(series.at(args.t), theta)
     labels_path, sidecar = tvio.export_segmentation(seg, args.output)
     print(
         f"export: {len(seg.maxima)} regions -> {labels_path} "
@@ -288,14 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_events)
 
     tr = sub.add_parser("tracks", help="extract or refine tracks")
-    tr.add_argument("--tveg", default=None)
+    tr.add_argument("--tveg", required=True)
     tr.add_argument("--mode", choices=["components", "simple-paths"],
                     default="simple-paths")
     tr.add_argument("--refine", action="store_true",
                     help="resolve two-way arcs by clipped-region overlap")
     tr.add_argument("--manifest", default=None)
-    tr.add_argument("--theta", default="0.0")
-    tr.add_argument("--weights", type=_parse_weights, default=ScoreWeights())
     tr.add_argument("--isovalue", type=float, default=0.1)
     tr.add_argument("--min-len", type=int, default=10)
     tr.add_argument("-o", "--output", required=True)

@@ -41,7 +41,6 @@ class ExtremumGraph:
     eta: np.ndarray
     coords: np.ndarray
     arcs: np.ndarray = dfield(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-    segmentation: morse.Segmentation | None = None
 
     @property
     def ids(self) -> np.ndarray:
@@ -95,6 +94,5 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
         eta=eta,
         coords=f.world_coords_many(vertex).reshape(-1, 3),
         arcs=arcs + make_node_id(f.time_index, 0),
-        segmentation=seg,
     )
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +46,6 @@ class ScalarField3D:
     def num_voxels(self) -> int:
         return self.values.size
 
-    def voxel_coords(self, voxel: int) -> tuple[int, int, int]:
-        """Grid indices (ix, iy, iz) of a linear voxel id."""
-        nx, ny, _ = self.dims
-        ix = voxel % nx
-        iy = (voxel // nx) % ny
-        iz = voxel // (nx * ny)
-        return ix, iy, iz
-
-    def world_coords(self, voxel: int) -> np.ndarray:
-        ix, iy, iz = self.voxel_coords(voxel)
-        return self.origin + self.spacing * np.array([ix, iy, iz], dtype=np.float64)
-
     def world_coords_many(self, voxels: np.ndarray) -> np.ndarray:
         """World coordinates for an array of voxel ids, shape (k, 3)."""
         voxels = np.asarray(voxels)
@@ -68,25 +57,52 @@ class ScalarField3D:
         return self.origin + self.spacing * ijk
 
 
-@dataclass
+class Volumes(Sequence):
+    """The volumes a manifest names. Item i reads step i's file and
+    widens it to float64, uncached; a slice reads nothing."""
+
+    def __init__(self, paths, times, dims, origin, spacing):
+        self.paths, self.times = paths, times
+        self.dims, self.origin, self.spacing = dims, origin, spacing
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Volumes(self.paths[i], self.times[i], self.dims, self.origin, self.spacing)
+        path = self.paths[i]
+        raw = np.fromfile(path, dtype="<f4")
+        try:
+            return ScalarField3D(self.dims, self.origin, self.spacing, raw, self.times[i])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 class FieldSeries:
-    """Contiguous time series of fields sharing one grid; t runs 1..T."""
+    """Contiguous time series of fields sharing one grid: a list of
+    fields in memory, or a manifest's `Volumes`. The grid and `times`
+    are known without reading any volume."""
 
-    fields: list[ScalarField3D] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.fields:
+    def __init__(self, fields: Sequence[ScalarField3D]):
+        if not len(fields):
             raise ValueError("series must contain at least one field")
-        f0 = self.fields[0]
-        for i, f in enumerate(self.fields):
-            if f.dims != f0.dims:
-                raise ValueError("inconsistent dims")
-            if not np.array_equal(f.origin, f0.origin) or not np.array_equal(
-                f.spacing, f0.spacing
-            ):
-                raise ValueError("inconsistent origin/spacing")
-            if f.time_index != self.fields[0].time_index + i:
-                raise ValueError("time indices must increase by 1")
+        self.fields = fields
+        if isinstance(fields, Volumes):
+            grid, times = fields, list(fields.times)
+        else:
+            grid, times = fields[0], [f.time_index for f in fields]
+            for f in fields:
+                if f.dims != grid.dims:
+                    raise ValueError("inconsistent dims")
+                if not np.array_equal(f.origin, grid.origin) or not np.array_equal(
+                    f.spacing, grid.spacing
+                ):
+                    raise ValueError("inconsistent origin/spacing")
+        self.dims, self.origin, self.spacing = grid.dims, grid.origin, grid.spacing
+        self.times = range(times[0], times[0] + len(times))
+        if times != list(self.times):
+            raise ValueError("time indices must increase by 1")
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -94,13 +110,16 @@ class FieldSeries:
     def __getitem__(self, i: int) -> ScalarField3D:
         return self.fields[i]
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.fields[0].dims
+    def at(self, t: int) -> ScalarField3D:
+        """The field of step t; no other step is read."""
+        if t not in self.times:
+            raise ValueError(f"no time step {t} in series")
+        return self.fields[self.times.index(t)]
 
     def global_range(self) -> float:
-        lo = min(float(f.values.min()) for f in self.fields)
-        hi = max(float(f.values.max()) for f in self.fields)
+        lo, hi = np.inf, -np.inf
+        for f in self.fields:  # one volume at a time
+            lo, hi = min(lo, float(f.values.min())), max(hi, float(f.values.max()))
         return hi - lo
 
 
@@ -111,42 +130,38 @@ def _require(entry, keys: tuple[str, ...], where: str) -> None:
 
 
 def load_series(manifest_path: str) -> FieldSeries:
-    """Load a series from a JSON manifest referencing raw volumes.
+    """Open a series from a JSON manifest referencing raw volumes.
 
     Manifest schema:
     {"dims": [nx,ny,nz], "origin": [...], "spacing": [...],
      "steps": [{"t": 1, "file": "vol_0001.raw"}, ...]}
     Raw files hold nx*ny*nz little-endian 32-bit floats, x-fastest.
+    Checks the manifest and the file sizes; reads no volume.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    _require(manifest, ("dims", "steps"), f"manifest {manifest_path}")
-    dims = tuple(int(d) for d in manifest["dims"])
-    origin = manifest.get("origin", [0.0, 0.0, 0.0])
-    spacing = manifest.get("spacing", [1.0, 1.0, 1.0])
-    n = dims[0] * dims[1] * dims[2]
+    where = f"manifest {manifest_path}"
+    _require(manifest, ("dims", "steps"), where)
+    dims, steps = manifest["dims"], manifest["steps"]
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise ValueError(f"{where}: 'dims' must be three positive integers, got {dims!r}")
+    if not isinstance(steps, list):
+        raise ValueError(f"{where}: 'steps' must be a list, got {steps!r}")
+    nbytes = 4 * dims[0] * dims[1] * dims[2]
     base = os.path.dirname(os.path.abspath(manifest_path))
-    fields = []
-    for i, step in enumerate(manifest["steps"]):
-        _require(step, ("file", "t"), f"manifest {manifest_path}: step {i}")
-        path = step["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing file: {path}")
-        raw = np.fromfile(path, dtype="<f4")
-        if raw.size != n:
-            raise ValueError(f"size mismatch: expected {n} got {raw.size}")
-        fields.append(
-            ScalarField3D(
-                dims=dims,
-                origin=origin,
-                spacing=spacing,
-                values=raw.astype(np.float64),
-                time_index=int(step["t"]),
-            )
-        )
-    return FieldSeries(fields=fields)
+    paths, times = [], []
+    for i, step in enumerate(steps):
+        _require(step, ("file", "t"), f"{where}: step {i}")
+        path = os.path.join(base, step["file"])  # an absolute file stays as is
+        size = os.path.getsize(path)
+        if size != nbytes:
+            raise ValueError(f"{path}: size mismatch: expected {nbytes} bytes got {size}")
+        paths.append(path)
+        times.append(int(step["t"]))
+    origin = np.asarray(manifest.get("origin", [0.0, 0.0, 0.0]), dtype=np.float64)
+    spacing = np.asarray(manifest.get("spacing", [1.0, 1.0, 1.0]), dtype=np.float64)
+    return FieldSeries(Volumes(paths, times, tuple(dims), origin, spacing))
 
 
 def save_series(series: FieldSeries, out_dir: str, prefix: str = "vol") -> str:
@@ -159,8 +174,8 @@ def save_series(series: FieldSeries, out_dir: str, prefix: str = "vol") -> str:
         steps.append({"t": f.time_index, "file": name})
     manifest = {
         "dims": list(series.dims),
-        "origin": [float(v) for v in series.fields[0].origin],
-        "spacing": [float(v) for v in series.fields[0].spacing],
+        "origin": [float(v) for v in series.origin],
+        "spacing": [float(v) for v in series.spacing],
         "steps": steps,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -247,4 +262,4 @@ def generate_gauss8(
                 time_index=t,
             )
         )
-    return FieldSeries(fields=fields)
+    return FieldSeries(fields)

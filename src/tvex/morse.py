@@ -117,6 +117,17 @@ def compute_segmentation(
     )
 
 
+def _best_per_pair(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct region-pair keys, ascending, and the greatest edge
+    rank of each."""
+    order = np.argsort(keys)
+    keys, ranks = keys[order], ranks[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.maximum.reduceat(ranks, starts)
+
+
 def compute_saddles(
     f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
 ) -> Segmentation:
@@ -125,64 +136,41 @@ def compute_saddles(
     For each unordered pair of adjacent labels the saddle is the
     crossing edge maximizing min(f(u), f(v)) under the total order; the
     saddle sits at the lower endpoint of that edge. Exactly one saddle
-    is kept per pair.
+    is kept per pair. Each offset's crossing edges are reduced to the
+    best rank per pair before the next offset, so only one offset's
+    edges are held at a time.
     """
     nx, ny, nz = f.dims
     n = f.num_voxels
     if rank is None:
         rank = vertex_order(f)
-    labels = seg.labels
     r3 = rank.reshape(nz, ny, nx)
-    l3 = labels.reshape(nz, ny, nx)
-    base3 = np.arange(n, dtype=np.int64).reshape(nz, ny, nx)
+    l3 = seg.labels.reshape(nz, ny, nx)
 
     # each list starts with an empty block: a field with no crossing edge
     # gives empty columns
-    pair_keys = [_empty_ids(0)]
-    edge_ranks = [_empty_ids(0)]
-    lo_verts = [_empty_ids(0)]
+    keys, ranks = [_empty_ids(0)], [_empty_ids(0)]
     for dz, dy, dx in HALF_OFFSETS:
-        zs = slice(0, nz - dz)
-        ys_a = slice(max(0, -dy), ny - max(0, dy))
-        xs_a = slice(max(0, -dx), nx - max(0, dx))
-        zs_b = slice(dz, nz)
-        ys_b = slice(max(0, dy), ny + min(0, dy))
-        xs_b = slice(max(0, dx), nx + min(0, dx))
-        la = l3[zs, ys_a, xs_a].ravel()
-        lb = l3[zs_b, ys_b, xs_b].ravel()
-        cross = la != lb
+        a = (slice(0, nz - dz), slice(max(0, -dy), ny - max(0, dy)),
+             slice(max(0, -dx), nx - max(0, dx)))
+        b = (slice(dz, nz), slice(max(0, dy), ny + min(0, dy)),
+             slice(max(0, dx), nx + min(0, dx)))
+        cross = l3[a] != l3[b]
         if not np.any(cross):
             continue
-        ra = r3[zs, ys_a, xs_a].ravel()[cross]
-        rb = r3[zs_b, ys_b, xs_b].ravel()[cross]
-        va = base3[zs, ys_a, xs_a].ravel()[cross]
-        vb = base3[zs_b, ys_b, xs_b].ravel()[cross]
-        la = la[cross]
-        lb = lb[cross]
-        lo_rank = np.minimum(ra, rb)
-        lo_vert = np.where(ra < rb, va, vb)
-        pmin = np.minimum(la, lb)
-        pmax = np.maximum(la, lb)
-        pair_keys.append(pmin.astype(np.int64) * n + pmax)
-        edge_ranks.append(lo_rank)
-        lo_verts.append(lo_vert)
+        la, lb = l3[a][cross], l3[b][cross]
+        key = np.minimum(la, lb).astype(np.int64) * n + np.maximum(la, lb)
+        best = _best_per_pair(key, np.minimum(r3[a][cross], r3[b][cross]))
+        keys.append(best[0])
+        ranks.append(best[1])
 
-    pair_keys = np.concatenate(pair_keys)
-    edge_ranks = np.concatenate(edge_ranks)
-    lo_verts = np.concatenate(lo_verts)
-
-    uniq, inverse = np.unique(pair_keys, return_inverse=True)
-    best = np.full(uniq.size, -1, dtype=np.int64)
-    np.maximum.at(best, inverse, edge_ranks)
-    # pick the achieving edge for each pair (ranks are unique per vertex,
-    # so ties can only repeat the same saddle vertex)
-    achieving = edge_ranks == best[inverse]
-    sad_vert = np.full(uniq.size, -1, dtype=np.int64)
-    sad_vert[inverse[achieving]] = lo_verts[achieving]
-
-    seg.pairs = np.column_stack([uniq // n, uniq % n])
-    seg.saddles = sad_vert
-    seg.saddle_ids = np.arange(uniq.size, dtype=np.int64)
+    keys, ranks = _best_per_pair(np.concatenate(keys), np.concatenate(ranks))
+    # the saddle is the lower vertex of its edge: the voxel of that rank
+    voxel = np.empty(n, dtype=np.int64)
+    voxel[rank] = np.arange(n)
+    seg.pairs = np.column_stack([keys // n, keys % n])
+    seg.saddles = voxel[ranks]
+    seg.saddle_ids = np.arange(len(keys), dtype=np.int64)
     return seg
 
 

@@ -37,20 +37,20 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
     return value
 
 
-def build_graphs(
-    series: FieldSeries, theta: float, threads: int | None = None
-) -> list[ExtremumGraph]:
-    """Per-step extremum graphs, optionally built on a thread pool.
+def build_graphs(series: FieldSeries, theta: float) -> list[ExtremumGraph]:
+    """Per-step extremum graphs, built on TVEX_THREADS workers.
 
-    Results are assembled in time order, so the output is independent of
-    the worker count.
+    Each task reads its own step, so at most one volume per worker is
+    live. Results are assembled in time order, so the output is
+    independent of the worker count.
     """
-    workers = threads if threads is not None else thread_count()
-    if workers <= 1 or len(series) == 1:
-        return [build_extremum_graph(f, theta) for f in series.fields]
+    fields = series.fields
+    workers = thread_count()
+    if workers <= 1 or len(fields) == 1:
+        return [build_extremum_graph(f, theta) for f in fields]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(build_extremum_graph, f, theta) for f in series.fields]
-        return [fut.result() for fut in futures]
+        graphs = pool.map(lambda i: build_extremum_graph(fields[i], theta), range(len(fields)))
+        return list(graphs)
 
 
 def compute_tveg(
@@ -58,17 +58,17 @@ def compute_tveg(
     theta: float,
     weights: ScoreWeights,
     t_range: tuple[int, int] | None = None,
-    threads: int | None = None,
 ) -> Tveg:
-    """Full pipeline: graphs for each step, then temporal linking."""
+    """Full pipeline: graphs for each step, then temporal linking.
+    `t_range` (p, r) keeps the steps p..r; no other step is read."""
     fields = series.fields
     if t_range is not None:
         p, r = t_range
-        fields = [f for f in fields if p <= f.time_index <= r]
+        t0 = series.times[0]
+        fields = fields[max(p - t0, 0) : max(r - t0 + 1, 0)]
     if len(fields) < 2:
         raise ValueError("need at least 2 time steps")
-    sub = FieldSeries(fields=fields)
-    graphs = build_graphs(sub, theta, threads=threads)
+    graphs = build_graphs(FieldSeries(fields), theta)
     tveg = temporal_arcs(graphs, weights)
     tveg.theta = theta
     return tveg

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .exgraph import split_node_id
-from .morse import descending_manifolds, find_root
+from .field import FieldSeries
+from .morse import descending_manifolds, find_root, morse_step
 from .temporal import ScoreTuple, Tveg
 
 
@@ -140,33 +141,41 @@ def spatial_overlap(geom_a: np.ndarray, geom_b: np.ndarray) -> int:
 
 
 def refine_by_overlap(
-    tveg: Tveg, isovalue: float, min_len: int = 10
+    tveg: Tveg, series: FieldSeries, isovalue: float, min_len: int = 10
 ) -> list[Track]:
     """Resolve two-way correspondences by clipped-region overlap.
 
     Each maximum's region is its descending manifold clipped by the
-    superlevel set at `isovalue`. For a source with two arcs only the
-    larger-overlap arc survives (ties: lower score); arcs with zero
-    overlap are dropped. Tracks shorter than min_len are discarded.
+    superlevel set at `isovalue`. Each step's volume is read from
+    `series` in time order and segmented again at `tveg.theta`; only the
+    regions of that step and the one before are kept. For a source with
+    two arcs only the larger-overlap arc survives (ties: lower score);
+    arcs with zero overlap are dropped. Tracks shorter than min_len are
+    discarded. Raises ValueError when `series` lacks a step of the tveg
+    or does not give the graph's maxima there.
     """
-    geom: dict[int, np.ndarray] = {}
-    for g in tveg.graphs:
-        seg = g.segmentation
-        if seg is None:
-            raise ValueError("refinement needs stored segmentations")
-        mask = seg.field.values >= isovalue
-        # the segmentation's maxima are in row order
-        for mid, region in zip(g.maxima.tolist(), descending_manifolds(seg)):
-            geom[mid] = region[mask[region]]
-
     kept: list[ScoreTuple] = []
-    for t in sorted(tveg.arcs_by_pair):
+    prev: dict[int, np.ndarray] = {}
+    for g in tveg.graphs:
+        f = series.at(g.t)
+        seg = morse_step(f, tveg.theta)
+        maxima = g.vertex[: g.n_max]
+        if not (np.array_equal(seg.maxima, maxima)
+                and np.array_equal(f.values[maxima], g.value[: g.n_max])):
+            raise ValueError(f"step {g.t}: the series does not give the graph's "
+                             f"maxima at theta {tveg.theta:.6g}")
+        mask = f.values >= isovalue
+        # the segmentation's maxima are in row order
+        cur = {
+            mid: region[mask[region]]
+            for mid, region in zip(g.maxima.tolist(), descending_manifolds(seg))
+        }
         by_src: dict[int, list[ScoreTuple]] = {}
-        for a in tveg.arcs_by_pair[t]:
+        for a in tveg.arcs_by_pair.get(g.t - 1, []):
             by_src.setdefault(a.m0, []).append(a)
         for src in sorted(by_src):
             cands = by_src[src]
-            overlaps = [spatial_overlap(geom[a.m0], geom[a.m1]) for a in cands]
+            overlaps = [spatial_overlap(prev[a.m0], cur[a.m1]) for a in cands]
             if len(cands) == 2:
                 best = min(
                     range(2), key=lambda i: (-overlaps[i], cands[i].s, cands[i].m1)
@@ -175,6 +184,7 @@ def refine_by_overlap(
             for a, ov in zip(cands, overlaps):
                 if ov > 0:
                     kept.append(a)
+        prev = cur
 
     pruned = _simple_paths(kept)
     return [tr for tr in pruned if tr.length >= min_len]

@@ -56,7 +56,7 @@ def gauss8_run():
     t0 = time.perf_counter()
     series = generate_gauss8((32, 32, 32), steps=50)
     theta = 0.05 * series.global_range()
-    tvg = compute_tveg(series, theta, ScoreWeights(), threads=1)
+    tvg = compute_tveg(series, theta, ScoreWeights())
     elapsed = time.perf_counter() - t0
     return series, tvg, elapsed
 

@@ -120,12 +120,6 @@ def test_incident_saddles_sorted(rng):
         assert inc == sorted(inc)
 
 
-def test_keep_segmentation_flag(rng):
-    """The graph always keeps its step's segmentation; no flag drops it."""
-    f = random_field(rng, (5, 5, 5), time_index=1)
-    assert build_extremum_graph(f, 0.1).segmentation is not None
-
-
 def test_saddle_persistence_is_cancellation_value(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.1)
@@ -151,16 +145,25 @@ def test_vertex_order_runs_once_per_step(rng, monkeypatch):
     build_extremum_graph(random_field(rng, (6, 6, 6), time_index=1), 0.2)
     assert calls[0] == 1
     series = two_blob_series(steps=3, dims=(8, 8, 8))
-    pipeline.build_graphs(series, 0.05, threads=1)
+    monkeypatch.setenv("TVEX_THREADS", "1")
+    pipeline.build_graphs(series, 0.05)
     assert calls[0] == 1 + len(series)
 
 
 def test_graph_holds_no_voxel_rank(rng):
+    """The graph holds no voxel-sized array at all, and no array of the
+    step's segmentation is the voxel rank."""
     f = random_field(rng, (6, 6, 6), time_index=1)
     rank = morse.vertex_order(f)
     g = build_extremum_graph(f, 0.1)
-    seg = g.segmentation
-    for attrs in (vars(g), vars(seg)):
-        for value in attrs.values():
-            if isinstance(value, np.ndarray) and value.shape == rank.shape:
-                assert not np.array_equal(value, rank)
+    arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for value in arrays:
+        assert value.size < rank.size
+    seg = morse.morse_step(f, 0.1)
+    voxel_sized = [
+        v for v in vars(seg).values() if isinstance(v, np.ndarray) and v.shape == rank.shape
+    ]
+    assert voxel_sized  # the labels
+    for value in voxel_sized:
+        assert not np.array_equal(value, rank)

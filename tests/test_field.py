@@ -1,20 +1,42 @@
 """Field container, series I/O, and the synthetic Gauss8 generator."""
 
+import os
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvex import pipeline
+from tvex.cli import main
 from tvex.field import (
     FieldSeries,
     ScalarField3D,
+    Volumes,
     gauss8_centers,
     generate_gauss8,
     load_series,
     save_series,
 )
+from tvex.temporal import ScoreWeights
 
-from conftest import random_field
+from conftest import random_field, two_blob_series
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Names of the files np.fromfile reads during the test."""
+    names = []
+    real = np.fromfile
+
+    def fromfile(path, *args, **kwargs):
+        names.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    return names
 
 
 class TestScalarField3D:
@@ -55,17 +77,19 @@ class TestScalarField3D:
 
     def test_voxel_coords_roundtrip(self, rng):
         f = random_field(rng, (5, 3, 4))
+        f.origin, f.spacing = np.array([0.5, -1.0, 2.0]), np.array([0.5, 0.25, 2.0])
         nx, ny, nz = f.dims
-        for v in rng.integers(0, f.num_voxels, 20):
-            ix, iy, iz = f.voxel_coords(int(v))
-            assert ix + nx * (iy + ny * iz) == v
+        ids = rng.integers(0, f.num_voxels, 20)
+        ix, iy, iz = ((f.world_coords_many(ids) - f.origin) / f.spacing).T
+        assert np.array_equal(ix + nx * (iy + ny * iz), ids)
 
     def test_world_coords_many_matches_scalar(self, rng):
         f = random_field(rng, (4, 5, 6))
-        ids = np.arange(f.num_voxels)
-        many = f.world_coords_many(ids)
+        nx, ny, _ = f.dims
+        many = f.world_coords_many(np.arange(f.num_voxels))
         for v in (0, 17, f.num_voxels - 1):
-            assert np.array_equal(many[v], f.world_coords(v))
+            ijk = np.array([v % nx, (v // nx) % ny, v // (nx * ny)], dtype=np.float64)
+            assert np.array_equal(many[v], f.origin + f.spacing * ijk)
 
 
 class TestFieldSeries:
@@ -122,8 +146,84 @@ class TestSeriesIO:
         manifest = save_series(series, str(tmp_path))
         raw = tmp_path / "vol_0001.raw"
         raw.write_bytes(raw.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="size mismatch"):
+        with pytest.raises(ValueError, match="vol_0001.raw: size mismatch"):
             load_series(manifest)
+
+
+class TestLazyVolumes:
+    """A loaded series reads a volume only when its step is used."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return save_series(two_blob_series(steps=5, dims=(8, 8, 8)), str(tmp_path))
+
+    def test_load_reads_no_volume(self, manifest, reads):
+        series = load_series(manifest)
+        assert reads == []
+        assert (len(series), series.dims, series.times) == (5, (8, 8, 8), range(1, 6))
+
+    def test_every_access_reads_again(self, manifest, reads):
+        series = load_series(manifest)
+        a, b = series.fields[2], series.at(3)
+        assert a is not b and np.array_equal(a.values, b.values)
+        assert a.time_index == 3 and a.values.dtype == np.float64
+        assert reads == ["vol_0003.raw"] * 2
+
+    def test_selected_steps_read_only_their_volumes(
+        self, manifest, reads, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TVEX_THREADS", "2")
+        series = load_series(manifest)
+        tveg = pipeline.compute_tveg(series, 0.0, ScoreWeights(), t_range=(2, 3))
+        assert [g.t for g in tveg.graphs] == [2, 3]
+        assert sorted(reads) == ["vol_0002.raw", "vol_0003.raw"]
+        for argv in (
+            ["eg", "--t", "4", "-o", str(tmp_path / "eg")],
+            ["export", "--what", "segmentation", "--t", "4", "-o", str(tmp_path / "s")],
+        ):
+            reads.clear()
+            assert main(argv + ["--manifest", manifest, "--theta", "0.01"]) == 0
+            assert reads == ["vol_0004.raw"]
+        capsys.readouterr()
+
+    def test_nan_volume_fails_when_its_step_is_read(self, manifest):
+        path = os.path.join(os.path.dirname(manifest), "vol_0002.raw")
+        vals = np.fromfile(path, dtype="<f4")
+        vals[5] = np.nan
+        vals.tofile(path)
+        series = load_series(manifest)
+        series.at(1)
+        with pytest.raises(ValueError, match="vol_0002.raw: non-finite"):
+            series.at(2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_compute_tveg_keeps_no_field_alive(self, manifest, monkeypatch, threads):
+        """At most one field per worker (+1 while the next is read) is
+        live while the graphs are built, and none once the tveg is made.
+        With several workers each one reads its own volume."""
+        monkeypatch.setenv("TVEX_THREADS", str(threads))
+        refs, live, readers = [], [], set()
+        read, build = Volumes.__getitem__, pipeline.build_extremum_graph
+
+        def tracked_read(volumes, i):
+            f = read(volumes, i)
+            if not isinstance(i, slice):
+                refs.append(weakref.ref(f))
+                readers.add(threading.current_thread() is threading.main_thread())
+            return f
+
+        def counted_build(f, theta):
+            live.append(sum(ref() is not None for ref in refs))
+            return build(f, theta)
+
+        monkeypatch.setattr(Volumes, "__getitem__", tracked_read)
+        monkeypatch.setattr(pipeline, "build_extremum_graph", counted_build)
+        series = load_series(manifest)
+        tveg = pipeline.compute_tveg(series, 0.0, ScoreWeights())
+        assert len(tveg.graphs) == len(refs) == len(live) == 5
+        assert max(live) <= threads + 1
+        assert [ref() for ref in refs] == [None] * 5
+        assert readers == {threads == 1}
 
 
 class TestGauss8:
@@ -169,7 +269,7 @@ class TestGauss8:
         f = series[1]
         centers = gauss8_centers(2, 4)
         v = 100  # arbitrary voxel
-        x = f.world_coords(v)
+        x = f.world_coords_many(v)
         expected = sum(
             2.0 * np.exp(-np.sum((x - c) ** 2) / (2 * sigma**2)) for c in centers
         )

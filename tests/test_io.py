@@ -9,12 +9,12 @@ import pytest
 
 from tvex import io as tvio
 from tvex.cli import main
-from tvex.field import generate_gauss8, save_series
+from tvex.field import generate_gauss8, load_series, save_series
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 from tvex.pipeline import compute_tveg, resolve_theta
 from tvex.query import track_neighborhood
 from tvex.temporal import ScoreWeights
-from tvex.tracks import Track, extract_tracks
+from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
 from conftest import random_field, two_blob_series
 
@@ -456,6 +456,30 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == f"error: manifest {path}: step 1 has no '{key}' entry\n"
 
+    def test_manifest_bad_dims_or_steps_is_named(self, tmp_path, capsys):
+        cases = [
+            ({"dims": [2, 2, 2], "steps": 5}, "'steps' must be a list, got 5"),
+            ({"dims": [2, 2], "steps": []},
+             "'dims' must be three positive integers, got [2, 2]"),
+            ({"dims": [2, 0, 2], "steps": []},
+             "'dims' must be three positive integers, got [2, 0, 2]"),
+        ]
+        for i, (doc, msg) in enumerate(cases):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(doc))
+            argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    def test_nan_volume_is_named(self, tmp_path, capsys):
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=2), str(tmp_path / "d"))
+        raw = tmp_path / "d" / "vol_0002.raw"
+        vals = np.fromfile(raw, dtype="<f4")
+        vals[0] = np.nan
+        vals.tofile(raw)
+        assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {raw}: non-finite value in field\n"
+
     def test_unknown_time_step_fails(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
         manifest = save_series(series, str(tmp_path / "d"))
@@ -463,3 +487,68 @@ class TestCli:
             ["eg", "--manifest", manifest, "--theta", "0", "--t", "9", "-o", str(tmp_path)]
         )
         assert code == 2
+
+
+class TestRefineCli:
+    """`tvex tracks --refine` refines the arcs of --tveg with the volumes
+    of --manifest."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("refine")
+        series = generate_gauss8((16, 16, 16), steps=8, sigma=0.15)
+        manifest = save_series(series, str(tmp / "d"))
+        argv = ["tveg", "--manifest", manifest, "--theta", "0.05r", "-o", str(tmp)]
+        assert main(argv) == 0
+        return tmp, series, manifest, str(tmp / "tveg.json")
+
+    def refine(self, tveg_path, manifest, out, isovalue="0.1"):
+        return main(["tracks", "--refine", "--tveg", tveg_path, "--manifest", manifest,
+                     "--isovalue", isovalue, "--min-len", "2", "-o", out])
+
+    @pytest.mark.parametrize("isovalue", ["0.1", "0.8"])
+    def test_matches_refinement_in_memory(self, run, isovalue, capsys):
+        tmp, series, manifest, tveg_path = run
+        out, want_path = tmp / f"refined_{isovalue}.json", tmp / "want.json"
+        assert self.refine(tveg_path, manifest, str(out), isovalue) == 0
+        theta = resolve_theta("0.05r", series)
+        tveg = compute_tveg(series, theta, ScoreWeights())
+        want = refine_by_overlap(tveg, series, float(isovalue), min_len=2)
+        assert want
+        tvio.export_tracks_json(want, str(want_path))
+        assert out.read_text() == want_path.read_text()
+        capsys.readouterr()
+
+    def test_loaded_series_gives_the_same_tracks(self, run):
+        tmp, series, manifest, tveg_path = run
+        tveg = tvio.load_tveg_json(tveg_path)
+        want = tvio.tracks_to_dict(refine_by_overlap(tveg, series, 0.1, min_len=2))
+        assert want["tracks"]
+        got = refine_by_overlap(tveg, load_series(manifest), 0.1, min_len=2)
+        assert tvio.tracks_to_dict(got) == want
+
+    def test_mismatched_manifest_is_named(self, run, capsys):
+        tmp, series, manifest, tveg_path = run
+        other = save_series(
+            generate_gauss8((16, 16, 16), steps=8, sigma=0.15, amplitude=2.0),
+            str(tmp / "other"),
+        )
+        doc = json.loads((tmp / "tveg.json").read_text())
+        doc["theta"] = 1.5  # keeps only the global maximum of each step
+        high = tmp / "high.json"
+        high.write_text(json.dumps(doc))
+        short = json.loads((tmp / "d" / "manifest.json").read_text())
+        short["steps"] = short["steps"][:-1]
+        short_path = tmp / "d" / "short.json"
+        short_path.write_text(json.dumps(short))
+        out = str(tmp / "x.json")
+        for path, series_path, err in [
+            (tveg_path, other, "step 1: the series does not give the graph's maxima"),
+            (str(high), manifest, "step 1: the series does not give the graph's maxima"
+             " at theta 1.5"),
+            (tveg_path, str(short_path), "no time step 8 in series"),
+        ]:
+            assert self.refine(path, series_path, out) == 2
+            assert err in capsys.readouterr().err
+        assert main(["tracks", "--refine", "--tveg", tveg_path, "-o", out]) == 2
+        assert "--refine needs --manifest" in capsys.readouterr().err

@@ -23,6 +23,12 @@ from tvex.morse import (
 from conftest import adjacency, random_field
 
 
+def grid_index(f: ScalarField3D, v: int) -> tuple[int, int, int]:
+    """Grid indices (ix, iy, iz) of the x-fastest voxel id v."""
+    nx, ny, _ = f.dims
+    return v % nx, (v // nx) % ny, v // (nx * ny)
+
+
 def segmentation_maxima(f: ScalarField3D) -> list[int]:
     """Voxel ids of the maxima compute_segmentation finds."""
     return compute_segmentation(f).maxima.tolist()
@@ -34,7 +40,7 @@ def brute_force_maxima(f: ScalarField3D) -> list[int]:
     rank = vertex_order(f)
     out = []
     for v in range(f.num_voxels):
-        ix, iy, iz = f.voxel_coords(v)
+        ix, iy, iz = grid_index(f, v)
         is_max = True
         for dz, dy, dx in NEIGHBOR_OFFSETS:
             jx, jy, jz = ix + dx, iy + dy, iz + dz
@@ -132,7 +138,7 @@ def brute_force_steepest(f: ScalarField3D) -> list[int]:
     rank = vertex_order(f)
     out = []
     for v in range(f.num_voxels):
-        ix, iy, iz = f.voxel_coords(v)
+        ix, iy, iz = grid_index(f, v)
         best, best_u = rank[v], v
         for dz, dy, dx in NEIGHBOR_OFFSETS:
             jx, jy, jz = ix + dx, iy + dy, iz + dz
@@ -180,7 +186,7 @@ class TestSegmentation:
         for v in rng.integers(0, f.num_voxels, 30):
             v = int(v)
             while True:
-                ix, iy, iz = f.voxel_coords(v)
+                ix, iy, iz = grid_index(f, v)
                 best, best_u = rank[v], v
                 for dz, dy, dx in NEIGHBOR_OFFSETS:
                     jx, jy, jz = ix + dx, iy + dy, iz + dz
@@ -233,7 +239,7 @@ class TestSaddles:
         nx, ny, nz = f.dims
         best: dict[tuple[int, int], int] = {}
         for v in range(f.num_voxels):
-            ix, iy, iz = f.voxel_coords(v)
+            ix, iy, iz = grid_index(f, v)
             for dz, dy, dx in NEIGHBOR_OFFSETS:
                 jx, jy, jz = ix + dx, iy + dy, iz + dz
                 if not (0 <= jx < nx and 0 <= jy < ny and 0 <= jz < nz):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreTuple, ScoreWeights, Tveg, EventSets
 from tvex.tracks import (
@@ -13,7 +14,7 @@ from tvex.tracks import (
     spatial_overlap,
 )
 
-from conftest import maxima_graph, random_maxima
+from conftest import random_maxima
 
 
 def nid(t, i):
@@ -150,7 +151,7 @@ class TestRefineByOverlap:
     def test_end_to_end_on_drifting_blobs(self, small_series):
         theta = 0.05 * small_series.global_range()
         tvg = compute_tveg(small_series, theta, ScoreWeights())
-        tracks = refine_by_overlap(tvg, isovalue=0.05, min_len=2)
+        tracks = refine_by_overlap(tvg, small_series, isovalue=0.05, min_len=2)
         # two blobs drifting smoothly: refinement keeps their identity paths
         assert len(tracks) >= 1
         for tr in tracks:
@@ -161,18 +162,24 @@ class TestRefineByOverlap:
                 out_deg[a] = out_deg.get(a, 0) + 1
             assert all(d == 1 for d in out_deg.values())
 
-    def test_requires_segmentations(self):
-        g1 = maxima_graph(1, [], [], [], [])
-        g2 = maxima_graph(2, [], [], [], [])
-        tvg = Tveg(
-            graphs=[g1, g2],
-            arcs_by_pair={},
-            events=EventSets(),
-            weights=ScoreWeights(),
-            filter_meta={},
-        )
-        with pytest.raises(ValueError, match="segmentation"):
-            refine_by_overlap(tvg, isovalue=0.1)
+    def test_needs_every_step_of_the_tveg(self, small_series):
+        theta = 0.05 * small_series.global_range()
+        tvg = compute_tveg(small_series, theta, ScoreWeights())
+        short = FieldSeries(small_series.fields[:-1])
+        with pytest.raises(ValueError, match="no time step 4 in series"):
+            refine_by_overlap(tvg, short, isovalue=0.05)
+
+    def test_rejects_a_series_with_other_maxima(self, small_series):
+        tvg = compute_tveg(small_series, 0.0, ScoreWeights())
+        squared = FieldSeries([
+            ScalarField3D(f.dims, f.origin, f.spacing, f.values ** 2, f.time_index)
+            for f in small_series.fields
+        ])
+        with pytest.raises(ValueError, match="step 1: the series does not give"):
+            refine_by_overlap(tvg, squared, isovalue=0.05)
+        tvg.theta = 2.0  # a threshold that would cancel all but one maximum
+        with pytest.raises(ValueError, match="graph's maxima at theta 2"):
+            refine_by_overlap(tvg, small_series, isovalue=0.05)
 
 
 class TestCollateBySaddle:
