@@ -19,30 +19,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tvex import io as tvio
 from tvex.field import generate_gauss8, save_series
-from tvex.morse import find_root
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreWeights
 from tvex.tracks import extract_tracks
 
 
 def component_spans(tvg) -> list[tuple[int, int]]:
-    """Sorted (first step, last step) of each temporal-arc graph component."""
-    parent = {}
-    step = {}
-    for g in tvg.graphs:
-        for mid in g.maxima.tolist():
-            parent[mid] = mid
-            step[mid] = g.t
-    for a in tvg.all_arcs():
-        ra, rb = find_root(parent, a.m0), find_root(parent, a.m1)
-        if ra != rb:
-            parent[ra] = rb
-    spans = {}
-    for n, t in step.items():
-        root = find_root(parent, n)
-        lo, hi = spans.get(root, (t, t))
-        spans[root] = (min(lo, t), max(hi, t))
-    return sorted(spans.values())
+    """Sorted (first step, last step) of each temporal-arc graph component;
+    a maximum without arcs is a component of its own."""
+    components = extract_tracks(tvg, mode="components")
+    linked = {n for tr in components for _, n in tr.nodes}
+    spans = [(tr.nodes[0][0], tr.nodes[-1][0]) for tr in components]
+    spans += [
+        (g.t, g.t) for g in tvg.graphs for m in g.maxima.tolist() if m not in linked
+    ]
+    return sorted(spans)
 
 
 def main() -> int:

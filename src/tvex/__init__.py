@@ -34,12 +34,6 @@ from .temporal import (
     remove_z_configurations,
     temporal_arcs,
 )
-from .tracks import (
-    Track,
-    collate_by_saddle,
-    extract_tracks,
-    refine_by_overlap,
-    spatial_overlap,
-)
+from .tracks import Track, extract_tracks, refine_by_overlap
 
 __version__ = "0.1.0"

@@ -103,12 +103,7 @@ def cmd_events(args) -> int:
         ev = tvquery.events_in_window(tveg, tuple(args.window))
     else:
         ev = tveg.events
-    text = tvio.canonical_json(tvio.events_to_dict(ev))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(tvio.canonical_json(tvio.events_to_dict(ev)), args.output)
     print(
         f"events: {len(ev.merges)} merges, {len(ev.splits)} splits, "
         f"{len(ev.deletions)} deletions, {len(ev.generations)} generations "
@@ -141,81 +136,79 @@ def cmd_query(args) -> int:
     tveg = tvio.load_tveg_json(args.tveg)
     if args.spec:
         with open(args.spec) as fh:
-            raw = json.load(fh)
-        spec = tvquery.QuerySpec(
-            kind=raw["kind"],
-            k=raw.get("k"),
-            n=raw.get("n"),
-            box=tuple(map(tuple, raw["box"])) if "box" in raw else None,
-            window=tuple(raw["window"]) if "window" in raw else None,
-            seeds=raw.get("seeds", []),
-            hops=raw.get("hops", 0),
-        )
+            q = json.load(fh)
+        if not isinstance(q, dict):
+            raise ValueError(f"{args.spec}: a query must be a JSON object")
     else:
-        spec = tvquery.QuerySpec(
-            kind=args.kind,
-            k=args.k,
-            n=args.n,
-            box=(tuple(args.box[:3]), tuple(args.box[3:])) if args.box else None,
-            window=tuple(args.window) if args.window else None,
-            seeds=args.seeds or [],
-            hops=args.hops,
-        )
-    doc = _run_query(tveg, spec, args)
-    text = tvio.canonical_json(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"query: kind={spec.kind} [{time.perf_counter() - t0:.2f}s]")
+        q = {
+            "kind": args.kind,
+            "k": args.k,
+            "n": args.n,
+            "box": [args.box[:3], args.box[3:]] if args.box else None,
+            "window": args.window,
+            "seeds": args.seeds,
+            "hops": args.hops,
+        }
+    _write(tvio.canonical_json(_run_query(tveg, q, args.tracks)), args.output)
+    print(f"query: kind={q['kind']} [{time.perf_counter() - t0:.2f}s]")
     return 0
 
 
-def _run_query(tveg, spec, args) -> dict:
-    if spec.kind in ("length-threshold", "least-deviation"):
-        if args.tracks:
-            track_list = tvio.load_tracks_json(args.tracks)
+def _run_query(tveg, q: dict, tracks_path) -> dict:
+    """Answer one query dict: `kind` plus the keys that kind reads."""
+    kind, box, window = q["kind"], q.get("box"), q.get("window")
+    if kind in ("length-threshold", "least-deviation"):
+        track_list = _tracks_or_paths(tveg, tracks_path)
+        if kind == "length-threshold":
+            result = tvquery.tracks_longer_than(track_list, q.get("k") or 1)
         else:
-            track_list = tvtracks.extract_tracks(tveg, mode="simple-paths")
-        if spec.kind == "length-threshold":
-            result = tvquery.tracks_longer_than(track_list, spec.k or 1)
-        else:
-            result = tvquery.least_deviation(track_list, tveg, spec.n or 1)
+            result = tvquery.least_deviation(track_list, tveg, q.get("n") or 1)
         return tvio.tracks_to_dict(result)
-    if spec.kind == "region":
-        if spec.box is None or spec.window is None:
+    if kind == "region":
+        if box is None or window is None:
             raise ValueError("region query needs --box and --window")
-        sel = tvquery.select_in_region(tveg, spec.box, spec.window)
+        sel = tvquery.select_in_region(tveg, box, window)
         return {
             "maxima": sel.maxima,
             "saddles": sel.saddles,
             "spatial_arcs": [[a, b] for a, b in sel.spatial_arcs],
             "temporal_arcs": [[a.m0, a.m1, a.s] for a in sel.temporal_arcs],
         }
-    if spec.kind == "window-events":
-        if spec.window is None:
+    if kind == "window-events":
+        if window is None:
             raise ValueError("window-events query needs --window")
-        return tvio.events_to_dict(tvquery.events_in_window(tveg, spec.window))
-    if spec.kind == "neighborhood":
-        if not spec.seeds:
+        return tvio.events_to_dict(tvquery.events_in_window(tveg, window))
+    if kind == "neighborhood":
+        seeds = q.get("seeds")
+        if not seeds:
             raise ValueError("neighborhood query needs --seeds")
-        track = tvtracks.Track(
-            nodes=sorted((s >> 32, s) for s in spec.seeds), arcs=[]
-        )
-        nb = tvquery.track_neighborhood(tveg, track, spec.hops)
+        track = tvtracks.Track(nodes=sorted((s >> 32, s) for s in seeds), arcs=[])
+        nb = tvquery.track_neighborhood(tveg, track, q.get("hops", 0))
         return {"neighborhood": {str(t): nodes for t, nodes in nb.items()}}
-    raise ValueError(f"unknown query kind {spec.kind!r}")
+    raise ValueError(f"unknown query kind {kind!r}")
+
+
+def _tracks_or_paths(tveg, tracks_path) -> list:
+    """The tracks of the `--tracks` file, or the tveg's simple paths."""
+    if tracks_path:
+        return tvio.load_tracks_json(tracks_path)
+    return tvtracks.extract_tracks(tveg, mode="simple-paths")
+
+
+def _write(text: str, output) -> None:
+    """Write text to the `-o` file, or to stdout without one."""
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_export(args) -> int:
     t0 = time.perf_counter()
     if args.what == "geometry":
         tveg = tvio.load_tveg_json(args.tveg)
-        if args.tracks:
-            track_list = tvio.load_tracks_json(args.tracks)
-        else:
-            track_list = tvtracks.extract_tracks(tveg, mode="simple-paths")
+        track_list = _tracks_or_paths(tveg, args.tracks)
         tvio.export_tracks_geometry(
             track_list,
             tveg,

@@ -8,6 +8,7 @@ widened to 64-bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -129,6 +130,19 @@ def _require(entry, keys: tuple[str, ...], where: str) -> None:
             raise ValueError(f"{where} has no {key!r} entry")
 
 
+def _vector(manifest: dict, key: str, default: float, where: str) -> np.ndarray:
+    """Manifest entry `key` (three `default`s if absent): three finite
+    numbers, positive for 'spacing'."""
+    v = manifest.get(key, [default] * 3)
+    positive = key == "spacing"
+    if not (isinstance(v, list) and len(v) == 3 and all(
+            type(x) in (int, float) and math.isfinite(x) and (x > 0 or not positive)
+            for x in v)):
+        need = "three finite numbers > 0" if positive else "three finite numbers"
+        raise ValueError(f"{where}: {key!r} must be {need}, got {v!r}")
+    return np.asarray(v, dtype=np.float64)
+
+
 def load_series(manifest_path: str) -> FieldSeries:
     """Open a series from a JSON manifest referencing raw volumes.
 
@@ -148,19 +162,23 @@ def load_series(manifest_path: str) -> FieldSeries:
         raise ValueError(f"{where}: 'dims' must be three positive integers, got {dims!r}")
     if not isinstance(steps, list):
         raise ValueError(f"{where}: 'steps' must be a list, got {steps!r}")
+    origin = _vector(manifest, "origin", 0.0, where)
+    spacing = _vector(manifest, "spacing", 1.0, where)
     nbytes = 4 * dims[0] * dims[1] * dims[2]
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths, times = [], []
     for i, step in enumerate(steps):
         _require(step, ("file", "t"), f"{where}: step {i}")
+        if not isinstance(step["file"], str):
+            raise ValueError(f"{where}: step {i} 'file' must be a string, got {step['file']!r}")
+        if type(step["t"]) is not int:
+            raise ValueError(f"{where}: step {i} 't' must be an integer, got {step['t']!r}")
         path = os.path.join(base, step["file"])  # an absolute file stays as is
         size = os.path.getsize(path)
         if size != nbytes:
             raise ValueError(f"{path}: size mismatch: expected {nbytes} bytes got {size}")
         paths.append(path)
-        times.append(int(step["t"]))
-    origin = np.asarray(manifest.get("origin", [0.0, 0.0, 0.0]), dtype=np.float64)
-    spacing = np.asarray(manifest.get("spacing", [1.0, 1.0, 1.0]), dtype=np.float64)
+        times.append(step["t"])
     return FieldSeries(Volumes(paths, times, tuple(dims), origin, spacing))
 
 

@@ -400,14 +400,6 @@ def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
     return labels_path, sidecar_path
 
 
-def load_segmentation_labels(labels_path: str, dims) -> np.ndarray:
-    n = dims[0] * dims[1] * dims[2]
-    labels = np.fromfile(labels_path, dtype="<u4")
-    if labels.size != n:
-        raise ValueError(f"size mismatch: expected {n} got {labels.size}")
-    return labels.astype(np.int64)
-
-
 def export_extremum_graph_json(g: ExtremumGraph, path: str) -> None:
     """Write one step as the object it is inside `tveg.json`."""
     with open(path, "w") as fh:

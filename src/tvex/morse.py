@@ -307,17 +307,6 @@ def morse_step(f: ScalarField3D, theta: float) -> Segmentation:
     return simplify(seg, theta, rank)
 
 
-def descending_manifolds(seg: Segmentation) -> list[np.ndarray]:
-    """Each maximum's descending-manifold voxel ids, ascending, in the
-    order of `seg.maxima`.
-
-    One stable argsort groups the voxels by label in id order; each
-    maximum gets its slice.
-    """
-    order = np.argsort(seg.labels, kind="stable")
-    return np.split(order, np.searchsorted(seg.labels[order], seg.maxima[1:]))
-
-
 def merge_tree_oracle(f: ScalarField3D) -> dict[int, float]:
     """Independent persistence oracle: superlevel-set sweep over voxels.
 

@@ -2,34 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exgraph import ROW_MASK, make_node_id
 from .temporal import EventSets, ScoreTuple, Tveg
 from .tracks import Track
-
-
-@dataclass
-class QuerySpec:
-    """Declarative query: one of the five primitive kinds."""
-
-    kind: str  # length-threshold | least-deviation | region | window-events | neighborhood
-    k: int | None = None
-    n: int | None = None
-    box: tuple | None = None  # ((x0,y0,z0), (x1,y1,z1)), closed
-    window: tuple[int, int] | None = None
-    seeds: list[int] = dfield(default_factory=list)
-    hops: int = 0
-
-    def __post_init__(self):
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ValueError("window start must be <= end")
-        if self.box is not None:
-            lo, hi = np.asarray(self.box[0]), np.asarray(self.box[1])
-            if np.any(lo > hi):
-                raise ValueError("box min must be <= max per axis")
 
 
 @dataclass
@@ -71,9 +50,13 @@ def select_in_region(
     Context: spatial arcs incident to a selected maximum (with their
     saddles) and temporal arcs with both endpoints selected.
     """
+    t0, t1 = window
+    if t0 > t1:
+        raise ValueError("window start must be <= end")
+    if any(a > b for a, b in zip(box[0], box[1])):
+        raise ValueError("box min must be <= max per axis")
     lo = np.asarray(box[0], dtype=np.float64)
     hi = np.asarray(box[1], dtype=np.float64)
-    t0, t1 = window
     chosen: set[int] = set()
     spatial: list[tuple[int, int]] = []
     for g in tveg.graphs:
@@ -100,6 +83,8 @@ def select_in_region(
 def events_in_window(tveg: Tveg, window: tuple[int, int]) -> EventSets:
     """Cumulative event records whose time lies in [t0, t1]."""
     t0, t1 = window
+    if t0 > t1:
+        raise ValueError("window start must be <= end")
     ev = tveg.events
     return EventSets(
         merges=[e for e in ev.merges if t0 <= e["time"] <= t1],

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .exgraph import split_node_id
+from .exgraph import ROW_MASK, split_node_id
 from .field import FieldSeries
-from .morse import descending_manifolds, find_root, morse_step
+from .morse import find_root, morse_step
 from .temporal import ScoreTuple, Tveg
 
 
@@ -48,13 +48,6 @@ def _node_time(node_id: int) -> int:
     return split_node_id(node_id)[0]
 
 
-def _union(parent: dict[int, int] | list[int], a: int, b: int) -> None:
-    """Join the sets of a and b under the smaller root."""
-    ra, rb = find_root(parent, a), find_root(parent, b)
-    if ra != rb:
-        parent[max(ra, rb)] = min(ra, rb)
-
-
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
     """One bundle per connected component; each component's nodes and
     arcs are grouped by their root in one pass."""
@@ -62,7 +55,9 @@ def _components(arcs: list[ScoreTuple]) -> list[Track]:
     for a in arcs:
         parent.setdefault(a.m0, a.m0)
         parent.setdefault(a.m1, a.m1)
-        _union(parent, a.m0, a.m1)
+        ra, rb = find_root(parent, a.m0), find_root(parent, a.m1)
+        if ra != rb:  # join under the smaller root
+            parent[max(ra, rb)] = min(ra, rb)
     nodes: dict[int, list[int]] = {}
     for node in parent:
         nodes.setdefault(find_root(parent, node), []).append(node)
@@ -135,11 +130,6 @@ def extract_tracks(tveg: Tveg, mode: str = "simple-paths") -> list[Track]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def spatial_overlap(geom_a: np.ndarray, geom_b: np.ndarray) -> int:
-    """Number of voxels shared by two region voxel-id sets."""
-    return int(np.intersect1d(geom_a, geom_b, assume_unique=False).size)
-
-
 def refine_by_overlap(
     tveg: Tveg, series: FieldSeries, isovalue: float, min_len: int = 10
 ) -> list[Track]:
@@ -148,14 +138,16 @@ def refine_by_overlap(
     Each maximum's region is its descending manifold clipped by the
     superlevel set at `isovalue`. Each step's volume is read from
     `series` in time order and segmented again at `tveg.theta`; only the
-    regions of that step and the one before are kept. For a source with
-    two arcs only the larger-overlap arc survives (ties: lower score);
-    arcs with zero overlap are dropped. Tracks shorter than min_len are
-    discarded. Raises ValueError when `series` lacks a step of the tveg
-    or does not give the graph's maxima there.
+    clipped labels of the step before are kept. The overlaps of a step
+    pair are one count of the (label at t, label at t+1) pairs of the
+    voxels clipped in both. For a source with two arcs only the
+    larger-overlap arc survives (ties: lower score); arcs with zero
+    overlap are dropped. Tracks shorter than min_len are discarded.
+    Raises ValueError when `series` lacks a step of the tveg or does not
+    give the graph's maxima there.
     """
     kept: list[ScoreTuple] = []
-    prev: dict[int, np.ndarray] = {}
+    prev = prev_vertex = None
     for g in tveg.graphs:
         f = series.at(g.t)
         seg = morse_step(f, tveg.theta)
@@ -164,56 +156,23 @@ def refine_by_overlap(
                 and np.array_equal(f.values[maxima], g.value[: g.n_max])):
             raise ValueError(f"step {g.t}: the series does not give the graph's "
                              f"maxima at theta {tveg.theta:.6g}")
-        mask = f.values >= isovalue
-        # the segmentation's maxima are in row order
-        cur = {
-            mid: region[mask[region]]
-            for mid, region in zip(g.maxima.tolist(), descending_manifolds(seg))
-        }
-        by_src: dict[int, list[ScoreTuple]] = {}
+        # a label is its maximum's voxel id; -1 outside the superlevel set
+        cur, n = np.where(f.values >= isovalue, seg.labels, -1), f.num_voxels
+        overlap: dict[int, int] = {}  # label pair key -> shared voxels
+        if prev is not None:
+            both = (prev >= 0) & (cur >= 0)
+            pairs, counts = np.unique(prev[both] * n + cur[both], return_counts=True)
+            overlap = dict(zip(pairs.tolist(), counts.tolist()))
+        by_src: dict[int, list[tuple[ScoreTuple, int]]] = {}
         for a in tveg.arcs_by_pair.get(g.t - 1, []):
-            by_src.setdefault(a.m0, []).append(a)
+            key = int(prev_vertex[a.m0 & ROW_MASK]) * n + int(g.vertex[a.m1 & ROW_MASK])
+            by_src.setdefault(a.m0, []).append((a, overlap.get(key, 0)))
         for src in sorted(by_src):
             cands = by_src[src]
-            overlaps = [spatial_overlap(prev[a.m0], cur[a.m1]) for a in cands]
             if len(cands) == 2:
-                best = min(
-                    range(2), key=lambda i: (-overlaps[i], cands[i].s, cands[i].m1)
-                )
-                cands, overlaps = [cands[best]], [overlaps[best]]
-            for a, ov in zip(cands, overlaps):
-                if ov > 0:
-                    kept.append(a)
-        prev = cur
+                cands = [min(cands, key=lambda c: (-c[1], c[0].s, c[0].m1))]
+            kept.extend(a for a, ov in cands if ov > 0)
+        prev, prev_vertex = cur, g.vertex
 
     pruned = _simple_paths(kept)
     return [tr for tr in pruned if tr.length >= min_len]
-
-
-def collate_by_saddle(tracks: list[Track], tveg: Tveg) -> list[list[int]]:
-    """Group tracks whose maxima share a saddle at some common time step.
-
-    Returns groups of track indices (transitive closure across time
-    steps), sorted by smallest member.
-    """
-    parent = list(range(len(tracks)))
-    node_tracks: dict[tuple[int, int], list[int]] = {}
-    for i, tr in enumerate(tracks):
-        for node in tr.nodes:
-            node_tracks.setdefault(node, []).append(i)
-
-    for g in tveg.graphs:
-        saddle_maxima: dict[int, list[int]] = {}
-        for m, s in g.arcs.tolist():
-            saddle_maxima.setdefault(s, []).append(m)
-        for maxes in saddle_maxima.values():
-            holders = []
-            for m in maxes:
-                holders.extend(node_tracks.get((g.t, m), []))
-            for a, b in zip(holders, holders[1:]):
-                _union(parent, a, b)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(tracks)):
-        groups.setdefault(find_root(parent, i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups)]

@@ -193,7 +193,7 @@ class TestSegmentationExport:
         labels_path, sidecar_path = tvio.export_segmentation(
             seg, str(tmp_path / "seg")
         )
-        back = tvio.load_segmentation_labels(labels_path, f.dims)
+        back = np.fromfile(labels_path, dtype="<u4")
         assert np.array_equal(back, seg.labels)
         side = json.load(open(sidecar_path))
         assert side["dims"] == list(f.dims)
@@ -202,13 +202,6 @@ class TestSegmentationExport:
             assert by_label[m]["region_voxels"] == int(
                 np.count_nonzero(seg.labels == m)
             )
-
-    def test_size_check_on_load(self, rng, tmp_path):
-        f = random_field(rng, (4, 4, 4), time_index=1)
-        seg = compute_segmentation(f)
-        labels_path, _ = tvio.export_segmentation(seg, str(tmp_path / "seg"))
-        with pytest.raises(ValueError, match="size mismatch"):
-            tvio.load_segmentation_labels(labels_path, (5, 5, 5))
 
 
 class TestResolveTheta:
@@ -375,6 +368,37 @@ class TestCli:
         doc = json.loads(res.read_text())
         assert set(doc) == {"merges", "splits", "deletions", "generations"}
 
+    def test_spec_file_equals_flags(self, tmp_path, capsys):
+        """Every query kind gives the same bytes from flags and from the
+        equivalent --spec file."""
+        series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0.05r", "-o", out]) == 0
+        tveg_path = os.path.join(out, "tveg.json")
+        tracks_path = str(tmp_path / "tracks.json")
+        assert main(["tracks", "--tveg", tveg_path, "-o", tracks_path]) == 0
+        seeds = [n for _, n in tvio.load_tracks_json(tracks_path)[0].nodes]
+        cases = [
+            (["--k", "2"], {"kind": "length-threshold", "k": 2}),
+            (["--n", "3"], {"kind": "least-deviation", "n": 3}),
+            (["--box", "-1", "-1", "-1", "0", "1", "1", "--window", "1", "3"],
+             {"kind": "region", "box": [[-1, -1, -1], [0, 1, 1]], "window": [1, 3]}),
+            (["--window", "2", "3"], {"kind": "window-events", "window": [2, 3]}),
+            (["--seeds", *map(str, seeds), "--hops", "1"],
+             {"kind": "neighborhood", "seeds": seeds, "hops": 1}),
+        ]
+        for flags, spec in cases:
+            by_flags, by_spec = tmp_path / "flags.json", tmp_path / "spec.json"
+            spec_path = tmp_path / "q.json"
+            spec_path.write_text(json.dumps(spec))
+            argv = ["query", "--tveg", tveg_path, "--tracks", tracks_path, "-o"]
+            assert main(argv + [str(by_flags), "--kind", spec["kind"], *flags]) == 0
+            assert main(argv + [str(by_spec), "--spec", str(spec_path)]) == 0
+            text = by_flags.read_text()
+            assert json.loads(text) and by_spec.read_text() == text
+        capsys.readouterr()
+
     def test_query_neighborhood_from_flags(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
         manifest = save_series(series, str(tmp_path / "d"))
@@ -470,6 +494,24 @@ class TestCli:
             argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    @pytest.mark.parametrize("key, value, msg", [
+        ("file", 5, "step 1 'file' must be a string, got 5"),
+        ("t", "a", "step 1 't' must be an integer, got 'a'"),
+        ("origin", [0.0, 0.0], "'origin' must be three finite numbers, got [0.0, 0.0]"),
+        ("spacing", [1.0, 0, 1.0],
+         "'spacing' must be three finite numbers > 0, got [1.0, 0, 1.0]"),
+    ])
+    def test_manifest_bad_entry_is_named(self, tmp_path, capsys, key, value, msg):
+        series = generate_gauss8((2, 2, 2), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        doc = json.loads(open(manifest).read())
+        (doc["steps"][1] if key in ("file", "t") else doc)[key] = value
+        path = tmp_path / "d" / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
 
     def test_nan_volume_is_named(self, tmp_path, capsys):
         manifest = save_series(generate_gauss8((8, 8, 8), steps=2), str(tmp_path / "d"))

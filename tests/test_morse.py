@@ -13,7 +13,6 @@ from tvex.morse import (
     compute_persistence,
     compute_saddles,
     compute_segmentation,
-    descending_manifolds,
     merge_tree_oracle,
     morse_step,
     simplify,
@@ -351,15 +350,6 @@ class TestSimplify:
         assert out.maxima.tolist() == [5]
         assert np.all(out.labels == 5)
 
-    def test_manifolds_match_label_scan(self, rng):
-        f = random_field(rng, (6, 5, 4))
-        raw = compute_saddles(f, compute_segmentation(f))
-        for seg in (raw, simplify(raw, 0.2)):
-            regions = descending_manifolds(seg)
-            assert len(regions) == len(seg.maxima)
-            for i, region in enumerate(regions):
-                assert np.array_equal(region, np.flatnonzero(seg.labels == seg.maxima[i]))
-
     def test_no_per_point_objects(self, rng):
         """A segmentation holds its field and arrays, nothing per point."""
         f = random_field(rng, (6, 6, 6))
@@ -369,15 +359,14 @@ class TestSimplify:
 
     def test_leaves_its_input_and_earlier_results_alone(self):
         """Simplifying one raw segmentation at two thresholds: the first
-        result keeps its own persistence and manifolds."""
+        result keeps its own persistence and labels."""
         f = random_field(np.random.default_rng(1), (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
         raw = {k: v.copy() for k, v in vars(seg).items() if isinstance(v, np.ndarray)}
         out1 = simplify(seg, 0.1)
-        pers1 = out1.pers.tolist()
+        pers1, labels1 = out1.pers.tolist(), out1.labels.copy()
         simplify(seg, 0.5)
         assert out1.pers.tolist() == pers1
-        for m, region in zip(out1.maxima.tolist(), descending_manifolds(out1)):
-            assert np.array_equal(region, np.flatnonzero(out1.labels == m))
+        assert np.array_equal(out1.labels, labels1)
         for k, v in raw.items():
             assert np.array_equal(getattr(seg, k), v)

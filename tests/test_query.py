@@ -5,7 +5,6 @@ import pytest
 
 from tvex.pipeline import compute_tveg
 from tvex.query import (
-    QuerySpec,
     events_in_window,
     least_deviation,
     select_in_region,
@@ -31,13 +30,21 @@ def tracks(tvg):
 
 
 class TestQuerySpec:
-    def test_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            QuerySpec(kind="window-events", window=(5, 2))
+    """A query's window and box are checked by the functions that read
+    them."""
 
-    def test_rejects_inverted_box(self):
-        with pytest.raises(ValueError):
-            QuerySpec(kind="region", box=((1, 0, 0), (0, 1, 1)))
+    def test_rejects_inverted_window(self, tvg):
+        box = ((-9, -9, -9), (9, 9, 9))
+        with pytest.raises(ValueError, match="window start must be <= end"):
+            events_in_window(tvg, (3, 2))
+        with pytest.raises(ValueError, match="window start must be <= end"):
+            select_in_region(tvg, box, (3, 2))
+        assert select_in_region(tvg, box, (2, 2)).maxima
+
+    def test_rejects_inverted_box(self, tvg):
+        with pytest.raises(ValueError, match="box min must be <= max per axis"):
+            select_in_region(tvg, ((1, 0, 0), (0, 1, 1)), (1, 4))
+        assert select_in_region(tvg, ((0, 0, 0), (0, 0, 0)), (1, 4)).maxima == []
 
 
 class TestLengthThreshold:

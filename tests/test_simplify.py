@@ -10,7 +10,6 @@ from tvex.morse import (
     compute_persistence,
     compute_saddles,
     compute_segmentation,
-    descending_manifolds,
     merge_tree_oracle,
     simplify,
     vertex_order,
@@ -34,13 +33,13 @@ def raw_segmentation(f: ScalarField3D):
 
 
 def assert_same(got, want):
-    """Every column bit for bit, and the manifolds of `got` against a
-    voxel scan of `want`."""
+    """Every column bit for bit, and the manifolds of both by a voxel
+    scan."""
     for name in ("labels", "maxima", "pers", "pairs", "saddles", "saddle_ids"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    got_mf, want_mf = descending_manifolds(got), manifolds(want)
+    got_mf, want_mf = manifolds(got), manifolds(want)
     assert len(got_mf) == len(want_mf)
     for a, b in zip(got_mf, want_mf):
         assert np.array_equal(a, b)

@@ -1,19 +1,17 @@
-"""Track extraction, deviation, overlap refinement, and collation."""
+"""Track extraction, deviation, and overlap refinement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreTuple, ScoreWeights, Tveg, EventSets
-from tvex.tracks import (
-    Track,
-    collate_by_saddle,
-    extract_tracks,
-    refine_by_overlap,
-    spatial_overlap,
-)
+from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
+import refine_oracle
 from conftest import random_maxima
 
 
@@ -140,13 +138,6 @@ class TestComponents:
             extract_tracks(toy_tveg([]), mode="bogus")
 
 
-def test_spatial_overlap_counts_shared_voxels():
-    a = np.array([1, 2, 3, 7])
-    b = np.array([3, 7, 9])
-    assert spatial_overlap(a, b) == 2
-    assert spatial_overlap(a, np.array([], dtype=int)) == 0
-
-
 class TestRefineByOverlap:
     def test_end_to_end_on_drifting_blobs(self, small_series):
         theta = 0.05 * small_series.global_range()
@@ -182,15 +173,74 @@ class TestRefineByOverlap:
             refine_by_overlap(tvg, small_series, isovalue=0.05)
 
 
-class TestCollateBySaddle:
-    def test_tracks_sharing_a_saddle_group(self, small_series):
-        theta = 0.05 * small_series.global_range()
-        tvg = compute_tveg(small_series, theta, ScoreWeights())
-        tracks = extract_tracks(tvg, mode="simple-paths")
-        groups = collate_by_saddle(tracks, tvg)
-        # groups partition the track indices
-        flat = sorted(i for g in groups for i in g)
-        assert flat == list(range(len(tracks)))
-        # the two blobs stay saddle-adjacent, so they share one group
-        sizes = sorted(len(g) for g in groups)
-        assert sizes[-1] >= 2 or len(tracks) == 1
+@st.composite
+def integer_series(draw):
+    """(T, nz, ny, nx) integer values: a base field plus 0 or 1 per step,
+    so regions persist from step to step and many voxels share a label
+    pair."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(2, 6), st.integers(2, 6)))
+    steps = draw(st.integers(2, 5))
+    base = draw(arrays(np.int64, shape, elements=st.integers(0, 4)))
+    noise = draw(arrays(np.int64, (steps,) + shape, elements=st.integers(0, 1)))
+    return (base + noise).astype(np.float64)
+
+
+def as_series(a: np.ndarray) -> FieldSeries:
+    _, nz, ny, nx = a.shape
+    return FieldSeries([
+        ScalarField3D((nx, ny, nz), np.zeros(3), np.ones(3), v.ravel(), t + 1)
+        for t, v in enumerate(a)
+    ])
+
+
+# across the range, on the values themselves, and above the maximum
+ISOVALUES = (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0)
+
+
+class TestRefineMatchesOracle:
+    """The label-pair count gives the tracks of one region intersection
+    per arc (`tests/refine_oracle.py`), exactly."""
+
+    def check(self, series, theta, min_lens):
+        tvg = compute_tveg(series, theta, ScoreWeights())
+        for isovalue, min_len in zip(ISOVALUES, min_lens):
+            want = refine_oracle.refine_by_overlap(tvg, series, isovalue, min_len)
+            assert refine_by_overlap(tvg, series, isovalue, min_len) == want
+        return tvg
+
+    @given(integer_series(), st.sampled_from([0.0, 1.0]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_series(self, a, theta, data):
+        steps = len(a)
+        min_lens = [data.draw(st.integers(1, steps)) for _ in ISOVALUES]
+        self.check(as_series(a), theta, min_lens)
+
+    def test_sources_with_two_arcs(self, rng):
+        """Larger seeded series, where many sources keep two arcs and the
+        overlap decides between them."""
+        two = 0
+        for _ in range(6):
+            shape = tuple(int(d) for d in rng.integers(5, 9, 3))
+            steps = int(rng.integers(2, 6))
+            a = rng.integers(0, 5, shape) + rng.integers(0, 2, (steps,) + shape)
+            min_lens = rng.integers(1, steps + 1, len(ISOVALUES)).tolist()
+            tvg = self.check(as_series(a.astype(np.float64)), 0.0, min_lens)
+            sources = [arc.m0 for arc in tvg.all_arcs()]
+            two += len(sources) - len(set(sources))
+        assert two >= 10
+
+    def test_equal_overlaps_keep_the_lower_score(self):
+        """One maximum becomes two that each share two clipped voxels with
+        it; the source keeps its lower-scored arc."""
+        rows = [[0, 1, 3, 2, 1, 0], [0, 2, 1, 1, 2, 0]]
+        series = as_series(np.array(rows, dtype=np.float64).reshape(2, 1, 1, 6))
+        tvg = compute_tveg(series, 0.0, ScoreWeights())
+        assert tvg.graphs[1].vertex[:2].tolist() == [1, 4]
+        for s0, s1, keep in [(0.3, 0.2, 1), (0.2, 0.3, 0)]:
+            tvg.arcs_by_pair = {
+                1: [ScoreTuple(nid(1, 0), nid(2, 0), s0),
+                    ScoreTuple(nid(1, 0), nid(2, 1), s1)]
+            }
+            got = refine_by_overlap(tvg, series, 0.5, min_len=1)
+            assert [tr.arcs for tr in got] == [[(nid(1, 0), nid(2, keep))]]
+            assert refine_oracle.refine_by_overlap(tvg, series, 0.5, 1) == got
