@@ -149,7 +149,13 @@ def cmd_query(args) -> int:
             "seeds": args.seeds,
             "hops": args.hops,
         }
-    _write(tvio.canonical_json(_run_query(tveg, q, args.tracks)), args.output)
+    try:
+        result = _run_query(tveg, q, args.tracks)
+    except (ValueError, KeyError) as exc:
+        if not args.spec:
+            raise
+        raise ValueError(f"{args.spec}: {exc}") from None
+    _write(tvio.canonical_json(result), args.output)
     print(f"query: kind={q['kind']} [{time.perf_counter() - t0:.2f}s]")
     return 0
 

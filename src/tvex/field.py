@@ -179,7 +179,10 @@ def load_series(manifest_path: str) -> FieldSeries:
             raise ValueError(f"{path}: size mismatch: expected {nbytes} bytes got {size}")
         paths.append(path)
         times.append(step["t"])
-    return FieldSeries(Volumes(paths, times, tuple(dims), origin, spacing))
+    try:
+        return FieldSeries(Volumes(paths, times, tuple(dims), origin, spacing))
+    except ValueError as exc:  # no steps, or times that do not run on by 1
+        raise ValueError(f"{where}: 'steps': {exc}") from None
 
 
 def save_series(series: FieldSeries, out_dir: str, prefix: str = "vol") -> str:

@@ -24,6 +24,8 @@ NEIGHBOR_OFFSETS = [
 ]
 # the 13 "positive" offsets; each undirected grid edge is visited once
 HALF_OFFSETS = [o for o in NEIGHBOR_OFFSETS if o > (0, 0, 0)]
+# (rank of every voxel, voxel of every rank), as `vertex_order` gives it
+VoxelOrder = tuple[np.ndarray, np.ndarray]
 
 
 def _empty_ids(*shape: int) -> np.ndarray:
@@ -52,44 +54,42 @@ class Segmentation:
     saddle_ids: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
 
 
-def vertex_order(f: ScalarField3D) -> np.ndarray:
-    """Rank of every voxel under the (value, voxel id) total order.
+def vertex_order(f: ScalarField3D) -> VoxelOrder:
+    """(rank of every voxel, voxel of every rank) under the (value, voxel
+    id) total order.
 
-    Ranks are unique integers in [0, n); a higher rank means a greater
-    voxel. This is the simulated-simplicity tie-break used everywhere.
+    Ranks are unique integers in [0, n), int32 when n < 2**31; a higher
+    rank means a greater voxel. This is the simulated-simplicity
+    tie-break used everywhere. The voxel of each rank is the sort order
+    itself, so a step builds one inverse permutation.
     """
     n = f.num_voxels
     # a stable sort keeps equal values in voxel-id order
-    order = np.argsort(f.values, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return rank
+    voxel = np.argsort(f.values, kind="stable")
+    dtype = np.int32 if n < 2**31 else np.int64
+    rank = np.empty(n, dtype=dtype)
+    rank[voxel] = np.arange(n, dtype=dtype)
+    return rank, voxel
 
 
-def _steepest_neighbor(f: ScalarField3D, rank: np.ndarray) -> np.ndarray:
+def _steepest_neighbor(f: ScalarField3D, order: VoxelOrder) -> np.ndarray:
     """next[v] = 26-neighbor of greatest rank if it beats v, else v.
 
-    Only the greatest neighbor rank and the index of the offset that
-    reached it are kept per voxel; the neighbor ids are formed once.
+    Ranks are unique, so the greatest rank in v's 3x3x3 box (clipped at
+    the border) is v's own exactly when v is a maximum, and otherwise
+    that of its steepest neighbor: next[v] is the voxel of that rank.
+    The box maximum is separable, a width-3 running maximum per axis.
     """
+    rank, voxel = order
     nx, ny, nz = f.dims
-    n = f.num_voxels
-    padded = np.full((nz + 2, ny + 2, nx + 2), -1, dtype=np.int64)
-    padded[1:-1, 1:-1, 1:-1] = rank.reshape(nz, ny, nx)
-
-    best = np.full((nz, ny, nx), -1, dtype=np.int64)
-    best_off = np.zeros((nz, ny, nx), dtype=np.int8)
-    better = np.empty((nz, ny, nx), dtype=bool)
-    for i, (dz, dy, dx) in enumerate(NEIGHBOR_OFFSETS):
-        nb = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
-        np.greater(nb, best, out=better)  # strict: the first winning offset stays
-        np.copyto(best, nb, where=better)
-        best_off[better] = i
-    steps = np.array(
-        [dx + nx * (dy + ny * dz) for dz, dy, dx in NEIGHBOR_OFFSETS], dtype=np.int64
-    )
-    own = np.arange(n, dtype=np.int64)
-    return np.where(best.ravel() > rank, own + steps[best_off.ravel()], own)
+    box = rank.reshape(nz, ny, nx)
+    for axis in range(3):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        src, box = box, box.copy()
+        np.maximum(box[hi], src[lo], out=box[hi])
+        np.maximum(box[lo], src[hi], out=box[lo])
+    return voxel[box.ravel()]
 
 
 def _jump(ptr: np.ndarray) -> np.ndarray:
@@ -101,16 +101,12 @@ def _jump(ptr: np.ndarray) -> np.ndarray:
         ptr = jumped
 
 
-def compute_segmentation(
-    f: ScalarField3D, rank: np.ndarray | None = None
-) -> Segmentation:
+def compute_segmentation(f: ScalarField3D, order: VoxelOrder | None = None) -> Segmentation:
     """Label every voxel with the maximum its steepest-ascent path reaches.
 
-    `rank` is `vertex_order(f)`, computed here when not given.
+    `order` is `vertex_order(f)`, computed here when not given.
     """
-    if rank is None:
-        rank = vertex_order(f)
-    nxt = _steepest_neighbor(f, rank)
+    nxt = _steepest_neighbor(f, vertex_order(f) if order is None else order)
     maxima = np.flatnonzero(nxt == np.arange(f.num_voxels))
     return Segmentation(
         field=f, labels=_jump(nxt), maxima=maxima, pers=np.zeros(len(maxima))
@@ -118,8 +114,7 @@ def compute_segmentation(
 
 
 def _best_per_pair(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct region-pair keys, ascending, and the greatest edge
-    rank of each."""
+    """The distinct region-pair keys, ascending, and each one's best rank."""
     order = np.argsort(keys)
     keys, ranks = keys[order], ranks[order]
     first = np.ones(len(keys), dtype=bool)
@@ -128,47 +123,53 @@ def _best_per_pair(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.
     return keys[starts], np.maximum.reduceat(ranks, starts)
 
 
+def _pad(a: np.ndarray, fill: int) -> np.ndarray:
+    """`a` (nz, ny, nx) framed by `fill` to (nz + 1, ny + 2, nx + 2), flat."""
+    nz, ny, nx = a.shape
+    out = np.full((nz + 1, ny + 2, nx + 2), fill, dtype=a.dtype)
+    out[:nz, 1:-1, 1:-1] = a
+    return out.ravel()
+
+
 def compute_saddles(
-    f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
+    f: ScalarField3D, seg: Segmentation, order: VoxelOrder | None = None
 ) -> Segmentation:
     """Fill in the region pairs and their saddles.
 
     For each unordered pair of adjacent labels the saddle is the
     crossing edge maximizing min(f(u), f(v)) under the total order; the
-    saddle sits at the lower endpoint of that edge. Exactly one saddle
-    is kept per pair. Each offset's crossing edges are reduced to the
-    best rank per pair before the next offset, so only one offset's
-    edges are held at a time.
+    saddle sits at the lower endpoint of that edge, one per pair. On the
+    padded flat arrays each of the 13 half offsets is a constant shift;
+    `inner` drops the edges into the padding. Each offset's crossing
+    edges are reduced to the best rank per pair of maximum rows before
+    the next offset.
     """
     nx, ny, nz = f.dims
-    n = f.num_voxels
-    if rank is None:
-        rank = vertex_order(f)
-    r3 = rank.reshape(nz, ny, nx)
-    l3 = seg.labels.reshape(nz, ny, nx)
+    rank, voxel = vertex_order(f) if order is None else order
+    k = len(seg.maxima)
+    row = np.empty_like(rank)  # set at the maxima only
+    row[seg.maxima] = np.arange(k, dtype=row.dtype)
+    lp = _pad(row[seg.labels].reshape(nz, ny, nx), -1)
+    rp = _pad(rank.reshape(nz, ny, nx), -1)
+    inner = _pad(np.ones((nz, ny, nx), dtype=bool), False)
 
-    # each list starts with an empty block: a field with no crossing edge
-    # gives empty columns
-    keys, ranks = [_empty_ids(0)], [_empty_ids(0)]
+    # empty first blocks: a field without crossing edges gets empty columns
+    keys, ranks = [_empty_ids(0)], [rank[:0]]
     for dz, dy, dx in HALF_OFFSETS:
-        a = (slice(0, nz - dz), slice(max(0, -dy), ny - max(0, dy)),
-             slice(max(0, -dx), nx - max(0, dx)))
-        b = (slice(dz, nz), slice(max(0, dy), ny + min(0, dy)),
-             slice(max(0, dx), nx + min(0, dx)))
-        cross = l3[a] != l3[b]
-        if not np.any(cross):
-            continue
-        la, lb = l3[a][cross], l3[b][cross]
-        key = np.minimum(la, lb).astype(np.int64) * n + np.maximum(la, lb)
-        best = _best_per_pair(key, np.minimum(r3[a][cross], r3[b][cross]))
+        s = (dz * (ny + 2) + dy) * (nx + 2) + dx
+        cross = lp[:-s] != lp[s:]
+        cross &= inner[:-s]
+        cross &= inner[s:]
+        i = np.flatnonzero(cross)
+        la, lb = lp[i], lp[i + s]
+        key = np.minimum(la, lb).astype(np.int64) * k + np.maximum(la, lb)
+        best = _best_per_pair(key, np.minimum(rp[i], rp[i + s]))
         keys.append(best[0])
         ranks.append(best[1])
 
     keys, ranks = _best_per_pair(np.concatenate(keys), np.concatenate(ranks))
+    seg.pairs = np.column_stack([seg.maxima[keys // k], seg.maxima[keys % k]])
     # the saddle is the lower vertex of its edge: the voxel of that rank
-    voxel = np.empty(n, dtype=np.int64)
-    voxel[rank] = np.arange(n)
-    seg.pairs = np.column_stack([keys // n, keys % n])
     seg.saddles = voxel[ranks]
     seg.saddle_ids = np.arange(len(keys), dtype=np.int64)
     return seg
@@ -232,7 +233,7 @@ def compute_persistence(
     f(global max) - f(global min).
     """
     if rank is None:
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
     seg.pers, _ = _pairing(seg, rank)
     return dict(zip(seg.maxima.tolist(), seg.pers.tolist()))
 
@@ -251,15 +252,14 @@ def simplify(
     themselves to the one surviving maximum of their tree. Each
     surviving region pair keeps the saddle of greatest (rank, saddle
     id). The global maximum is never canceled. By the same elder rule a
-    survivor keeps its raw persistence, so pairing the simplified graph
-    again would give the values this sweep already has. Returns a new
-    Segmentation; `seg` is left as it was.
+    survivor keeps its raw persistence. Returns a new Segmentation;
+    `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
     if rank is None:
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
     pers, partner = _pairing(seg, rank)
     canceled = (partner >= 0) & (pers < theta)
     rep = np.where(canceled, partner, np.arange(len(seg.maxima)))
@@ -301,9 +301,9 @@ def morse_step(f: ScalarField3D, theta: float) -> Segmentation:
     `simplify` pairs the raw graph itself and sets the persistence of
     the survivors, so the raw persistence is not computed separately.
     """
-    rank = vertex_order(f)
-    seg = compute_segmentation(f, rank)
-    seg = compute_saddles(f, seg, rank)
+    order = vertex_order(f)
+    seg = compute_saddles(f, compute_segmentation(f, order), order)
+    rank, order = order[0], None  # free the sort order before simplify
     return simplify(seg, theta, rank)
 
 

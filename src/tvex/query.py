@@ -53,10 +53,15 @@ def select_in_region(
     t0, t1 = window
     if t0 > t1:
         raise ValueError("window start must be <= end")
-    if any(a > b for a, b in zip(box[0], box[1])):
+    try:
+        lo, hi = box
+        lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    except (TypeError, ValueError):
+        lo = hi = None
+    if lo is None or lo.shape != (3,) or hi.shape != (3,):
+        raise ValueError(f"'box' must be two corners of three numbers, got {box!r}")
+    if any(a > b for a, b in zip(lo.tolist(), hi.tolist())):
         raise ValueError("box min must be <= max per axis")
-    lo = np.asarray(box[0], dtype=np.float64)
-    hi = np.asarray(box[1], dtype=np.float64)
     chosen: set[int] = set()
     spatial: list[tuple[int, int]] = []
     for g in tveg.graphs:

@@ -71,7 +71,7 @@ def iterative_simplify(seg: Segmentation, theta: float) -> Segmentation:
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
-    rank = vertex_order(f)
+    rank, _ = vertex_order(f)
     labels = seg.labels.copy()
     maxima = set(seg.maxima.tolist())
     saddle_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))

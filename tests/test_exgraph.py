@@ -154,7 +154,7 @@ def test_graph_holds_no_voxel_rank(rng):
     """The graph holds no voxel-sized array at all, and no array of the
     step's segmentation is the voxel rank."""
     f = random_field(rng, (6, 6, 6), time_index=1)
-    rank = morse.vertex_order(f)
+    rank, _ = morse.vertex_order(f)
     g = build_extremum_graph(f, 0.1)
     arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 6

@@ -487,6 +487,8 @@ class TestCli:
              "'dims' must be three positive integers, got [2, 2]"),
             ({"dims": [2, 0, 2], "steps": []},
              "'dims' must be three positive integers, got [2, 0, 2]"),
+            ({"dims": [2, 2, 2], "steps": []},
+             "'steps': series must contain at least one field"),
         ]
         for i, (doc, msg) in enumerate(cases):
             path = tmp_path / f"bad{i}.json"
@@ -494,6 +496,39 @@ class TestCli:
             argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    def test_manifest_skipping_step_times_are_named(self, tmp_path, capsys):
+        series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        doc = json.loads(open(manifest).read())
+        doc["steps"][1]["t"] = 5
+        path = tmp_path / "d" / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+        assert main(argv) == 2
+        msg = "'steps': time indices must increase by 1"
+        assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    @pytest.mark.parametrize("box", [
+        [[0, 0], [1, 1]],
+        [[0, 0, 0], [1, 1]],
+        [[0, 0, 0], [1, 1, 1], [2, 2, 2]],
+        [["a", 0, 0], [1, 1, 1]],
+        5,
+    ])
+    def test_query_spec_bad_box_is_named(self, tmp_path, capsys, box):
+        series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0", "-o", out]) == 0
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps({"kind": "region", "box": box, "window": [1, 2]}))
+        tveg_path = os.path.join(out, "tveg.json")
+        capsys.readouterr()
+        assert main(["query", "--tveg", tveg_path, "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}: 'box' must be two corners of three numbers, got {box!r}\n"
+        )
 
     @pytest.mark.parametrize("key, value, msg", [
         ("file", 5, "step 1 'file' must be a string, got 5"),

@@ -36,7 +36,7 @@ def segmentation_maxima(f: ScalarField3D) -> list[int]:
 def brute_force_maxima(f: ScalarField3D) -> list[int]:
     """Reference maxima scan: explicit 26-neighbor loops per voxel."""
     nx, ny, nz = f.dims
-    rank = vertex_order(f)
+    rank, _ = vertex_order(f)
     out = []
     for v in range(f.num_voxels):
         ix, iy, iz = grid_index(f, v)
@@ -75,8 +75,10 @@ def as_field(a: np.ndarray) -> ScalarField3D:
 class TestVertexOrder:
     def test_is_a_permutation(self, rng):
         f = random_field(rng, (4, 4, 4))
-        r = vertex_order(f)
+        r, voxel = vertex_order(f)
         assert sorted(r.tolist()) == list(range(f.num_voxels))
+        assert r.dtype == np.int32
+        assert np.array_equal(r[voxel], np.arange(f.num_voxels))
 
     def test_orders_by_value_then_id(self):
         f = ScalarField3D(
@@ -85,7 +87,7 @@ class TestVertexOrder:
             spacing=np.ones(3),
             values=[0.5, 0.2, 0.5, 0.1],
         )
-        r = vertex_order(f)
+        r, _ = vertex_order(f)
         # 0.1 < 0.2 < 0.5(id 0) < 0.5(id 2)
         assert r.tolist() == [2, 1, 3, 0]
 
@@ -99,7 +101,9 @@ class TestVertexOrder:
             values=values,
         )
         order = np.lexsort((np.arange(values.size), values))
-        assert np.array_equal(vertex_order(f), np.argsort(order))
+        rank, voxel = vertex_order(f)
+        assert np.array_equal(rank, np.argsort(order))
+        assert np.array_equal(voxel, order)
 
 
 class TestFindMaxima:
@@ -134,7 +138,7 @@ thin_integer_fields = arrays(np.float64, thin_shapes, elements=st.integers(0, 3)
 def brute_force_steepest(f: ScalarField3D) -> list[int]:
     """next[v] by an explicit 26-neighbor loop per voxel."""
     nx, ny, nz = f.dims
-    rank = vertex_order(f)
+    rank, _ = vertex_order(f)
     out = []
     for v in range(f.num_voxels):
         ix, iy, iz = grid_index(f, v)
@@ -180,7 +184,7 @@ class TestSegmentation:
         """Following the steepest 26-neighbor from any voxel preserves its label."""
         f = random_field(rng, (5, 5, 5))
         seg = compute_segmentation(f)
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
         nx, ny, nz = f.dims
         for v in rng.integers(0, f.num_voxels, 30):
             v = int(v)
@@ -223,7 +227,7 @@ class TestSaddles:
     def test_saddle_below_both_maxima(self, rng):
         f = random_field(rng, (6, 6, 6))
         seg = compute_saddles(f, compute_segmentation(f))
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
         sid_to_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
         for (la, lb), sid in adjacency(seg).items():
             s = sid_to_vertex[sid]
@@ -234,7 +238,7 @@ class TestSaddles:
         """Brute-force the best crossing edge for every adjacent pair."""
         f = random_field(rng, (4, 4, 4))
         seg = compute_saddles(f, compute_segmentation(f))
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
         nx, ny, nz = f.dims
         best: dict[tuple[int, int], int] = {}
         for v in range(f.num_voxels):

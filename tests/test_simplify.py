@@ -119,7 +119,7 @@ class TestSweepMatchesIterative:
 
     def test_rank_argument_gives_same_result(self, rng):
         f = as_field(rng.integers(0, 4, (5, 6, 4)).astype(np.float64))
-        rank = vertex_order(f)
+        rank, _ = vertex_order(f)
         assert_same(
             simplify(raw_segmentation(f), 1.5, rank),
             simplify(raw_segmentation(f), 1.5),
