@@ -3,8 +3,9 @@
 
 Builds two synthetic maxima sets of each requested size and times the
 full scoring -> filtering -> z-removal -> event-detection chain
-(`link_pair`), then each of those four stages on its own by calling the
-same `tvex.temporal` functions in the same order.
+(`link_pair`, then the `detect_events` a Tveg runs on its arcs), then
+each of those four stages on its own by calling the same
+`tvex.temporal` functions in the same order.
 
 Usage:
     python3 scripts/benchmark_linking.py [--n 150 [600 ...]] [--repeats 20]
@@ -55,17 +56,23 @@ def staged_link(g0, g1, w):
     return arcs, [b - a for a, b in zip(clock, clock[1:])]
 
 
+def linked(g0, g1, w):
+    """The work of one pair: `link_pair`, then the events of its arcs."""
+    arcs, _ = link_pair(g0, g1, w)
+    return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+
+
 def run(n, repeats, seed):
     rng = np.random.default_rng(seed)
     g0 = synthetic_maxima(rng, n, 1)
     g1 = synthetic_maxima(rng, n, 2)
     w = ScoreWeights()
 
-    link_pair(g0, g1, w)  # warm up
+    linked(g0, g1, w)  # warm up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        arcs, ev, _ = link_pair(g0, g1, w)
+        arcs, ev = linked(g0, g1, w)
         times.append(time.perf_counter() - t0)
     split = []
     for _ in range(repeats):

@@ -157,22 +157,6 @@ def events_to_dict(ev: EventSets) -> dict:
     return vars(ev)
 
 
-def events_from_dict(doc: dict) -> EventSets:
-    def record(e: dict) -> dict:
-        return {
-            "node": int(e["node"]),
-            "time": int(e["time"]),
-            "participants": [int(p) for p in e["participants"]],
-        }
-
-    return EventSets(
-        merges=[record(e) for e in doc["merges"]],
-        splits=[record(e) for e in doc["splits"]],
-        deletions=[(int(n), int(t)) for n, t in doc["deletions"]],
-        generations=[(int(n), int(t)) for n, t in doc["generations"]],
-    )
-
-
 def export_tveg_json(tveg: Tveg, path: str) -> None:
     """Write the whole structure as canonical JSON, steps per column."""
     doc = {
@@ -196,8 +180,10 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
 def load_tveg_json(path: str) -> Tveg:
     """Rebuild a Tveg from an exported file (without voxel geometry).
 
-    Raises ValueError when a step's layout is not the one exported or
-    the steps are not contiguous in t.
+    Raises ValueError when a step's layout is not the one exported, the
+    steps are not contiguous in t, a pair's arcs do not join maxima of
+    steps t and t + 1, or the stored events are not the ones the arcs
+    give.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -206,22 +192,35 @@ def load_tveg_json(path: str) -> Tveg:
     filter_meta = {}
     for pair in doc["temporal_arcs"]:
         t = int(pair["t"])
-        arcs_by_pair[t] = [
-            ScoreTuple(m0=int(a), m1=int(b), s=float(s)) for a, b, s in pair["arcs"]
-        ]
-        fm = pair["filter"]
-        filter_meta[t] = FilterMeta(
-            mu=float(fm["mu"]), sigma=float(fm["sigma"]), tau=float(fm["tau"])
-        )
+        i = t - graphs[0].t if graphs else -1
+        if not 0 <= i < len(graphs) - 1:
+            raise ValueError(f"temporal arcs {t}->{t + 1}: steps {t} and {t + 1} are not both stored")
+        n0, n1 = graphs[i].n_max, graphs[i + 1].n_max
+        arcs = [ScoreTuple(m0=int(a), m1=int(b), s=float(s)) for a, b, s in pair["arcs"]]
+        for a in arcs:
+            if not (a.m0 >> 32 == t and a.m0 & ROW_MASK < n0
+                    and a.m1 >> 32 == t + 1 and a.m1 & ROW_MASK < n1):
+                raise ValueError(
+                    f"temporal arcs {t}->{t + 1}: arc ({a.m0}, {a.m1}) does not "
+                    f"join a maximum of step {t} to one of step {t + 1}"
+                )
+        arcs_by_pair[t] = arcs
+        filter_meta[t] = FilterMeta(*(float(pair["filter"][k]) for k in ("mu", "sigma", "tau")))
     w = doc["weights"]
-    return Tveg(
+    tveg = Tveg(
         graphs=graphs,
         arcs_by_pair=arcs_by_pair,
-        events=events_from_dict(doc["events"]),
         weights=ScoreWeights(*(float(w[k]) for k in ("G", "L1", "L2", "L3"))),
         filter_meta=filter_meta,
         theta=float(doc["theta"]),
     )
+    stored = doc["events"]
+    for kind, records in vars(tveg.events).items():
+        if kind in ("deletions", "generations"):
+            records = [[n, t] for n, t in records]  # as JSON lists
+        if stored[kind] != records:
+            raise ValueError(f"events: the stored {kind} are not those the temporal arcs give")
+    return tveg
 
 
 def tracks_to_dict(tracks: list[Track]) -> dict:

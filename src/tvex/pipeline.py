@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,15 +27,14 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
     """Persistence threshold from a CLI spec.
 
     A trailing "r" means a fraction of the series' global scalar range
-    ("0.05r"); a plain number is an absolute threshold.
+    ("0.05r"); a plain number is an absolute threshold. Either must be
+    finite and >= 0; that is checked before any volume is read.
     """
-    if isinstance(spec, str) and spec.endswith("r"):
-        frac = float(spec[:-1])
-        return frac * series.global_range()
-    value = float(spec)
-    if value < 0:
-        raise ValueError("theta must be >= 0")
-    return value
+    relative = isinstance(spec, str) and spec.endswith("r")
+    value = float(spec[:-1] if relative else spec)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"theta must be a finite number >= 0, got {spec!r}")
+    return value * series.global_range() if relative else value
 
 
 def build_graphs(series: FieldSeries, theta: float) -> list[ExtremumGraph]:

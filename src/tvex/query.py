@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,12 @@ def select_in_region(
     t0, t1 = window
     if t0 > t1:
         raise ValueError("window start must be <= end")
-    try:
-        lo, hi = box
-        lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    except (TypeError, ValueError):
-        lo = hi = None
-    if lo is None or lo.shape != (3,) or hi.shape != (3,):
+    if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
+            isinstance(c, (list, tuple)) and len(c) == 3
+            and all(type(x) in (int, float) and math.isfinite(x) for x in c) for c in box)):
         raise ValueError(f"'box' must be two corners of three numbers, got {box!r}")
-    if any(a > b for a, b in zip(lo.tolist(), hi.tolist())):
+    lo, hi = np.asarray(box[0], dtype=np.float64), np.asarray(box[1], dtype=np.float64)
+    if any(a > b for a, b in zip(*box)):
         raise ValueError("box min must be <= max per axis")
     chosen: set[int] = set()
     spatial: list[tuple[int, int]] = []

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dfield
 from itertools import compress
 
 import numpy as np
 
-from .exgraph import ExtremumGraph
+from .exgraph import ExtremumGraph, make_node_id
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,25 @@ class FilterMeta:
 
 @dataclass
 class Tveg:
-    """All per-step graphs plus temporal arcs and cumulative events."""
+    """All per-step graphs plus temporal arcs keyed by source step; the
+    events are derived from the arcs, one `detect_events` per pair."""
 
     graphs: list[ExtremumGraph]
     arcs_by_pair: dict[int, list[ScoreTuple]]
-    events: EventSets
     weights: ScoreWeights
     filter_meta: dict[int, FilterMeta]
     theta: float = 0.0
+    events: EventSets = dfield(init=False)
+
+    def __post_init__(self):
+        self.events = EventSets()
+        for t in sorted(self.arcs_by_pair):
+            # the maxima ids as ranges (rows [0, n_max)): cheaper than g.maxima.tolist()
+            ids0, ids1 = (
+                range(make_node_id(u, 0), make_node_id(u, self.graph_at(u).n_max))
+                for u in (t, t + 1)
+            )
+            self.events.extend(detect_events(self.arcs_by_pair[t], ids0, ids1, t))
 
     def all_arcs(self) -> list[ScoreTuple]:
         out = []
@@ -182,7 +194,7 @@ def filter_scores(S: list[ScoreTuple]) -> tuple[list[ScoreTuple], FilterMeta]:
 
 
 def detect_events(
-    arcs: list[ScoreTuple], M0_ids: list[int], M1_ids: list[int], t: int
+    arcs: list[ScoreTuple], M0_ids: Sequence[int], M1_ids: Sequence[int], t: int
 ) -> EventSets:
     """Classify events from arc degrees between steps t and t+1.
 
@@ -242,25 +254,19 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
 
 def link_pair(
     g0: ExtremumGraph, g1: ExtremumGraph, w: ScoreWeights
-) -> tuple[list[ScoreTuple], EventSets, FilterMeta]:
+) -> tuple[list[ScoreTuple], FilterMeta]:
     """Full correspondence computation for one consecutive pair."""
-    ids0, ids1 = g0.maxima.tolist(), g1.maxima.tolist()
-    if not ids0 or not ids1:
-        ev = detect_events([], ids0, ids1, g0.t)
-        return [], ev, FilterMeta(mu=0.0, sigma=0.0, tau=0.0)
-    S = compute_scores(g0, g1, w)
-    S, meta = filter_scores(S)
-    S = remove_z_configurations(S)
-    ev = detect_events(S, ids0, ids1, g0.t)
-    return S, ev, meta
+    if not g0.n_max or not g1.n_max:
+        return [], FilterMeta(mu=0.0, sigma=0.0, tau=0.0)
+    S, meta = filter_scores(compute_scores(g0, g1, w))
+    return remove_z_configurations(S), meta
 
 
 def temporal_arcs(graphs: list[ExtremumGraph], w: ScoreWeights) -> Tveg:
     """Link every consecutive pair of extremum graphs into a Tveg.
 
-    Pairs are independent of each other; events are re-detected on the
-    surviving arcs after z-removal, which yields the same final sets as
-    incremental updates.
+    Pairs are independent of each other; the Tveg detects the events
+    on the arcs that survive z-removal.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 time steps")
@@ -269,16 +275,11 @@ def temporal_arcs(graphs: list[ExtremumGraph], w: ScoreWeights) -> Tveg:
             raise ValueError("graphs must be contiguous in t")
     arcs_by_pair: dict[int, list[ScoreTuple]] = {}
     filter_meta: dict[int, FilterMeta] = {}
-    events = EventSets()
     for g0, g1 in zip(graphs, graphs[1:]):
-        S, ev, meta = link_pair(g0, g1, w)
-        arcs_by_pair[g0.t] = S
-        filter_meta[g0.t] = meta
-        events.extend(ev)
+        arcs_by_pair[g0.t], filter_meta[g0.t] = link_pair(g0, g1, w)
     return Tveg(
         graphs=list(graphs),
         arcs_by_pair=arcs_by_pair,
-        events=events,
         weights=w,
         filter_meta=filter_meta,
     )

@@ -120,6 +120,65 @@ class TestTvegLoaderChecks:
         assert "error:" in capsys.readouterr().err
 
 
+class TestTvegPairChecks:
+    """The loader checks each stored pair of temporal arcs against the
+    steps, and the stored events against those the arcs give."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pairs")
+        series = generate_gauss8((8, 8, 8), steps=4, sigma=0.08)
+        manifest = save_series(series, str(tmp / "d"))
+        assert main(["tveg", "--manifest", manifest, "--theta", "0.05r", "-o", str(tmp)]) == 0
+        return manifest, (tmp / "tveg.json").read_text()
+
+    @pytest.mark.parametrize(
+        "how, named",
+        [
+            ("m0 is a saddle", "temporal arcs 1->2"),
+            ("m0 is a row past n_max", "temporal arcs 1->2"),
+            ("m1 is of step t + 2", "temporal arcs 1->2"),
+            ("pair at the last step", "temporal arcs 4->5"),
+            ("merge the arcs do not give", "events: the stored merges"),
+            ("deletion dropped", "events: the stored deletions"),
+        ],
+    )
+    def test_rejects_with_exit_2(self, run, tmp_path, capsys, how, named):
+        manifest, text = run
+        doc = json.loads(text)
+        pair, nodes = doc["temporal_arcs"][0], doc["steps"][0]["nodes"]
+        n_max = sum(node["index"] == 3 for node in nodes)
+        if how == "m0 is a saddle":
+            assert len(nodes) > n_max
+            pair["arcs"][0][0] = nodes[n_max]["id"]
+        elif how == "m0 is a row past n_max":
+            pair["arcs"][0][0] = (1 << 32) | 999
+        elif how == "m1 is of step t + 2":
+            pair["arcs"][0][1] += 1 << 32
+        elif how == "pair at the last step":
+            doc["temporal_arcs"][-1]["t"] = doc["steps"][-1]["t"]
+        elif how == "merge the arcs do not give":
+            (a, b, _), (c, _, _) = pair["arcs"][:2]
+            doc["events"]["merges"].append({"node": b, "time": 2, "participants": [a, c]})
+        elif how == "deletion dropped":
+            assert doc["events"]["deletions"]
+            doc["events"]["deletions"].pop()
+        p = str(tmp_path / "t.json")
+        with open(p, "w") as fh:
+            fh.write(tvio.canonical_json(doc))
+        with pytest.raises(ValueError, match=named):
+            tvio.load_tveg_json(p)
+        capsys.readouterr()
+        for argv in (
+            ["events", "--tveg", p],
+            ["export", "--tveg", p, "-o", str(tmp_path / "x.vtk")],
+            ["tracks", "--refine", "--tveg", p, "--manifest", manifest,
+             "-o", str(tmp_path / "x.json")],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
 class TestTracksRoundtrip:
     def test_json_roundtrip(self, tvg, tmp_path):
         tracks = extract_tracks(tvg, mode="simple-paths")
@@ -514,6 +573,8 @@ class TestCli:
         [[0, 0, 0], [1, 1]],
         [[0, 0, 0], [1, 1, 1], [2, 2, 2]],
         [["a", 0, 0], [1, 1, 1]],
+        [[None, 0, 0], [1, 1, 1]],
+        [["-1", 0, 0], [1, 1, 1]],
         5,
     ])
     def test_query_spec_bad_box_is_named(self, tmp_path, capsys, box):
@@ -547,6 +608,19 @@ class TestCli:
         argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "nanr", "-infr", "-0.5r", "-1"])
+    def test_bad_theta_is_named_before_any_volume_is_read(self, tmp_path, capsys, theta):
+        manifest = save_series(generate_gauss8((4, 4, 4), steps=2), str(tmp_path / "d"))
+        raw = tmp_path / "d" / "vol_0001.raw"
+        vals = np.fromfile(raw, dtype="<f4")
+        vals[0] = np.nan  # reading this volume would fail with its own error
+        vals.tofile(raw)
+        out = tmp_path / "o"
+        assert main(["tveg", "--manifest", manifest, f"--theta={theta}", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: theta must be a finite number >= 0, got {theta!r}\n"
+        assert not (out / "tveg.json").exists()
 
     def test_nan_volume_is_named(self, tmp_path, capsys):
         manifest = save_series(generate_gauss8((8, 8, 8), steps=2), str(tmp_path / "d"))

@@ -17,7 +17,6 @@ from tvex.exgraph import build_extremum_graph
 from tvex.field import ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.temporal import (
-    EventSets,
     ScoreTuple,
     ScoreWeights,
     Tveg,
@@ -151,7 +150,7 @@ class TestStepWriter:
             g = maxima_graph(t, cols, *cols.T)
             g.vertex = vertex + np.arange(len(cols), dtype=np.int64)
             graphs.append(g)
-        tveg = Tveg(graphs, {}, EventSets(), ScoreWeights(), {}, theta=theta)
+        tveg = Tveg(graphs, {}, ScoreWeights(), {}, theta=theta)
         self.assert_same_text(tveg)
 
     @given(

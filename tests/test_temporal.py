@@ -247,7 +247,8 @@ class TestLinkPairInvariants:
         rng = np.random.default_rng(seed)
         g0 = random_maxima(rng, n0, 1)
         g1 = random_maxima(rng, n1, 2)
-        arcs, ev, meta = link_pair(g0, g1, ScoreWeights())
+        arcs, meta = link_pair(g0, g1, ScoreWeights())
+        ev = detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
 
         ids0 = set(g0.maxima.tolist())
         ids1 = set(g1.maxima.tolist())

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
-from tvex.temporal import ScoreTuple, ScoreWeights, Tveg, EventSets
+from tvex.temporal import ScoreTuple, ScoreWeights, Tveg
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
 import refine_oracle
-from conftest import random_maxima
+from conftest import maxima_graph, random_maxima
 
 
 def nid(t, i):
@@ -20,14 +20,21 @@ def nid(t, i):
 
 
 def toy_tveg(arc_triples, graphs=None):
-    """Tveg carrying only temporal arcs (enough for track extraction)."""
-    by_pair = {}
+    """Tveg carrying temporal arcs (enough for track extraction); without
+    `graphs`, each step holds as many all-zero maxima as its arcs reach."""
+    by_pair, n_max = {}, {}
     for m0, m1, s in arc_triples:
         by_pair.setdefault(m0 >> 32, []).append(ScoreTuple(m0, m1, s))
+        for m in (m0, m1):
+            n_max[m >> 32] = max(n_max.get(m >> 32, 0), (m & 0xFFFFFFFF) + 1)
+    if graphs is None:
+        graphs = []
+        for t in range(min(n_max, default=0), max(n_max, default=-1) + 1):
+            z = np.zeros(n_max.get(t, 0))
+            graphs.append(maxima_graph(t, np.zeros((len(z), 3)), z, z, z))
     return Tveg(
-        graphs=graphs or [],
+        graphs=graphs,
         arcs_by_pair=by_pair,
-        events=EventSets(),
         weights=ScoreWeights(),
         filter_meta={},
     )
