@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Write the canonical outputs of a tvex build into one directory tree.
+
+Every output is written by the tvex package that `PYTHONPATH` points
+at, mostly through its command-line interface, so running this once per
+source tree and comparing the two trees checks that a change leaves
+every canonical output byte-identical:
+
+    PYTHONPATH=old/src python3 scripts/identity.py /tmp/id-old
+    PYTHONPATH=new/src python3 scripts/identity.py /tmp/id-new
+    diff -r /tmp/id-old /tmp/id-new
+
+The tree holds, for the Gauss8 32^3 x 50 series at theta = 0.05r:
+`tveg.json` written with TVEX_THREADS 1 and 2, the `eg` files, the
+events (all, and the window 20..30), the tracks in both modes, the
+refined tracks at isovalues 0.1, 0.8 and 0.9, one query of each kind,
+the VTK export with and without spatial arcs, and the segmentation of
+step 30. For each series of the benchmark's gauss8-64, noisy-20 and
+dense-24 workloads (drawn from seed 5) it holds `tveg.json` written
+with TVEX_THREADS 1 and 2 and its export -> load -> export copy. The
+input volumes are written under `inputs/`.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "bench"))
+
+from tvex import io as tvio  # noqa: E402
+from tvex.cli import main as tvex  # noqa: E402
+from workloads import WORKLOADS, series_params, write_series  # noqa: E402
+
+THREADS = ("1", "2")
+SEED = 5  # of the benchmark series
+
+
+def run(*argv: str) -> None:
+    """One `tvex` command; its summary line (with timings) is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tvex(list(argv))
+    if code:
+        sys.exit(f"identity: tvex {' '.join(argv)} exited {code}")
+
+
+def tveg_per_thread_count(manifest: str, theta: str, out: str) -> str:
+    """`tvex tveg` once per thread count into out/threads<n>/; returns the
+    first tveg.json. Only `tveg` reads TVEX_THREADS."""
+    for n in THREADS:
+        os.environ["TVEX_THREADS"] = n
+        run("tveg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/threads{n}")
+    return f"{out}/threads{THREADS[0]}/tveg.json"
+
+
+def gauss8(out: str) -> None:
+    theta = "0.05r"
+    run("gen", "--gauss8", "--dims", "32", "--steps", "50", "-o", f"{out}/inputs/gauss8")
+    manifest = f"{out}/inputs/gauss8/manifest.json"
+    out = f"{out}/gauss8"
+    tveg = tveg_per_thread_count(manifest, theta, out)
+    run("eg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/eg")
+    run("events", "--tveg", tveg, "-o", f"{out}/events.json")
+    run("events", "--tveg", tveg, "--window", "20", "30", "-o", f"{out}/events_20_30.json")
+    paths = f"{out}/tracks_simple_paths.json"
+    run("tracks", "--tveg", tveg, "-o", paths)
+    run("tracks", "--tveg", tveg, "--mode", "components", "-o", f"{out}/tracks_components.json")
+    for iso in ("0.1", "0.8", "0.9"):
+        run("tracks", "--tveg", tveg, "--refine", "--manifest", manifest, "--isovalue", iso,
+            "-o", f"{out}/refined_{iso}.json")
+    with open(paths) as fh:
+        seeds = [str(n) for _, n in json.load(fh)["tracks"][0]["nodes"]]
+    query = ["query", "--tveg", tveg, "--tracks", paths, "--kind"]
+    run(*query, "length-threshold", "--k", "10", "-o", f"{out}/query_length.json")
+    run(*query, "least-deviation", "--n", "3", "-o", f"{out}/query_deviation.json")
+    run(*query, "region", "--box", "-1", "0", "-1", "1", "1", "1", "--window", "20", "30",
+        "-o", f"{out}/query_region.json")
+    run(*query, "window-events", "--window", "20", "30", "-o", f"{out}/query_events.json")
+    run(*query, "neighborhood", "--seeds", *seeds, "--hops", "2",
+        "-o", f"{out}/query_neighborhood.json")
+    run("export", "--tveg", tveg, "-o", f"{out}/tracks.vtk")
+    run("export", "--tveg", tveg, "--spatial-arcs", "-o", f"{out}/tracks_spatial.vtk")
+    run("export", "--what", "segmentation", "--manifest", manifest, "--theta", theta,
+        "--t", "30", "-o", f"{out}/segmentation_30")
+
+
+def bench_series(out: str) -> None:
+    for name in ("gauss8-64", "noisy-20", "dense-24"):
+        w = WORKLOADS[name]
+        for i, params in enumerate(series_params(w, SEED, smoke=False, steps=None)):
+            manifest = write_series(params, f"{out}/inputs/{name}/series{i}")
+            tveg = tveg_per_thread_count(manifest, w.theta, f"{out}/{name}/series{i}")
+            tvio.export_tveg_json(tvio.load_tveg_json(tveg), f"{out}/{name}/series{i}/copy.json")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="directory to write the outputs into (created)")
+    args = ap.parse_args()
+    print(f"identity: tvex from {os.path.dirname(tvio.__file__)}", file=sys.stderr)
+    os.makedirs(args.out, exist_ok=True)
+    gauss8(args.out)
+    bench_series(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

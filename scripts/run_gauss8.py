@@ -61,7 +61,7 @@ def main() -> int:
 
     counts = [len(g.maxima) for g in tvg.graphs]
     print(f"maxima per step: min {min(counts)}, max {max(counts)}")
-    n_arcs = sum(len(v) for v in tvg.arcs_by_pair.values())
+    n_arcs = len(tvg.all_arcs())
     ev = tvg.events
     half = args.steps // 2
     mg1 = sum(1 for e in ev.merges if e["time"] <= half)

@@ -32,7 +32,6 @@ from .temporal import (
     filter_scores,
     normalize_components,
     remove_z_configurations,
-    temporal_arcs,
 )
 from .tracks import Track, extract_tracks, refine_by_overlap
 

@@ -85,7 +85,7 @@ def cmd_tveg(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "tveg.json")
     tvio.export_tveg_json(tveg, path)
-    n_arcs = sum(len(v) for v in tveg.arcs_by_pair.values())
+    n_arcs = len(tveg.all_arcs())
     ev = tveg.events
     print(
         f"tveg: {len(tveg.graphs)} steps, {n_arcs} temporal arcs, "
@@ -139,6 +139,7 @@ def cmd_query(args) -> int:
             q = json.load(fh)
         if not isinstance(q, dict):
             raise ValueError(f"{args.spec}: a query must be a JSON object")
+        _check_spec(q, args.spec)
     else:
         q = {
             "kind": args.kind,
@@ -158,6 +159,19 @@ def cmd_query(args) -> int:
     _write(tvio.canonical_json(result), args.output)
     print(f"query: kind={q['kind']} [{time.perf_counter() - t0:.2f}s]")
     return 0
+
+
+def _check_spec(q: dict, spec: str) -> None:
+    """Name the first key of a query file whose JSON type is wrong. An
+    absent key passes; a bool is not an integer."""
+    for key in ("k", "n", "hops"):
+        if key in q and type(q[key]) is not int:
+            raise ValueError(f"{spec}: '{key}' must be an integer, got {q[key]!r}")
+    window, seeds = q.get("window", [0, 0]), q.get("seeds", [0])
+    if not (type(window) is list and len(window) == 2 and all(type(x) is int for x in window)):
+        raise ValueError(f"{spec}: 'window' must be two integers, got {window!r}")
+    if not (type(seeds) is list and seeds and all(type(x) is int for x in seeds)):
+        raise ValueError(f"{spec}: 'seeds' must be a non-empty list of integers, got {seeds!r}")
 
 
 def _run_query(tveg, q: dict, tracks_path) -> dict:

@@ -8,7 +8,7 @@ and export -> parse -> export round-trips exactly.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -87,19 +87,18 @@ def _step_json(g: ExtremumGraph) -> _Text:
 
 
 _NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
+_WEIGHTS = itemgetter("G", "L1", "L2", "L3")
 
 
 def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
     """Column tables of the stored steps.
 
     Each column is converted once for the whole file and sliced per
-    step. Rejects a file whose steps are not contiguous in t, whose node
-    ids are not (t, row) in row order, whose maxima do not come first,
-    or whose arcs are not sorted (maximum, saddle) pairs of their step.
+    step. Rejects a file whose node ids are not (t, row) in row order,
+    whose maxima do not come first, or whose arcs are not sorted
+    (maximum, saddle) pairs of their step.
     """
     ts = [int(step["t"]) for step in steps]
-    if any(b != a + 1 for a, b in zip(ts, ts[1:])):
-        raise ValueError("steps must be contiguous in t")
     sizes, n_max, cols = [], [], []
     for t, step in zip(ts, steps):
         k = len(step["nodes"])
@@ -164,12 +163,8 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         "weights": vars(tveg.weights),
         "steps": [_step_json(g) for g in tveg.graphs],
         "temporal_arcs": [
-            {
-                "t": t,
-                "arcs": [[a.m0, a.m1, a.s] for a in tveg.arcs_by_pair[t]],
-                "filter": vars(tveg.filter_meta[t]),
-            }
-            for t in sorted(tveg.arcs_by_pair)
+            {"t": g.t, "arcs": [[a.m0, a.m1, a.s] for a in arcs], "filter": vars(meta)}
+            for g, (arcs, meta) in zip(tveg.graphs, tveg.links)
         ],
         "events": events_to_dict(tveg.events),
     }
@@ -177,25 +172,21 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         fh.write(canonical_json(doc))
 
 
-def load_tveg_json(path: str) -> Tveg:
-    """Rebuild a Tveg from an exported file (without voxel geometry).
-
-    Raises ValueError when a step's layout is not the one exported, the
-    steps are not contiguous in t, a pair's arcs do not join maxima of
-    steps t and t + 1, or the stored events are not the ones the arcs
-    give.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    graphs = _graphs_from_steps(doc["steps"])
-    arcs_by_pair = {}
-    filter_meta = {}
-    for pair in doc["temporal_arcs"]:
-        t = int(pair["t"])
-        i = t - graphs[0].t if graphs else -1
-        if not 0 <= i < len(graphs) - 1:
-            raise ValueError(f"temporal arcs {t}->{t + 1}: steps {t} and {t + 1} are not both stored")
-        n0, n1 = graphs[i].n_max, graphs[i + 1].n_max
+def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
+    """The (arcs, filter statistics) of each stored pair. The pairs must
+    be those of consecutive stored steps, in order, and each arc must
+    join a maximum of step t to one of step t + 1."""
+    ts, stored = [g.t for g in graphs[:-1]], [int(pair["t"]) for pair in pairs]
+    for i, (t, want) in enumerate(zip_longest(stored, ts)):
+        if t != want:
+            if t is None or t in ts and t not in stored[:i]:
+                t, why = want, "missing" if want not in stored else "stored out of order"
+            else:
+                why = "stored twice" if t in ts else f"steps {t} and {t + 1} are not both stored"
+            raise ValueError(f"temporal arcs {t}->{t + 1}: {why}")
+    links = []
+    for g0, g1, pair in zip(graphs, graphs[1:], pairs):
+        t, n0, n1 = g0.t, g0.n_max, g1.n_max
         arcs = [ScoreTuple(m0=int(a), m1=int(b), s=float(s)) for a, b, s in pair["arcs"]]
         for a in arcs:
             if not (a.m0 >> 32 == t and a.m0 & ROW_MASK < n0
@@ -204,21 +195,45 @@ def load_tveg_json(path: str) -> Tveg:
                     f"temporal arcs {t}->{t + 1}: arc ({a.m0}, {a.m1}) does not "
                     f"join a maximum of step {t} to one of step {t + 1}"
                 )
-        arcs_by_pair[t] = arcs
-        filter_meta[t] = FilterMeta(*(float(pair["filter"][k]) for k in ("mu", "sigma", "tau")))
-    w = doc["weights"]
+        meta = FilterMeta(*(float(pair["filter"][k]) for k in ("mu", "sigma", "tau")))
+        links.append((arcs, meta))
+    return links
+
+
+def _read(section: str, read, *args):
+    """`read(*args)`; a TypeError there means a value of `section` has the
+    wrong JSON type, and is raised as a ValueError that names it."""
+    try:
+        return read(*args)
+    except TypeError as exc:
+        raise ValueError(f"'{section}': a value of the wrong JSON type ({exc})") from None
+
+
+def load_tveg_json(path: str) -> Tveg:
+    """Rebuild a Tveg from an exported file (without voxel geometry).
+
+    Raises ValueError when a value has the wrong JSON type, a step's or a
+    pair's layout is not the one exported, the steps are not contiguous
+    in t, or the stored events are not the ones the arcs give.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a tveg.json must be an object, got {type(doc).__name__}")
+    for key, kind in (("steps", list), ("temporal_arcs", list), ("weights", dict), ("events", dict)):
+        if not isinstance(value := doc.get(key), kind):
+            raise ValueError(f"'{key}' must be a {kind.__name__}, got {type(value).__name__}")
+    graphs = _read("steps", _graphs_from_steps, doc["steps"])
     tveg = Tveg(
         graphs=graphs,
-        arcs_by_pair=arcs_by_pair,
-        weights=ScoreWeights(*(float(w[k]) for k in ("G", "L1", "L2", "L3"))),
-        filter_meta=filter_meta,
-        theta=float(doc["theta"]),
+        links=_read("temporal_arcs", _links_from_pairs, doc["temporal_arcs"], graphs),
+        weights=_read("weights", lambda w: ScoreWeights(*map(float, _WEIGHTS(w))), doc["weights"]),
+        theta=_read("theta", float, doc["theta"]),
     )
-    stored = doc["events"]
     for kind, records in vars(tveg.events).items():
         if kind in ("deletions", "generations"):
             records = [[n, t] for n, t in records]  # as JSON lists
-        if stored[kind] != records:
+        if doc["events"][kind] != records:
             raise ValueError(f"events: the stored {kind} are not those the temporal arcs give")
     return tveg
 

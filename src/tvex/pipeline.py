@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .exgraph import ExtremumGraph, build_extremum_graph
 from .field import FieldSeries
-from .temporal import ScoreWeights, Tveg, temporal_arcs
+from .temporal import ScoreWeights, Tveg, link_pair
 
 
 def thread_count() -> int:
@@ -69,6 +69,5 @@ def compute_tveg(
     if len(fields) < 2:
         raise ValueError("need at least 2 time steps")
     graphs = build_graphs(FieldSeries(fields), theta)
-    tveg = temporal_arcs(graphs, weights)
-    tveg.theta = theta
-    return tveg
+    links = [link_pair(g0, g1, weights) for g0, g1 in zip(graphs, graphs[1:])]
+    return Tveg(graphs, links, weights, theta)

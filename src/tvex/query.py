@@ -70,12 +70,7 @@ def select_in_region(
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)  # per maximum row
         chosen.update(g.maxima[inside].tolist())
         spatial.extend(map(tuple, g.arcs[inside[g.arcs[:, 0] & ROW_MASK]].tolist()))
-    temporal = [
-        a
-        for t in sorted(tveg.arcs_by_pair)
-        for a in tveg.arcs_by_pair[t]
-        if a.m0 in chosen and a.m1 in chosen
-    ]
+    temporal = [a for a in tveg.all_arcs() if a.m0 in chosen and a.m1 in chosen]
     return Selection(
         maxima=sorted(chosen),
         saddles=sorted({s for _, s in spatial}),

@@ -14,7 +14,7 @@ import heapq
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dfield
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -72,31 +72,30 @@ class FilterMeta:
 
 @dataclass
 class Tveg:
-    """All per-step graphs plus temporal arcs keyed by source step; the
-    events are derived from the arcs, one `detect_events` per pair."""
+    """All per-step graphs plus the temporal arcs between them: `links[i]`
+    is the (arcs, filter statistics) that `link_pair` gives for
+    `graphs[i]` and `graphs[i + 1]`. The events are derived from the
+    arcs, one `detect_events` per pair."""
 
     graphs: list[ExtremumGraph]
-    arcs_by_pair: dict[int, list[ScoreTuple]]
+    links: list[tuple[list[ScoreTuple], FilterMeta]]
     weights: ScoreWeights
-    filter_meta: dict[int, FilterMeta]
     theta: float = 0.0
     events: EventSets = dfield(init=False)
 
     def __post_init__(self):
+        if any(b.t != a.t + 1 for a, b in zip(self.graphs, self.graphs[1:])):
+            raise ValueError("graphs must be contiguous in t")
+        if len(self.links) != max(len(self.graphs) - 1, 0):
+            raise ValueError("a Tveg needs one link per consecutive pair of graphs")
         self.events = EventSets()
-        for t in sorted(self.arcs_by_pair):
+        for g0, g1, (arcs, _) in zip(self.graphs, self.graphs[1:], self.links):
             # the maxima ids as ranges (rows [0, n_max)): cheaper than g.maxima.tolist()
-            ids0, ids1 = (
-                range(make_node_id(u, 0), make_node_id(u, self.graph_at(u).n_max))
-                for u in (t, t + 1)
-            )
-            self.events.extend(detect_events(self.arcs_by_pair[t], ids0, ids1, t))
+            ids0, ids1 = (range(make_node_id(g.t, 0), make_node_id(g.t, g.n_max)) for g in (g0, g1))
+            self.events.extend(detect_events(arcs, ids0, ids1, g0.t))
 
     def all_arcs(self) -> list[ScoreTuple]:
-        out = []
-        for t in sorted(self.arcs_by_pair):
-            out.extend(self.arcs_by_pair[t])
-        return out
+        return list(chain.from_iterable(arcs for arcs, _ in self.links))
 
     def graph_at(self, t: int) -> ExtremumGraph:
         """The graph of step t; graphs are contiguous in t."""
@@ -260,26 +259,3 @@ def link_pair(
         return [], FilterMeta(mu=0.0, sigma=0.0, tau=0.0)
     S, meta = filter_scores(compute_scores(g0, g1, w))
     return remove_z_configurations(S), meta
-
-
-def temporal_arcs(graphs: list[ExtremumGraph], w: ScoreWeights) -> Tveg:
-    """Link every consecutive pair of extremum graphs into a Tveg.
-
-    Pairs are independent of each other; the Tveg detects the events
-    on the arcs that survive z-removal.
-    """
-    if len(graphs) < 2:
-        raise ValueError("need at least 2 time steps")
-    for a, b in zip(graphs, graphs[1:]):
-        if b.t != a.t + 1:
-            raise ValueError("graphs must be contiguous in t")
-    arcs_by_pair: dict[int, list[ScoreTuple]] = {}
-    filter_meta: dict[int, FilterMeta] = {}
-    for g0, g1 in zip(graphs, graphs[1:]):
-        arcs_by_pair[g0.t], filter_meta[g0.t] = link_pair(g0, g1, w)
-    return Tveg(
-        graphs=list(graphs),
-        arcs_by_pair=arcs_by_pair,
-        weights=w,
-        filter_meta=filter_meta,
-    )

@@ -148,7 +148,7 @@ def refine_by_overlap(
     """
     kept: list[ScoreTuple] = []
     prev = prev_vertex = None
-    for g in tveg.graphs:
+    for g, (arcs_in, _) in zip(tveg.graphs, [([], None)] + tveg.links):
         f = series.at(g.t)
         seg = morse_step(f, tveg.theta)
         maxima = g.vertex[: g.n_max]
@@ -164,7 +164,7 @@ def refine_by_overlap(
             pairs, counts = np.unique(prev[both] * n + cur[both], return_counts=True)
             overlap = dict(zip(pairs.tolist(), counts.tolist()))
         by_src: dict[int, list[tuple[ScoreTuple, int]]] = {}
-        for a in tveg.arcs_by_pair.get(g.t - 1, []):
+        for a in arcs_in:
             key = int(prev_vertex[a.m0 & ROW_MASK]) * n + int(g.vertex[a.m1 & ROW_MASK])
             by_src.setdefault(a.m0, []).append((a, overlap.get(key, 0)))
         for src in sorted(by_src):

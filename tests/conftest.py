@@ -5,6 +5,7 @@ import pytest
 
 from tvex.exgraph import ExtremumGraph
 from tvex.field import FieldSeries, ScalarField3D
+from tvex.temporal import ScoreWeights, Tveg, link_pair
 
 
 def random_field(rng, dims, time_index=0):
@@ -50,6 +51,12 @@ def random_maxima(rng, n, t):
         cols["pers"].append(float(rng.uniform(0.05, 1.0)))
         cols["eta"].append(float(rng.uniform(0.1, 3.0)))
     return maxima_graph(t, **cols)
+
+
+def linked(graphs, w=ScoreWeights(), theta=0.0):
+    """A Tveg of `graphs`, each consecutive pair linked by `link_pair`."""
+    links = [link_pair(g0, g1, w) for g0, g1 in zip(graphs, graphs[1:])]
+    return Tveg(graphs, links, w, theta)
 
 
 def two_blob_series(steps=4, dims=(12, 12, 12)):

@@ -111,15 +111,15 @@ def tveg_to_dict(tveg: Tveg) -> dict:
         "steps": [step_dict(g) for g in tveg.graphs],
         "temporal_arcs": [
             {
-                "t": t,
-                "arcs": [[a.m0, a.m1, a.s] for a in tveg.arcs_by_pair[t]],
+                "t": g.t,
+                "arcs": [[a.m0, a.m1, a.s] for a in arcs],
                 "filter": {
-                    "mu": tveg.filter_meta[t].mu,
-                    "sigma": tveg.filter_meta[t].sigma,
-                    "tau": tveg.filter_meta[t].tau,
+                    "mu": meta.mu,
+                    "sigma": meta.sigma,
+                    "tau": meta.tau,
                 },
             }
-            for t in sorted(tveg.arcs_by_pair)
+            for g, (arcs, meta) in zip(tveg.graphs, tveg.links)
         ],
         "events": events_to_dict(tveg.events),
     }

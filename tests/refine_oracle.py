@@ -27,6 +27,7 @@ def refine_by_overlap(
 ) -> list[Track]:
     kept: list[ScoreTuple] = []
     prev: dict[int, np.ndarray] = {}
+    arcs_into = {g1.t: arcs for g1, (arcs, _) in zip(tveg.graphs[1:], tveg.links)}
     for g in tveg.graphs:
         f = series.at(g.t)
         seg = morse_step(f, tveg.theta)
@@ -41,7 +42,7 @@ def refine_by_overlap(
             for mid, region in zip(g.maxima.tolist(), descending_manifolds(seg))
         }
         by_src: dict[int, list[ScoreTuple]] = {}
-        for a in tveg.arcs_by_pair.get(g.t - 1, []):
+        for a in arcs_into.get(g.t, []):
             by_src.setdefault(a.m0, []).append(a)
         for src in sorted(by_src):
             cands = by_src[src]

@@ -61,7 +61,7 @@ def gauss8_run():
     return series, tvg, elapsed
 
 
-def _component_spans(graphs, arcs_by_pair):
+def _component_spans(graphs, arc_lists):
     """Sorted (first step, last step) of each temporal-arc graph component."""
     parent = {}
 
@@ -76,7 +76,7 @@ def _component_spans(graphs, arcs_by_pair):
         for mid in g.maxima.tolist():
             parent[mid] = mid
             step[mid] = g.t
-    for arcs in arcs_by_pair.values():
+    for arcs in arc_lists:
         for a in arcs:
             ra, rb = find(a.m0), find(a.m1)
             if ra != rb:
@@ -89,7 +89,8 @@ def _component_spans(graphs, arcs_by_pair):
 
 
 def _tau_tie_variants(tvg, ulps=4):
-    """Arc sets with every score within `ulps` ulps of tau kept or dropped.
+    """Arc lists (one per pair) with every score within `ulps` ulps of
+    tau kept or dropped.
 
     With exactly two candidates, tau = mu + sigma equals the larger score
     in exact arithmetic, so rounding alone decides whether that arc
@@ -97,10 +98,9 @@ def _tau_tie_variants(tvg, ulps=4):
     with the pipeline's own z-removal; other pairs keep their arcs.
     Returns {} when no pair holds a tie.
     """
-    kept, dropped = dict(tvg.arcs_by_pair), dict(tvg.arcs_by_pair)
+    kept, dropped = [[arcs for arcs, _ in tvg.links] for _ in range(2)]
     tied = False
-    for t, meta in tvg.filter_meta.items():
-        M0, M1 = tvg.graph_at(t), tvg.graph_at(t + 1)
+    for i, (M0, M1, (_, meta)) in enumerate(zip(tvg.graphs, tvg.graphs[1:], tvg.links)):
         if meta.sigma == 0 or not M0.n_max or not M1.n_max:
             continue
         tol = ulps * np.spacing(meta.tau)
@@ -108,19 +108,19 @@ def _tau_tie_variants(tvg, ulps=4):
         if not any(abs(a.s - meta.tau) <= tol for a in S):
             continue
         tied = True
-        kept[t] = remove_z_configurations([a for a in S if a.s < meta.tau + tol])
-        dropped[t] = remove_z_configurations([a for a in S if a.s < meta.tau - tol])
+        kept[i] = remove_z_configurations([a for a in S if a.s < meta.tau + tol])
+        dropped[i] = remove_z_configurations([a for a in S if a.s < meta.tau - tol])
     return {"tie kept": kept, "tie dropped": dropped} if tied else {}
 
 
-def _check_2b(graphs, arcs_by_pair):
-    """(ok, detail) for criterion 2b on one arc set; see that test."""
-    spans = _component_spans(graphs, arcs_by_pair)
+def _check_2b(graphs, arc_lists):
+    """(ok, detail) for criterion 2b on one arc list per pair; see that test."""
+    spans = _component_spans(graphs, arc_lists)
     first, last = graphs[0].t, graphs[-1].t
     through = [s for s in spans if s == (first, last)]
     ids = {g.t: g.maxima.tolist() for g in graphs}
     offending = []
-    for t, arcs in sorted(arcs_by_pair.items()):
+    for t, arcs in zip((g.t for g in graphs), arc_lists):
         srcs = {a.m0 for a in arcs}
         dsts = {a.m1 for a in arcs}
         breaks = sum(m not in srcs for m in ids[t]) + sum(
@@ -185,11 +185,12 @@ def test_criterion_2b_single_connected_component(gauss8_run):
     way a score that ties tau up to rounding is resolved.
     """
     _, tvg, _ = gauss8_run
-    ok, detail = _check_2b(tvg.graphs, tvg.arcs_by_pair)
-    for name, arcs_by_pair in _tau_tie_variants(tvg).items():
-        if arcs_by_pair == tvg.arcs_by_pair:
+    arc_lists = [arcs for arcs, _ in tvg.links]
+    ok, detail = _check_2b(tvg.graphs, arc_lists)
+    for name, variant in _tau_tie_variants(tvg).items():
+        if variant == arc_lists:
             continue
-        v_ok, v_detail = _check_2b(tvg.graphs, arcs_by_pair)
+        v_ok, v_detail = _check_2b(tvg.graphs, variant)
         ok = ok and v_ok
         detail += f" | {name}: {'ok' if v_ok else 'FAIL'}, {v_detail}"
     _report(
@@ -275,7 +276,8 @@ def test_criterion_3_structural_invariants(rng, gauss8_run):
         gen_set = set(tvg.events.generations)
         merge_nodes = {(e["node"], e["time"]) for e in tvg.events.merges}
         split_nodes = {(e["node"], e["time"]) for e in tvg.events.splits}
-        for t, arcs in tvg.arcs_by_pair.items():
+        for g, (arcs, meta) in zip(tvg.graphs, tvg.links):
+            t = g.t
             od, ind = {}, {}
             for a in arcs:
                 if a.m0 >> 32 != t or a.m1 >> 32 != t + 1:
@@ -286,7 +288,6 @@ def test_criterion_3_structural_invariants(rng, gauss8_run):
                 problems.append(f"out-degree > 2 at {t}")
             if any(od[a.m0] >= 2 and ind[a.m1] >= 2 for a in arcs):
                 problems.append(f"z-configuration at {t}")
-            meta = tvg.filter_meta[t]
             if meta.sigma > 0 and any(a.s >= meta.tau for a in arcs):
                 problems.append(f"score >= tau at {t}")
             for m in by_t[t].maxima.tolist():

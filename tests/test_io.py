@@ -3,13 +3,14 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from tvex import io as tvio
 from tvex.cli import main
-from tvex.field import generate_gauss8, load_series, save_series
+from tvex.field import FieldSeries, generate_gauss8, load_series, save_series
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 from tvex.pipeline import compute_tveg, resolve_theta
 from tvex.query import track_neighborhood
@@ -68,8 +69,7 @@ class TestTvegRoundtrip:
         assert back.all_arcs() == tvg.all_arcs()
         assert back.events.merges == tvg.events.merges
         assert back.events.deletions == tvg.events.deletions
-        for t, meta in tvg.filter_meta.items():
-            assert back.filter_meta[t].tau == meta.tau
+        assert [meta.tau for _, meta in back.links] == [meta.tau for _, meta in tvg.links]
 
 
 def _corrupt_steps(doc, how):
@@ -119,6 +119,56 @@ class TestTvegLoaderChecks:
         assert main(["events", "--tveg", p]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "how, named",
+        [
+            ("events a list", "'events' must be a dict, got list"),
+            ("events null", "'events' must be a dict, got NoneType"),
+            ("arcs a number", "'temporal_arcs': a value of the wrong JSON type"),
+            ("filter null", "'temporal_arcs': a value of the wrong JSON type"),
+            ("temporal_arcs an object", "'temporal_arcs' must be a list, got dict"),
+            ("weights a list", "'weights' must be a dict, got list"),
+            ("a weight null", "'weights': a value of the wrong JSON type"),
+            ("theta null", "'theta': a value of the wrong JSON type"),
+            ("node a number", "'steps': a value of the wrong JSON type"),
+            ("steps an empty object", "'steps' must be a list, got dict"),
+            ("document a list", "a tveg.json must be an object, got list"),
+        ],
+    )
+    def test_wrong_json_type_is_named(self, tvg, tmp_path, capsys, how, named):
+        p = str(tmp_path / "t.json")
+        tvio.export_tveg_json(tvg, p)
+        doc = json.load(open(p))
+        pair = doc["temporal_arcs"][0]
+        if how == "events a list":
+            doc["events"] = []
+        elif how == "events null":
+            doc["events"] = None
+        elif how == "arcs a number":
+            pair["arcs"] = 5
+        elif how == "filter null":
+            pair["filter"] = None
+        elif how == "temporal_arcs an object":
+            doc["temporal_arcs"] = {"1": pair}
+        elif how == "weights a list":
+            doc["weights"] = list(doc["weights"].values())
+        elif how == "a weight null":
+            doc["weights"]["G"] = None
+        elif how == "theta null":
+            doc["theta"] = None
+        elif how == "node a number":
+            doc["steps"][1]["nodes"][0] = 7
+        elif how == "steps an empty object":
+            doc["steps"] = {}
+        elif how == "document a list":
+            doc = [doc]
+        with open(p, "w") as fh:
+            fh.write(tvio.canonical_json(doc))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            tvio.load_tveg_json(p)
+        assert main(["events", "--tveg", p]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestTvegPairChecks:
     """The loader checks each stored pair of temporal arcs against the
@@ -139,6 +189,9 @@ class TestTvegPairChecks:
             ("m0 is a row past n_max", "temporal arcs 1->2"),
             ("m1 is of step t + 2", "temporal arcs 1->2"),
             ("pair at the last step", "temporal arcs 4->5"),
+            ("pair stored twice", "temporal arcs 1->2: stored twice"),
+            ("pair missing", "temporal arcs 2->3: missing"),
+            ("pairs out of order", "temporal arcs 1->2: stored out of order"),
             ("merge the arcs do not give", "events: the stored merges"),
             ("deletion dropped", "events: the stored deletions"),
         ],
@@ -157,6 +210,13 @@ class TestTvegPairChecks:
             pair["arcs"][0][1] += 1 << 32
         elif how == "pair at the last step":
             doc["temporal_arcs"][-1]["t"] = doc["steps"][-1]["t"]
+        elif how == "pair stored twice":
+            doc["temporal_arcs"].append(pair)
+        elif how == "pair missing":
+            del doc["temporal_arcs"][1]
+        elif how == "pairs out of order":
+            pairs = doc["temporal_arcs"]
+            pairs[0], pairs[1] = pairs[1], pairs[0]
         elif how == "merge the arcs do not give":
             (a, b, _), (c, _, _) = pair["arcs"][:2]
             doc["events"]["merges"].append({"node": b, "time": 2, "participants": [a, c]})
@@ -591,6 +651,33 @@ class TestCli:
             f"error: {spec}: 'box' must be two corners of three numbers, got {box!r}\n"
         )
 
+    @pytest.mark.parametrize("spec, msg", [
+        ({"kind": "length-threshold", "k": "3"}, "'k' must be an integer, got '3'"),
+        ({"kind": "length-threshold", "k": True}, "'k' must be an integer, got True"),
+        ({"kind": "least-deviation", "n": 1.5}, "'n' must be an integer, got 1.5"),
+        ({"kind": "neighborhood", "seeds": "x"},
+         "'seeds' must be a non-empty list of integers, got 'x'"),
+        ({"kind": "neighborhood", "seeds": [1.5]},
+         "'seeds' must be a non-empty list of integers, got [1.5]"),
+        ({"kind": "neighborhood", "seeds": []},
+         "'seeds' must be a non-empty list of integers, got []"),
+        ({"kind": "neighborhood", "seeds": [4294967296], "hops": "2"},
+         "'hops' must be an integer, got '2'"),
+        ({"kind": "window-events", "window": "ab"}, "'window' must be two integers, got 'ab'"),
+        ({"kind": "window-events", "window": [1]}, "'window' must be two integers, got [1]"),
+    ])
+    def test_query_spec_bad_key_is_named(self, tmp_path, capsys, spec, msg):
+        series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0", "-o", out]) == 0
+        spec_path = tmp_path / "q.json"
+        spec_path.write_text(json.dumps(spec))
+        tveg_path = os.path.join(out, "tveg.json")
+        capsys.readouterr()
+        assert main(["query", "--tveg", tveg_path, "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err == f"error: {spec_path}: {msg}\n"
+
     @pytest.mark.parametrize("key, value, msg", [
         ("file", 5, "step 1 'file' must be a string, got 5"),
         ("t", "a", "step 1 't' must be an integer, got 'a'"),
@@ -638,6 +725,64 @@ class TestCli:
             ["eg", "--manifest", manifest, "--theta", "0", "--t", "9", "-o", str(tmp_path)]
         )
         assert code == 2
+
+
+def _degenerate_series(case):
+    """Three steps of a degenerate field, or Gauss8 for the theta cases."""
+    if case.startswith("theta"):
+        return generate_gauss8((8, 8, 8), steps=4)
+    dims = {"constant": (4, 4, 4), "1x1x1": (1, 1, 1), "1x6x5": (1, 6, 5), "7x1x1": (7, 1, 1)}
+    rng = np.random.default_rng(7)
+    fields = [random_field(rng, dims[case], time_index=t) for t in (1, 2, 3)]
+    if case == "constant":
+        for f in fields:
+            f.values = np.full(f.num_voxels, 0.5)
+    return FieldSeries(fields)
+
+
+class TestDegenerateFields:
+    """Every subcommand exits 0 on a constant field, on grids one voxel
+    thick along some axes, and with theta at or above the value range."""
+
+    @pytest.mark.parametrize("case, theta", [
+        ("constant", "0.05r"),
+        ("1x1x1", "0.05r"),
+        ("1x6x5", "0.05r"),
+        ("7x1x1", "0.05r"),
+        ("theta 2r", "2r"),
+        ("theta 1e9", "1e9"),
+    ])
+    def test_every_command_exits_0(self, tmp_path, capsys, case, theta):
+        series = _degenerate_series(case)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        tveg, last = os.path.join(out, "tveg.json"), str(series.times[-1])
+        seed = str(series.times[0] << 32)  # the first maximum of the first step
+        query = ["query", "--tveg", tveg, "-o", str(tmp_path / "q.json"), "--kind"]
+        for argv in (
+            ["tveg", "--manifest", manifest, "--theta", theta, "-o", out],
+            ["eg", "--manifest", manifest, "--theta", theta, "-o", out],
+            ["events", "--tveg", tveg, "-o", str(tmp_path / "events.json")],
+            ["tracks", "--tveg", tveg, "-o", str(tmp_path / "paths.json")],
+            ["tracks", "--tveg", tveg, "--mode", "components", "-o", str(tmp_path / "c.json")],
+            ["tracks", "--tveg", tveg, "--refine", "--manifest", manifest, "--min-len", "1",
+             "-o", str(tmp_path / "refined.json")],
+            query + ["length-threshold", "--k", "1"],
+            query + ["least-deviation", "--n", "2"],
+            query + ["region", "--box", "-100", "-100", "-100", "100", "100", "100",
+                     "--window", "1", last],
+            query + ["window-events", "--window", "1", last],
+            query + ["neighborhood", "--seeds", seed, "--hops", "1"],
+            ["export", "--tveg", tveg, "-o", str(tmp_path / "x.vtk")],
+            ["export", "--tveg", tveg, "--spatial-arcs", "-o", str(tmp_path / "xs.vtk")],
+            ["export", "--what", "segmentation", "--manifest", manifest, "--theta", theta,
+             "--t", "2", "-o", str(tmp_path / "seg")],
+        ):
+            assert main(argv) == 0, argv
+        copy = str(tmp_path / "copy.json")
+        tvio.export_tveg_json(tvio.load_tveg_json(tveg), copy)
+        assert open(copy, "rb").read() == open(tveg, "rb").read()
+        capsys.readouterr()
 
 
 class TestRefineCli:

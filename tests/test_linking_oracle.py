@@ -17,16 +17,16 @@ from tvex.exgraph import build_extremum_graph
 from tvex.field import ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.temporal import (
+    FilterMeta,
     ScoreTuple,
     ScoreWeights,
     Tveg,
     compute_scores,
     normalize_components,
     remove_z_configurations,
-    temporal_arcs,
 )
 
-from conftest import maxima_graph
+from conftest import linked, maxima_graph
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tvex")
 
@@ -150,7 +150,8 @@ class TestStepWriter:
             g = maxima_graph(t, cols, *cols.T)
             g.vertex = vertex + np.arange(len(cols), dtype=np.int64)
             graphs.append(g)
-        tveg = Tveg(graphs, {}, ScoreWeights(), {}, theta=theta)
+        unlinked = [([], FilterMeta(0.0, 0.0, 0.0))] * (len(graphs) - 1)
+        tveg = Tveg(graphs, unlinked, ScoreWeights(), theta=theta)
         self.assert_same_text(tveg)
 
     @given(
@@ -166,10 +167,7 @@ class TestStepWriter:
         """Steps with saddles, linked arcs, filter statistics and events."""
         fields = [as_field(a, 1), as_field(a[::-1].copy(), 2), as_field(a.T.copy(), 3)]
         theta = frac * float(np.ptp(a))
-        tveg = temporal_arcs(
-            [build_extremum_graph(f, theta) for f in fields], ScoreWeights()
-        )
-        tveg.theta = theta
+        tveg = linked([build_extremum_graph(f, theta) for f in fields], theta=theta)
         self.assert_same_text(tveg)
 
     @staticmethod

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvex.field import FieldSeries
+from tvex.pipeline import compute_tveg
 from tvex.temporal import (
+    FilterMeta,
     ScoreTuple,
     ScoreWeights,
+    Tveg,
     compute_scores,
     detect_events,
     filter_scores,
     link_pair,
     normalize_components,
     remove_z_configurations,
-    temporal_arcs,
 )
 
-from conftest import maxima_graph, random_maxima
+from conftest import linked, maxima_graph, random_field, random_maxima
 
 
 def mk_maxima(t, n, coords=(0, 0, 0), value=1.0, pers=0.5, eta=1.0):
@@ -277,31 +280,39 @@ class TestLinkPairInvariants:
 
 class TestTemporalArcs:
     def test_rejects_single_graph(self, rng):
-        g = random_maxima(rng, 2, 1)
+        series = FieldSeries([random_field(rng, (4, 4, 4), time_index=1)])
         with pytest.raises(ValueError, match="at least 2"):
-            temporal_arcs([g], ScoreWeights())
+            compute_tveg(series, 0.0, ScoreWeights())
 
     def test_rejects_noncontiguous(self, rng):
         g1 = random_maxima(rng, 2, 1)
         g3 = random_maxima(rng, 2, 3)
         with pytest.raises(ValueError, match="contiguous"):
-            temporal_arcs([g1, g3], ScoreWeights())
+            Tveg([g1, g3], [([], FilterMeta(0.0, 0.0, 0.0))], ScoreWeights())
+
+    def test_rejects_links_not_one_per_pair(self, rng):
+        graphs = [random_maxima(rng, 2, t) for t in (1, 2, 3)]
+        link = ([], FilterMeta(0.0, 0.0, 0.0))
+        for links in ([], [link], [link] * 3):
+            with pytest.raises(ValueError, match="one link per consecutive pair"):
+                Tveg(graphs, links, ScoreWeights())
 
     def test_arcs_only_between_consecutive_steps(self, rng):
         graphs = [random_maxima(rng, 3, t) for t in (1, 2, 3, 4)]
-        tvg = temporal_arcs(graphs, ScoreWeights())
-        assert sorted(tvg.arcs_by_pair) == [1, 2, 3]
-        for t, arcs in tvg.arcs_by_pair.items():
+        tvg = linked(graphs)
+        assert [g.t for g in tvg.graphs[:-1]] == [1, 2, 3]
+        assert len(tvg.links) == 3
+        for g, (arcs, _) in zip(tvg.graphs, tvg.links):
             for a in arcs:
-                assert a.m0 >> 32 == t
-                assert a.m1 >> 32 == t + 1
+                assert a.m0 >> 32 == g.t
+                assert a.m1 >> 32 == g.t + 1
 
     def test_events_accumulate_over_pairs(self, rng):
         graphs = [random_maxima(rng, 3, t) for t in (1, 2, 3)]
-        tvg = temporal_arcs(graphs, ScoreWeights())
+        tvg = linked(graphs)
         per_pair = [
             detect_events(
-                tvg.arcs_by_pair[t],
+                tvg.links[t - 1][0],
                 graphs[t - 1].maxima.tolist(),
                 graphs[t].maxima.tolist(),
                 t,

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
-from tvex.temporal import ScoreTuple, ScoreWeights, Tveg
+from tvex.temporal import FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
 import refine_oracle
-from conftest import maxima_graph, random_maxima
+from conftest import linked, maxima_graph, random_maxima
 
 
 def nid(t, i):
@@ -34,9 +34,8 @@ def toy_tveg(arc_triples, graphs=None):
             graphs.append(maxima_graph(t, np.zeros((len(z), 3)), z, z, z))
     return Tveg(
         graphs=graphs,
-        arcs_by_pair=by_pair,
+        links=[(by_pair.get(g.t, []), FilterMeta(0.0, 0.0, 0.0)) for g in graphs[:-1]],
         weights=ScoreWeights(),
-        filter_meta={},
     )
 
 
@@ -97,9 +96,7 @@ class TestSimplePaths:
 
     def test_every_arc_in_exactly_one_path(self, rng):
         graphs = [random_maxima(rng, 4, t) for t in range(1, 6)]
-        from tvex.temporal import temporal_arcs
-
-        tvg = temporal_arcs(graphs, ScoreWeights())
+        tvg = linked(graphs)
         tracks = extract_tracks(tvg, mode="simple-paths")
         seen = [a for tr in tracks for a in tr.arcs]
         assert sorted(seen) == sorted((a.m0, a.m1) for a in tvg.all_arcs())
@@ -244,10 +241,10 @@ class TestRefineMatchesOracle:
         tvg = compute_tveg(series, 0.0, ScoreWeights())
         assert tvg.graphs[1].vertex[:2].tolist() == [1, 4]
         for s0, s1, keep in [(0.3, 0.2, 1), (0.2, 0.3, 0)]:
-            tvg.arcs_by_pair = {
-                1: [ScoreTuple(nid(1, 0), nid(2, 0), s0),
-                    ScoreTuple(nid(1, 0), nid(2, 1), s1)]
-            }
+            tvg.links = [
+                ([ScoreTuple(nid(1, 0), nid(2, 0), s0),
+                  ScoreTuple(nid(1, 0), nid(2, 1), s1)], tvg.links[0][1])
+            ]
             got = refine_by_overlap(tvg, series, 0.5, min_len=1)
             assert [tr.arcs for tr in got] == [[(nid(1, 0), nid(2, keep))]]
             assert refine_oracle.refine_by_overlap(tvg, series, 0.5, 1) == got
