@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the per-step Morse pass stage by stage.
 
-Builds one smooth 64^3 Gauss8 step (theta = 0.05 r) and one noisy 24^3
-Gauss8 step (noise sd 0.05, theta = 0), then times `morse_step` and
-each of its stages on its own -- `vertex_order`, `compute_segmentation`,
-`compute_saddles` and `simplify` -- by calling the same `tvex.morse`
-functions in the same order. Each figure is the best of `--repeats`
-runs.
+Builds one smooth 64^3 Gauss8 step (theta = 0.05 r), one noisy 24^3
+Gauss8 step (noise sd 0.05, theta = 0) and one noisy 64^3 Gauss8 step
+whose float64 values are not rounded to float32 (noise sd 0.05,
+theta = 0; its voxel order takes the stable argsort rather than the
+float32 code), then times `morse_step` and each of its stages on its
+own -- `vertex_order`, `compute_segmentation`, `compute_saddles` and
+`simplify` -- by calling the same `tvex.morse` functions in the same
+order. Each figure is the best of `--repeats` runs.
 
 Usage:
-    python3 scripts/benchmark_morse.py [--case gauss8-64 [noisy-24]] [--repeats 9]
+    python3 scripts/benchmark_morse.py [--case gauss8-64 [noisy-24 ...]] [--repeats 9]
 """
 
 import argparse
@@ -25,18 +27,24 @@ from tvex import morse
 from tvex.field import generate_gauss8
 
 STAGES = ("vertex_order", "segmentation", "saddles", "simplify")
-# name: (grid edge, noise sd, theta as a fraction of the value range)
-CASES = {"gauss8-64": (64, 0.0, 0.05), "noisy-24": (24, 0.05, 0.0)}
+# name: (grid edge, noise sd, theta as a fraction of the value range,
+# whether the noisy values are rounded to float32 as a `<f4` volume is)
+CASES = {
+    "gauss8-64": (64, 0.0, 0.05, True),
+    "noisy-24": (24, 0.05, 0.0, True),
+    "noisy-64-f64": (64, 0.05, 0.0, False),
+}
 
 
 def case_field(name, seed):
     """The first step of the case's Gauss8 series and its theta."""
-    edge, noise, frac = CASES[name]
+    edge, noise, frac, single = CASES[name]
     f = generate_gauss8((edge, edge, edge), 2).fields[0]
     if noise > 0:
         rng = np.random.default_rng(seed)
-        noisy = f.values + rng.normal(0.0, noise, f.values.size)
-        f.values = noisy.astype(np.float32).astype(np.float64)
+        f.values = f.values + rng.normal(0.0, noise, f.values.size)
+        if single:
+            f.values = f.values.astype(np.float32).astype(np.float64)
     return f, frac * float(np.ptp(f.values))
 
 

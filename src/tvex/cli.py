@@ -175,14 +175,16 @@ def _check_spec(q: dict, spec: str) -> None:
 
 
 def _run_query(tveg, q: dict, tracks_path) -> dict:
-    """Answer one query dict: `kind` plus the keys that kind reads."""
+    """Answer one query dict: `kind` plus the keys that kind reads. An
+    absent (or, from the flags, None) `k` or `n` is 1."""
     kind, box, window = q["kind"], q.get("box"), q.get("window")
     if kind in ("length-threshold", "least-deviation"):
         track_list = _tracks_or_paths(tveg, tracks_path)
+        k, n = (1 if q.get(key) is None else q[key] for key in ("k", "n"))
         if kind == "length-threshold":
-            result = tvquery.tracks_longer_than(track_list, q.get("k") or 1)
+            result = tvquery.tracks_longer_than(track_list, k)
         else:
-            result = tvquery.least_deviation(track_list, tveg, q.get("n") or 1)
+            result = tvquery.least_deviation(track_list, tveg, n)
         return tvio.tracks_to_dict(result)
     if kind == "region":
         if box is None or window is None:

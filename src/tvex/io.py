@@ -15,6 +15,7 @@ import numpy as np
 
 from .exgraph import ROW_MASK, ExtremumGraph, make_node_id
 from .morse import Segmentation
+from .pipeline import check_theta
 from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from .tracks import Track
 
@@ -214,7 +215,8 @@ def load_tveg_json(path: str) -> Tveg:
 
     Raises ValueError when a value has the wrong JSON type, a step's or a
     pair's layout is not the one exported, the steps are not contiguous
-    in t, or the stored events are not the ones the arcs give.
+    in t, theta is not a finite number >= 0, or the stored events are
+    not the ones the arcs give.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -228,7 +230,7 @@ def load_tveg_json(path: str) -> Tveg:
         graphs=graphs,
         links=_read("temporal_arcs", _links_from_pairs, doc["temporal_arcs"], graphs),
         weights=_read("weights", lambda w: ScoreWeights(*map(float, _WEIGHTS(w))), doc["weights"]),
-        theta=_read("theta", float, doc["theta"]),
+        theta=_read("theta", lambda v: check_theta(float(v), "'theta'", v), doc["theta"]),
     )
     for kind, records in vars(tveg.events).items():
         if kind in ("deletions", "generations"):

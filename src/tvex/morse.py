@@ -60,16 +60,47 @@ def vertex_order(f: ScalarField3D) -> VoxelOrder:
 
     Ranks are unique integers in [0, n), int32 when n < 2**31; a higher
     rank means a greater voxel. This is the simulated-simplicity
-    tie-break used everywhere. The voxel of each rank is the sort order
-    itself, so a step builds one inverse permutation.
+    tie-break used everywhere. When every value is exactly a float32 (as
+    in volumes read from `<f4` files), each voxel gets a 32-bit code, the
+    float32 bit pattern mapped to a signed integer that orders the same
+    way and is equal exactly when the values are, and one in-place sort
+    of the int64 keys code << 32 | voxel id gives the voxel of every rank
+    in the low 32 bits. Other values take a stable argsort. The voxel of
+    each rank is the sort order itself, so a step builds one inverse
+    permutation.
     """
     n = f.num_voxels
-    # a stable sort keeps equal values in voxel-id order
-    voxel = np.argsort(f.values, kind="stable")
+    # voxel ids fit the low 32 bits of a key up to 2**31 voxels
+    code = _float32_codes(f.values) if n <= 2**31 else None
+    if code is None:
+        # a stable sort keeps equal values in voxel-id order
+        voxel = np.argsort(f.values, kind="stable")
+    else:
+        voxel = code
+        voxel <<= 32
+        voxel |= np.arange(n, dtype=np.int32)
+        voxel.sort()
+        voxel &= 0xFFFFFFFF
     dtype = np.int32 if n < 2**31 else np.int64
     rank = np.empty(n, dtype=dtype)
     rank[voxel] = np.arange(n, dtype=dtype)
     return rank, voxel
+
+
+def _float32_codes(values: np.ndarray) -> np.ndarray | None:
+    """int64 codes in [-2**31, 2**31) that order like `values` and are
+    equal exactly when the values are, or None when a value is not
+    exactly a float32."""
+    with np.errstate(over="ignore"):  # too large for float32: not exact
+        single = values.astype(np.float32)
+    if not np.array_equal(single, values):
+        return None
+    single += 0  # -0.0 becomes +0.0, its equal
+    code = single.view(np.int32).astype(np.int64)
+    del single
+    # negative floats order backwards in their low 31 bits: flip them
+    np.bitwise_xor(code, 0x7FFFFFFF, out=code, where=code < 0)
+    return code
 
 
 def _steepest_neighbor(f: ScalarField3D, order: VoxelOrder) -> np.ndarray:
@@ -114,13 +145,31 @@ def compute_segmentation(f: ScalarField3D, order: VoxelOrder | None = None) -> S
 
 
 def _best_per_pair(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct region-pair keys, ascending, and each one's best rank."""
-    order = np.argsort(keys)
-    keys, ranks = keys[order], ranks[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    return keys[starts], np.maximum.reduceat(ranks, starts)
+    """The distinct region-pair keys, ascending, and each one's best rank.
+
+    Keys and ranks are non-negative. When both fit one int64, the key of
+    each edge goes in the high bits and its rank in the low bits; after
+    one in-place sort the last of each run of equal keys holds the
+    greatest rank. Wider keys take an argsort and a maximum per run.
+    """
+    key_bits = int(keys.max(initial=0)).bit_length()
+    rank_bits = int(ranks.max(initial=0)).bit_length()
+    if key_bits + rank_bits > 63:
+        order = np.argsort(keys)
+        keys, ranks = keys[order], ranks[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        return keys[starts], np.maximum.reduceat(ranks, starts)
+    packed = keys << rank_bits
+    packed |= ranks
+    packed.sort()
+    keys = packed >> rank_bits
+    last = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    best = packed[last]
+    best &= (1 << rank_bits) - 1
+    return keys[last], best.astype(ranks.dtype)
 
 
 def _pad(a: np.ndarray, fill: int) -> np.ndarray:

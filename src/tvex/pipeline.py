@@ -31,10 +31,16 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
     finite and >= 0; that is checked before any volume is read.
     """
     relative = isinstance(spec, str) and spec.endswith("r")
-    value = float(spec[:-1] if relative else spec)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"theta must be a finite number >= 0, got {spec!r}")
+    value = check_theta(float(spec[:-1] if relative else spec), "theta", spec)
     return value * series.global_range() if relative else value
+
+
+def check_theta(value: float, name: str, given) -> float:
+    """`value` if it is a finite number >= 0, else a ValueError that
+    names `name` and shows `given`, the text or JSON it was read from."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {given!r}")
+    return value
 
 
 def build_graphs(series: FieldSeries, theta: float) -> list[ExtremumGraph]:

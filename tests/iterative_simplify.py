@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvex.morse import Segmentation, vertex_order
+from morse_oracle import vertex_order
+from tvex.morse import Segmentation
 
 
 def pairing(f, max_ids, adjacency, saddle_vertex, rank):

@@ -1,12 +1,15 @@
-"""Per-voxel Morse passes as they were before the box maximum and the
-flat-edge saddles: the oracle `tests/test_morse_oracle.py` compares
-`tvex.morse.compute_segmentation` and `compute_saddles` with, bit for
-bit.
+"""Per-voxel Morse passes as they were before the packed-key sorts, the
+box maximum and the flat-edge saddles: the oracle
+`tests/test_morse_oracle.py` compares `tvex.morse.vertex_order`,
+`_best_per_pair`, `compute_segmentation` and `compute_saddles` with,
+bit for bit.
 
-Steepest ascent runs one compare-and-keep pass per each of the 26
-neighbor offsets over a padded int64 rank array; saddles mask the
-strided 3-D views of each of the 13 half offsets and key region pairs
-on voxel ids. Only the voxel rank comes from `tvex.morse`.
+The voxel order is one stable argsort of the values; steepest ascent
+runs one compare-and-keep pass per each of the 26 neighbor offsets over
+a padded int64 rank array; saddles mask the strided 3-D views of each
+of the 13 half offsets, key region pairs on voxel ids and reduce them
+by an argsort and a maximum per run. Only the offset lists and the
+`Segmentation` columns come from `tvex.morse`.
 """
 
 from __future__ import annotations
@@ -14,11 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from tvex.field import ScalarField3D
-from tvex.morse import HALF_OFFSETS, NEIGHBOR_OFFSETS, Segmentation, vertex_order
+from tvex.morse import HALF_OFFSETS, NEIGHBOR_OFFSETS, Segmentation
 
 
 def _empty_ids(*shape: int) -> np.ndarray:
     return np.empty(shape, dtype=np.int64)
+
+
+def vertex_order(f: ScalarField3D) -> tuple[np.ndarray, np.ndarray]:
+    """(rank of every voxel, voxel of every rank) under the (value, voxel
+    id) total order; ranks are int32 when n < 2**31."""
+    n = f.num_voxels
+    # a stable sort keeps equal values in voxel-id order
+    voxel = np.argsort(f.values, kind="stable")
+    dtype = np.int32 if n < 2**31 else np.int64
+    rank = np.empty(n, dtype=dtype)
+    rank[voxel] = np.arange(n, dtype=dtype)
+    return rank, voxel
 
 
 def _steepest_neighbor(f: ScalarField3D, rank: np.ndarray) -> np.ndarray:

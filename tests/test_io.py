@@ -238,6 +238,23 @@ class TestTvegPairChecks:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"error: {named}")
 
+    @pytest.mark.parametrize("theta", [math.nan, -1.0, math.inf])
+    def test_rejects_theta_not_finite_and_non_negative(self, run, tmp_path, capsys, theta):
+        manifest, text = run
+        doc = json.loads(text)
+        doc["theta"] = theta
+        p = str(tmp_path / "t.json")
+        with open(p, "w") as fh:
+            json.dump(doc, fh)  # writes NaN and Infinity as json.load reads them
+        named = f"'theta' must be a finite number >= 0, got {theta!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            tvio.load_tveg_json(p)
+        capsys.readouterr()
+        argv = ["tracks", "--refine", "--tveg", p, "--manifest", manifest,
+                "-o", str(tmp_path / "x.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
 
 class TestTracksRoundtrip:
     def test_json_roundtrip(self, tvg, tmp_path):
@@ -517,6 +534,28 @@ class TestCli:
             text = by_flags.read_text()
             assert json.loads(text) and by_spec.read_text() == text
         capsys.readouterr()
+
+    def test_zero_k_and_n_exit_2(self, tmp_path, capsys):
+        """0 is a given k or n, not an absent one: it is refused, from the
+        flags and from a spec file; an absent one is 1."""
+        series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0.05r", "-o", out]) == 0
+        argv = ["query", "--tveg", os.path.join(out, "tveg.json"), "-o"]
+        spec_path = tmp_path / "q.json"
+        for kind, key in (("length-threshold", "k"), ("least-deviation", "n")):
+            capsys.readouterr()
+            assert main(argv + [str(tmp_path / "r.json"), "--kind", kind, f"--{key}", "0"]) == 2
+            assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+            spec_path.write_text(json.dumps({"kind": kind, key: 0}))
+            assert main(argv + [str(tmp_path / "r.json"), "--spec", str(spec_path)]) == 2
+            assert f"{key} must be >= 1" in capsys.readouterr().err
+            by_default, by_one = tmp_path / "default.json", tmp_path / "one.json"
+            spec_path.write_text(json.dumps({"kind": kind}))
+            assert main(argv + [str(by_default), "--spec", str(spec_path)]) == 0
+            assert main(argv + [str(by_one), "--kind", kind, f"--{key}", "1"]) == 0
+            assert by_default.read_text() == by_one.read_text()
 
     def test_query_neighborhood_from_flags(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
