@@ -15,7 +15,7 @@ import time
 
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
-from .exgraph import build_extremum_graph
+from .exgraph import build_extremum_graph, split_node_id
 from .field import generate_gauss8, load_series, save_series
 from .temporal import ScoreWeights
 
@@ -204,7 +204,7 @@ def _run_query(tveg, q: dict, tracks_path) -> dict:
         seeds = q.get("seeds")
         if not seeds:
             raise ValueError("neighborhood query needs --seeds")
-        track = tvtracks.Track(nodes=sorted((s >> 32, s) for s in seeds), arcs=[])
+        track = tvtracks.Track(nodes=sorted((split_node_id(s)[0], s) for s in seeds), arcs=[])
         nb = tvquery.track_neighborhood(tveg, track, q.get("hops", 0))
         return {"neighborhood": {str(t): nodes for t, nodes in nb.items()}}
     raise ValueError(f"unknown query kind {kind!r}")
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

@@ -9,15 +9,14 @@ import numpy as np
 from .field import ScalarField3D
 from . import morse
 
-ROW_MASK = 0xFFFFFFFF
-
 
 def make_node_id(t: int, local: int) -> int:
     """Global 64-bit node id from (time step, local index)."""
     return (t << 32) | local
 
 
-def split_node_id(node_id: int) -> tuple[int, int]:
+def split_node_id(node_id):
+    """(time step, local index) of a node id, or of an array of them."""
     return node_id >> 32, node_id & 0xFFFFFFFF
 
 
@@ -28,7 +27,7 @@ class ExtremumGraph:
     Row i of every column is the node with id make_node_id(t, i), so a
     node's row is its local id. Rows [0, n_max) are the maxima in voxel-id
     order, the rest are saddles. `coords` has shape (k, 3); `eta` is 0
-    for saddles. `arcs` holds (maximum id, saddle id) rows sorted
+    for saddles. `arcs` holds (maximum row, saddle row) pairs sorted
     ascending; every saddle mediates exactly one unordered maximum pair
     and therefore has two arcs.
     """
@@ -69,19 +68,18 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
     n_max = len(seg.maxima)
     vertex = np.concatenate([seg.maxima, seg.saddles])
     value = f.values[vertex]
-    pair_rows = np.searchsorted(seg.maxima, seg.pairs)
     sad_rows = np.arange(n_max, len(vertex), dtype=np.int64)
 
     sval = value[n_max:]
-    sad_pers = np.minimum(value[pair_rows[:, 0]] - sval, value[pair_rows[:, 1]] - sval)
+    sad_pers = np.minimum(value[seg.pairs[:, 0]] - sval, value[seg.pairs[:, 1]] - sval)
     pers = np.concatenate([seg.pers, sad_pers])
 
     arcs = np.concatenate(
-        [np.column_stack([pair_rows[:, k], sad_rows]) for k in (0, 1)]
+        [np.column_stack([seg.pairs[:, k], sad_rows]) for k in (0, 1)]
     )
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
     # eta in sorted-arc order: each maximum's terms are added one at a
-    # time in ascending saddle id order
+    # time in ascending saddle row order
     eta = np.zeros(len(vertex))
     np.add.at(eta, arcs[:, 0], np.abs(value[arcs[:, 0]] - value[arcs[:, 1]]))
 
@@ -93,6 +91,6 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
         pers=pers,
         eta=eta,
         coords=f.world_coords_many(vertex).reshape(-1, 3),
-        arcs=arcs + make_node_id(f.time_index, 0),
+        arcs=arcs,
     )
 

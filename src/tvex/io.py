@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .exgraph import ROW_MASK, ExtremumGraph, make_node_id
+from .exgraph import ExtremumGraph, make_node_id, split_node_id
 from .morse import Segmentation
 from .pipeline import check_theta
 from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
@@ -72,9 +72,9 @@ _NODE = (
 
 
 def _step_json(g: ExtremumGraph) -> _Text:
-    """One step's canonical JSON object (spatial arcs, nodes in row order,
-    t), written per column: each column is converted to Python values
-    once and the whole step is one fill of the node and arc templates."""
+    """One step's canonical JSON object (arcs of node ids, nodes in row
+    order, t), written per column: each column is converted to Python
+    values once and the whole step is one fill of the node and arc templates."""
     k = len(g.value)
     index = [3] * g.n_max + [2] * (k - g.n_max)
     x, y, z = g.coords.T.tolist()
@@ -83,7 +83,8 @@ def _step_json(g: ExtremumGraph) -> _Text:
         g.value.tolist(), g.vertex.tolist(), x, y, z,
     )
     nodes = ",".join([_NODE] * k) % tuple(chain.from_iterable(rows))
-    arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple(g.arcs.ravel().tolist())
+    ids = g.arcs.ravel() + make_node_id(g.t, 0)
+    arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple(ids.tolist())
     return _Text('{"arcs":[%s],"nodes":[%s],"t":%d}' % (arcs, nodes, g.t))
 
 
@@ -124,10 +125,11 @@ def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
     ).reshape(-1, 2)
     # each arc as rows of its step, checked against that step's layout
     of = np.repeat(np.arange(len(steps)), n_arcs)
-    rows = arcs - (np.array(ts, dtype=np.int64) << 32)[of, None]
+    arc_t, rows = split_node_id(arcs)
     m, s = rows[:, 0], rows[:, 1]
     lo, hi = np.array(n_max, dtype=np.int64)[of], np.array(sizes, dtype=np.int64)[of]
-    ok = (0 <= m) & (m < lo) & (lo <= s) & (s < hi)
+    ok = (arc_t == np.array(ts, dtype=np.int64)[of, None]).all(axis=1)
+    ok &= (m < lo) & (lo <= s) & (s < hi)
     ok &= np.lexsort((s, m, of)) == np.arange(len(arcs))
     if not ok.all():
         t = ts[of[np.argmin(ok)]]
@@ -144,7 +146,7 @@ def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
             pers=pers[a:b],
             eta=eta[a:b],
             coords=coords[a:b],
-            arcs=arcs[c:d],
+            arcs=rows[c:d],
         )
         for t, nm, a, b, c, d in zip(
             ts, n_max, node_at, node_at[1:], arc_at, arc_at[1:]
@@ -190,8 +192,8 @@ def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
         t, n0, n1 = g0.t, g0.n_max, g1.n_max
         arcs = [ScoreTuple(m0=int(a), m1=int(b), s=float(s)) for a, b, s in pair["arcs"]]
         for a in arcs:
-            if not (a.m0 >> 32 == t and a.m0 & ROW_MASK < n0
-                    and a.m1 >> 32 == t + 1 and a.m1 & ROW_MASK < n1):
+            (t0, r0), (t1, r1) = split_node_id(a.m0), split_node_id(a.m1)
+            if not (t0 == t and r0 < n0 and t1 == t + 1 and r1 < n1):
                 raise ValueError(
                     f"temporal arcs {t}->{t + 1}: arc ({a.m0}, {a.m1}) does not "
                     f"join a maximum of step {t} to one of step {t + 1}"
@@ -259,15 +261,19 @@ def export_tracks_json(tracks: list[Track], path: str) -> None:
 
 
 def load_tracks_json(path: str) -> list[Track]:
+    """The tracks of an exported file. Raises ValueError when the
+    document is not an object or a value has the wrong JSON type."""
     with open(path) as fh:
         doc = json.load(fh)
-    return [
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a tracks file must be an object, got {type(doc).__name__}")
+    return _read("tracks", lambda tracks: [
         Track(
             nodes=[(int(t), int(n)) for t, n in tr["nodes"]],
             arcs=[(int(a), int(b)) for a, b in tr["arcs"]],
         )
-        for tr in doc["tracks"]
-    ]
+        for tr in tracks
+    ], doc["tracks"])
 
 
 def _event_codes(tveg: Tveg) -> dict[tuple[int, int], int]:
@@ -317,30 +323,26 @@ def export_tracks_geometry(
     steps: dict[int, tuple[list, list[int], list[int]]] = {}
 
     for track_id, tr in enumerate(tracks):
-        index: dict[tuple[int, int], int] = {}
+        index: dict[int, int] = {}  # node id -> its point
         for t, mid in tr.nodes:
             g, row = tveg.max_row(t, mid)
             if t not in steps:
-                ids = make_node_id(t, 0) + np.arange(g.n_max + 1)
-                first = np.searchsorted(g.arcs[:, 0], ids)
-                saddles = g.arcs[:, 1] & ROW_MASK
-                steps[t] = (g.coords.tolist(), first.tolist(), saddles.tolist())
+                first = np.searchsorted(g.arcs[:, 0], np.arange(g.n_max + 1))
+                steps[t] = (g.coords.tolist(), first.tolist(), g.arcs[:, 1].tolist())
             x, y, z = steps[t][0][row]
-            index[(t, mid)] = len(points)
+            index[mid] = len(points)
             points.append((x, y, z * z_scale + t * slab_height))
             ptime.append(t)
             ptrack.append(track_id)
             pevent.append(codes.get((t, mid), 0))
-        for a, b in tr.arcs:
-            ta, tb = a >> 32, b >> 32
-            lines.append((index[(ta, a)], index[(tb, b)]))
+        lines.extend((index[a], index[b]) for a, b in tr.arcs)
         if include_spatial:
             for t, mid in tr.nodes:
                 coords, first, saddles = steps[t]
-                row = mid & ROW_MASK
+                row = split_node_id(mid)[1]
                 for s in saddles[first[row] : first[row + 1]]:
                     x, y, z = coords[s]
-                    lines.append((index[(t, mid)], len(points)))
+                    lines.append((index[mid], len(points)))
                     points.append((x, y, z * z_scale + t * slab_height))
                     ptime.append(t)
                     ptrack.append(track_id)
@@ -379,16 +381,17 @@ def _default_slab_height(tveg: Tveg, z_scale: float) -> float:
 
 
 def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
-    """Raw 32-bit unsigned label volume plus a JSON sidecar.
+    """Raw 32-bit unsigned volume of each voxel's maximum's voxel id, plus
+    a JSON sidecar.
 
     Returns (labels_path, sidecar_path).
     """
     labels_path = path_prefix + ".labels.raw"
     sidecar_path = path_prefix + ".labels.json"
-    seg.labels.astype("<u4").tofile(labels_path)
+    seg.maxima.astype("<u4").take(seg.labels).tofile(labels_path)
     f = seg.field
     maxima = seg.maxima.tolist()
-    sizes = np.bincount(np.searchsorted(seg.maxima, seg.labels), minlength=len(maxima))
+    sizes = np.bincount(seg.labels, minlength=len(maxima))
     sidecar = {
         "dims": list(f.dims),
         "dtype": "<u4",

@@ -36,13 +36,15 @@ def _empty_ids(*shape: int) -> np.ndarray:
 class Segmentation:
     """Descending-manifold segmentation of one field, stored as columns.
 
-    labels[v] is the voxel id of the maximum owning voxel v. `maxima`
-    holds the maxima's voxel ids in ascending order and `pers` their
-    persistence (0 until computed). Row i of `pairs`, `saddles` and
-    `saddle_ids` is one pair of adjacent regions: its (lo, hi) maximum
-    ids, rows sorted ascending; the voxel of the saddle mediating it;
-    and that saddle's raw id, which breaks ties between saddles on one
-    voxel. Raw saddle ids follow the raw rows; simplification keeps them.
+    `maxima` holds the maxima's voxel ids in ascending order and `pers`
+    their persistence (0 until computed); everything else refers to a
+    maximum by its row there. labels[v] is the row of the maximum owning
+    voxel v, in the dtype of the voxel ranks. Row i of `pairs`, `saddles`
+    and `saddle_ids` is one pair of adjacent regions: its (lo, hi)
+    maximum rows, rows sorted ascending; the voxel of the saddle
+    mediating it; and that saddle's raw id, which breaks ties between
+    saddles on one voxel. Raw saddle ids follow the raw rows;
+    simplification keeps them.
     """
 
     field: ScalarField3D
@@ -133,14 +135,19 @@ def _jump(ptr: np.ndarray) -> np.ndarray:
 
 
 def compute_segmentation(f: ScalarField3D, order: VoxelOrder | None = None) -> Segmentation:
-    """Label every voxel with the maximum its steepest-ascent path reaches.
+    """Label every voxel with the row of the maximum its steepest-ascent
+    path reaches.
 
     `order` is `vertex_order(f)`, computed here when not given.
     """
-    nxt = _steepest_neighbor(f, vertex_order(f) if order is None else order)
+    order = vertex_order(f) if order is None else order
+    nxt = _steepest_neighbor(f, order)
     maxima = np.flatnonzero(nxt == np.arange(f.num_voxels))
+    nxt = _jump(nxt)  # each voxel's maximum; the row table comes after, off the peak
+    row = np.empty_like(order[0])  # set at the maxima only
+    row[maxima] = np.arange(len(maxima), dtype=row.dtype)
     return Segmentation(
-        field=f, labels=_jump(nxt), maxima=maxima, pers=np.zeros(len(maxima))
+        field=f, labels=row[nxt], maxima=maxima, pers=np.zeros(len(maxima))
     )
 
 
@@ -196,9 +203,7 @@ def compute_saddles(
     nx, ny, nz = f.dims
     rank, voxel = vertex_order(f) if order is None else order
     k = len(seg.maxima)
-    row = np.empty_like(rank)  # set at the maxima only
-    row[seg.maxima] = np.arange(k, dtype=row.dtype)
-    lp = _pad(row[seg.labels].reshape(nz, ny, nx), -1)
+    lp = _pad(seg.labels.reshape(nz, ny, nx), -1)
     rp = _pad(rank.reshape(nz, ny, nx), -1)
     inner = _pad(np.ones((nz, ny, nx), dtype=bool), False)
 
@@ -217,7 +222,7 @@ def compute_saddles(
         ranks.append(best[1])
 
     keys, ranks = _best_per_pair(np.concatenate(keys), np.concatenate(ranks))
-    seg.pairs = np.column_stack([seg.maxima[keys // k], seg.maxima[keys % k]])
+    seg.pairs = np.column_stack([keys // k, keys % k])
     # the saddle is the lower vertex of its edge: the voxel of that rank
     seg.saddles = voxel[ranks]
     seg.saddle_ids = np.arange(len(keys), dtype=np.int64)
@@ -250,12 +255,11 @@ def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     k = len(seg.maxima)
     order = np.lexsort((seg.saddle_ids, rank[seg.saddles]))[::-1]
-    ends = np.searchsorted(seg.maxima, seg.pairs[order])
     mrank = rank[seg.maxima].tolist()
     parent = list(range(k))
     partner = [-1] * k
     died = [-1] * k  # position in `order` of the saddle each row dies at
-    for i, (a, b) in enumerate(ends.tolist()):
+    for i, (a, b) in enumerate(seg.pairs[order].tolist()):
         ra, rb = find_root(parent, a), find_root(parent, b)
         if ra == rb:
             continue
@@ -298,11 +302,12 @@ def simplify(
     region joins its partner across the pairing saddle. The canceled
     (maximum, partner) links form a forest whose trees each hold one
     survivor, so pointer jumping resolves partners that are canceled
-    themselves to the one surviving maximum of their tree. Each
-    surviving region pair keeps the saddle of greatest (rank, saddle
-    id). The global maximum is never canceled. By the same elder rule a
-    survivor keeps its raw persistence. Returns a new Segmentation;
-    `seg` is left as it was.
+    themselves to the one surviving maximum of their tree. Labels and
+    pairs are relabeled through one table, the new row of every old
+    row's survivor. Each surviving region pair keeps the saddle of
+    greatest (rank, saddle id). The global maximum is never canceled.
+    By the same elder rule a survivor keeps its raw persistence. Returns
+    a new Segmentation; `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -311,17 +316,10 @@ def simplify(
         rank, _ = vertex_order(f)
     pers, partner = _pairing(seg, rank)
     canceled = (partner >= 0) & (pers < theta)
-    rep = np.where(canceled, partner, np.arange(len(seg.maxima)))
-    rep = seg.maxima[_jump(rep)]  # surviving maximum id of every row
+    survivor = _jump(np.where(canceled, partner, np.arange(len(seg.maxima))))
+    new_row = (np.cumsum(~canceled) - 1)[survivor]
 
-    if canceled.any():
-        lut = np.arange(f.num_voxels, dtype=seg.labels.dtype)
-        lut[seg.maxima[canceled]] = rep[canceled]
-        labels = lut[seg.labels]
-    else:
-        labels = seg.labels.copy()  # no voxel-sized lookup table needed
-
-    ends = rep[np.searchsorted(seg.maxima, seg.pairs)]
+    ends = new_row[seg.pairs]
     ends.sort(axis=1)
     live = np.flatnonzero(ends[:, 0] != ends[:, 1])
     lo, hi = ends[live, 0], ends[live, 1]
@@ -334,7 +332,7 @@ def simplify(
 
     return Segmentation(
         field=f,
-        labels=labels,
+        labels=new_row.astype(seg.labels.dtype).take(seg.labels),
         maxima=seg.maxima[~canceled],
         pers=pers[~canceled],
         pairs=np.column_stack([lo[last], hi[last]]),

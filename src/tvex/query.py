@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exgraph import ROW_MASK, make_node_id
+from .exgraph import make_node_id, split_node_id
 from .temporal import EventSets, ScoreTuple, Tveg
 from .tracks import Track
 
@@ -69,7 +69,7 @@ def select_in_region(
         pts = g.coords[: g.n_max]
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)  # per maximum row
         chosen.update(g.maxima[inside].tolist())
-        spatial.extend(map(tuple, g.arcs[inside[g.arcs[:, 0] & ROW_MASK]].tolist()))
+        spatial.extend(map(tuple, (g.arcs[inside[g.arcs[:, 0]]] + make_node_id(g.t, 0)).tolist()))
     temporal = [a for a in tveg.all_arcs() if a.m0 in chosen and a.m1 in chosen]
     return Selection(
         maxima=sorted(chosen),
@@ -111,17 +111,17 @@ def track_neighborhood(
     out: dict[int, list[int]] = {}
     for t in sorted(seeds):
         g = tveg.graph_at(t)
-        base = make_node_id(t, 0)
-        rows = [node - base for node in seeds[t]]
-        if not all(0 <= r < len(g.value) for r in rows):
+        rows = [row for node_t, row in map(split_node_id, seeds[t])
+                if node_t == t and row < len(g.value)]
+        if len(rows) < len(seeds[t]):
             raise KeyError(f"a seed is not a node of step {t}")
         ball = np.zeros(len(g.value), dtype=bool)
         ball[rows] = True
-        m, s = (g.arcs - base).T
+        m, s = g.arcs.T
         for _ in range(hops):
             # every arc with an end in the ball brings in its other end
             hit = ball[m] | ball[s]
             ball[m[hit]] = True
             ball[s[hit]] = True
-        out[t] = (np.flatnonzero(ball) + base).tolist()
+        out[t] = (np.flatnonzero(ball) + make_node_id(t, 0)).tolist()
     return out

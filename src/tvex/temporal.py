@@ -18,7 +18,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .exgraph import ExtremumGraph, make_node_id
+from .exgraph import ExtremumGraph, make_node_id, split_node_id
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class Tveg:
     def max_row(self, t: int, node_id: int) -> tuple[ExtremumGraph, int]:
         """The graph of step t and the row of its maximum `node_id`."""
         g = self.graph_at(t)
-        row = node_id & 0xFFFFFFFF
-        if node_id >> 32 != t or row >= g.n_max:
+        node_t, row = split_node_id(node_id)
+        if node_t != t or row >= g.n_max:
             raise KeyError(f"no maximum {node_id} at time {t}")
         return g, row
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .exgraph import ROW_MASK, split_node_id
+from .exgraph import split_node_id
 from .field import FieldSeries
 from .morse import find_root, morse_step
 from .temporal import ScoreTuple, Tveg
@@ -44,10 +44,6 @@ class Track:
         return sum(steps) / (len(self.nodes) - 1)
 
 
-def _node_time(node_id: int) -> int:
-    return split_node_id(node_id)[0]
-
-
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
     """One bundle per connected component; each component's nodes and
     arcs are grouped by their root in one pass."""
@@ -66,7 +62,7 @@ def _components(arcs: list[ScoreTuple]) -> list[Track]:
         comp_arcs.setdefault(find_root(parent, a.m0), []).append((a.m0, a.m1))
     return [
         Track(
-            nodes=sorted((_node_time(n), n) for n in nodes[root]),
+            nodes=sorted((split_node_id(n)[0], n) for n in nodes[root]),
             arcs=sorted(comp_arcs[root]),
         )
         for root in sorted(nodes)
@@ -108,8 +104,8 @@ def _simple_paths(arcs: list[ScoreTuple]) -> list[Track]:
             path.append(nxt)
             used.add((nxt.m0, nxt.m1))
             cur = nxt.m1
-        nodes = [(_node_time(path[0].m0), path[0].m0)]
-        nodes += [(_node_time(p.m1), p.m1) for p in path]
+        nodes = [(split_node_id(path[0].m0)[0], path[0].m0)]
+        nodes += [(split_node_id(p.m1)[0], p.m1) for p in path]
         tracks.append(Track(nodes=nodes, arcs=[(p.m0, p.m1) for p in path]))
     # arcs in cycles cannot occur (time strictly increases), so all used
     return sorted(tracks, key=lambda tr: (-tr.length, tr.nodes[0][1]))
@@ -140,14 +136,14 @@ def refine_by_overlap(
     `series` in time order and segmented again at `tveg.theta`; only the
     clipped labels of the step before are kept. The overlaps of a step
     pair are one count of the (label at t, label at t+1) pairs of the
-    voxels clipped in both. For a source with two arcs only the
+    voxels clipped in both; a label is its maximum's row. For a source with two arcs only the
     larger-overlap arc survives (ties: lower score); arcs with zero
     overlap are dropped. Tracks shorter than min_len are discarded.
     Raises ValueError when `series` lacks a step of the tveg or does not
     give the graph's maxima there.
     """
     kept: list[ScoreTuple] = []
-    prev = prev_vertex = None
+    prev = None
     for g, (arcs_in, _) in zip(tveg.graphs, [([], None)] + tveg.links):
         f = series.at(g.t)
         seg = morse_step(f, tveg.theta)
@@ -156,23 +152,24 @@ def refine_by_overlap(
                 and np.array_equal(f.values[maxima], g.value[: g.n_max])):
             raise ValueError(f"step {g.t}: the series does not give the graph's "
                              f"maxima at theta {tveg.theta:.6g}")
-        # a label is its maximum's voxel id; -1 outside the superlevel set
-        cur, n = np.where(f.values >= isovalue, seg.labels, -1), f.num_voxels
-        overlap: dict[int, int] = {}  # label pair key -> shared voxels
+        # -1 outside the superlevel set
+        cur, n = np.where(f.values >= isovalue, seg.labels, -1), g.n_max
+        overlap: dict[int, int] = {}  # row pair key -> shared voxels
         if prev is not None:
             both = (prev >= 0) & (cur >= 0)
-            pairs, counts = np.unique(prev[both] * n + cur[both], return_counts=True)
+            pairs, counts = np.unique(prev[both].astype(np.int64) * n + cur[both],
+                                      return_counts=True)
             overlap = dict(zip(pairs.tolist(), counts.tolist()))
         by_src: dict[int, list[tuple[ScoreTuple, int]]] = {}
         for a in arcs_in:
-            key = int(prev_vertex[a.m0 & ROW_MASK]) * n + int(g.vertex[a.m1 & ROW_MASK])
+            key = split_node_id(a.m0)[1] * n + split_node_id(a.m1)[1]
             by_src.setdefault(a.m0, []).append((a, overlap.get(key, 0)))
         for src in sorted(by_src):
             cands = by_src[src]
             if len(cands) == 2:
                 cands = [min(cands, key=lambda c: (-c[1], c[0].s, c[0].m1))]
             kept.extend(a for a, ov in cands if ov > 0)
-        prev, prev_vertex = cur, g.vertex
+        prev = cur
 
     pruned = _simple_paths(kept)
     return [tr for tr in pruned if tr.length >= min_len]

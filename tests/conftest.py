@@ -1,5 +1,7 @@
 """Shared fixtures: small random fields and a tiny synthetic series."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,21 @@ def random_field(rng, dims, time_index=0):
     )
 
 
+def voxel_ids(seg):
+    """A copy of a segmentation whose labels and pairs name each maximum
+    by its voxel id, not by its row, as the reference implementations
+    under tests/ keep them."""
+    return dataclasses.replace(
+        seg, labels=seg.maxima[seg.labels], pairs=seg.maxima[seg.pairs]
+    )
+
+
 def adjacency(seg) -> dict[tuple[int, int], int]:
-    """A segmentation's region pairs as {(lo, hi): raw saddle id}."""
+    """A segmentation's region pairs as {(lo, hi): raw saddle id}, each
+    maximum named by its voxel id."""
     return {
         (la, lb): sid
-        for (la, lb), sid in zip(seg.pairs.tolist(), seg.saddle_ids.tolist())
+        for (la, lb), sid in zip(seg.maxima[seg.pairs].tolist(), seg.saddle_ids.tolist())
     }
 
 

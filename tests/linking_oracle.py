@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvex.exgraph import ExtremumGraph
+from tvex.exgraph import ExtremumGraph, make_node_id
 from tvex.io import canonical_json
 from tvex.temporal import EventSets, ScoreTuple, ScoreWeights, Tveg
 
@@ -87,7 +87,7 @@ def step_dict(g: ExtremumGraph) -> dict:
             g.vertex.tolist(),
         )
     ]
-    return {"t": g.t, "nodes": nodes, "arcs": g.arcs.tolist()}
+    return {"t": g.t, "nodes": nodes, "arcs": (g.arcs + make_node_id(g.t, 0)).tolist()}
 
 
 def events_to_dict(ev: EventSets) -> dict:

@@ -15,6 +15,8 @@ from tvex.morse import Segmentation, morse_step
 from tvex.temporal import ScoreTuple, Tveg
 from tvex.tracks import Track, _simple_paths
 
+from conftest import voxel_ids
+
 
 def descending_manifolds(seg: Segmentation) -> list[np.ndarray]:
     """Each maximum's voxel ids, ascending, in the order of `seg.maxima`."""
@@ -30,7 +32,7 @@ def refine_by_overlap(
     arcs_into = {g1.t: arcs for g1, (arcs, _) in zip(tveg.graphs[1:], tveg.links)}
     for g in tveg.graphs:
         f = series.at(g.t)
-        seg = morse_step(f, tveg.theta)
+        seg = voxel_ids(morse_step(f, tveg.theta))  # labels as voxel ids
         maxima = g.vertex[: g.n_max]
         if not (np.array_equal(seg.maxima, maxima)
                 and np.array_equal(f.values[maxima], g.value[: g.n_max])):

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from tvex import morse, pipeline
-from tvex.exgraph import ROW_MASK, build_extremum_graph, make_node_id, split_node_id
+from tvex.exgraph import build_extremum_graph, make_node_id, split_node_id
 from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 
 from conftest import random_field, two_blob_series
+
+
+def arc_ids(g) -> list[list[int]]:
+    """The graph's arcs as (maximum id, saddle id) pairs."""
+    return (g.arcs + make_node_id(g.t, 0)).tolist()
 
 
 def neighborhood_contribution(g, max_id: int) -> float:
@@ -19,9 +24,7 @@ def neighborhood_contribution(g, max_id: int) -> float:
     if t != g.t or row >= g.n_max:
         raise KeyError(f"{max_id} is not a maximum of step {g.t}")
     value = g.value.tolist()
-    return float(
-        sum(abs(value[row] - value[s & ROW_MASK]) for m, s in g.arcs.tolist() if m == max_id)
-    )
+    return float(sum(abs(value[row] - value[s]) for m, s in g.arcs.tolist() if m == row))
 
 
 def test_node_id_roundtrip():
@@ -52,7 +55,7 @@ def test_every_saddle_has_degree_two(rng):
     f = random_field(rng, (7, 7, 7), time_index=1)
     g = build_extremum_graph(f, 0.15)
     deg = {}
-    for m, s in g.arcs.tolist():
+    for m, s in arc_ids(g):
         deg[s] = deg.get(s, 0) + 1
     assert set(deg) == set(g.saddles.tolist())
     assert all(d == 2 for d in deg.values())
@@ -63,10 +66,10 @@ def test_arcs_join_maxima_to_saddles(rng):
     g = build_extremum_graph(f, 0.1)
     max_ids = set(g.maxima.tolist())
     sad_ids = set(g.saddles.tolist())
-    for m, s in g.arcs.tolist():
+    for m, s in arc_ids(g):
         assert m in max_ids
         assert s in sad_ids
-    assert g.arcs.tolist() == sorted(g.arcs.tolist())
+    assert arc_ids(g) == sorted(arc_ids(g))
 
 
 def test_graph_matches_simplified_segmentation(rng):
@@ -89,7 +92,7 @@ def test_eta_is_sum_of_saddle_gaps(rng):
     value = dict(zip(g.ids.tolist(), g.value.tolist()))
     for m, eta in zip(g.maxima.tolist(), g.eta.tolist()):
         expect = sum(
-            abs(value[m] - value[s]) for mm, s in g.arcs.tolist() if mm == m
+            abs(value[m] - value[s]) for mm, s in arc_ids(g) if mm == m
         )
         assert eta == pytest.approx(expect)
         assert neighborhood_contribution(g, m) == pytest.approx(expect)
@@ -116,7 +119,7 @@ def test_incident_saddles_sorted(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     g = build_extremum_graph(f, 0.1)
     for m in g.maxima.tolist():
-        inc = [s for mm, s in g.arcs.tolist() if mm == m]
+        inc = [s for mm, s in arc_ids(g) if mm == m]
         assert inc == sorted(inc)
 
 
@@ -125,7 +128,7 @@ def test_saddle_persistence_is_cancellation_value(rng):
     g = build_extremum_graph(f, 0.1)
     value = dict(zip(g.ids.tolist(), g.value.tolist()))
     touching = {}
-    for m, s in g.arcs.tolist():
+    for m, s in arc_ids(g):
         touching.setdefault(s, []).append(m)
     for s, pers in zip(g.saddles.tolist(), g.pers[g.n_max :].tolist()):
         pair = touching[s]

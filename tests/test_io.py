@@ -330,13 +330,13 @@ class TestSegmentationExport:
             seg, str(tmp_path / "seg")
         )
         back = np.fromfile(labels_path, dtype="<u4")
-        assert np.array_equal(back, seg.labels)
+        assert np.array_equal(back, seg.maxima[seg.labels])
         side = json.load(open(sidecar_path))
         assert side["dims"] == list(f.dims)
         by_label = {m["label"]: m for m in side["maxima"]}
-        for m in seg.maxima.tolist():
+        for row, m in enumerate(seg.maxima.tolist()):
             assert by_label[m]["region_voxels"] == int(
-                np.count_nonzero(seg.labels == m)
+                np.count_nonzero(seg.labels == row)
             )
 
 
@@ -756,6 +756,41 @@ class TestCli:
         vals.tofile(raw)
         assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {raw}: non-finite value in field\n"
+
+    @pytest.mark.parametrize(
+        "doc, msg",
+        [
+            ({"tracks": 5}, "'tracks': a value of the wrong JSON type"),
+            ([1], "a tracks file must be an object, got list"),
+        ],
+        ids=["tracks a number", "a list"],
+    )
+    def test_bad_tracks_file_is_named(self, tmp_path, capsys, doc, msg):
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=4), str(tmp_path / "d"))
+        assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 0
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["query", "--kind", "length-threshold"],
+                     ["export", "-o", str(tmp_path / "x.vtk")]):
+            argv += ["--tveg", str(tmp_path / "o" / "tveg.json"), "--tracks", str(tracks)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and msg in err
+
+    @pytest.mark.parametrize("detail", ["Unable to allocate 8.00 GiB", ""])
+    def test_out_of_memory_is_named(self, tmp_path, capsys, monkeypatch, detail):
+        """A volume too large to read ends in a named error, exit 3; the
+        read is made to fail, nothing large is allocated."""
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=2), str(tmp_path / "d"))
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(np, "fromfile", no_memory)
+        assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 3
+        want = f"error: out of memory: {detail}\n" if detail else "error: out of memory\n"
+        assert capsys.readouterr().err == want
 
     def test_unknown_time_step_fails(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvex.exgraph import make_node_id
 from tvex.pipeline import compute_tveg
 from tvex.query import (
     events_in_window,
@@ -138,10 +139,13 @@ class TestTrackNeighborhood:
     def test_one_hop_adds_incident_saddles(self, tvg, tracks):
         tr = tracks[0]
         nb = track_neighborhood(tvg, tr, 1)
+        gained = 0
         for t, mid in tr.nodes:
-            g = tvg.graph_at(t)
-            expect = {mid} | {s for m, s in g.arcs.tolist() if m == mid}
-            assert expect <= set(nb[t])
+            base = make_node_id(t, 0)
+            saddles = {s + base for m, s in tvg.graph_at(t).arcs.tolist() if m + base == mid}
+            assert {mid} | saddles <= set(nb[t])
+            gained += len(saddles)
+        assert gained  # some node of the track has a saddle
 
     def test_hops_monotone(self, tvg, tracks):
         tr = tracks[0]
