@@ -17,11 +17,14 @@ refined tracks at isovalues 0.1, 0.8 and 0.9, one query of each kind,
 the VTK export with and without spatial arcs, and the segmentation of
 step 30. For each series of the benchmark's gauss8-64, noisy-20 and
 dense-24 workloads (drawn from seed 5) it holds `tveg.json` written
-with TVEX_THREADS 1 and 2 and its export -> load -> export copy. For
-the first noisy-20 series it also holds the segmentation of step 1 and
-the refined tracks: at its theta = 0.3r simplification cancels about
-310 of some 320 maxima per step, so relabeling does the most work
-there. The input volumes are written under `inputs/`.
+with TVEX_THREADS 1 and 2, its export -> load -> export copy, the
+tracks in both modes, and the VTK export of each mode's tracks with and
+without spatial arcs (Gauss8 has 8 maxima per step; dense-24 gives the
+writer hundreds). For the first noisy-20 series it also holds the
+segmentation of step 1 and the refined tracks: at its theta = 0.3r
+simplification cancels about 310 of some 320 maxima per step, so
+relabeling does the most work there. The input volumes are written
+under `inputs/`.
 """
 
 import argparse
@@ -98,6 +101,12 @@ def bench_series(out: str) -> None:
             dest = f"{out}/{name}/series{i}"
             tveg = tveg_per_thread_count(manifest, w.theta, dest)
             tvio.export_tveg_json(tvio.load_tveg_json(tveg), f"{dest}/copy.json")
+            for mode in ("simple-paths", "components"):
+                tracks = f"{dest}/tracks_{mode}.json"
+                run("tracks", "--tveg", tveg, "--mode", mode, "-o", tracks)
+                run("export", "--tveg", tveg, "--tracks", tracks, "-o", f"{dest}/{mode}.vtk")
+                run("export", "--tveg", tveg, "--tracks", tracks, "--spatial-arcs",
+                    "-o", f"{dest}/{mode}_spatial.vtk")
             if (name, i) == ("noisy-20", 0):
                 run("export", "--what", "segmentation", "--manifest", manifest,
                     "--theta", w.theta, "--t", "1", "-o", f"{dest}/segmentation_1")

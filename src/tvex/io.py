@@ -177,8 +177,9 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
 
 def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
     """The (arcs, filter statistics) of each stored pair. The pairs must
-    be those of consecutive stored steps, in order, and each arc must
-    join a maximum of step t to one of step t + 1."""
+    be those of consecutive stored steps, in order, and each pair's arcs
+    must join a maximum of step t to one of step t + 1, sorted by
+    (m0, m1) without repeats, as `link_pair` gives them."""
     ts, stored = [g.t for g in graphs[:-1]], [int(pair["t"]) for pair in pairs]
     for i, (t, want) in enumerate(zip_longest(stored, ts)):
         if t != want:
@@ -198,6 +199,9 @@ def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
                     f"temporal arcs {t}->{t + 1}: arc ({a.m0}, {a.m1}) does not "
                     f"join a maximum of step {t} to one of step {t + 1}"
                 )
+        if any((a.m0, a.m1) >= (b.m0, b.m1) for a, b in zip(arcs, arcs[1:])):
+            raise ValueError(f"temporal arcs {t}->{t + 1}: arcs are not sorted by (m0, m1) "
+                             "without repeats")
         meta = FilterMeta(*(float(pair["filter"][k]) for k in ("mu", "sigma", "tau")))
         links.append((arcs, meta))
     return links
@@ -261,19 +265,39 @@ def export_tracks_json(tracks: list[Track], path: str) -> None:
 
 
 def load_tracks_json(path: str) -> list[Track]:
-    """The tracks of an exported file. Raises ValueError when the
-    document is not an object or a value has the wrong JSON type."""
+    """The tracks of an exported file. Raises ValueError, naming the file
+    and the track, unless the document is an object whose `tracks` list
+    holds objects with `nodes` and `arcs` lists, each node two integers
+    [t, id] with t the step of id and each arc two ids of its track's
+    nodes."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a tracks file must be an object, got {type(doc).__name__}")
-    return _read("tracks", lambda tracks: [
-        Track(
-            nodes=[(int(t), int(n)) for t, n in tr["nodes"]],
-            arcs=[(int(a), int(b)) for a, b in tr["arcs"]],
-        )
-        for tr in tracks
-    ], doc["tracks"])
+    if not isinstance(tracks := doc.get("tracks"), list):
+        raise ValueError(f"{path}: 'tracks': a value of the wrong JSON type "
+                         f"(a list is needed, got {type(tracks).__name__})")
+    return [_track(tr, f"{path}: track {i}") for i, tr in enumerate(tracks)]
+
+
+def _int_pair(v) -> bool:
+    """Whether v is a JSON list of two integers (not bools or floats)."""
+    return type(v) is list and len(v) == 2 and all(type(x) is int for x in v)
+
+
+def _track(tr, where: str) -> Track:
+    """One checked track of a tracks file; `where` names it in errors."""
+    if not (isinstance(tr, dict) and all(type(tr.get(k)) is list for k in ("nodes", "arcs"))):
+        raise ValueError(f"{where}: a track must be an object with 'nodes' and 'arcs' lists")
+    for node in tr["nodes"]:
+        if not (_int_pair(node) and split_node_id(node[1])[0] == node[0]):
+            raise ValueError(f"{where}: node {node!r} is not two integers [t, id] "
+                             "with t the step of id")
+    ids = {n for _, n in tr["nodes"]}
+    for arc in tr["arcs"]:
+        if not (_int_pair(arc) and arc[0] in ids and arc[1] in ids):
+            raise ValueError(f"{where}: arc {arc!r} is not two ids of the track's nodes")
+    return Track(nodes=list(map(tuple, tr["nodes"])), arcs=list(map(tuple, tr["arcs"])))
 
 
 def _event_codes(tveg: Tveg) -> dict[tuple[int, int], int]:
@@ -281,15 +305,13 @@ def _event_codes(tveg: Tveg) -> dict[tuple[int, int], int]:
 
     First match in that order wins when a node participates in several.
     """
-    codes: dict[tuple[int, int], int] = {}
-    for n, t in reversed(tveg.events.generations):
-        codes[(t, n)] = 4
-    for n, t in reversed(tveg.events.deletions):
-        codes[(t, n)] = 3
-    for e in reversed(tveg.events.splits):
-        codes[(e["time"], e["node"])] = 2
-    for e in reversed(tveg.events.merges):
-        codes[(e["time"], e["node"])] = 1
+    ev, codes = tveg.events, {}
+    for code, records in ((1, ev.merges), (2, ev.splits)):
+        for e in records:
+            codes.setdefault((e["time"], e["node"]), code)
+    for code, records in ((3, ev.deletions), (4, ev.generations)):
+        for n, t in records:
+            codes.setdefault((t, n), code)
     return codes
 
 
@@ -307,20 +329,24 @@ def export_tracks_geometry(
     the scaled z-extent of the node coordinates so consecutive steps do
     not overlap. Point scalars: time index, track id, event code. With
     `include_spatial`, each track maximum also gets a line to each of
-    its saddles.
+    its saddles. Points are each track's nodes, then its saddles; lines
+    are each track's arcs, then its spatial lines.
     """
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
     codes = _event_codes(tveg)
-
-    points: list[tuple[float, float, float]] = []
-    ptime: list[int] = []
-    ptrack: list[int] = []
-    pevent: list[int] = []
+    xyz: list[tuple[float, float, float]] = []
+    scalars: list[tuple[int, int, int]] = []  # time index, track id, event code
     lines: list[tuple[int, int]] = []
     # per step: node coordinates, and the saddle rows of maximum row r
     # at saddles[first[r]:first[r + 1]] (arcs are sorted by maximum)
     steps: dict[int, tuple[list, list[int], list[int]]] = {}
+
+    def point(t: int, row: int, track_id: int, code: int) -> int:
+        x, y, z = steps[t][0][row]
+        xyz.append((x, y, z * z_scale + t * slab_height))
+        scalars.append((t, track_id, code))
+        return len(xyz) - 1
 
     for track_id, tr in enumerate(tracks):
         index: dict[int, int] = {}  # node id -> its point
@@ -329,46 +355,27 @@ def export_tracks_geometry(
             if t not in steps:
                 first = np.searchsorted(g.arcs[:, 0], np.arange(g.n_max + 1))
                 steps[t] = (g.coords.tolist(), first.tolist(), g.arcs[:, 1].tolist())
-            x, y, z = steps[t][0][row]
-            index[mid] = len(points)
-            points.append((x, y, z * z_scale + t * slab_height))
-            ptime.append(t)
-            ptrack.append(track_id)
-            pevent.append(codes.get((t, mid), 0))
+            index[mid] = point(t, row, track_id, codes.get((t, mid), 0))
         lines.extend((index[a], index[b]) for a, b in tr.arcs)
         if include_spatial:
             for t, mid in tr.nodes:
-                coords, first, saddles = steps[t]
+                _, first, saddles = steps[t]
                 row = split_node_id(mid)[1]
-                for s in saddles[first[row] : first[row + 1]]:
-                    x, y, z = coords[s]
-                    lines.append((index[mid], len(points)))
-                    points.append((x, y, z * z_scale + t * slab_height))
-                    ptime.append(t)
-                    ptrack.append(track_id)
-                    pevent.append(0)
+                lines.extend((index[mid], point(t, s, track_id, 0))
+                             for s in saddles[first[row] : first[row + 1]])
 
+    n, m = len(xyz), len(lines)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("tvex tracks\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET POLYDATA\n")
-        fh.write(f"POINTS {len(points)} float\n")
-        for x, y, z in points:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
-        fh.write(f"LINES {len(lines)} {3 * len(lines)}\n")
-        for a, b in lines:
-            fh.write(f"2 {a} {b}\n")
-        fh.write(f"POINT_DATA {len(points)}\n")
-        for name, data in (
-            ("time_index", ptime),
-            ("track_id", ptrack),
-            ("event_code", pevent),
-        ):
-            fh.write(f"SCALARS {name} int 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            for v in data:
-                fh.write(f"{v}\n")
+        fh.write("# vtk DataFile Version 3.0\ntvex tracks\nASCII\nDATASET POLYDATA\n"
+                 f"POINTS {n} float\n")
+        fh.write("%.9g %.9g %.9g\n" * n % tuple(chain.from_iterable(xyz)))
+        fh.write(f"LINES {m} {3 * m}\n")
+        fh.write("2 %d %d\n" * m % tuple(chain.from_iterable(lines)))
+        fh.write(f"POINT_DATA {n}\n")
+        for name, column in zip(("time_index", "track_id", "event_code"),
+                                list(zip(*scalars)) or [()] * 3):
+            fh.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
+            fh.write("%d\n" * n % column)
 
 
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:

@@ -10,7 +10,6 @@ removed greedily by score.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dfield
@@ -228,9 +227,10 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
     greatest score (ties: greater source id, then greater target id).
 
     Removing an arc only lowers degrees, so an arc that stops offending
-    never offends again: popping the initial offenders from one max-heap
-    and removing those that still offend removes the same arcs in the
-    same order as rescanning after every removal.
+    never offends again and no arc starts to: visiting the initial
+    offenders once, by descending (score, source id, target id), and
+    removing those that still offend removes the same arcs in the same
+    order as rescanning after every removal.
     """
     out_deg = Counter(a.m0 for a in arcs)
     in_deg = Counter(a.m1 for a in arcs)
@@ -238,11 +238,9 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
     def offends(a: ScoreTuple) -> bool:
         return out_deg[a.m0] >= 2 and in_deg[a.m1] >= 2
 
-    heap = [(-a.s, -a.m0, -a.m1, i) for i, a in enumerate(arcs) if offends(a)]
-    heapq.heapify(heap)
     kept = [True] * len(arcs)
-    while heap:
-        i = heapq.heappop(heap)[3]
+    offenders = [i for i, a in enumerate(arcs) if offends(a)]
+    for i in sorted(offenders, key=lambda i: (arcs[i].s, arcs[i].m0, arcs[i].m1), reverse=True):
         a = arcs[i]
         if offends(a):
             kept[i] = False

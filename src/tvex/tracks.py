@@ -45,8 +45,8 @@ class Track:
 
 
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
-    """One bundle per connected component; each component's nodes and
-    arcs are grouped by their root in one pass."""
+    """One bundle per connected component: its arcs grouped by their
+    root in one pass, its nodes the ends of those arcs."""
     parent: dict[int, int] = {}
     for a in arcs:
         parent.setdefault(a.m0, a.m0)
@@ -54,18 +54,15 @@ def _components(arcs: list[ScoreTuple]) -> list[Track]:
         ra, rb = find_root(parent, a.m0), find_root(parent, a.m1)
         if ra != rb:  # join under the smaller root
             parent[max(ra, rb)] = min(ra, rb)
-    nodes: dict[int, list[int]] = {}
-    for node in parent:
-        nodes.setdefault(find_root(parent, node), []).append(node)
     comp_arcs: dict[int, list[tuple[int, int]]] = {}
     for a in arcs:
         comp_arcs.setdefault(find_root(parent, a.m0), []).append((a.m0, a.m1))
     return [
         Track(
-            nodes=sorted((split_node_id(n)[0], n) for n in nodes[root]),
-            arcs=sorted(comp_arcs[root]),
+            nodes=sorted({(split_node_id(n)[0], n) for arc in comp for n in arc}),
+            arcs=sorted(comp),
         )
-        for root in sorted(nodes)
+        for _, comp in sorted(comp_arcs.items())
     ]
 
 
@@ -79,35 +76,26 @@ def _simple_paths(arcs: list[ScoreTuple]) -> list[Track]:
     """
     out_arcs: dict[int, list[ScoreTuple]] = {}
     in_deg: dict[int, int] = {}
-    out_deg: dict[int, int] = {}
     for a in arcs:
         out_arcs.setdefault(a.m0, []).append(a)
-        out_deg[a.m0] = out_deg.get(a.m0, 0) + 1
         in_deg[a.m1] = in_deg.get(a.m1, 0) + 1
 
     def chains_through(n: int) -> bool:
-        return in_deg.get(n, 0) == 1 and out_deg.get(n, 0) == 1
+        return in_deg.get(n, 0) == 1 and len(out_arcs.get(n, ())) == 1
 
     tracks = []
-    used: set[tuple[int, int]] = set()
-    # start arcs: source is not a pass-through node
+    # start arcs: source is not a pass-through node; every other arc
+    # leaves a pass-through node, so each arc is walked exactly once
+    # (time strictly increases, so there are no cycles)
     for a in sorted(arcs, key=lambda a: (a.m0, a.m1)):
-        if (a.m0, a.m1) in used:
-            continue
         if chains_through(a.m0):
             continue
         path = [a]
-        used.add((a.m0, a.m1))
-        cur = a.m1
-        while chains_through(cur):
-            nxt = out_arcs[cur][0]
-            path.append(nxt)
-            used.add((nxt.m0, nxt.m1))
-            cur = nxt.m1
+        while chains_through(path[-1].m1):
+            path.append(out_arcs[path[-1].m1][0])
         nodes = [(split_node_id(path[0].m0)[0], path[0].m0)]
         nodes += [(split_node_id(p.m1)[0], p.m1) for p in path]
         tracks.append(Track(nodes=nodes, arcs=[(p.m0, p.m1) for p in path]))
-    # arcs in cycles cannot occur (time strictly increases), so all used
     return sorted(tracks, key=lambda tr: (-tr.length, tr.nodes[0][1]))
 
 

@@ -189,6 +189,8 @@ class TestTvegPairChecks:
             ("m0 is a row past n_max", "temporal arcs 1->2"),
             ("m1 is of step t + 2", "temporal arcs 1->2"),
             ("pair at the last step", "temporal arcs 4->5"),
+            ("arc repeated", "temporal arcs 1->2: arcs are not sorted"),
+            ("arcs out of order", "temporal arcs 1->2: arcs are not sorted"),
             ("pair stored twice", "temporal arcs 1->2: stored twice"),
             ("pair missing", "temporal arcs 2->3: missing"),
             ("pairs out of order", "temporal arcs 1->2: stored out of order"),
@@ -208,6 +210,10 @@ class TestTvegPairChecks:
             pair["arcs"][0][0] = (1 << 32) | 999
         elif how == "m1 is of step t + 2":
             pair["arcs"][0][1] += 1 << 32
+        elif how == "arc repeated":
+            pair["arcs"].insert(1, pair["arcs"][0])
+        elif how == "arcs out of order":
+            pair["arcs"].reverse()
         elif how == "pair at the last step":
             doc["temporal_arcs"][-1]["t"] = doc["steps"][-1]["t"]
         elif how == "pair stored twice":
@@ -311,15 +317,21 @@ class TestGeometryExport:
 
 
     def test_track_node_must_be_a_maximum(self, tvg, tmp_path, capsys):
+        """A saddle is refused by the writer; a node of another step, by
+        the writer in memory and by the loader in a --tracks file."""
         p = str(tmp_path / "t.json")
         tvio.export_tveg_json(tvg, p)
         g = tvg.graphs[0]
-        for node in (int(g.saddles[0]), int(g.maxima[0]) + (1 << 32)):
+        for node, msg in ((int(g.saddles[0]), "no maximum"),
+                          (int(g.maxima[0]) + (1 << 32), "with t the step of id")):
             tp = str(tmp_path / "tracks.json")
             tvio.export_tracks_json([Track(nodes=[(g.t, node)])], tp)
             argv = ["export", "--tveg", p, "--tracks", tp, "-o", str(tmp_path / "x.vtk")]
             assert main(argv) == 2
-            assert "no maximum" in capsys.readouterr().err
+            assert msg in capsys.readouterr().err
+            with pytest.raises(KeyError, match="no maximum"):
+                tvio.export_tracks_geometry([Track(nodes=[(g.t, node)])], tvg,
+                                            str(tmp_path / "y.vtk"))
 
 class TestSegmentationExport:
     def test_raw_roundtrip(self, rng, tmp_path):
@@ -762,8 +774,9 @@ class TestCli:
         [
             ({"tracks": 5}, "'tracks': a value of the wrong JSON type"),
             ([1], "a tracks file must be an object, got list"),
+            ({}, "'tracks': a value of the wrong JSON type"),
         ],
-        ids=["tracks a number", "a list"],
+        ids=["tracks a number", "a list", "no tracks"],
     )
     def test_bad_tracks_file_is_named(self, tmp_path, capsys, doc, msg):
         manifest = save_series(generate_gauss8((8, 8, 8), steps=4), str(tmp_path / "d"))
@@ -777,6 +790,55 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and msg in err
+
+    @pytest.fixture(scope="class")
+    def gauss8_tveg(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("gauss8")
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=4), str(tmp / "d"))
+        assert main(["tveg", "--manifest", manifest, "-o", str(tmp / "o")]) == 0
+        return str(tmp / "o" / "tveg.json")
+
+    # maxima of the Gauss8 8^3 x 4 run of `gauss8_tveg`: (1, 0) and (2, 0)
+    A, B = 1 << 32, 2 << 32
+
+    @pytest.mark.parametrize(
+        "track, msg",
+        [
+            (5, "a track must be an object with 'nodes' and 'arcs' lists"),
+            ({"arcs": []}, "a track must be an object with 'nodes' and 'arcs' lists"),
+            ({"nodes": [], "arcs": 5}, "a track must be an object with 'nodes' and 'arcs' lists"),
+            ({"nodes": [[1, "x"]], "arcs": []}, "node [1, 'x'] is not two integers"),
+            ({"nodes": [[1]], "arcs": []}, "node [1] is not two integers"),
+            ({"nodes": [[1, A, 0]], "arcs": []}, f"node [1, {A}, 0] is not two integers"),
+            ({"nodes": [5], "arcs": []}, "node 5 is not two integers"),
+            ({"nodes": [[1.7, A]], "arcs": []}, f"node [1.7, {A}] is not two integers"),
+            ({"nodes": [[1, float(A)]], "arcs": []}, f"node [1, {float(A)}] is not two integers"),
+            ({"nodes": [[True, A]], "arcs": []}, f"node [True, {A}] is not two integers"),
+            ({"nodes": [[2, A]], "arcs": []},
+             f"node [2, {A}] is not two integers [t, id] with t the step of id"),
+            ({"nodes": [[1, A], [2, B]], "arcs": [[A, 12345]]},
+             f"arc [{A}, 12345] is not two ids of the track's nodes"),
+            ({"nodes": [[1, A], [2, B]], "arcs": [[A]]}, f"arc [{A}] is not two ids"),
+            ({"nodes": [[1, A], [2, B]], "arcs": [[A, float(B)]]},
+             f"arc [{A}, {float(B)}] is not two ids"),
+        ],
+        ids=["a number", "no nodes", "arcs a number", "id a string", "one value",
+             "three values", "node a number", "t a float", "id a float", "t a bool",
+             "t not the id's step", "arc to another node", "arc of one id", "arc id a float"],
+    )
+    def test_bad_track_is_named(self, gauss8_tveg, tmp_path, capsys, track, msg):
+        """Each track is checked once, at load: `export --tracks` and
+        `query --tracks` exit 2 and name the file and the track."""
+        good = {"nodes": [[1, self.A], [2, self.B]], "arcs": [[self.A, self.B]]}
+        path = tmp_path / "tracks.json"
+        path.write_text(json.dumps({"tracks": [good, track]}))
+        capsys.readouterr()
+        for argv in (["query", "--kind", "least-deviation"],
+                     ["query", "--kind", "length-threshold"],
+                     ["export", "-o", str(tmp_path / "x.vtk")]):
+            argv += ["--tveg", gauss8_tveg, "--tracks", str(path)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: track 1: {msg}")
 
     @pytest.mark.parametrize("detail", ["Unable to allocate 8.00 GiB", ""])
     def test_out_of_memory_is_named(self, tmp_path, capsys, monkeypatch, detail):

@@ -1,0 +1,98 @@
+"""The one-point-table VTK writer against the reference writer in
+`vtk_oracle`, byte for byte."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import vtk_oracle as oracle
+from tvex import io as tvio
+from tvex.field import FieldSeries, ScalarField3D
+from tvex.pipeline import compute_tveg
+from tvex.temporal import ScoreWeights
+from tvex.tracks import Track, extract_tracks
+
+# (z_scale, slab_height): the defaults, a given slab, and a flat stack
+LAYOUTS = ((0.1, None), (0.3, 2 / 3), (1.0, 0.0))
+
+
+def series_of(a: np.ndarray) -> FieldSeries:
+    """A series of the (T, nz, ny, nx) values in `a`, steps 1..T, on a
+    grid whose coordinates need all nine significant digits."""
+    _, nz, ny, nx = a.shape
+    return FieldSeries([
+        ScalarField3D((nx, ny, nz), np.array([0.1, -1 / 7, 2 / 3]), np.array([1 / 3, 0.7, 0.3]),
+                      v.ravel(), t + 1)
+        for t, v in enumerate(a)
+    ])
+
+
+def assert_same_vtk(tracks, tveg, tmp_path) -> list[str]:
+    """Both writers give the same bytes for every layout, with and without
+    spatial arcs; returns the texts written."""
+    texts = []
+    for z_scale, slab in LAYOUTS:
+        for spatial in (False, True):
+            got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+            kw = dict(z_scale=z_scale, slab_height=slab, include_spatial=spatial)
+            tvio.export_tracks_geometry(tracks, tveg, str(got), **kw)
+            oracle.export_tracks_geometry(tracks, tveg, str(want), **kw)
+            assert got.read_bytes() == want.read_bytes()
+            texts.append(got.read_text())
+    return texts
+
+
+def track_lists(tveg) -> list[list[Track]]:
+    """Both modes' tracks, no tracks, and a one-node track per mode."""
+    lists = [extract_tracks(tveg, mode) for mode in ("simple-paths", "components")]
+    singles = [[Track(nodes=tracks[0].nodes[:1])] for tracks in lists if tracks]
+    return lists + singles + [[]]
+
+
+@st.composite
+def integer_series(draw):
+    """(T, nz, ny, nx) small integers: many maxima, plateaus broken by
+    the voxel order, and events of every kind."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(2, 5), st.integers(2, 5)))
+    steps = draw(st.integers(2, 4))
+    return draw(arrays(np.int64, (steps,) + shape, elements=st.integers(0, 4))).astype(float)
+
+
+class TestWriterMatchesOracle:
+    @given(integer_series(), st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_tvegs(self, tmp_path_factory, a, theta):
+        tmp = tmp_path_factory.mktemp("vtk")
+        tveg = compute_tveg(series_of(a), theta, ScoreWeights())
+        for tracks in track_lists(tveg):
+            assert_same_vtk(tracks, tveg, tmp)
+
+    def test_random_tvegs(self, rng, tmp_path):
+        """Seeded noise at theta 0: hundreds of points per file, saddles
+        on every maximum, and nodes in more than one event."""
+        codes, shared = Counter(), 0
+        for _ in range(3):
+            shape = (int(rng.integers(2, 5)),) + tuple(int(d) for d in rng.integers(5, 8, 3))
+            tveg = compute_tveg(series_of(rng.uniform(0.0, 1.0, shape)), 0.0, ScoreWeights())
+            for tracks in track_lists(tveg):
+                text = assert_same_vtk(tracks, tveg, tmp_path)[0]
+                codes.update(text.split("event_code int 1\nLOOKUP_TABLE default\n")[1].split())
+            ev = tveg.events
+            kinds = [{(e["time"], e["node"]) for e in ev.merges},
+                     {(e["time"], e["node"]) for e in ev.splits},
+                     {(t, n) for n, t in ev.deletions}, {(t, n) for n, t in ev.generations}]
+            shared += sum(len(a & b) for i, a in enumerate(kinds) for b in kinds[i + 1:])
+        assert set(codes) == {"0", "1", "2", "3", "4"}
+        assert shared > 0
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_one_node_track(self, tmp_path, spatial):
+        a = np.zeros((2, 1, 1, 5))
+        a[:, 0, 0, [1, 3]] = 1.0  # two maxima and one saddle per step
+        tveg = compute_tveg(series_of(a), 0.0, ScoreWeights())
+        text = assert_same_vtk([Track(nodes=[(1, 1 << 32)])], tveg, tmp_path)[int(spatial)]
+        assert f"POINTS {1 + spatial} float\n" in text
