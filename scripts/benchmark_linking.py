@@ -5,7 +5,8 @@ Builds two synthetic maxima sets of each requested size and times the
 full scoring -> filtering -> z-removal -> event-detection chain
 (`link_pair`, then the `detect_events` a Tveg runs on its arcs), then
 each of those four stages on its own by calling the same
-`tvex.temporal` functions in the same order.
+`tvex.temporal` functions in the same order. Last, apart from the
+timed runs, it prints the `tracemalloc` peak of one `compute_scores`.
 
 Usage:
     python3 scripts/benchmark_linking.py [--n 150 [600 ...]] [--repeats 20]
@@ -15,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from statistics import mean, median
 
 import numpy as np
@@ -90,6 +92,13 @@ def run(n, repeats, seed):
         f"{name} {median(s[i] for s in split) * 1000:.2f} ms"
         for i, name in enumerate(STAGES)
     ))
+    tracemalloc.start()
+    try:
+        temporal.compute_scores(g0, g1, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"compute_scores traced peak {peak / 1e6:.1f} MB")
 
 
 def main() -> int:

@@ -30,7 +30,6 @@ from .temporal import (
     compute_scores,
     detect_events,
     filter_scores,
-    normalize_components,
     remove_z_configurations,
 )
 from .tracks import Track, extract_tracks, refine_by_overlap

@@ -103,7 +103,7 @@ def cmd_events(args) -> int:
         ev = tvquery.events_in_window(tveg, tuple(args.window))
     else:
         ev = tveg.events
-    _write(tvio.canonical_json(tvio.events_to_dict(ev)), args.output)
+    _write(tvio.canonical_json(vars(ev)), args.output)
     print(
         f"events: {len(ev.merges)} merges, {len(ev.splits)} splits, "
         f"{len(ev.deletions)} deletions, {len(ev.generations)} generations "
@@ -199,7 +199,7 @@ def _run_query(tveg, q: dict, tracks_path) -> dict:
     if kind == "window-events":
         if window is None:
             raise ValueError("window-events query needs --window")
-        return tvio.events_to_dict(tvquery.events_in_window(tveg, window))
+        return vars(tvquery.events_in_window(tveg, window))
     if kind == "neighborhood":
         seeds = q.get("seeds")
         if not seeds:
@@ -211,10 +211,20 @@ def _run_query(tveg, q: dict, tracks_path) -> dict:
 
 
 def _tracks_or_paths(tveg, tracks_path) -> list:
-    """The tracks of the `--tracks` file, or the tveg's simple paths."""
-    if tracks_path:
-        return tvio.load_tracks_json(tracks_path)
-    return tvtracks.extract_tracks(tveg, mode="simple-paths")
+    """The tracks of the `--tracks` file, or the tveg's simple paths.
+    Raises ValueError, naming the file, the track and the node, if a
+    track node is not a maximum of the tveg."""
+    if not tracks_path:
+        return tvtracks.extract_tracks(tveg, mode="simple-paths")
+    track_list = tvio.load_tracks_json(tracks_path)
+    for i, track in enumerate(track_list):
+        for t, node in track.nodes:
+            try:
+                tveg.max_row(t, node)
+            except KeyError as exc:
+                raise ValueError(
+                    f"{tracks_path}: track {i}: node {[t, node]}: {exc.args[0]}") from None
+    return track_list
 
 
 def _write(text: str, output) -> None:

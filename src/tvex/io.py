@@ -16,7 +16,7 @@ import numpy as np
 from .exgraph import ExtremumGraph, make_node_id, split_node_id
 from .morse import Segmentation
 from .pipeline import check_theta
-from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
+from .temporal import FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from .tracks import Track
 
 
@@ -154,11 +154,6 @@ def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
     ]
 
 
-def events_to_dict(ev: EventSets) -> dict:
-    """The four event lists by name; `_canon` writes (node, t) as a list."""
-    return vars(ev)
-
-
 def export_tveg_json(tveg: Tveg, path: str) -> None:
     """Write the whole structure as canonical JSON, steps per column."""
     doc = {
@@ -169,7 +164,7 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
             {"t": g.t, "arcs": [[a.m0, a.m1, a.s] for a in arcs], "filter": vars(meta)}
             for g, (arcs, meta) in zip(tveg.graphs, tveg.links)
         ],
-        "events": events_to_dict(tveg.events),
+        "events": vars(tveg.events),
     }
     with open(path, "w") as fh:
         fh.write(canonical_json(doc))

@@ -112,63 +112,63 @@ class Tveg:
         return g, row
 
 
-def normalize_components(
-    g0: ExtremumGraph, g1: ExtremumGraph
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Component matrices P, J, D, N over the maxima of g0 and g1, of
-    shape (|M0|, |M1|), scaled to [0, 1]; new arrays the caller owns.
-
-    Each raw matrix is divided by its maximum over all candidate pairs;
-    an all-equal component (max 0) normalizes to zeros. D adds the
-    squared axis differences in x, y, z order, as `np.linalg.norm` does.
-    """
-    n0, n1 = g0.n_max, g1.n_max
-    if not n0 or not n1:
-        raise ValueError("both maxima sets must be non-empty")
-
-    def absdiff(col0: np.ndarray, col1: np.ndarray, out=None) -> np.ndarray:
-        d = np.subtract(col0[:n0, None], col1[None, :n1], out=out)
-        return np.abs(d, out=d)
-
-    D, d = np.zeros((n0, n1)), np.empty((n0, n1))
-    for k in range(3):
-        D += np.square(absdiff(g0.coords[:, k], g1.coords[:, k], d), out=d)
-    np.sqrt(D, out=D)
-    P = absdiff(g0.pers, g1.pers, d)
-    J, N = absdiff(g0.value, g1.value), absdiff(g0.eta, g1.eta)
-    for comp in (P, J, D, N):
-        peak = comp.max()
-        if peak > 0:  # otherwise every entry is already 0
-            comp /= peak
-    return P, J, D, N
+_ROWS = 256  # rows of g0 scored at a time
 
 
 def compute_scores(
     g0: ExtremumGraph, g1: ExtremumGraph, w: ScoreWeights
 ) -> list[ScoreTuple]:
-    """Two lowest-scoring targets per maximum of g0 among the maxima of
-    g1 (one if g1 has a single maximum).
+    """The two lowest-scoring targets in g1 of each maximum of g0 (one if
+    g1 has a single maximum), sorted by (m0, m1).
 
-    score = G*P + L1*J + L2*D + L3*N, added left to right. Ties break by
-    (score, target id): columns are in target-id order and `argmin`
-    returns the first minimum, so a row's argmin is its best target and
-    its argmin once that is masked the second. Output is sorted by (m0, m1).
+    score = G*P + L1*J + L2*D + L3*N, added left to right. Each component
+    is an absolute difference (D a distance, axes added in x, y, z order)
+    over its peak across all pairs, or 0 if that peak is 0. Rounded `-`
+    and `sqrt` are monotone, so the peaks come exactly from column extremes
+    and the greatest squared distance; then `_ROWS` rows are scored at a time.
+    Ties break by target id: `argmin` returns the first minimum.
     """
-    S, J, D, N = normalize_components(g0, g1)
-    S *= w.G
-    for comp, weight in ((J, w.L1), (D, w.L2), (N, w.L3)):
-        comp *= weight
-        S += comp
-    rows, picks, scores = np.arange(g0.n_max), [], []
-    for _ in range(min(2, g1.n_max)):
-        picks.append(S.argmin(axis=1))
-        scores.append(S[rows, picks[-1]])
-        S[rows, picks[-1]] = np.inf
-    m0 = np.tile(g0.maxima, len(picks))
-    m1 = g1.maxima[np.concatenate(picks)]
+    n0, n1 = g0.n_max, g1.n_max
+    if not n0 or not n1:
+        raise ValueError("both maxima sets must be non-empty")
+    cols = [(getattr(g0, c)[:n0], getattr(g1, c)[:n1]) for c in ("pers", "value", "eta")]
+    weights = (w.G, w.L1, w.L2, w.L3)
+    buf = np.empty((3, min(n0, _ROWS), n1))  # per block: scores, a component, scratch
+    spans = [slice(lo, min(lo + _ROWS, n0)) for lo in range(0, n0, _ROWS)]
+    blocks = [(r, buf[:, : r.stop - r.start]) for r in spans]
+
+    def dist2(r: slice, out: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Squared distances of rows r to every target, into out."""
+        np.square(np.subtract.outer(g0.coords[r, 0], g1.coords[:n1, 0], out=out), out=out)
+        for k in (1, 2):
+            out += np.square(np.subtract.outer(g0.coords[r, k], g1.coords[:n1, k], out=d), out=d)
+        return out
+
+    def absdiff(a: np.ndarray, b: np.ndarray, r: slice, out: np.ndarray) -> np.ndarray:
+        return np.abs(np.subtract.outer(a[r], b, out=out), out=out)
+
+    def scaled(comp: np.ndarray, k: int) -> np.ndarray:
+        if peaks[k] > 0:  # otherwise every entry is already 0
+            comp /= peaks[k]
+        comp *= weights[k]
+        return comp
+
+    peaks = [max(a.max() - b.min(), b.max() - a.min()) for a, b in cols]
+    peaks.insert(2, np.sqrt(max(dist2(r, comp, d).max() for r, (_, comp, d) in blocks)))
+    ids0, ids1, found = g0.maxima, g1.maxima, []
+    for r, (S, comp, d) in blocks:
+        scaled(absdiff(*cols[0], r, S), 0)
+        S += scaled(absdiff(*cols[1], r, comp), 1)
+        S += scaled(np.sqrt(dist2(r, comp, d), out=comp), 2)
+        S += scaled(absdiff(*cols[2], r, comp), 3)
+        rows = np.arange(len(S))
+        for _ in range(min(2, n1)):  # the best target, then the best once it is masked
+            pick = S.argmin(axis=1)
+            found.append((ids0[r], ids1[pick], S[rows, pick]))
+            S[rows, pick] = np.inf
+    m0, m1, s = map(np.concatenate, zip(*found))
     order = np.lexsort((m1, m0))
-    s = np.concatenate(scores)[order]
-    return list(map(ScoreTuple, m0[order].tolist(), m1[order].tolist(), s.tolist()))
+    return list(map(ScoreTuple, m0[order].tolist(), m1[order].tolist(), s[order].tolist()))
 
 
 def filter_scores(S: list[ScoreTuple]) -> tuple[list[ScoreTuple], FilterMeta]:

@@ -840,6 +840,27 @@ class TestCli:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: track 1: {msg}")
 
+    @pytest.mark.parametrize(
+        "node, msg",
+        [([1, A + 4], f"no maximum {A + 4} at time 1"), ([9, 9 << 32], "no graph at time 9")],
+        ids=["a saddle", "a step outside the tveg"],
+    )
+    def test_track_node_not_a_maximum_is_named(self, gauss8_tveg, tmp_path, capsys, node, msg):
+        """A well-formed node that is not a maximum of the tveg is refused
+        where a tveg and a tracks file meet: `query` of either track kind
+        and `export` exit 2 and name the file, the track and the node."""
+        assert tvio.load_tveg_json(gauss8_tveg).graphs[0].n_max == 4  # so A + 4 is a saddle
+        good = {"nodes": [[1, self.A], [2, self.B]], "arcs": [[self.A, self.B]]}
+        path = tmp_path / "tracks.json"
+        path.write_text(json.dumps({"tracks": [good, {"nodes": [node], "arcs": []}]}))
+        capsys.readouterr()
+        for argv in (["query", "--kind", "least-deviation"],
+                     ["query", "--kind", "length-threshold"],
+                     ["export", "-o", str(tmp_path / "x.vtk")]):
+            argv += ["--tveg", gauss8_tveg, "--tracks", str(path)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {path}: track 1: node {node}: {msg}\n"
+
     @pytest.mark.parametrize("detail", ["Unable to allocate 8.00 GiB", ""])
     def test_out_of_memory_is_named(self, tmp_path, capsys, monkeypatch, detail):
         """A volume too large to read ends in a named error, exit 3; the

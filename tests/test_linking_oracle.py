@@ -5,14 +5,16 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linking_oracle as oracle
-from tvex import io as tvio
+from tvex import io as tvio, temporal
 from tvex.exgraph import build_extremum_graph
 from tvex.field import ScalarField3D
 from tvex.pipeline import compute_tveg
@@ -22,7 +24,6 @@ from tvex.temporal import (
     ScoreWeights,
     Tveg,
     compute_scores,
-    normalize_components,
     remove_z_configurations,
 )
 
@@ -56,22 +57,58 @@ def score_weights(draw):
     return ScoreWeights(*(p / total for p in parts))
 
 
-class TestScoring:
-    @given(maxima_sets(1), maxima_sets(2))
-    @settings(max_examples=150, deadline=None)
-    def test_normalize_components(self, g0, g1):
-        for got, want in zip(
-            normalize_components(g0, g1), oracle.normalize_components(g0, g1)
-        ):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
+def score_bits(arcs):
+    """The arcs with each score's exact bits (hex tells -0.0 from 0.0)."""
+    return [(a.m0, a.m1, a.s.hex()) for a in arcs]
 
+
+def block_case(rng, n0, n1):
+    """Maxima at steps 1 and 2 whose ties and coincident points span row
+    blocks: every third value of each column is rounded to one decimal,
+    the last rows of g0 repeat its first points, and every other maximum
+    of g1 sits on a maximum of g0."""
+    g0, g1 = (
+        maxima_graph(t, rng.uniform(-1, 1, (n, 3)), *rng.uniform(0, 1, (3, n)))
+        for t, n in ((1, n0), (2, n1))
+    )
+    for g in (g0, g1):
+        for col in (g.coords, g.value, g.pers, g.eta):
+            col[::3] = np.round(col[::3], 1)
+    g0.coords[-5:] = g0.coords[:5]
+    g1.coords[::2] = g0.coords[: len(g1.coords[::2])]
+    return g0, g1
+
+
+def all_equal_case(rng, n0, n1):
+    """Every column constant on both sides: all four peaks are 0."""
+    return (
+        maxima_graph(t, np.full((n, 3), 0.5), *np.full((3, n), 0.25))
+        for t, n in ((1, n0), (2, n1))
+    )
+
+
+class TestScoring:
     @given(maxima_sets(1), maxima_sets(2), score_weights())
     @settings(max_examples=150, deadline=None)
     def test_compute_scores(self, g0, g1, w):
-        got = compute_scores(g0, g1, w)
-        assert got == oracle.compute_scores(g0, g1, w)
-        assert all(type(a.m0) is int and type(a.s) is float for a in got)
+        want = score_bits(oracle.compute_scores(g0, g1, w))
+        for rows in (1, 2, 3, 256):  # blocks of 1 to 3 rows split every drawn g0
+            with mock.patch.object(temporal, "_ROWS", rows):
+                got = compute_scores(g0, g1, w)
+            assert score_bits(got) == want
+            assert all(type(a.m0) is int and type(a.s) is float for a in got)
+
+    @pytest.mark.parametrize("case", [block_case, all_equal_case])
+    @pytest.mark.parametrize("n0", [255, 256, 257, 513])
+    def test_across_row_blocks(self, n0, case):
+        rng = np.random.default_rng(n0)
+        for n1 in (1, 2, n0 + 37):
+            g0, g1 = case(rng, n0, n1)
+            for w in (ScoreWeights(), ScoreWeights(0, 0, 1, 0), ScoreWeights(0.5, 0.25, 0, 0.25)):
+                got = compute_scores(g0, g1, w)
+                assert score_bits(got) == score_bits(oracle.compute_scores(g0, g1, w))
+                if case is all_equal_case:
+                    assert all(a.s == 0.0 for a in got)
 
     def test_single_maximum_each_side(self):
         g0 = maxima_graph(1, [[0.0, 0.0, 0.0]], [1.0], [0.5], [1.0])

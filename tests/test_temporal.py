@@ -1,6 +1,7 @@
 """Correspondence scoring, filtering, z-removal, and event detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from tvex.temporal import (
     detect_events,
     filter_scores,
     link_pair,
-    normalize_components,
     remove_z_configurations,
 )
 
+import linking_oracle as oracle
 from conftest import linked, maxima_graph, random_field, random_maxima
 
 
@@ -48,31 +49,43 @@ class TestScoreWeights:
             ScoreWeights(G=0.5, L1=0.5, L2=0.5, L3=0.5)
 
 
-class TestNormalizeComponents:
+class TestComputeScores:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            normalize_components(mk_maxima(1, 0), mk_maxima(2, 1))
+            compute_scores(mk_maxima(1, 0), mk_maxima(2, 1), ScoreWeights())
 
     def test_scaled_to_unit_interval(self, rng):
         M0 = random_maxima(rng, 4, 1)
-        M1 = random_maxima(rng, 3, 2)
-        for comp in normalize_components(M0, M1):
-            assert comp.shape == (4, 3)
-            assert comp.min() >= 0.0
-            assert comp.max() <= 1.0
-            assert comp.max() == pytest.approx(1.0)
+        M1 = random_maxima(rng, 2, 2)  # every pair is kept
+        for weights in np.eye(4):  # one component at a time
+            scores = [a.s for a in compute_scores(M0, M1, ScoreWeights(*weights))]
+            assert len(scores) == 8
+            assert min(scores) >= 0.0
+            assert max(scores) == 1.0
 
     def test_constant_component_becomes_zero(self):
         M0 = mk_maxima(1, 2, pers=0.5)
         M1 = mk_maxima(2, 1, pers=0.5, coords=(1, 0, 0))
-        P, J, D, N = normalize_components(M0, M1)
-        assert np.all(P == 0.0)  # all pers equal -> no discrimination
-        assert np.all(J == 0.0)
-        assert np.all(N == 0.0)
-        assert D.max() == 1.0
+        # all pers, values and eta equal -> no discrimination
+        for w in (ScoreWeights(1, 0, 0, 0), ScoreWeights(0, 1, 0, 0), ScoreWeights(0, 0, 0, 1)):
+            assert [a.s for a in compute_scores(M0, M1, w)] == [0.0, 0.0]
+        assert [a.s for a in compute_scores(M0, M1, ScoreWeights(0, 0, 1, 0))] == [1.0, 1.0]
 
+    def test_scores_in_row_blocks(self, rng):
+        """One pair of 3000 maxima each allocates less than one 3000 x 3000
+        float64 matrix."""
+        g0, g1 = (
+            maxima_graph(t, rng.uniform(-1, 1, (3000, 3)), *rng.uniform(0, 1, (3, 3000)))
+            for t in (1, 2)
+        )
+        tracemalloc.start()
+        try:
+            compute_scores(g0, g1, ScoreWeights())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8
 
-class TestComputeScores:
     def test_keeps_two_best_per_source(self, rng):
         M0 = random_maxima(rng, 5, 1)
         M1 = random_maxima(rng, 4, 2)
@@ -95,9 +108,7 @@ class TestComputeScores:
         M1 = random_maxima(rng, 5, 2)
         w = ScoreWeights()
         out = compute_scores(M0, M1, w)
-        from tvex.temporal import normalize_components as nc
-
-        P, J, D, N = nc(M0, M1)
+        P, J, D, N = oracle.normalize_components(M0, M1)
         S = w.G * P + w.L1 * J + w.L2 * D + w.L3 * N
         for i, m0 in enumerate(M0.maxima.tolist()):
             kept = sorted(a.s for a in out if a.m0 == m0)
