@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: gen | eg | tveg | events | tracks | query | export.
-Each stage prints a one-line summary (counts + timing) and exits 0 on
-success, nonzero with a diagnostic otherwise.
+Each command returns a one-line summary (counts); `main` prints it with
+the command's time and returns 0, or a nonzero code with a diagnostic.
 """
 
 from __future__ import annotations
@@ -42,23 +42,17 @@ def _load_theta_series(args):
     return series, theta
 
 
-def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gen(args) -> str:
     if not args.gauss8:
         raise ValueError("only --gauss8 generation is supported")
     series = generate_gauss8(
         dims=args.dims, steps=args.steps, amplitude=args.amplitude, sigma=args.sigma
     )
     manifest = save_series(series, args.output)
-    print(
-        f"gen: {len(series)} steps of {args.dims[0]}x{args.dims[1]}x{args.dims[2]} "
-        f"-> {manifest} [{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+    return f"gen: {len(series)} steps of {args.dims[0]}x{args.dims[1]}x{args.dims[2]} -> {manifest}"
 
 
-def cmd_eg(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eg(args) -> str:
     series, theta = _load_theta_series(args)
     os.makedirs(args.output, exist_ok=True)
     fields = series.fields if args.t is None else [series.at(args.t)]
@@ -67,53 +61,36 @@ def cmd_eg(args) -> int:
         g = build_extremum_graph(f, theta)
         path = os.path.join(args.output, f"exgraph_{f.time_index:04d}.json")
         tvio.export_extremum_graph_json(g, path)
-        n_nodes += len(g.maxima) + len(g.saddles)
-    print(
-        f"eg: {len(fields)} graphs, {n_nodes} nodes, theta={theta:.6g} "
-        f"-> {args.output} [{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+        n_nodes += len(g.value)
+    return f"eg: {len(fields)} graphs, {n_nodes} nodes, theta={theta:.6g} -> {args.output}"
 
 
-def cmd_tveg(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tveg(args) -> str:
     series, theta = _load_theta_series(args)
     t_range = tuple(args.range) if args.range else None
-    tveg = pipeline.compute_tveg(
-        series, theta, args.weights, t_range=t_range
-    )
+    tveg = pipeline.compute_tveg(series, theta, args.weights, t_range=t_range)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "tveg.json")
     tvio.export_tveg_json(tveg, path)
     n_arcs = len(tveg.all_arcs())
-    ev = tveg.events
-    print(
-        f"tveg: {len(tveg.graphs)} steps, {n_arcs} temporal arcs, "
-        f"{len(ev.merges)} merges, {len(ev.splits)} splits, "
-        f"{len(ev.deletions)} deletions, {len(ev.generations)} generations "
-        f"-> {path} [{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+    return (f"tveg: {len(tveg.graphs)} steps, {n_arcs} temporal arcs, "
+            f"{_counts(tveg.events)} -> {path}")
 
 
-def cmd_events(args) -> int:
-    t0 = time.perf_counter()
+def cmd_events(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
-    if args.window:
-        ev = tvquery.events_in_window(tveg, tuple(args.window))
-    else:
-        ev = tveg.events
+    ev = tvquery.events_in_window(tveg, tuple(args.window)) if args.window else tveg.events
     _write(tvio.canonical_json(vars(ev)), args.output)
-    print(
-        f"events: {len(ev.merges)} merges, {len(ev.splits)} splits, "
-        f"{len(ev.deletions)} deletions, {len(ev.generations)} generations "
-        f"[{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+    return f"events: {_counts(ev)}"
 
 
-def cmd_tracks(args) -> int:
-    t0 = time.perf_counter()
+def _counts(ev) -> str:
+    """The event counts of a summary line."""
+    return (f"{len(ev.merges)} merges, {len(ev.splits)} splits, "
+            f"{len(ev.deletions)} deletions, {len(ev.generations)} generations")
+
+
+def cmd_tracks(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
     if args.refine:
         if not args.manifest:
@@ -124,15 +101,10 @@ def cmd_tracks(args) -> int:
     else:
         result = tvtracks.extract_tracks(tveg, mode=args.mode)
     tvio.export_tracks_json(result, args.output)
-    print(
-        f"tracks: {len(result)} tracks -> {args.output} "
-        f"[{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+    return f"tracks: {len(result)} tracks -> {args.output}"
 
 
-def cmd_query(args) -> int:
-    t0 = time.perf_counter()
+def cmd_query(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
     if args.spec:
         with open(args.spec) as fh:
@@ -157,8 +129,7 @@ def cmd_query(args) -> int:
             raise
         raise ValueError(f"{args.spec}: {exc}") from None
     _write(tvio.canonical_json(result), args.output)
-    print(f"query: kind={q['kind']} [{time.perf_counter() - t0:.2f}s]")
-    return 0
+    return f"query: kind={q['kind']}"
 
 
 def _check_spec(q: dict, spec: str) -> None:
@@ -236,8 +207,7 @@ def _write(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def cmd_export(args) -> int:
-    t0 = time.perf_counter()
+def cmd_export(args) -> str:
     if args.what == "geometry":
         tveg = tvio.load_tveg_json(args.tveg)
         track_list = _tracks_or_paths(tveg, args.tracks)
@@ -249,20 +219,12 @@ def cmd_export(args) -> int:
             slab_height=args.slab_height,
             include_spatial=args.spatial_arcs,
         )
-        print(
-            f"export: {len(track_list)} tracks -> {args.output} "
-            f"[{time.perf_counter() - t0:.2f}s]"
-        )
-        return 0
+        return f"export: {len(track_list)} tracks -> {args.output}"
     # segmentation export needs the field
     series, theta = _load_theta_series(args)
     seg = morse.morse_step(series.at(args.t), theta)
     labels_path, sidecar = tvio.export_segmentation(seg, args.output)
-    print(
-        f"export: {len(seg.maxima)} regions -> {labels_path} "
-        f"[{time.perf_counter() - t0:.2f}s]"
-    )
-    return 0
+    return f"export: {len(seg.maxima)} regions -> {labels_path}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,8 +319,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        summary = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -368,6 +331,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
+    print(f"{summary} [{time.perf_counter() - t0:.2f}s]")
+    return 0
 
 
 if __name__ == "__main__":

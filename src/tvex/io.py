@@ -8,6 +8,8 @@ and export -> parse -> export round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from itertools import chain, repeat, zip_longest
 from operator import itemgetter
 
@@ -89,69 +91,76 @@ def _step_json(g: ExtremumGraph) -> _Text:
 
 
 _NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
-_WEIGHTS = itemgetter("G", "L1", "L2", "L3")
 
 
-def _graphs_from_steps(steps: list[dict]) -> list[ExtremumGraph]:
-    """Column tables of the stored steps.
+@contextmanager
+def _reading(section: str, where: str = ""):
+    """Raise a TypeError (a value of the wrong JSON type), KeyError (a
+    missing key) or OverflowError (a number out of range) of the block as
+    a ValueError that names `section`, then `where` (" in step 2")."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"'{section}': a value of the wrong JSON type{where} ({exc})") from None
+    except KeyError as exc:
+        raise ValueError(f"'{section}': the key {exc} is missing{where}") from None
+    except OverflowError as exc:
+        raise ValueError(f"'{section}': a number out of range{where} ({exc})") from None
 
-    Each column is converted once for the whole file and sliced per
-    step. Rejects a file whose node ids are not (t, row) in row order,
-    whose maxima do not come first, or whose arcs are not sorted
-    (maximum, saddle) pairs of their step.
-    """
-    ts = [int(step["t"]) for step in steps]
-    sizes, n_max, cols = [], [], []
-    for t, step in zip(ts, steps):
-        k = len(step["nodes"])
-        ids, node_t, index, *rest = list(zip(*map(_NODE_FIELDS, step["nodes"]))) or [()] * 8
+
+def _scalar(v, name: str, types=(int, float)):
+    """v if its type is one of `types` (a bool is neither), else a TypeError."""
+    if type(v) not in types:
+        kind = "an integer" if types == (int,) else "a number"
+        raise TypeError(f"{name} must be {kind}, got {v!r}")
+    return v
+
+
+def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
+    """`values` as a `dtype` array of `shape`, or a TypeError naming `name`.
+    The array is made without a forced dtype, so that numpy's kind tells
+    the JSON types apart: "i" for integers, "f" once a float is among them,
+    "U" for strings, "O" for null or an integer beyond 64 bits."""
+    try:
+        a = np.array(values) if math.prod(shape) else np.empty(shape, dtype)
+    except ValueError:  # lists of unequal lengths
+        a = None
+    kinds = "i" if dtype == np.int64 else "iuf"
+    if a is None or a.shape != shape or a.dtype.kind not in kinds:
+        raise TypeError(f"{name} must be {'integers' if kinds == 'i' else 'numbers'} "
+                        f"in the {np.dtype(dtype)} range, of shape {shape}")
+    return a.astype(dtype, copy=False)
+
+
+def _graph_from_step(step: dict) -> ExtremumGraph:
+    """The graph of one stored step, the inverse of `_step_json`. Rejects a
+    step whose node ids are not (t, row) in row order, whose maxima do not
+    come first, or whose arcs are not sorted (maximum, saddle) pairs of it."""
+    with _reading("steps"):
+        t = _scalar(step["t"], "a step's 't'", (int,))
+    with _reading("steps", f" in step {t}"):
+        nodes, arcs = step["nodes"], step["arcs"]
+        k = len(nodes)
+        columns = list(zip(*map(_NODE_FIELDS, nodes))) or [()] * 8
+        _, _, _, vertex = _column(columns[:4], (4, k), np.int64,
+                                  "node 'id', 't', 'index' and 'vertex'")
+        value, pers, eta = _column(columns[4:7], (3, k), np.float64,
+                                   "node 'value', 'pers' and 'eta'")
+        coords = _column(columns[7], (k, 3), np.float64, "node 'x'")
+        arcs = _column(arcs, (len(arcs), 2), np.int64, "'arcs'")
+        ids, node_t, index = columns[:3]  # integers (checked above), so compared exactly
         base = make_node_id(t, 0)
         if ids != tuple(range(base, base + k)) or node_t.count(t) != k:
             raise ValueError(f"step {t}: node ids are not (t, row) in row order")
-        sizes.append(k)
-        n_max.append(index.count(3))
-        if index != (3,) * n_max[-1] + (2,) * (k - n_max[-1]):
+        n_max = index.count(3)
+        if index != (3,) * n_max + (2,) * (k - n_max):
             raise ValueError(f"step {t}: nodes must be maxima first, then saddles")
-        cols.append(rest)
-    # vertex, value, pers, eta and x of all steps, one list each
-    columns = [list(chain.from_iterable(c)) for c in zip(*cols)] or [[]] * 5
-    vertex = np.array(columns[0], dtype=np.int64)
-    value, pers, eta = (np.array(c, dtype=np.float64) for c in columns[1:4])
-    coords = np.array(columns[4], dtype=np.float64).reshape(len(vertex), 3)
-
-    n_arcs = [len(step["arcs"]) for step in steps]
-    arcs = np.array(
-        list(chain.from_iterable(step["arcs"] for step in steps)), dtype=np.int64
-    ).reshape(-1, 2)
-    # each arc as rows of its step, checked against that step's layout
-    of = np.repeat(np.arange(len(steps)), n_arcs)
-    arc_t, rows = split_node_id(arcs)
-    m, s = rows[:, 0], rows[:, 1]
-    lo, hi = np.array(n_max, dtype=np.int64)[of], np.array(sizes, dtype=np.int64)[of]
-    ok = (arc_t == np.array(ts, dtype=np.int64)[of, None]).all(axis=1)
-    ok &= (m < lo) & (lo <= s) & (s < hi)
-    ok &= np.lexsort((s, m, of)) == np.arange(len(arcs))
-    if not ok.all():
-        t = ts[of[np.argmin(ok)]]
-        raise ValueError(f"step {t}: arcs must be sorted (maximum, saddle) pairs")
-
-    node_at = np.cumsum([0] + sizes).tolist()
-    arc_at = np.cumsum([0] + n_arcs).tolist()
-    return [
-        ExtremumGraph(
-            t=t,
-            n_max=nm,
-            vertex=vertex[a:b],
-            value=value[a:b],
-            pers=pers[a:b],
-            eta=eta[a:b],
-            coords=coords[a:b],
-            arcs=rows[c:d],
-        )
-        for t, nm, a, b, c, d in zip(
-            ts, n_max, node_at, node_at[1:], arc_at, arc_at[1:]
-        )
-    ]
+        arc_t, rows = split_node_id(arcs)
+        m, s = rows[:, 0], rows[:, 1]
+        ok = (arc_t == t).all() and ((m < n_max) & (n_max <= s) & (s < k)).all()
+        if not (ok and (np.lexsort((s, m)) == np.arange(len(rows))).all()):
+            raise ValueError(f"step {t}: arcs must be sorted (maximum, saddle) pairs")
+    return ExtremumGraph(t, n_max, vertex, value, pers, eta, coords, arcs=rows)
 
 
 def export_tveg_json(tveg: Tveg, path: str) -> None:
@@ -170,12 +179,28 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         fh.write(canonical_json(doc))
 
 
+def _temporal_arc(a, t: int, n0: int, n1: int) -> ScoreTuple:
+    """Stored arc `a` of the pair t -> t + 1: [m0, m1, s], two integers and
+    a number, where m0 is one of the n0 maxima of step t and m1 one of the
+    n1 of step t + 1."""
+    if type(a) is not list or len(a) != 3:
+        raise TypeError(f"a temporal arc must be [m0, m1, s], got {a!r}")
+    m0, m1 = _scalar(a[0], "m0", (int,)), _scalar(a[1], "m1", (int,))
+    (t0, r0), (t1, r1) = split_node_id(m0), split_node_id(m1)
+    if not (t0 == t and r0 < n0 and t1 == t + 1 and r1 < n1):
+        raise ValueError(f"temporal arcs {t}->{t + 1}: arc ({m0}, {m1}) does not "
+                         f"join a maximum of step {t} to one of step {t + 1}")
+    return ScoreTuple(m0, m1, float(_scalar(a[2], "s")))
+
+
 def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
     """The (arcs, filter statistics) of each stored pair. The pairs must
     be those of consecutive stored steps, in order, and each pair's arcs
     must join a maximum of step t to one of step t + 1, sorted by
     (m0, m1) without repeats, as `link_pair` gives them."""
-    ts, stored = [g.t for g in graphs[:-1]], [int(pair["t"]) for pair in pairs]
+    with _reading("temporal_arcs"):
+        stored = [_scalar(pair["t"], "a pair's 't'", (int,)) for pair in pairs]
+    ts = [g.t for g in graphs[:-1]]
     for i, (t, want) in enumerate(zip_longest(stored, ts)):
         if t != want:
             if t is None or t in ts and t not in stored[:i]:
@@ -186,39 +211,24 @@ def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
     links = []
     for g0, g1, pair in zip(graphs, graphs[1:], pairs):
         t, n0, n1 = g0.t, g0.n_max, g1.n_max
-        arcs = [ScoreTuple(m0=int(a), m1=int(b), s=float(s)) for a, b, s in pair["arcs"]]
-        for a in arcs:
-            (t0, r0), (t1, r1) = split_node_id(a.m0), split_node_id(a.m1)
-            if not (t0 == t and r0 < n0 and t1 == t + 1 and r1 < n1):
-                raise ValueError(
-                    f"temporal arcs {t}->{t + 1}: arc ({a.m0}, {a.m1}) does not "
-                    f"join a maximum of step {t} to one of step {t + 1}"
-                )
+        with _reading("temporal_arcs", f" in pair {t}->{t + 1}"):
+            arcs = [_temporal_arc(a, t, n0, n1) for a in pair["arcs"]]
+            meta = FilterMeta(*(float(_scalar(pair["filter"][k], f"'{k}'"))
+                                for k in ("mu", "sigma", "tau")))
         if any((a.m0, a.m1) >= (b.m0, b.m1) for a, b in zip(arcs, arcs[1:])):
             raise ValueError(f"temporal arcs {t}->{t + 1}: arcs are not sorted by (m0, m1) "
                              "without repeats")
-        meta = FilterMeta(*(float(pair["filter"][k]) for k in ("mu", "sigma", "tau")))
         links.append((arcs, meta))
     return links
 
 
-def _read(section: str, read, *args):
-    """`read(*args)`; a TypeError there means a value of `section` has the
-    wrong JSON type, and is raised as a ValueError that names it."""
-    try:
-        return read(*args)
-    except TypeError as exc:
-        raise ValueError(f"'{section}': a value of the wrong JSON type ({exc})") from None
-
-
 def load_tveg_json(path: str) -> Tveg:
-    """Rebuild a Tveg from an exported file (without voxel geometry).
-
-    Raises ValueError when a value has the wrong JSON type, a step's or a
-    pair's layout is not the one exported, the steps are not contiguous
-    in t, theta is not a finite number >= 0, or the stored events are
-    not the ones the arcs give.
-    """
+    """Rebuild a Tveg from an exported file (without voxel geometry), one
+    step at a time. Raises ValueError, naming the section and the step or
+    pair, when a key is missing, a value has the wrong JSON type or is out
+    of range, a step's or a pair's layout is not the one exported, the
+    steps are not contiguous in t, theta is not a finite number >= 0, or
+    the stored events are not the ones the arcs give."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -226,18 +236,20 @@ def load_tveg_json(path: str) -> Tveg:
     for key, kind in (("steps", list), ("temporal_arcs", list), ("weights", dict), ("events", dict)):
         if not isinstance(value := doc.get(key), kind):
             raise ValueError(f"'{key}' must be a {kind.__name__}, got {type(value).__name__}")
-    graphs = _read("steps", _graphs_from_steps, doc["steps"])
-    tveg = Tveg(
-        graphs=graphs,
-        links=_read("temporal_arcs", _links_from_pairs, doc["temporal_arcs"], graphs),
-        weights=_read("weights", lambda w: ScoreWeights(*map(float, _WEIGHTS(w))), doc["weights"]),
-        theta=_read("theta", lambda v: check_theta(float(v), "'theta'", v), doc["theta"]),
-    )
-    for kind, records in vars(tveg.events).items():
-        if kind in ("deletions", "generations"):
-            records = [[n, t] for n, t in records]  # as JSON lists
-        if doc["events"][kind] != records:
-            raise ValueError(f"events: the stored {kind} are not those the temporal arcs give")
+    graphs = list(map(_graph_from_step, doc["steps"]))
+    links = _links_from_pairs(doc["temporal_arcs"], graphs)
+    with _reading("weights"):
+        weights = ScoreWeights(*(float(_scalar(doc["weights"][k], f"'{k}'"))
+                                 for k in ("G", "L1", "L2", "L3")))
+    with _reading("theta"):
+        theta = check_theta(float(_scalar(doc["theta"], "'theta'")), "'theta'", doc["theta"])
+    tveg = Tveg(graphs, links, weights, theta)
+    with _reading("events"):
+        for kind, records in vars(tveg.events).items():
+            if kind in ("deletions", "generations"):
+                records = [[n, t] for n, t in records]  # as JSON lists
+            if doc["events"][kind] != records:
+                raise ValueError(f"events: the stored {kind} are not those the temporal arcs give")
     return tveg
 
 

@@ -31,8 +31,8 @@ class ScoreWeights:
 
     def __post_init__(self):
         w = (self.G, self.L1, self.L2, self.L3)
-        if any(x < 0 for x in w):
-            raise ValueError(f"weights must be >= 0, got {w}")
+        if not all(x >= 0 for x in w):  # NaN is not >= 0
+            raise ValueError(f"weights must be numbers >= 0, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
 

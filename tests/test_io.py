@@ -119,6 +119,25 @@ class TestTvegLoaderChecks:
         assert main(["events", "--tveg", p]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_first_bad_step_is_named(self, tvg, tmp_path, capsys):
+        """Each step is read and checked before the next: step 1's arcs are
+        named although step 2's node ids are out of order too."""
+        p = str(tmp_path / "t.json")
+        tvio.export_tveg_json(tvg, p)
+        doc = json.load(open(p))
+        steps = doc["steps"]
+        assert [s["t"] for s in steps[:2]] == [1, 2] and len(steps[0]["arcs"]) >= 2
+        steps[0]["arcs"].reverse()
+        nodes = steps[1]["nodes"]
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        with open(p, "w") as fh:
+            fh.write(tvio.canonical_json(doc))
+        named = "step 1: arcs must be sorted (maximum, saddle) pairs"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            tvio.load_tveg_json(p)
+        assert main(["events", "--tveg", p]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     @pytest.mark.parametrize(
         "how, named",
         [
@@ -133,6 +152,47 @@ class TestTvegLoaderChecks:
             ("node a number", "'steps': a value of the wrong JSON type"),
             ("steps an empty object", "'steps' must be a list, got dict"),
             ("document a list", "a tveg.json must be an object, got list"),
+            ("theta a string", "'theta': a value of the wrong JSON type ('theta' must be a number"),
+            ("a weight a string", "'weights': a value of the wrong JSON type ('G' must be a number"),
+            ("weights booleans", "'weights': a value of the wrong JSON type ('G' must be a number"),
+            ("step t not integral", "'steps': a value of the wrong JSON type (a step's 't' must "
+             "be an integer, got 1.5)"),
+            ("step t a string", "'steps': a value of the wrong JSON type (a step's 't' must be "
+             "an integer, got '1')"),
+            ("pair t a string", "'temporal_arcs': a value of the wrong JSON type (a pair's 't' "
+             "must be an integer, got '1')"),
+            ("mu a string", "'temporal_arcs': a value of the wrong JSON type in pair 1->2 ('mu' "
+             "must be a number"),
+            ("node value a string", "'steps': a value of the wrong JSON type in step 2 (node "
+             "'value', 'pers' and 'eta' must be numbers"),
+            ("node vertex not integral", "'steps': a value of the wrong JSON type in step 2 "
+             "(node 'id', 't', 'index' and 'vertex' must be integers"),
+            ("node id a float", "'steps': a value of the wrong JSON type in step 2 (node 'id', "
+             "'t', 'index' and 'vertex' must be integers"),
+            ("coordinate a string", "'steps': a value of the wrong JSON type in step 2 (node 'x' "
+             "must be numbers"),
+            ("temporal arc id a float", "'temporal_arcs': a value of the wrong JSON type in pair "
+             "1->2 (m0 must be an integer"),
+            ("arc score a string", "'temporal_arcs': a value of the wrong JSON type in pair 1->2 "
+             "(s must be a number"),
+            ("node vertex 2**70", "'steps': a value of the wrong JSON type in step 2 (node 'id', "
+             "'t', 'index' and 'vertex' must be integers in the int64 range"),
+            ("spatial arc id 2**70", "'steps': a value of the wrong JSON type in step 2 ('arcs' "
+             "must be integers in the int64 range"),
+            ("node value 10**400", "'steps': a value of the wrong JSON type in step 2 (node "
+             "'value', 'pers' and 'eta' must be numbers in the float64 range"),
+            ("theta 10**400", "'theta': a number out of range"),
+            ("node eta missing", "'steps': the key 'eta' is missing in step 2"),
+            ("step arcs missing", "'steps': the key 'arcs' is missing in step 2"),
+            ("filter mu missing", "'temporal_arcs': the key 'mu' is missing in pair 1->2"),
+            ("weight G missing", "'weights': the key 'G' is missing"),
+            ("merges missing", "'events': the key 'merges' is missing"),
+            ("theta missing", "'theta': the key 'theta' is missing"),
+            ("temporal arc of two entries", "'temporal_arcs': a value of the wrong JSON type in "
+             "pair 1->2 (a temporal arc must be [m0, m1, s]"),
+            ("two coordinates", "'steps': a value of the wrong JSON type in step 2 (node 'x' "
+             "must be numbers in the float64 range, of shape"),
+            ("a weight NaN", "weights must be numbers >= 0, got (nan,"),
         ],
     )
     def test_wrong_json_type_is_named(self, tvg, tmp_path, capsys, how, named):
@@ -140,6 +200,8 @@ class TestTvegLoaderChecks:
         tvio.export_tveg_json(tvg, p)
         doc = json.load(open(p))
         pair = doc["temporal_arcs"][0]
+        step, node = doc["steps"][1], doc["steps"][1]["nodes"][0]
+        assert (step["t"], pair["t"]) == (2, 1)
         if how == "events a list":
             doc["events"] = []
         elif how == "events null":
@@ -162,8 +224,61 @@ class TestTvegLoaderChecks:
             doc["steps"] = {}
         elif how == "document a list":
             doc = [doc]
+        elif how == "theta a string":
+            doc["theta"] = str(doc["theta"])
+        elif how == "a weight a string":
+            doc["weights"]["G"] = "0.25"
+        elif how == "weights booleans":
+            doc["weights"] = {"G": True, "L1": False, "L2": 0, "L3": 0}
+        elif how == "step t not integral":
+            doc["steps"][0]["t"] = 1.5
+        elif how == "step t a string":
+            doc["steps"][0]["t"] = "1"
+        elif how == "pair t a string":
+            pair["t"] = "1"
+        elif how == "mu a string":
+            pair["filter"]["mu"] = "0.5"
+        elif how == "node value a string":
+            node["value"] = "0.5"
+        elif how == "node vertex not integral":
+            node["vertex"] += 0.7
+        elif how == "node id a float":
+            node["id"] = float(node["id"])
+        elif how == "coordinate a string":
+            node["x"][0] = "1.0"
+        elif how == "temporal arc id a float":
+            pair["arcs"][0][0] = float(pair["arcs"][0][0])
+        elif how == "arc score a string":
+            pair["arcs"][0][2] = "0.1"
+        elif how == "node vertex 2**70":
+            node["vertex"] = 2**70
+        elif how == "spatial arc id 2**70":
+            step["arcs"][0][0] = 2**70
+        elif how == "node value 10**400":
+            node["value"] = 10**400
+        elif how == "theta 10**400":
+            doc["theta"] = 10**400
+        elif how == "node eta missing":
+            del node["eta"]
+        elif how == "step arcs missing":
+            del step["arcs"]
+        elif how == "filter mu missing":
+            del pair["filter"]["mu"]
+        elif how == "weight G missing":
+            del doc["weights"]["G"]
+        elif how == "merges missing":
+            del doc["events"]["merges"]
+        elif how == "theta missing":
+            del doc["theta"]
+        elif how == "temporal arc of two entries":
+            pair["arcs"][0].pop()
+        elif how == "two coordinates":
+            node["x"].pop()
+        elif how == "a weight NaN":
+            doc["weights"]["G"] = math.nan
         with open(p, "w") as fh:
-            fh.write(tvio.canonical_json(doc))
+            # json.dumps keeps a float's ".0" and writes a NaN as NaN, as json.load reads it
+            fh.write(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(named)):
             tvio.load_tveg_json(p)
         assert main(["events", "--tveg", p]) == 2
@@ -451,6 +566,41 @@ class TestCli:
         assert os.path.exists(vtk_path)
 
         capsys.readouterr()  # drain stage summaries
+
+    def test_summary_lines(self, tmp_path, capsys):
+        """Each command prints one summary line: its counts, then its time."""
+        d, out = str(tmp_path / "d"), str(tmp_path / "o")
+        tveg, tracks = os.path.join(out, "tveg.json"), str(tmp_path / "tracks.json")
+        runs = [
+            (["gen", "--gauss8", "--dims", "8", "--steps", "4", "-o", d],
+             f"gen: 4 steps of 8x8x8 -> {d}/manifest.json"),
+            (["eg", "--manifest", f"{d}/manifest.json", "--t", "2", "-o", out],
+             rf"eg: 1 graphs, \d+ nodes, theta=0 -> {out}"),
+            (["tveg", "--manifest", f"{d}/manifest.json", "--theta", "0.05r", "-o", out],
+             rf"tveg: 4 steps, \d+ temporal arcs, \d+ merges, \d+ splits, \d+ deletions, "
+             rf"\d+ generations -> {tveg}"),
+            (["events", "--tveg", tveg, "-o", str(tmp_path / "ev.json")],
+             r"events: \d+ merges, \d+ splits, \d+ deletions, \d+ generations"),
+            (["tracks", "--tveg", tveg, "-o", tracks], rf"tracks: \d+ tracks -> {tracks}"),
+            (["query", "--tveg", tveg, "--kind", "window-events", "--window", "1", "4",
+              "-o", str(tmp_path / "q.json")], "query: kind=window-events"),
+            (["export", "--tveg", tveg, "-o", str(tmp_path / "t.vtk")],
+             rf"export: \d+ tracks -> {tmp_path}/t.vtk"),
+            (["export", "--what", "segmentation", "--manifest", f"{d}/manifest.json",
+              "-o", str(tmp_path / "seg")],
+             rf"export: \d+ regions -> {tmp_path}/seg.labels.raw"),
+        ]
+        for argv, summary in runs:
+            assert main(argv) == 0
+            assert re.fullmatch(rf"{summary} \[\d+\.\d\ds\]\n", capsys.readouterr().out)
+
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=2), str(tmp_path / "d"))
+        argv = ["tveg", "--manifest", manifest, "--weights", "nan,0.5,0.25,0.25", "-o",
+                str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "--weights" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_eg_file_is_the_tveg_step(self, tmp_path, capsys):
         """`tvex eg` writes each step as the bytes of its object inside

@@ -48,6 +48,11 @@ class TestScoreWeights:
         with pytest.raises(ValueError):
             ScoreWeights(G=0.5, L1=0.5, L2=0.5, L3=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="weights must"):
+            ScoreWeights(G=bad, L1=0.5, L2=0.25, L3=0.25)
+
 
 class TestComputeScores:
     def test_rejects_empty(self):
