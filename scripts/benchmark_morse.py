@@ -56,7 +56,7 @@ def staged_step(f, theta):
     clock.append(time.perf_counter())
     raw = morse.compute_segmentation(f, order)
     clock.append(time.perf_counter())
-    raw = morse.compute_saddles(f, raw, order)
+    raw = morse.compute_saddles(raw, order)
     clock.append(time.perf_counter())
     seg = morse.simplify(raw, theta, order[0])
     clock.append(time.perf_counter())
@@ -66,7 +66,7 @@ def staged_step(f, theta):
 def same(a, b):
     return all(
         np.array_equal(getattr(a, k), getattr(b, k))
-        for k in ("labels", "maxima", "pers", "pairs", "saddles", "saddle_ids")
+        for k in ("labels", "maxima", "pers", "pairs", "saddles")
     )
 
 

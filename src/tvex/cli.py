@@ -30,10 +30,13 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _parse_weights(text: str) -> ScoreWeights:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("weights must be G,L1,L2,L3")
-    return ScoreWeights(G=parts[0], L1=parts[1], L2=parts[2], L3=parts[3])
+    try:
+        parts = [float(p) for p in text.split(",")]
+        if len(parts) != 4:
+            raise ValueError("weights must be G,L1,L2,L3")
+        return ScoreWeights(*parts)
+    except ValueError as exc:  # argparse shows only this type's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_theta_series(args):
@@ -124,7 +127,7 @@ def cmd_query(args) -> str:
         }
     try:
         result = _run_query(tveg, q, args.tracks)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         if not args.spec:
             raise
         raise ValueError(f"{args.spec}: {exc}") from None
@@ -133,8 +136,13 @@ def cmd_query(args) -> str:
 
 
 def _check_spec(q: dict, spec: str) -> None:
-    """Name the first key of a query file whose JSON type is wrong. An
-    absent key passes; a bool is not an integer."""
+    """Name the first key of a query file that is missing (`kind`) or
+    whose JSON type is wrong. Another absent key passes; a bool is not an
+    integer."""
+    if "kind" not in q:
+        raise ValueError(f"{spec}: the key 'kind' is missing")
+    if type(q["kind"]) is not str:
+        raise ValueError(f"{spec}: 'kind' must be a string, got {q['kind']!r}")
     for key in ("k", "n", "hops"):
         if key in q and type(q[key]) is not int:
             raise ValueError(f"{spec}: '{key}' must be an integer, got {q[key]!r}")
@@ -192,9 +200,8 @@ def _tracks_or_paths(tveg, tracks_path) -> list:
         for t, node in track.nodes:
             try:
                 tveg.max_row(t, node)
-            except KeyError as exc:
-                raise ValueError(
-                    f"{tracks_path}: track {i}: node {[t, node]}: {exc.args[0]}") from None
+            except ValueError as exc:
+                raise ValueError(f"{tracks_path}: track {i}: node {[t, node]}: {exc}") from None
     return track_list
 
 
@@ -322,7 +329,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         summary = args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

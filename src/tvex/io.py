@@ -116,8 +116,15 @@ def _scalar(v, name: str, types=(int, float)):
     return v
 
 
+def _finite(v, name: str) -> float:
+    """v as a float if it is a finite number, else a TypeError."""
+    if not math.isfinite(_scalar(v, name)):
+        raise TypeError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
-    """`values` as a `dtype` array of `shape`, or a TypeError naming `name`.
+    """`values` as a finite `dtype` array of `shape`, or a TypeError naming `name`.
     The array is made without a forced dtype, so that numpy's kind tells
     the JSON types apart: "i" for integers, "f" once a float is among them,
     "U" for strings, "O" for null or an integer beyond 64 bits."""
@@ -129,6 +136,8 @@ def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
     if a is None or a.shape != shape or a.dtype.kind not in kinds:
         raise TypeError(f"{name} must be {'integers' if kinds == 'i' else 'numbers'} "
                         f"in the {np.dtype(dtype)} range, of shape {shape}")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():  # integers are finite
+        raise TypeError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
     return a.astype(dtype, copy=False)
 
 
@@ -190,7 +199,7 @@ def _temporal_arc(a, t: int, n0: int, n1: int) -> ScoreTuple:
     if not (t0 == t and r0 < n0 and t1 == t + 1 and r1 < n1):
         raise ValueError(f"temporal arcs {t}->{t + 1}: arc ({m0}, {m1}) does not "
                          f"join a maximum of step {t} to one of step {t + 1}")
-    return ScoreTuple(m0, m1, float(_scalar(a[2], "s")))
+    return ScoreTuple(m0, m1, _finite(a[2], "s"))
 
 
 def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
@@ -213,7 +222,7 @@ def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
         t, n0, n1 = g0.t, g0.n_max, g1.n_max
         with _reading("temporal_arcs", f" in pair {t}->{t + 1}"):
             arcs = [_temporal_arc(a, t, n0, n1) for a in pair["arcs"]]
-            meta = FilterMeta(*(float(_scalar(pair["filter"][k], f"'{k}'"))
+            meta = FilterMeta(*(_finite(pair["filter"][k], f"'{k}'")
                                 for k in ("mu", "sigma", "tau")))
         if any((a.m0, a.m1) >= (b.m0, b.m1) for a, b in zip(arcs, arcs[1:])):
             raise ValueError(f"temporal arcs {t}->{t + 1}: arcs are not sorted by (m0, m1) "
@@ -225,10 +234,10 @@ def _links_from_pairs(pairs: list, graphs: list[ExtremumGraph]) -> list:
 def load_tveg_json(path: str) -> Tveg:
     """Rebuild a Tveg from an exported file (without voxel geometry), one
     step at a time. Raises ValueError, naming the section and the step or
-    pair, when a key is missing, a value has the wrong JSON type or is out
-    of range, a step's or a pair's layout is not the one exported, the
-    steps are not contiguous in t, theta is not a finite number >= 0, or
-    the stored events are not the ones the arcs give."""
+    pair, when a key is missing, a value has the wrong JSON type, is out of
+    range or is not finite, a step's or a pair's layout is not the one
+    exported, the steps are not contiguous in t, theta is not a finite
+    number >= 0, or the stored events are not the ones the arcs give."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -8,7 +8,7 @@ Boundary voxels use clipped neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -37,14 +37,12 @@ class Segmentation:
     """Descending-manifold segmentation of one field, stored as columns.
 
     `maxima` holds the maxima's voxel ids in ascending order and `pers`
-    their persistence (0 until computed); everything else refers to a
-    maximum by its row there. labels[v] is the row of the maximum owning
-    voxel v, in the dtype of the voxel ranks. Row i of `pairs`, `saddles`
-    and `saddle_ids` is one pair of adjacent regions: its (lo, hi)
-    maximum rows, rows sorted ascending; the voxel of the saddle
-    mediating it; and that saddle's raw id, which breaks ties between
-    saddles on one voxel. Raw saddle ids follow the raw rows;
-    simplification keeps them.
+    their persistence (0 until `simplify` sets it); everything else
+    refers to a maximum by its row there. labels[v] is the row of the
+    maximum owning voxel v, in the dtype of the voxel ranks. Row i of
+    `pairs` and `saddles` is one pair of adjacent regions: its (lo, hi)
+    maximum rows, rows sorted ascending, and the voxel of the saddle
+    mediating it. Saddles on one voxel tie in rank; their row breaks it.
     """
 
     field: ScalarField3D
@@ -53,7 +51,6 @@ class Segmentation:
     pers: np.ndarray = dfield(default_factory=lambda: np.zeros(0))
     pairs: np.ndarray = dfield(default_factory=lambda: _empty_ids(0, 2))
     saddles: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
-    saddle_ids: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
 
 
 def vertex_order(f: ScalarField3D) -> VoxelOrder:
@@ -134,13 +131,9 @@ def _jump(ptr: np.ndarray) -> np.ndarray:
         ptr = jumped
 
 
-def compute_segmentation(f: ScalarField3D, order: VoxelOrder | None = None) -> Segmentation:
+def compute_segmentation(f: ScalarField3D, order: VoxelOrder) -> Segmentation:
     """Label every voxel with the row of the maximum its steepest-ascent
-    path reaches.
-
-    `order` is `vertex_order(f)`, computed here when not given.
-    """
-    order = vertex_order(f) if order is None else order
+    path reaches; `order` is `vertex_order(f)`."""
     nxt = _steepest_neighbor(f, order)
     maxima = np.flatnonzero(nxt == np.arange(f.num_voxels))
     nxt = _jump(nxt)  # each voxel's maximum; the row table comes after, off the peak
@@ -187,10 +180,9 @@ def _pad(a: np.ndarray, fill: int) -> np.ndarray:
     return out.ravel()
 
 
-def compute_saddles(
-    f: ScalarField3D, seg: Segmentation, order: VoxelOrder | None = None
-) -> Segmentation:
-    """Fill in the region pairs and their saddles.
+def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
+    """`seg` with its region pairs and their saddles filled in; `order`
+    is `vertex_order(seg.field)`.
 
     For each unordered pair of adjacent labels the saddle is the
     crossing edge maximizing min(f(u), f(v)) under the total order; the
@@ -198,10 +190,11 @@ def compute_saddles(
     padded flat arrays each of the 13 half offsets is a constant shift;
     `inner` drops the edges into the padding. Each offset's crossing
     edges are reduced to the best rank per pair of maximum rows before
-    the next offset.
+    the next offset. The labels are shared with `seg`, which is left as
+    it was.
     """
-    nx, ny, nz = f.dims
-    rank, voxel = vertex_order(f) if order is None else order
+    nx, ny, nz = seg.field.dims
+    rank, voxel = order
     k = len(seg.maxima)
     lp = _pad(seg.labels.reshape(nz, ny, nx), -1)
     rp = _pad(rank.reshape(nz, ny, nx), -1)
@@ -222,11 +215,8 @@ def compute_saddles(
         ranks.append(best[1])
 
     keys, ranks = _best_per_pair(np.concatenate(keys), np.concatenate(ranks))
-    seg.pairs = np.column_stack([keys // k, keys % k])
     # the saddle is the lower vertex of its edge: the voxel of that rank
-    seg.saddles = voxel[ranks]
-    seg.saddle_ids = np.arange(len(keys), dtype=np.int64)
-    return seg
+    return replace(seg, pairs=np.column_stack([keys // k, keys % k]), saddles=voxel[ranks])
 
 
 def find_root(parent: dict[int, int] | list[int], x: int) -> int:
@@ -243,18 +233,16 @@ def find_root(parent: dict[int, int] | list[int], x: int) -> int:
 def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge-order persistence pairing on the region-adjacency graph.
 
-    Edges are processed in decreasing (saddle rank, saddle id) order
-    (Kruskal style); when two components merge, the component whose best
-    maximum is lower gets paired: pers = f(m) - f(saddle). A component's
-    root is its best maximum. The order does not depend on region
-    labels, so pairing a graph with some pairs already canceled gives
-    the remaining pairs the same partners.
+    Edges are processed in decreasing (saddle rank, row) order (Kruskal
+    style); when two components merge, the component whose best maximum
+    is lower gets paired: pers = f(m) - f(saddle). A component's root is
+    its best maximum.
     Returns (pers, partner) per maximum row: partner is the row of the
     maximum across the pairing saddle, -1 for the global maximum, whose
     persistence is f(max) - f(min).
     """
     k = len(seg.maxima)
-    order = np.lexsort((seg.saddle_ids, rank[seg.saddles]))[::-1]
+    order = np.argsort(rank[seg.saddles], kind="stable")[::-1]
     mrank = rank[seg.maxima].tolist()
     parent = list(range(k))
     partner = [-1] * k
@@ -276,24 +264,18 @@ def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vals[seg.maxima] - floor, np.array(partner, dtype=np.int64)
 
 
-def compute_persistence(
-    f: ScalarField3D, seg: Segmentation, rank: np.ndarray | None = None
-) -> dict[int, float]:
-    """Persistence of every maximum, {voxel id: pers}; also stored in
-    `seg.pers`.
+def compute_persistence(seg: Segmentation, rank: np.ndarray) -> dict[int, float]:
+    """Persistence of every maximum of `seg`, {voxel id: pers}; `rank` is
+    the voxel rank of `vertex_order(seg.field)`.
 
     The globally greatest maximum gets the essential value
     f(global max) - f(global min).
     """
-    if rank is None:
-        rank, _ = vertex_order(f)
-    seg.pers, _ = _pairing(seg, rank)
-    return dict(zip(seg.maxima.tolist(), seg.pers.tolist()))
+    pers, _ = _pairing(seg, rank)
+    return dict(zip(seg.maxima.tolist(), pers.tolist()))
 
 
-def simplify(
-    seg: Segmentation, theta: float, rank: np.ndarray | None = None
-) -> Segmentation:
+def simplify(seg: Segmentation, theta: float, rank: np.ndarray) -> Segmentation:
     """Cancel every maximum-saddle pair with persistence below theta.
 
     One Kruskal sweep: cancelling the least persistent pair leaves every
@@ -305,15 +287,13 @@ def simplify(
     themselves to the one surviving maximum of their tree. Labels and
     pairs are relabeled through one table, the new row of every old
     row's survivor. Each surviving region pair keeps the saddle of
-    greatest (rank, saddle id). The global maximum is never canceled.
-    By the same elder rule a survivor keeps its raw persistence. Returns
-    a new Segmentation; `seg` is left as it was.
+    greatest (rank, row). The global maximum is never canceled. By the
+    same elder rule a survivor keeps its raw persistence. `rank` is the
+    voxel rank of `vertex_order(seg.field)`. Returns a new Segmentation;
+    `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    f = seg.field
-    if rank is None:
-        rank, _ = vertex_order(f)
     pers, partner = _pairing(seg, rank)
     canceled = (partner >= 0) & (pers < theta)
     survivor = _jump(np.where(canceled, partner, np.arange(len(seg.maxima))))
@@ -323,21 +303,21 @@ def simplify(
     ends.sort(axis=1)
     live = np.flatnonzero(ends[:, 0] != ends[:, 1])
     lo, hi = ends[live, 0], ends[live, 1]
-    # within each (lo, hi) group the last row has the greatest (rank, id)
-    order = np.lexsort((seg.saddle_ids[live], rank[seg.saddles[live]], hi, lo))
+    # lexsort is stable and `live` ascends, so within each (lo, hi) group
+    # the last row has the greatest (rank, row)
+    order = np.lexsort((rank[seg.saddles[live]], hi, lo))
     lo, hi = lo[order], hi[order]
     last = np.ones(len(order), dtype=bool)
     last[:-1] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     kept = live[order[last]]
 
     return Segmentation(
-        field=f,
+        field=seg.field,
         labels=new_row.astype(seg.labels.dtype).take(seg.labels),
         maxima=seg.maxima[~canceled],
         pers=pers[~canceled],
         pairs=np.column_stack([lo[last], hi[last]]),
         saddles=seg.saddles[kept],
-        saddle_ids=seg.saddle_ids[kept],
     )
 
 
@@ -349,7 +329,7 @@ def morse_step(f: ScalarField3D, theta: float) -> Segmentation:
     the survivors, so the raw persistence is not computed separately.
     """
     order = vertex_order(f)
-    seg = compute_saddles(f, compute_segmentation(f, order), order)
+    seg = compute_saddles(compute_segmentation(f, order), order)
     rank, order = order[0], None  # free the sort order before simplify
     return simplify(seg, theta, rank)
 

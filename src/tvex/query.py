@@ -101,7 +101,7 @@ def track_neighborhood(
     Returns {t: sorted node ids}; layers alternate between maxima and
     saddles as the ball grows through extremum-graph arcs, one sweep
     over the step's arcs per hop. A node id that is not in its step
-    raises KeyError.
+    raises ValueError.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -114,7 +114,7 @@ def track_neighborhood(
         rows = [row for node_t, row in map(split_node_id, seeds[t])
                 if node_t == t and row < len(g.value)]
         if len(rows) < len(seeds[t]):
-            raise KeyError(f"a seed is not a node of step {t}")
+            raise ValueError(f"a seed is not a node of step {t}")
         ball = np.zeros(len(g.value), dtype=bool)
         ball[rows] = True
         m, s = g.arcs.T

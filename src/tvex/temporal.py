@@ -100,7 +100,7 @@ class Tveg:
         """The graph of step t; graphs are contiguous in t."""
         i = t - self.graphs[0].t if self.graphs else -1
         if not 0 <= i < len(self.graphs):
-            raise KeyError(f"no graph at time {t}")
+            raise ValueError(f"no graph at time {t}")
         return self.graphs[i]
 
     def max_row(self, t: int, node_id: int) -> tuple[ExtremumGraph, int]:
@@ -108,7 +108,7 @@ class Tveg:
         g = self.graph_at(t)
         node_t, row = split_node_id(node_id)
         if node_t != t or row >= g.n_max:
-            raise KeyError(f"no maximum {node_id} at time {t}")
+            raise ValueError(f"no maximum {node_id} at time {t}")
         return g, row
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tvex import morse
 from tvex.exgraph import ExtremumGraph
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.temporal import ScoreWeights, Tveg, link_pair
@@ -21,6 +22,13 @@ def random_field(rng, dims, time_index=0):
     )
 
 
+def raw_segmentation(f):
+    """The raw segmentation `morse_step` simplifies: labels, maxima,
+    region pairs and saddles, all on one voxel order."""
+    order = morse.vertex_order(f)
+    return morse.compute_saddles(morse.compute_segmentation(f, order), order)
+
+
 def voxel_ids(seg):
     """A copy of a segmentation whose labels and pairs name each maximum
     by its voxel id, not by its row, as the reference implementations
@@ -31,12 +39,9 @@ def voxel_ids(seg):
 
 
 def adjacency(seg) -> dict[tuple[int, int], int]:
-    """A segmentation's region pairs as {(lo, hi): raw saddle id}, each
+    """A segmentation's region pairs as {(lo, hi): saddle voxel}, each
     maximum named by its voxel id."""
-    return {
-        (la, lb): sid
-        for (la, lb), sid in zip(seg.maxima[seg.pairs].tolist(), seg.saddle_ids.tolist())
-    }
+    return dict(zip(map(tuple, seg.maxima[seg.pairs].tolist()), seg.saddles.tolist()))
 
 
 def maxima_graph(t, coords, value, pers, eta):

@@ -3,11 +3,12 @@
 This is the loop `tvex.morse.simplify` used before it became a single
 sweep. Each round pairs the current region graph, cancels the pair of
 least persistence (ties by maximum id), relabels the canceled region to
-its partner with a full voxel scan and re-merges the adjacencies. Two
-ties are broken by (saddle rank, saddle id), as the sweep breaks them:
-the pairing's edge order, and which saddle a merged region pair keeps
-when several saddles sit on one voxel (the loop used to keep whichever
-came first in its dict, which depends on the cancellation history).
+its partner with a full voxel scan and re-merges the adjacencies. A
+saddle is named by its row in the raw segmentation. Two ties are broken
+by (saddle rank, raw row), as the sweep breaks them: the pairing's edge
+order, and which saddle a merged region pair keeps when several saddles
+sit on one voxel (the loop used to keep whichever came first in its
+dict, which depends on the cancellation history).
 The pairing and the manifold scan are kept here too: the segmentation's
 columns are read into dicts once, so the reference shares only the
 data type with the code it checks.
@@ -22,7 +23,7 @@ from tvex.morse import Segmentation
 
 
 def pairing(f, max_ids, adjacency, saddle_vertex, rank):
-    """{max_id: (pers, partner_label, saddle_id)} by a Kruskal sweep."""
+    """{max_id: (pers, partner_label, saddle row)} by a Kruskal sweep."""
     parent = {mid: mid for mid in max_ids}
 
     def find(x):
@@ -67,19 +68,17 @@ def manifolds(seg: Segmentation) -> list[np.ndarray]:
 
 
 def iterative_simplify(seg: Segmentation, theta: float) -> Segmentation:
-    """Cancel pairs below theta one by one; returns a new Segmentation
-    with the persistence of the surviving maxima."""
+    """Cancel pairs below theta one by one in the raw segmentation `seg`;
+    returns a new Segmentation with the persistence of the surviving
+    maxima."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     f = seg.field
     rank, _ = vertex_order(f)
     labels = seg.labels.copy()
     maxima = set(seg.maxima.tolist())
-    saddle_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
-    adjacency = {
-        (la, lb): sid
-        for (la, lb), sid in zip(seg.pairs.tolist(), seg.saddle_ids.tolist())
-    }
+    saddle_vertex = dict(enumerate(seg.saddles.tolist()))
+    adjacency = {(la, lb): sid for sid, (la, lb) in enumerate(seg.pairs.tolist())}
 
     while len(maxima) > 1:
         pairs = pairing(f, sorted(maxima), adjacency, saddle_vertex, rank)
@@ -122,5 +121,4 @@ def iterative_simplify(seg: Segmentation, theta: float) -> Segmentation:
         pers=np.array([pairs[m][0] for m in max_ids]),
         pairs=np.array(keys, dtype=np.int64).reshape(-1, 2),
         saddles=np.array([saddle_vertex[adjacency[k]] for k in keys], dtype=np.int64),
-        saddle_ids=np.array([adjacency[k] for k in keys], dtype=np.int64),
     )

@@ -128,5 +128,4 @@ def compute_saddles(f: ScalarField3D, seg: Segmentation) -> Segmentation:
     voxel[rank] = np.arange(n)
     seg.pairs = np.column_stack([keys // n, keys % n])
     seg.saddles = voxel[ranks]
-    seg.saddle_ids = np.arange(len(keys), dtype=np.int64)
     return seg

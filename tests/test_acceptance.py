@@ -15,12 +15,7 @@ import pytest
 
 from tvex import io as tvio
 from tvex.field import FieldSeries, generate_gauss8
-from tvex.morse import (
-    compute_persistence,
-    compute_saddles,
-    compute_segmentation,
-    merge_tree_oracle,
-)
+from tvex.morse import compute_persistence, merge_tree_oracle, vertex_order
 from tvex.pipeline import compute_tveg
 from tvex.temporal import (
     ScoreTuple,
@@ -32,7 +27,7 @@ from tvex.temporal import (
 )
 from tvex.tracks import extract_tracks
 
-from conftest import random_field, random_maxima
+from conftest import random_field, random_maxima, raw_segmentation
 
 
 # collected by conftest's terminal-summary hook so every line is shown
@@ -145,8 +140,8 @@ def test_criterion_1_oracle_equivalence(rng):
     for _ in range(100):
         dims = tuple(int(d) for d in rng.integers(8, 17, 3))
         f = random_field(rng, dims)
-        seg = compute_saddles(f, compute_segmentation(f))
-        if compute_persistence(f, seg) != merge_tree_oracle(f):
+        seg = raw_segmentation(f)
+        if compute_persistence(seg, vertex_order(f)[0]) != merge_tree_oracle(f):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     _report(

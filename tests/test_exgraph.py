@@ -1,13 +1,15 @@
 """Per-step extremum graph assembly and node attributes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from tvex import morse, pipeline
 from tvex.exgraph import build_extremum_graph, make_node_id, split_node_id
-from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
+from tvex.morse import simplify
 
-from conftest import random_field, two_blob_series
+from conftest import random_field, raw_segmentation, two_blob_series
 
 
 def arc_ids(g) -> list[list[int]]:
@@ -75,11 +77,7 @@ def test_arcs_join_maxima_to_saddles(rng):
 def test_graph_matches_simplified_segmentation(rng):
     f = random_field(rng, (6, 6, 6), time_index=1)
     theta = 0.2
-    seg = compute_saddles(f, compute_segmentation(f))
-    compute_persistence(f, seg)
-    from tvex.morse import simplify
-
-    ref = simplify(seg, theta)
+    ref = simplify(raw_segmentation(f), theta, morse.vertex_order(f)[0])
     g = build_extremum_graph(f, theta)
     assert len(g.maxima) == len(ref.maxima)
     assert sorted(g.vertex[: g.n_max].tolist()) == sorted(ref.maxima.tolist())
@@ -137,20 +135,13 @@ def test_saddle_persistence_is_cancellation_value(rng):
 
 
 def test_vertex_order_runs_once_per_step(rng, monkeypatch):
-    calls = [0]
-    real = morse.vertex_order
-
-    def counted(f):
-        calls[0] += 1
-        return real(f)
-
-    monkeypatch.setattr(morse, "vertex_order", counted)
-    build_extremum_graph(random_field(rng, (6, 6, 6), time_index=1), 0.2)
-    assert calls[0] == 1
-    series = two_blob_series(steps=3, dims=(8, 8, 8))
-    monkeypatch.setenv("TVEX_THREADS", "1")
-    pipeline.build_graphs(series, 0.05)
-    assert calls[0] == 1 + len(series)
+    with mock.patch.object(morse, "vertex_order", wraps=morse.vertex_order) as counted:
+        build_extremum_graph(random_field(rng, (6, 6, 6), time_index=1), 0.2)
+        assert counted.call_count == 1
+        series = two_blob_series(steps=3, dims=(8, 8, 8))
+        monkeypatch.setenv("TVEX_THREADS", "1")
+        pipeline.build_graphs(series, 0.05)
+        assert counted.call_count == 1 + len(series)
 
 
 def test_graph_holds_no_voxel_rank(rng):

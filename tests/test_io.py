@@ -11,13 +11,12 @@ import pytest
 from tvex import io as tvio
 from tvex.cli import main
 from tvex.field import FieldSeries, generate_gauss8, load_series, save_series
-from tvex.morse import compute_persistence, compute_saddles, compute_segmentation
 from tvex.pipeline import compute_tveg, resolve_theta
 from tvex.query import track_neighborhood
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
-from conftest import random_field, two_blob_series
+from conftest import random_field, raw_segmentation, two_blob_series
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +192,14 @@ class TestTvegLoaderChecks:
             ("two coordinates", "'steps': a value of the wrong JSON type in step 2 (node 'x' "
              "must be numbers in the float64 range, of shape"),
             ("a weight NaN", "weights must be numbers >= 0, got (nan,"),
+            ("node value NaN", "'steps': a value of the wrong JSON type in step 2 (node "
+             "'value', 'pers' and 'eta' must be finite, got nan)"),
+            ("coordinate Infinity", "'steps': a value of the wrong JSON type in step 2 (node "
+             "'x' must be finite, got inf)"),
+            ("arc score NaN", "'temporal_arcs': a value of the wrong JSON type in pair 1->2 "
+             "(s must be a finite number, got nan)"),
+            ("mu NaN", "'temporal_arcs': a value of the wrong JSON type in pair 1->2 ('mu' "
+             "must be a finite number, got nan)"),
         ],
     )
     def test_wrong_json_type_is_named(self, tvg, tmp_path, capsys, how, named):
@@ -276,6 +283,14 @@ class TestTvegLoaderChecks:
             node["x"].pop()
         elif how == "a weight NaN":
             doc["weights"]["G"] = math.nan
+        elif how == "node value NaN":
+            node["value"] = math.nan
+        elif how == "coordinate Infinity":
+            node["x"][0] = math.inf
+        elif how == "arc score NaN":
+            pair["arcs"][0][2] = math.nan
+        elif how == "mu NaN":
+            pair["filter"]["mu"] = math.nan
         with open(p, "w") as fh:
             # json.dumps keeps a float's ".0" and writes a NaN as NaN, as json.load reads it
             fh.write(json.dumps(doc))
@@ -444,15 +459,14 @@ class TestGeometryExport:
             argv = ["export", "--tveg", p, "--tracks", tp, "-o", str(tmp_path / "x.vtk")]
             assert main(argv) == 2
             assert msg in capsys.readouterr().err
-            with pytest.raises(KeyError, match="no maximum"):
+            with pytest.raises(ValueError, match="no maximum"):
                 tvio.export_tracks_geometry([Track(nodes=[(g.t, node)])], tvg,
                                             str(tmp_path / "y.vtk"))
 
 class TestSegmentationExport:
     def test_raw_roundtrip(self, rng, tmp_path):
         f = random_field(rng, (6, 6, 6), time_index=1)
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
+        seg = raw_segmentation(f)
         labels_path, sidecar_path = tvio.export_segmentation(
             seg, str(tmp_path / "seg")
         )
@@ -599,8 +613,16 @@ class TestCli:
         argv = ["tveg", "--manifest", manifest, "--weights", "nan,0.5,0.25,0.25", "-o",
                 str(tmp_path / "o")]
         assert main(argv) == 2
-        assert "--weights" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --weights: weights must be numbers >= 0, got (nan," in err
         assert not os.path.exists(tmp_path / "o")
+
+    def test_weights_not_summing_to_1_are_named(self, tmp_path, capsys):
+        manifest = save_series(generate_gauss8((4, 4, 4), steps=2), str(tmp_path / "d"))
+        argv = ["tveg", "--manifest", manifest, "--weights", "0.5,0.5,0.5,0.5", "-o",
+                str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "argument --weights: weights must sum to 1, got 2.0" in capsys.readouterr().err
 
     def test_eg_file_is_the_tveg_step(self, tmp_path, capsys):
         """`tvex eg` writes each step as the bytes of its object inside
@@ -866,6 +888,8 @@ class TestCli:
          "'hops' must be an integer, got '2'"),
         ({"kind": "window-events", "window": "ab"}, "'window' must be two integers, got 'ab'"),
         ({"kind": "window-events", "window": [1]}, "'window' must be two integers, got [1]"),
+        ({"seeds": [1]}, "the key 'kind' is missing"),
+        ({"kind": 3}, "'kind' must be a string, got 3"),
     ])
     def test_query_spec_bad_key_is_named(self, tmp_path, capsys, spec, msg):
         series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
@@ -878,6 +902,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["query", "--tveg", tveg_path, "--spec", str(spec_path)]) == 2
         assert capsys.readouterr().err == f"error: {spec_path}: {msg}\n"
+
+    @pytest.mark.parametrize("seed, msg", [
+        (99999999999, "no graph at time 23"),
+        ((1 << 32) + 10**6, "a seed is not a node of step 1"),
+    ])
+    def test_query_bad_seed_is_named(self, tmp_path, capsys, seed, msg):
+        series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0", "-o", out]) == 0
+        capsys.readouterr()
+        argv = ["query", "--tveg", os.path.join(out, "tveg.json"), "--kind", "neighborhood",
+                "--seeds", str(seed)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
     @pytest.mark.parametrize("key, value, msg", [
         ("file", 5, "step 1 'file' must be a string, got 5"),

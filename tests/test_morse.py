@@ -19,7 +19,7 @@ from tvex.morse import (
     vertex_order,
 )
 
-from conftest import adjacency, random_field
+from conftest import adjacency, random_field, raw_segmentation
 
 
 def grid_index(f: ScalarField3D, v: int) -> tuple[int, int, int]:
@@ -30,7 +30,7 @@ def grid_index(f: ScalarField3D, v: int) -> tuple[int, int, int]:
 
 def segmentation_maxima(f: ScalarField3D) -> list[int]:
     """Voxel ids of the maxima compute_segmentation finds."""
-    return compute_segmentation(f).maxima.tolist()
+    return compute_segmentation(f, vertex_order(f)).maxima.tolist()
 
 
 def brute_force_maxima(f: ScalarField3D) -> list[int]:
@@ -170,20 +170,20 @@ class TestSteepestNeighbor:
 class TestSegmentation:
     def test_labels_are_maxima(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_segmentation(f)
+        seg = compute_segmentation(f, vertex_order(f))
         maxima = set(brute_force_maxima(f))
         assert set(np.unique(seg.maxima[seg.labels])) == maxima
 
     def test_maxima_label_themselves(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_segmentation(f)
+        seg = compute_segmentation(f, vertex_order(f))
         for row, m in enumerate(seg.maxima.tolist()):
             assert seg.labels[m] == row
 
     def test_steepest_path_reaches_label(self, rng):
         """Following the steepest 26-neighbor from any voxel preserves its label."""
         f = random_field(rng, (5, 5, 5))
-        seg = compute_segmentation(f)
+        seg = compute_segmentation(f, vertex_order(f))
         rank, _ = vertex_order(f)
         nx, ny, nz = f.dims
         for v in rng.integers(0, f.num_voxels, 30):
@@ -204,7 +204,7 @@ class TestSegmentation:
 
     def test_region_partition_covers_domain(self, rng):
         f = random_field(rng, (5, 5, 5))
-        seg = compute_segmentation(f)
+        seg = compute_segmentation(f, vertex_order(f))
         total = sum(int(np.count_nonzero(seg.labels == row)) for row in range(len(seg.maxima)))
         assert total == f.num_voxels
 
@@ -212,13 +212,12 @@ class TestSegmentation:
 class TestSaddles:
     def test_one_saddle_per_adjacent_pair(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
+        seg = raw_segmentation(f)
         assert len(seg.saddles) == len(adjacency(seg))
-        assert len(set(seg.saddle_ids.tolist())) == len(seg.saddles)
 
     def test_adjacency_pairs_are_labels(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
+        seg = raw_segmentation(f)
         labels = set(seg.maxima.tolist())
         for (la, lb) in adjacency(seg):
             assert la < lb
@@ -226,18 +225,16 @@ class TestSaddles:
 
     def test_saddle_below_both_maxima(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
+        seg = raw_segmentation(f)
         rank, _ = vertex_order(f)
-        sid_to_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
-        for (la, lb), sid in adjacency(seg).items():
-            s = sid_to_vertex[sid]
+        for (la, lb), s in adjacency(seg).items():
             assert rank[s] < rank[la]
             assert rank[s] < rank[lb]
 
     def test_saddle_is_highest_crossing_edge(self, rng):
         """Brute-force the best crossing edge for every adjacent pair."""
         f = random_field(rng, (4, 4, 4))
-        seg = compute_saddles(f, compute_segmentation(f))
+        seg = raw_segmentation(f)
         rank, _ = vertex_order(f)
         labels = seg.maxima[seg.labels]
         nx, ny, nz = f.dims
@@ -256,10 +253,7 @@ class TestSaddles:
                 lo = v if rank[v] < rank[u] else u
                 if key not in best or rank[lo] > rank[best[key]]:
                     best[key] = lo
-        sid_to_vertex = dict(zip(seg.saddle_ids.tolist(), seg.saddles.tolist()))
-        assert set(adjacency(seg)) == set(best)
-        for key, sid in adjacency(seg).items():
-            assert sid_to_vertex[sid] == best[key]
+        assert adjacency(seg) == best
 
 
 class TestPersistence:
@@ -267,28 +261,27 @@ class TestPersistence:
         for _ in range(25):
             dims = tuple(int(d) for d in rng.integers(3, 9, 3))
             f = random_field(rng, dims)
-            seg = compute_saddles(f, compute_segmentation(f))
-            pers = compute_persistence(f, seg)
+            pers = compute_persistence(raw_segmentation(f), vertex_order(f)[0])
             assert pers == merge_tree_oracle(f)
 
     @given(small_fields)
     @settings(max_examples=30, deadline=None)
     def test_matches_oracle_property(self, a):
         f = as_field(a)
-        seg = compute_saddles(f, compute_segmentation(f))
-        assert compute_persistence(f, seg) == merge_tree_oracle(f)
+        pers = compute_persistence(raw_segmentation(f), vertex_order(f)[0])
+        assert pers == merge_tree_oracle(f)
 
     def test_global_max_gets_essential_value(self, rng):
         f = random_field(rng, (5, 5, 5))
-        seg = compute_saddles(f, compute_segmentation(f))
-        pers = compute_persistence(f, seg)
+        seg = raw_segmentation(f)
+        pers = compute_persistence(seg, vertex_order(f)[0])
         top = max(seg.maxima.tolist(), key=lambda m: (f.values[m], m))
         assert pers[top] == f.values[top] - float(f.values.min())
 
     def test_persistence_positive(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
-        pers = compute_persistence(f, seg)
+        seg = raw_segmentation(f)
+        pers = compute_persistence(seg, vertex_order(f)[0])
         assert all(p > 0 for p in pers.values())
 
     def test_two_peak_field_exact(self):
@@ -298,8 +291,8 @@ class TestPersistence:
         f = ScalarField3D(
             dims=(7, 1, 1), origin=np.zeros(3), spacing=np.ones(3), values=vals.ravel()
         )
-        seg = compute_saddles(f, compute_segmentation(f))
-        pers = compute_persistence(f, seg)
+        seg = raw_segmentation(f)
+        pers = compute_persistence(seg, vertex_order(f)[0])
         # peak 0.9 dies at the 0.2 col; peak 1.0 is essential
         assert pers == {1: pytest.approx(0.7), 5: pytest.approx(0.9)}
 
@@ -307,40 +300,35 @@ class TestPersistence:
 class TestSimplify:
     def test_theta_zero_is_identity(self, rng):
         f = random_field(rng, (5, 5, 5))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
-        out = simplify(seg, 0.0)
+        seg = raw_segmentation(f)
+        out = simplify(seg, 0.0, vertex_order(f)[0])
         assert set(out.maxima.tolist()) == set(seg.maxima.tolist())
 
     def test_rejects_negative_theta(self, rng):
         f = random_field(rng, (4, 4, 4))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
+        seg = raw_segmentation(f)
         with pytest.raises(ValueError):
-            simplify(seg, -0.1)
+            simplify(seg, -0.1, vertex_order(f)[0])
 
     def test_survivors_exceed_threshold(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
+        seg = raw_segmentation(f)
         theta = 0.3
-        out = simplify(seg, theta)
+        out = simplify(seg, theta, vertex_order(f)[0])
         assert all(p >= theta for p in out.pers.tolist())
 
     def test_global_max_survives_any_threshold(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
-        out = simplify(seg, 1e9)
+        seg = raw_segmentation(f)
+        out = simplify(seg, 1e9, vertex_order(f)[0])
         top = max(seg.maxima.tolist(), key=lambda m: (f.values[m], m))
         assert out.maxima.tolist() == [top]
         assert np.all(out.maxima[out.labels] == top)
 
     def test_labels_remain_partition(self, rng):
         f = random_field(rng, (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
-        out = simplify(seg, 0.25)
+        seg = raw_segmentation(f)
+        out = simplify(seg, 0.25, vertex_order(f)[0])
         assert set(np.unique(out.labels)) == set(range(len(out.maxima)))
 
     def test_canceled_region_joins_pairing_neighbor(self):
@@ -349,9 +337,8 @@ class TestSimplify:
         f = ScalarField3D(
             dims=(7, 1, 1), origin=np.zeros(3), spacing=np.ones(3), values=vals.ravel()
         )
-        seg = compute_saddles(f, compute_segmentation(f))
-        compute_persistence(f, seg)
-        out = simplify(seg, 0.8)  # cancels the 0.9 peak (pers 0.7)
+        seg = raw_segmentation(f)
+        out = simplify(seg, 0.8, vertex_order(f)[0])  # cancels the 0.9 peak (pers 0.7)
         assert out.maxima.tolist() == [5]
         assert np.all(out.maxima[out.labels] == 5)
 
@@ -363,15 +350,31 @@ class TestSimplify:
             assert value is f or isinstance(value, np.ndarray), name
 
     def test_leaves_its_input_and_earlier_results_alone(self):
-        """Simplifying one raw segmentation at two thresholds: the first
-        result keeps its own persistence and labels."""
+        """No stage writes to its input: every column of the segmentation
+        given to compute_saddles, compute_persistence and simplify stays
+        as it was. Simplifying one raw segmentation at two thresholds:
+        the first result keeps its own columns."""
         f = random_field(np.random.default_rng(1), (6, 6, 6))
-        seg = compute_saddles(f, compute_segmentation(f))
-        raw = {k: v.copy() for k, v in vars(seg).items() if isinstance(v, np.ndarray)}
-        out1 = simplify(seg, 0.1)
-        pers1, labels1 = out1.pers.tolist(), out1.labels.copy()
-        simplify(seg, 0.5)
-        assert out1.pers.tolist() == pers1
-        assert np.array_equal(out1.labels, labels1)
-        for k, v in raw.items():
-            assert np.array_equal(getattr(seg, k), v)
+        order = vertex_order(f)
+        rank = order[0]
+
+        def columns(seg):
+            return {k: v.copy() for k, v in vars(seg).items() if isinstance(v, np.ndarray)}
+
+        def assert_unchanged(seg, before):
+            for k, v in before.items():
+                now = getattr(seg, k)
+                assert now.dtype == v.dtype and np.array_equal(now, v), k
+
+        seg = compute_segmentation(f, order)
+        before = columns(seg)
+        raw = compute_saddles(seg, order)
+        assert_unchanged(seg, before)
+        before = columns(raw)
+        compute_persistence(raw, rank)
+        assert_unchanged(raw, before)
+        out1 = simplify(raw, 0.1, rank)
+        first = columns(out1)
+        simplify(raw, 0.5, rank)
+        assert_unchanged(out1, first)
+        assert_unchanged(raw, before)

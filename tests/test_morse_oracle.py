@@ -16,9 +16,9 @@ import morse_oracle as oracle
 from tvex import morse
 from tvex.field import ScalarField3D
 
-from conftest import random_field, voxel_ids
+from conftest import random_field, raw_segmentation, voxel_ids
 
-COLUMNS = ("labels", "maxima", "pairs", "saddles", "saddle_ids")
+COLUMNS = ("labels", "maxima", "pairs", "saddles")
 
 # axes from one voxel thick upwards; few distinct values force ties in
 # the voxel order, and a single value gives a constant field
@@ -75,11 +75,8 @@ def as_rows(seg):
 
 def check(f: ScalarField3D) -> None:
     want = oracle.compute_saddles(f, oracle.compute_segmentation(f))
-    got = morse.compute_saddles(f, morse.compute_segmentation(f))
+    got = raw_segmentation(f)
     assert got.labels.dtype == morse.vertex_order(f)[0].dtype
-    assert_same_columns(voxel_ids(got), want)
-    order = morse.vertex_order(f)
-    got = morse.compute_saddles(f, morse.compute_segmentation(f, order), order)
     assert_same_columns(voxel_ids(got), want)
 
 
@@ -157,6 +154,6 @@ class TestPerVoxelPasses:
     def test_morse_step_matches_simplified_oracle(self, a, theta):
         f = as_field(a)
         raw = oracle.compute_saddles(f, oracle.compute_segmentation(f))
-        want = morse.simplify(as_rows(raw), theta)
+        want = morse.simplify(as_rows(raw), theta, oracle.vertex_order(f)[0])
         assert_same_columns(morse.morse_step(f, theta), want, COLUMNS + ("pers",))
 

@@ -163,5 +163,5 @@ class TestTrackNeighborhood:
     def test_rejects_seed_outside_its_step(self, tvg):
         g = tvg.graphs[0]
         for seed in (int(g.ids[-1]) + 1, int(g.maxima[0]) + (1 << 32)):
-            with pytest.raises(KeyError):
+            with pytest.raises(ValueError, match=f"a seed is not a node of step {g.t}"):
                 track_neighborhood(tvg, Track(nodes=[(g.t, seed)]), 1)

@@ -6,16 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvex.field import ScalarField3D
-from tvex.morse import (
-    compute_persistence,
-    compute_saddles,
-    compute_segmentation,
-    merge_tree_oracle,
-    simplify,
-    vertex_order,
-)
+from tvex.morse import compute_persistence, merge_tree_oracle, simplify, vertex_order
 
-from conftest import adjacency, voxel_ids
+from conftest import adjacency, raw_segmentation, voxel_ids
 from iterative_simplify import iterative_simplify, manifolds
 
 
@@ -26,10 +19,9 @@ def as_field(a: np.ndarray) -> ScalarField3D:
     )
 
 
-def raw_segmentation(f: ScalarField3D):
-    seg = compute_saddles(f, compute_segmentation(f))
-    compute_persistence(f, seg)
-    return seg
+def sweep(f: ScalarField3D, theta: float):
+    """`simplify` on the raw segmentation, as `morse_step` runs it."""
+    return simplify(raw_segmentation(f), theta, vertex_order(f)[0])
 
 
 def reference(f: ScalarField3D, theta: float):
@@ -42,7 +34,7 @@ def assert_same(got, want):
     """Every column bit for bit, and the manifolds of both by a voxel
     scan; `got` names each maximum by its row, `want` by its voxel id."""
     got = voxel_ids(got)
-    for name in ("labels", "maxima", "pers", "pairs", "saddles", "saddle_ids"):
+    for name in ("labels", "maxima", "pers", "pairs", "saddles"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
@@ -69,14 +61,14 @@ class TestSweepMatchesIterative:
     def test_float_fields(self, a, frac):
         f = as_field(a)
         theta = frac * float(np.ptp(f.values))
-        assert_same(simplify(raw_segmentation(f), theta), reference(f, theta))
+        assert_same(sweep(f, theta), reference(f, theta))
 
     @given(integer_fields, theta_fractions)
     @settings(max_examples=80, deadline=None)
     def test_integer_fields(self, a, frac):
         f = as_field(a)
         theta = frac * float(np.ptp(f.values))
-        assert_same(simplify(raw_segmentation(f), theta), reference(f, theta))
+        assert_same(sweep(f, theta), reference(f, theta))
 
     def test_random_fields_and_thresholds(self, rng):
         for i in range(30):
@@ -89,7 +81,7 @@ class TestSweepMatchesIterative:
             )
             span = float(np.ptp(values))
             for theta in (0.0, 0.1 * span, 0.4 * span, 2.0 * span):
-                assert_same(simplify(raw_segmentation(f), theta), reference(f, theta))
+                assert_same(sweep(f, theta), reference(f, theta))
 
     @given(float_fields, theta_fractions)
     @settings(max_examples=40, deadline=None)
@@ -100,7 +92,7 @@ class TestSweepMatchesIterative:
         theta = frac * float(np.ptp(f.values))
         pers = merge_tree_oracle(f)
         top = max(pers, key=lambda v: (f.values[v], v))
-        out = simplify(raw_segmentation(f), theta)
+        out = sweep(f, theta)
         want = {v: p for v, p in pers.items() if p >= theta or v == top}
         assert dict(zip(out.maxima.tolist(), out.pers.tolist())) == want
 
@@ -110,18 +102,10 @@ class TestSweepMatchesIterative:
         """The sweep's persistence equals pairing the simplified graph
         again, bit for bit."""
         f = as_field(a)
-        out = simplify(raw_segmentation(f), frac * float(np.ptp(f.values)))
-        sweep = out.pers.copy()
-        compute_persistence(f, out)
-        assert sweep.dtype == out.pers.dtype and np.array_equal(sweep, out.pers)
-
-    def test_rank_argument_gives_same_result(self, rng):
-        f = as_field(rng.integers(0, 4, (5, 6, 4)).astype(np.float64))
-        rank, _ = vertex_order(f)
-        assert_same(
-            simplify(raw_segmentation(f), 1.5, rank),
-            voxel_ids(simplify(raw_segmentation(f), 1.5)),
-        )
+        out = sweep(f, frac * float(np.ptp(f.values)))
+        again = compute_persistence(out, vertex_order(f)[0])
+        assert list(again) == out.maxima.tolist()
+        assert np.array_equal(np.array(list(again.values())), out.pers)
 
 
 # nx=5, ny=3, nz=1; voxel id = x + 5 * y. Peaks A (id 0, value 10),
@@ -142,28 +126,25 @@ class TestSharedSaddleVoxel:
     def test_raw_graph(self):
         seg = raw_segmentation(self.field())
         assert seg.maxima.tolist() == [0, 4, 12]
-        vertex = dict(zip(map(tuple, seg.maxima[seg.pairs].tolist()), seg.saddles.tolist()))
-        assert vertex == {(0, 4): 2, (0, 12): 7, (4, 12): 7}
+        assert adjacency(seg) == {(0, 4): 2, (0, 12): 7, (4, 12): 7}
 
-    def test_canceled_region_joins_the_greater_saddle_id(self):
-        """C's two saddle edges tie in rank; (4, 12) has the greater saddle
-        id, so C joins B there although A is the higher peak."""
+    def test_canceled_region_joins_the_greater_saddle_row(self):
+        """C's two saddle edges tie in rank; (4, 12) has the greater raw
+        row, so C joins B there although A is the higher peak."""
         f = self.field()
-        seg = raw_segmentation(f)
-        sid = adjacency(seg)
-        out = simplify(seg, 5.0)  # pers: C 4, B 7, A 10
+        out = sweep(f, 5.0)  # pers: C 4, B 7, A 10
         assert out.maxima.tolist() == [0, 4]
         # C's region (voxels 7, 11, 12, 13) is relabeled to B
         assert out.maxima[out.labels].tolist() == [0, 0, 4, 4, 4, 0, 0, 4, 4, 4, 0, 4, 4, 4, 4]
         # A and B now meet at voxel 7 through the former A-C saddle
-        assert adjacency(out) == {(0, 4): sid[(0, 12)]}
+        assert adjacency(out) == {(0, 4): 7}
         assert out.pers.tolist() == [10.0, 7.0]
         assert_same(out, reference(f, 5.0))
 
     def test_partner_chain_resolves_to_the_survivor(self):
         """C's partner B is canceled too, so C's region ends up in A."""
         f = self.field()
-        out = simplify(raw_segmentation(f), 8.0)
+        out = sweep(f, 8.0)
         assert out.maxima.tolist() == [0]
         assert np.all(out.maxima[out.labels] == 0)
         assert adjacency(out) == {}
