@@ -8,7 +8,6 @@ the command's time and returns 0, or a nonzero code with a diagnostic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -16,12 +15,15 @@ import time
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
 from .exgraph import build_extremum_graph, split_node_id
-from .field import generate_gauss8, load_series, save_series
+from .field import generate_gauss8, load_series, read_json, save_series
 from .temporal import ScoreWeights
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError as exc:  # argparse shows only this type's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
@@ -110,8 +112,7 @@ def cmd_tracks(args) -> str:
 def cmd_query(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
     if args.spec:
-        with open(args.spec) as fh:
-            q = json.load(fh)
+        q = read_json(args.spec)
         if not isinstance(q, dict):
             raise ValueError(f"{args.spec}: a query must be a JSON object")
         _check_spec(q, args.spec)
@@ -216,6 +217,8 @@ def _write(text: str, output) -> None:
 
 def cmd_export(args) -> str:
     if args.what == "geometry":
+        if not args.tveg:
+            raise ValueError("a geometry export needs --tveg")
         tveg = tvio.load_tveg_json(args.tveg)
         track_list = _tracks_or_paths(tveg, args.tracks)
         tvio.export_tracks_geometry(
@@ -227,7 +230,8 @@ def cmd_export(args) -> str:
             include_spatial=args.spatial_arcs,
         )
         return f"export: {len(track_list)} tracks -> {args.output}"
-    # segmentation export needs the field
+    if not args.manifest:
+        raise ValueError("a segmentation export needs --manifest")
     series, theta = _load_theta_series(args)
     seg = morse.morse_step(series.at(args.t), theta)
     labels_path, sidecar = tvio.export_segmentation(seg, args.output)
@@ -286,10 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("query", help="query a computed tveg")
     q.add_argument("--tveg", required=True)
-    q.add_argument("--spec", default=None, help="JSON query file")
-    q.add_argument("--kind", default=None,
-                   choices=["length-threshold", "least-deviation", "region",
-                            "window-events", "neighborhood"])
+    one = q.add_mutually_exclusive_group(required=True)
+    one.add_argument("--spec", default=None, help="JSON query file")
+    one.add_argument("--kind", default=None,
+                     choices=["length-threshold", "least-deviation", "region",
+                              "window-events", "neighborhood"])
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--box", type=float, nargs=6, default=None,

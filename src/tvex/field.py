@@ -143,6 +143,16 @@ def _vector(manifest: dict, key: str, default: float, where: str) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
+def read_json(path: str):
+    """The JSON document in the file at `path`; a file that is not JSON
+    (empty, truncated, not UTF-8) is a ValueError that names it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+
+
 def load_series(manifest_path: str) -> FieldSeries:
     """Open a series from a JSON manifest referencing raw volumes.
 
@@ -152,8 +162,7 @@ def load_series(manifest_path: str) -> FieldSeries:
     Raw files hold nx*ny*nz little-endian 32-bit floats, x-fastest.
     Checks the manifest and the file sizes; reads no volume.
     """
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     where = f"manifest {manifest_path}"
     _require(manifest, ("dims", "steps"), where)
     dims, steps = manifest["dims"], manifest["steps"]

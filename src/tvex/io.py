@@ -16,6 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .exgraph import ExtremumGraph, make_node_id, split_node_id
+from .field import read_json
 from .morse import Segmentation
 from .pipeline import check_theta
 from .temporal import FilterMeta, ScoreTuple, ScoreWeights, Tveg
@@ -47,22 +48,20 @@ def _canon(obj, out: list) -> None:
         out.append(format(float(obj), ".17g"))
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, _Text):
-        out.append(obj)
     else:
         out.append(json.dumps(obj))
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON text for a tree of dicts/lists/scalars."""
+def _text(obj) -> str:
+    """`obj`'s canonical JSON text, without a trailing newline."""
     out: list[str] = []
     _canon(obj, out)
-    out.append("\n")
     return "".join(out)
 
 
-class _Text(str):
-    """Canonical JSON text already rendered; `_canon` writes it as is."""
+def canonical_json(obj) -> str:
+    """Deterministic JSON text for a tree of dicts/lists/scalars."""
+    return _text(obj) + "\n"
 
 
 # one node of a step: keys in sorted order, floats as `_canon` prints
@@ -73,7 +72,7 @@ _NODE = (
 )
 
 
-def _step_json(g: ExtremumGraph) -> _Text:
+def _step_json(g: ExtremumGraph) -> str:
     """One step's canonical JSON object (arcs of node ids, nodes in row
     order, t), written per column: each column is converted to Python
     values once and the whole step is one fill of the node and arc templates."""
@@ -87,7 +86,7 @@ def _step_json(g: ExtremumGraph) -> _Text:
     nodes = ",".join([_NODE] * k) % tuple(chain.from_iterable(rows))
     ids = g.arcs.ravel() + make_node_id(g.t, 0)
     arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple(ids.tolist())
-    return _Text('{"arcs":[%s],"nodes":[%s],"t":%d}' % (arcs, nodes, g.t))
+    return '{"arcs":[%s],"nodes":[%s],"t":%d}' % (arcs, nodes, g.t)
 
 
 _NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
@@ -173,19 +172,18 @@ def _graph_from_step(step: dict) -> ExtremumGraph:
 
 
 def export_tveg_json(tveg: Tveg, path: str) -> None:
-    """Write the whole structure as canonical JSON, steps per column."""
-    doc = {
-        "theta": tveg.theta,
-        "weights": vars(tveg.weights),
-        "steps": [_step_json(g) for g in tveg.graphs],
-        "temporal_arcs": [
-            {"t": g.t, "arcs": [[a.m0, a.m1, a.s] for a in arcs], "filter": vars(meta)}
-            for g, (arcs, meta) in zip(tveg.graphs, tveg.links)
-        ],
-        "events": vars(tveg.events),
-    }
+    """Write the whole structure as canonical JSON, key by key in sorted
+    order, rendering and writing one step and one pair at a time."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(doc))
+        fh.write('{"events":%s,"steps":[' % _text(vars(tveg.events)))
+        for i, g in enumerate(tveg.graphs):
+            fh.write("," if i else "")
+            fh.write(_step_json(g))
+        fh.write('],"temporal_arcs":[')
+        for i, (g, (arcs, meta)) in enumerate(zip(tveg.graphs, tveg.links)):
+            pair = {"arcs": [[a.m0, a.m1, a.s] for a in arcs], "filter": vars(meta), "t": g.t}
+            fh.write(("," if i else "") + _text(pair))
+        fh.write('],"theta":%s,"weights":%s}\n' % (_text(tveg.theta), _text(vars(tveg.weights))))
 
 
 def _temporal_arc(a, t: int, n0: int, n1: int) -> ScoreTuple:
@@ -238,8 +236,7 @@ def load_tveg_json(path: str) -> Tveg:
     range or is not finite, a step's or a pair's layout is not the one
     exported, the steps are not contiguous in t, theta is not a finite
     number >= 0, or the stored events are not the ones the arcs give."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a tveg.json must be an object, got {type(doc).__name__}")
     for key, kind in (("steps", list), ("temporal_arcs", list), ("weights", dict), ("events", dict)):
@@ -286,8 +283,7 @@ def load_tracks_json(path: str) -> list[Track]:
     holds objects with `nodes` and `arcs` lists, each node two integers
     [t, id] with t the step of id and each arc two ids of its track's
     nodes."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a tracks file must be an object, got {type(doc).__name__}")
     if not isinstance(tracks := doc.get("tracks"), list):
@@ -445,4 +441,4 @@ def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
 def export_extremum_graph_json(g: ExtremumGraph, path: str) -> None:
     """Write one step as the object it is inside `tveg.json`."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(_step_json(g)))
+        fh.write(_step_json(g) + "\n")

@@ -109,6 +109,14 @@ class TestFieldSeries:
         with pytest.raises(ValueError, match="dims"):
             FieldSeries(fields=[a, b])
 
+    @pytest.mark.parametrize("key", ["origin", "spacing"])
+    def test_rejects_mixed_origin_or_spacing(self, rng, key):
+        a = random_field(rng, (3, 3, 3), time_index=1)
+        b = random_field(rng, (3, 3, 3), time_index=2)
+        setattr(b, key, np.full(3, 2.0))
+        with pytest.raises(ValueError, match="^inconsistent origin/spacing$"):
+            FieldSeries(fields=[a, b])
+
     def test_global_range(self, rng):
         a = random_field(rng, (3, 3, 3), time_index=1)
         b = random_field(rng, (3, 3, 3), time_index=2)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,54 @@ class TestTvegRoundtrip:
         assert back.events.merges == tvg.events.merges
         assert back.events.deletions == tvg.events.deletions
         assert [meta.tau for _, meta in back.links] == [meta.tau for _, meta in tvg.links]
+
+
+class TestStreamingExport:
+    """`export_tveg_json` writes the file as it renders it, one step's or
+    one pair's text at a time."""
+
+    def test_peak_memory_is_a_few_steps(self, tmp_path):
+        """On 12 noisy 16^3 steps (104-148 maxima each) the export's
+        allocations peak below six times the longest step's text; a writer
+        that joins the whole document peaks at about 31 times."""
+        series = generate_gauss8((16, 16, 16), 12, sigma=0.2)
+        rng = np.random.default_rng(0)
+        for f in series.fields:
+            noisy = f.values + rng.normal(0.0, 0.05, f.num_voxels)
+            f.values = noisy.astype(np.float32).astype(np.float64)
+        tveg = compute_tveg(series, 0.0, ScoreWeights())
+        longest = max(len(tvio._step_json(g)) for g in tveg.graphs)
+        path = tmp_path / "tveg.json"
+        tracemalloc.start()
+        try:
+            tvio.export_tveg_json(tveg, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 9 * longest
+        assert peak < 6 * longest
+
+    def test_out_of_memory_mid_export(self, tmp_path, capsys, monkeypatch):
+        """A MemoryError while rendering the second step exits 3; the
+        partial file left behind is refused with exit 2, naming the file."""
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=4), str(tmp_path / "d"))
+        step_json, calls = tvio._step_json, []
+
+        def second_fails(g):
+            calls.append(g.t)
+            if len(calls) == 2:
+                raise MemoryError
+            return step_json(g)
+
+        monkeypatch.setattr(tvio, "_step_json", second_fails)
+        assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert calls == [1, 2]
+        path = tmp_path / "o" / "tveg.json"
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(path.read_text())
+        assert main(["events", "--tveg", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not JSON: {exc.value}\n"
 
 
 def _corrupt_steps(doc, how):
@@ -890,6 +939,8 @@ class TestCli:
         ({"kind": "window-events", "window": [1]}, "'window' must be two integers, got [1]"),
         ({"seeds": [1]}, "the key 'kind' is missing"),
         ({"kind": 3}, "'kind' must be a string, got 3"),
+        ({"kind": "sideways"}, "unknown query kind 'sideways'"),
+        ([{"kind": "window-events"}], "a query must be a JSON object"),
     ])
     def test_query_spec_bad_key_is_named(self, tmp_path, capsys, spec, msg):
         series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
@@ -1063,6 +1114,102 @@ class TestCli:
         assert main(["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]) == 3
         want = f"error: out of memory: {detail}\n" if detail else "error: out of memory\n"
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize(
+        "argv, msg",
+        [
+            (["export", "--tracks", "missing.json", "-o", "x.vtk"],
+             "a geometry export needs --tveg"),
+            (["export", "--what", "segmentation", "-o", "x"],
+             "a segmentation export needs --manifest"),
+            (["gen", "--dims", "8", "-o", "g"], "only --gauss8 generation is supported"),
+        ],
+        ids=["geometry without --tveg", "segmentation without --manifest", "gen without --gauss8"],
+    )
+    def test_missing_option_is_named(self, tmp_path, capsys, monkeypatch, argv, msg):
+        """Refused before any file is read (a missing file would exit 3)
+        or written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, msg",
+        [
+            (["gen", "--gauss8", "--dims", "8,x", "-o", "g"],
+             "argument --dims: invalid literal for int() with base 10: 'x'"),
+            (["tveg", "--manifest", "missing.json", "--weights", "0.5,0.5", "-o", "o"],
+             "argument --weights: weights must be G,L1,L2,L3"),
+            (["query", "--tveg", "missing.json"],
+             "one of the arguments --spec --kind is required"),
+            (["query", "--tveg", "missing.json", "--spec", "missing.json", "--kind", "region"],
+             "argument --kind: not allowed with argument --spec"),
+        ],
+        ids=["dims not integers", "three weights", "query without --spec or --kind",
+             "query with --spec and --kind"],
+    )
+    def test_bad_arguments_exit_2_before_any_file_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, msg):
+        """argparse refuses these with the command's usage and one error
+        line; the files named do not exist, so reading one would exit 3."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tvex {argv[0]} ")
+        assert err.splitlines()[-1] == f"tvex {argv[0]}: error: {msg}"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "flags, msg",
+        [
+            (["--kind", "region", "--window", "1", "2"], "region query needs --box and --window"),
+            (["--kind", "region", "--box", "0", "0", "0", "1", "1", "1"],
+             "region query needs --box and --window"),
+            (["--kind", "window-events"], "window-events query needs --window"),
+            (["--kind", "neighborhood", "--hops", "1"], "neighborhood query needs --seeds"),
+        ],
+        ids=["region without --box", "region without --window", "window-events",
+             "neighborhood"],
+    )
+    def test_query_flag_missing_is_named(self, gauss8_tveg, capsys, flags, msg):
+        assert main(["query", "--tveg", gauss8_tveg, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_missing_input_file_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize("cut", ["empty", "truncated"])
+    @pytest.mark.parametrize("kind", ["manifest", "tveg.json", "--tracks", "--spec"])
+    def test_file_not_json_is_named(self, gauss8_tveg, tmp_path, capsys, kind, cut):
+        """An empty or truncated input file (as an export that failed
+        partway leaves) exits 2 with a message that names the file."""
+        tveg_dir = os.path.dirname(gauss8_tveg)
+        good = {
+            "manifest": open(os.path.join(tveg_dir, "..", "d", "manifest.json")).read(),
+            "tveg.json": open(gauss8_tveg).read(),
+            "--tracks": json.dumps({"tracks": [{"nodes": [[1, self.A], [2, self.B]],
+                                                "arcs": [[self.A, self.B]]}]}),
+            "--spec": json.dumps({"kind": "window-events", "window": [1, 2]}),
+        }[kind]
+        text = "" if cut == "empty" else good[: len(good) // 2]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = {
+            "manifest": ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")],
+            "tveg.json": ["events", "--tveg", str(path)],
+            "--tracks": ["query", "--tveg", gauss8_tveg, "--kind", "length-threshold",
+                         "--tracks", str(path)],
+            "--spec": ["query", "--tveg", gauss8_tveg, "--spec", str(path)],
+        }[kind]
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: not JSON: {exc.value}\n"
 
     def test_unknown_time_step_fails(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
