@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat, zip_longest
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -72,21 +73,27 @@ _NODE = (
 )
 
 
-def _step_json(g: ExtremumGraph) -> str:
+_NODE_ROWS = 256  # node rows rendered at a time
+
+
+def _step_json(g: ExtremumGraph) -> Iterator[str]:
     """One step's canonical JSON object (arcs of node ids, nodes in row
-    order, t), written per column: each column is converted to Python
-    values once and the whole step is one fill of the node and arc templates."""
-    k = len(g.value)
+    order, t) as pieces to write in turn: the arcs text, the nodes text
+    `_NODE_ROWS` rows at a time, and the closing text. Each piece is one fill
+    of its template, its rows converted to Python values once per column."""
+    k, t, base = len(g.value), g.t, make_node_id(g.t, 0)
+    arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple((g.arcs.ravel() + base).tolist())
+    yield '{"arcs":[%s],"nodes":[' % arcs
     index = [3] * g.n_max + [2] * (k - g.n_max)
-    x, y, z = g.coords.T.tolist()
-    rows = zip(
-        g.eta.tolist(), g.ids.tolist(), index, g.pers.tolist(), repeat(g.t, k),
-        g.value.tolist(), g.vertex.tolist(), x, y, z,
-    )
-    nodes = ",".join([_NODE] * k) % tuple(chain.from_iterable(rows))
-    ids = g.arcs.ravel() + make_node_id(g.t, 0)
-    arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple(ids.tolist())
-    return '{"arcs":[%s],"nodes":[%s],"t":%d}' % (arcs, nodes, g.t)
+    for i in range(0, k, _NODE_ROWS):
+        j = min(i + _NODE_ROWS, k)
+        x, y, z = g.coords[i:j].T.tolist()
+        rows = zip(
+            g.eta[i:j].tolist(), range(base + i, base + j), index[i:j], g.pers[i:j].tolist(),
+            repeat(t, j - i), g.value[i:j].tolist(), g.vertex[i:j].tolist(), x, y, z,
+        )
+        yield ("," if i else "") + ",".join([_NODE] * (j - i)) % tuple(chain.from_iterable(rows))
+    yield '],"t":%d}' % t
 
 
 _NODE_FIELDS = itemgetter("id", "t", "index", "vertex", "value", "pers", "eta", "x")
@@ -178,12 +185,22 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         fh.write('{"events":%s,"steps":[' % _text(vars(tveg.events)))
         for i, g in enumerate(tveg.graphs):
             fh.write("," if i else "")
-            fh.write(_step_json(g))
+            fh.writelines(_step_json(g))
         fh.write('],"temporal_arcs":[')
         for i, (g, (arcs, meta)) in enumerate(zip(tveg.graphs, tveg.links)):
-            pair = {"arcs": [[a.m0, a.m1, a.s] for a in arcs], "filter": vars(meta), "t": g.t}
-            fh.write(("," if i else "") + _text(pair))
+            fh.write("," if i else "")
+            fh.write(_pair_json(g.t, arcs, meta))
         fh.write('],"theta":%s,"weights":%s}\n' % (_text(tveg.theta), _text(vars(tveg.weights))))
+
+
+_ARC = attrgetter("m0", "m1", "s")
+
+
+def _pair_json(t: int, arcs: list[ScoreTuple], meta: FilterMeta) -> str:
+    """The canonical JSON object of the pair t -> t + 1: its arcs as one
+    fill of the [m0, m1, s] template, its filter statistics and t."""
+    arcs_text = ",".join(["[%d,%d,%.17g]"] * len(arcs)) % tuple(chain.from_iterable(map(_ARC, arcs)))
+    return '{"arcs":[%s],"filter":%s,"t":%d}' % (arcs_text, _text(vars(meta)), t)
 
 
 def _temporal_arc(a, t: int, n0: int, n1: int) -> ScoreTuple:
@@ -272,9 +289,22 @@ def tracks_to_dict(tracks: list[Track]) -> dict:
     }
 
 
+def _track_json(tr: Track) -> str:
+    """One track's canonical JSON object (arcs, length, nodes) as one
+    fill of the [a, b] pair template."""
+    arcs, nodes = tr.arcs, tr.nodes
+    template = '{"arcs":[%s],"length":%%d,"nodes":[%s]}' % (
+        ",".join(["[%d,%d]"] * len(arcs)), ",".join(["[%d,%d]"] * len(nodes)))
+    return template % (*chain.from_iterable(arcs), tr.length, *chain.from_iterable(nodes))
+
+
 def export_tracks_json(tracks: list[Track], path: str) -> None:
+    """Write the tracks as canonical JSON: the bytes `canonical_json`
+    gives for `tracks_to_dict(tracks)`, one template fill per track."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(tracks_to_dict(tracks)))
+        fh.write('{"tracks":[')
+        fh.write(",".join(map(_track_json, tracks)))
+        fh.write("]}\n")
 
 
 def load_tracks_json(path: str) -> list[Track]:
@@ -342,52 +372,77 @@ def export_tracks_geometry(
     not overlap. Point scalars: time index, track id, event code. With
     `include_spatial`, each track maximum also gets a line to each of
     its saddles. Points are each track's nodes, then its saddles; lines
-    are each track's arcs, then its spatial lines.
+    are each track's arcs, then its spatial lines. A point's text is
+    rendered once per node, when a track first touches its step, and
+    reused by every point of that node.
     """
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
     codes = _event_codes(tveg)
-    xyz: list[tuple[float, float, float]] = []
-    scalars: list[tuple[int, int, int]] = []  # time index, track id, event code
-    lines: list[tuple[int, int]] = []
-    # per step: node coordinates, and the saddle rows of maximum row r
-    # at saddles[first[r]:first[r + 1]] (arcs are sorted by maximum)
-    steps: dict[int, tuple[list, list[int], list[int]]] = {}
-
-    def point(t: int, row: int, track_id: int, code: int) -> int:
-        x, y, z = steps[t][0][row]
-        xyz.append((x, y, z * z_scale + t * slab_height))
-        scalars.append((t, track_id, code))
-        return len(xyz) - 1
+    points: list[str] = []  # each point's text
+    # each point's scalars: time index, track id, event code
+    times: list[int] = []
+    track_ids: list[int] = []
+    events: list[int] = []
+    lines: list[int] = []  # the point indices of each line, flat
+    # per step: each maximum's point text, and the point texts of maximum
+    # row r's saddles at ends[first[r]:first[r + 1]] (arcs are sorted by maximum)
+    steps: dict[int, tuple[list[str], list[int], list[str]]] = {}
 
     for track_id, tr in enumerate(tracks):
+        start = len(points)
         index: dict[int, int] = {}  # node id -> its point
         for t, mid in tr.nodes:
             g, row = tveg.max_row(t, mid)
             if t not in steps:
-                first = np.searchsorted(g.arcs[:, 0], np.arange(g.n_max + 1))
-                steps[t] = (g.coords.tolist(), first.tolist(), g.arcs[:, 1].tolist())
-            index[mid] = point(t, row, track_id, codes.get((t, mid), 0))
-        lines.extend((index[a], index[b]) for a, b in tr.arcs)
+                steps[t] = _step_points(g, t, z_scale, slab_height, include_spatial)
+            index[mid] = len(points)
+            points.append(steps[t][0][row])
+            times.append(t)
+            events.append(codes.get((t, mid), 0))
+        for a, b in tr.arcs:
+            lines += index[a], index[b]
         if include_spatial:
             for t, mid in tr.nodes:
-                _, first, saddles = steps[t]
+                _, first, ends = steps[t]
                 row = split_node_id(mid)[1]
-                lines.extend((index[mid], point(t, s, track_id, 0))
-                             for s in saddles[first[row] : first[row + 1]])
+                lo, hi = first[row], first[row + 1]
+                n = len(points)
+                lines += chain.from_iterable(zip(repeat(index[mid]), range(n, n + hi - lo)))
+                points += ends[lo:hi]
+                times += repeat(t, hi - lo)
+                events += repeat(0, hi - lo)
+        track_ids += repeat(track_id, len(points) - start)
 
-    n, m = len(xyz), len(lines)
+    n, m = len(points), len(lines) // 2
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ntvex tracks\nASCII\nDATASET POLYDATA\n"
                  f"POINTS {n} float\n")
-        fh.write("%.9g %.9g %.9g\n" * n % tuple(chain.from_iterable(xyz)))
+        fh.writelines(points)
         fh.write(f"LINES {m} {3 * m}\n")
-        fh.write("2 %d %d\n" * m % tuple(chain.from_iterable(lines)))
+        fh.write("2 %d %d\n" * m % tuple(lines))
         fh.write(f"POINT_DATA {n}\n")
-        for name, column in zip(("time_index", "track_id", "event_code"),
-                                list(zip(*scalars)) or [()] * 3):
+        for name, column in zip(("time_index", "track_id", "event_code"), (times, track_ids, events)):
             fh.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
-            fh.write("%d\n" * n % column)
+            fh.write("%d\n" * n % tuple(column))
+
+
+def _step_points(g: ExtremumGraph, t: int, z_scale: float, slab_height: float,
+                 spatial: bool) -> tuple[list[str], list[int], list[str]]:
+    """Step t's point text, "x y z'\\n" with z' = z * z_scale + t *
+    slab_height, rendered in one fill once per node (the maxima only
+    unless `spatial`): the maxima's texts in row order; the bounds
+    first[r]:first[r + 1] of maximum row r's arcs; and the text of each
+    arc's saddle, in arc order."""
+    lift = t * slab_height
+    x, y, z = g.coords[: None if spatial else g.n_max].T.tolist()
+    lifted = [v * z_scale + lift for v in z]
+    text = "%.9g %.9g %.9g\n" * len(x) % tuple(chain.from_iterable(zip(x, y, lifted)))
+    rows = text.splitlines(keepends=True)
+    if not spatial:
+        return rows, [], []
+    first = np.searchsorted(g.arcs[:, 0], np.arange(g.n_max + 1))
+    return rows[: g.n_max], first.tolist(), list(map(rows.__getitem__, g.arcs[:, 1].tolist()))
 
 
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:
@@ -441,4 +496,5 @@ def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
 def export_extremum_graph_json(g: ExtremumGraph, path: str) -> None:
     """Write one step as the object it is inside `tveg.json`."""
     with open(path, "w") as fh:
-        fh.write(_step_json(g) + "\n")
+        fh.writelines(_step_json(g))
+        fh.write("\n")

@@ -104,6 +104,18 @@ def two_blob_series(steps=4, dims=(12, 12, 12)):
     return FieldSeries(fields=fields)
 
 
+def assert_same_text(got, want) -> None:
+    """got == want (two str or two bytes), failing with the text around
+    the first difference: pytest's own diff of two long one-line texts
+    can take minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        lo = max(i - 60, 0)
+        pytest.fail(f"texts differ at offset {i} (lengths {len(got)}, {len(want)}): "
+                    f"{got[lo:i + 60]!r} != {want[lo:i + 60]!r}")
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance-criterion lines at the end of the run."""
     try:

@@ -27,7 +27,7 @@ from tvex.temporal import (
     remove_z_configurations,
 )
 
-from conftest import linked, maxima_graph
+from conftest import assert_same_text, linked, maxima_graph
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tvex")
 
@@ -208,18 +208,31 @@ class TestStepWriter:
         self.assert_same_text(tveg)
 
     @staticmethod
-    def assert_same_text(tveg):
+    def assert_same_text(tveg, node_rows=(1, 3, 256)):
+        """Both writers give the same text, with the node table rendered
+        in blocks of each of `node_rows` rows."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "tveg.json")
-            tvio.export_tveg_json(tveg, path)
-            assert Path(path).read_text() == oracle.tveg_json(tveg)
-            for g in tveg.graphs:
-                tvio.export_extremum_graph_json(g, path)
-                assert Path(path).read_text() == oracle.extremum_graph_json(g)
+            for rows in node_rows:
+                with mock.patch.object(tvio, "_NODE_ROWS", rows):
+                    tvio.export_tveg_json(tveg, path)
+                    assert_same_text(Path(path).read_text(), oracle.tveg_json(tveg))
+                    for g in tveg.graphs:
+                        tvio.export_extremum_graph_json(g, path)
+                        assert_same_text(Path(path).read_text(), oracle.extremum_graph_json(g))
 
     def test_series_export_matches_dict_writer(self, small_series):
         theta = 0.05 * small_series.global_range()
         self.assert_same_text(compute_tveg(small_series, theta, ScoreWeights()))
+
+    def test_steps_across_node_blocks(self, rng):
+        """Noisy 20^3 steps at theta 0 have hundreds of maxima and
+        thousands of nodes, so blocks of about 256 rows end among the
+        maxima and among the saddles."""
+        fields = [as_field(rng.uniform(0.0, 1.0, (20, 20, 20)), t) for t in (1, 2)]
+        tveg = linked([build_extremum_graph(f, 0.0) for f in fields])
+        assert all(257 < g.n_max < len(g.value) for g in tveg.graphs)
+        self.assert_same_text(tveg, (255, 256, 257))
 
 
 def test_src_has_one_step_writer():

@@ -2,6 +2,7 @@
 `vtk_oracle`, byte for byte."""
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 import vtk_oracle as oracle
 from tvex import io as tvio
+from tvex.exgraph import make_node_id
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks
+
+from conftest import assert_same_text
 
 # (z_scale, slab_height): the defaults, a given slab, and a flat stack
 LAYOUTS = ((0.1, None), (0.3, 2 / 3), (1.0, 0.0))
@@ -41,7 +45,7 @@ def assert_same_vtk(tracks, tveg, tmp_path) -> list[str]:
             kw = dict(z_scale=z_scale, slab_height=slab, include_spatial=spatial)
             tvio.export_tracks_geometry(tracks, tveg, str(got), **kw)
             oracle.export_tracks_geometry(tracks, tveg, str(want), **kw)
-            assert got.read_bytes() == want.read_bytes()
+            assert_same_text(got.read_bytes(), want.read_bytes())
             texts.append(got.read_text())
     return texts
 
@@ -51,6 +55,26 @@ def track_lists(tveg) -> list[list[Track]]:
     lists = [extract_tracks(tveg, mode) for mode in ("simple-paths", "components")]
     singles = [[Track(nodes=tracks[0].nodes[:1])] for tracks in lists if tracks]
     return lists + singles + [[]]
+
+
+def saddle_sharing(tracks, tveg) -> tuple[bool, bool]:
+    """Whether some saddle borders two maxima of one track, and whether
+    some saddle borders maxima of two different tracks."""
+    owners: dict[int, set[int]] = {}  # maximum id -> the tracks holding it
+    for i, tr in enumerate(tracks):
+        for _, mid in tr.nodes:
+            owners.setdefault(mid, set()).add(i)
+    same = other = False
+    for g in tveg.graphs:
+        borders: dict[int, list[int]] = {}  # saddle row -> its maxima ids
+        for m, s in g.arcs.tolist():
+            borders.setdefault(s, []).append(make_node_id(g.t, m))
+        for maxima in borders.values():
+            held = [(m, i) for m in maxima for i in owners.get(m, ())]
+            for (m, i), (n, j) in combinations(held, 2):
+                same |= i == j and m != n
+                other |= i != j
+    return same, other
 
 
 @st.composite
@@ -88,6 +112,23 @@ class TestWriterMatchesOracle:
             shared += sum(len(a & b) for i, a in enumerate(kinds) for b in kinds[i + 1:])
         assert set(codes) == {"0", "1", "2", "3", "4"}
         assert shared > 0
+
+    def test_dense_noisy_tveg(self, tmp_path):
+        """Noisy 20^3 steps at theta 0, hundreds of maxima each: saddles
+        border maxima of one bundle and maxima of different tracks, so a
+        saddle's point text is reused, and the paths written in reverse
+        with their nodes reversed touch the steps out of time order."""
+        a = np.random.default_rng(20).uniform(0.0, 1.0, (3, 20, 20, 20))
+        tveg = compute_tveg(series_of(a), 0.0, ScoreWeights())
+        assert min(g.n_max for g in tveg.graphs) > 200
+        paths, bundles = (extract_tracks(tveg, mode) for mode in ("simple-paths", "components"))
+        backwards = [Track(nodes=tr.nodes[::-1], arcs=tr.arcs) for tr in reversed(paths)]
+        assert saddle_sharing(bundles, tveg) == (True, True)
+        assert saddle_sharing(paths, tveg)[1]
+        first_touch = list(dict.fromkeys(t for tr in backwards for t, _ in tr.nodes))
+        assert first_touch != sorted(first_touch)
+        for tracks in (paths, bundles, backwards):
+            assert_same_vtk(tracks, tveg, tmp_path)
 
     @pytest.mark.parametrize("spatial", [False, True])
     def test_one_node_track(self, tmp_path, spatial):
