@@ -8,7 +8,11 @@ at 48^3) and extracts its simple-path tracks. It first checks that
 `export_tracks_json` writes the bytes of `canonical_json(tracks_to_dict(...))`
 for the tracks of both modes, then times `export_tracks_json` and
 `export_tracks_geometry` without and with spatial arcs, each run writing
-a new file. Each figure is the best and the median of `--repeats` runs.
+a new file: once for all the simple paths, which hold nearly every
+maximum of each step, and once (the `sparse_` writers) for the 10 paths
+of least deviation, as `tvex query --kind least-deviation --n 10` selects
+them, which hold a few maxima of each step they touch. Each figure is the
+best and the median of `--repeats` runs.
 The results go to standard output and to BENCH_exports.json in the
 current directory.
 
@@ -32,10 +36,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from tvex import io as tvio
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
+from tvex.query import least_deviation
 from tvex.temporal import ScoreWeights
 from tvex.tracks import extract_tracks
 
 STEPS, NOISE, SEED = 2, 0.05, 48
+SPARSE = 10  # tracks of the sparse export
 OUT = "BENCH_exports.json"
 
 
@@ -60,6 +66,17 @@ def check_tracks_json(tveg, tmp):
                 sys.exit(f"export_tracks_json differs from the canonical writer ({mode})")
 
 
+def track_writers(tracks, tveg, prefix=""):
+    """The three timed writers of `tracks`, each a function of the path
+    it writes, by name."""
+    return {
+        prefix + "tracks_json": lambda path: tvio.export_tracks_json(tracks, path),
+        prefix + "vtk": lambda path: tvio.export_tracks_geometry(tracks, tveg, path),
+        prefix + "vtk_spatial": lambda path: tvio.export_tracks_geometry(
+            tracks, tveg, path, include_spatial=True),
+    }
+
+
 def timed(write, tmp, name, repeats):
     """Seconds of each of `repeats` calls of write(path), and the size of
     the last file written; each call writes a new file."""
@@ -80,12 +97,8 @@ def main() -> int:
 
     tveg = noisy_tveg(args.dims)
     tracks = extract_tracks(tveg, "simple-paths")
-    writers = {
-        "tracks_json": lambda path: tvio.export_tracks_json(tracks, path),
-        "vtk": lambda path: tvio.export_tracks_geometry(tracks, tveg, path),
-        "vtk_spatial": lambda path: tvio.export_tracks_geometry(
-            tracks, tveg, path, include_spatial=True),
-    }
+    sparse = least_deviation(tracks, tveg, SPARSE)
+    writers = {**track_writers(tracks, tveg), **track_writers(sparse, tveg, "sparse_")}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         check_tracks_json(tveg, tmp)
@@ -103,6 +116,8 @@ def main() -> int:
                    "nodes": [len(g.value) for g in tveg.graphs]},
         "tracks": len(tracks),
         "track_nodes": sum(len(tr.nodes) for tr in tracks),
+        "sparse_tracks": len(sparse),
+        "sparse_track_nodes": sum(len(tr.nodes) for tr in sparse),
         "repeats": args.repeats,
         "results": results,
         "python": platform.python_version(),

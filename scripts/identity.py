@@ -18,9 +18,11 @@ the VTK export with and without spatial arcs, and the segmentation of
 step 30. For each series of the benchmark's gauss8-64, noisy-20 and
 dense-24 workloads (drawn from seed 5) it holds `tveg.json` written
 with TVEX_THREADS 1 and 2, its export -> load -> export copy, the
-tracks in both modes, and the VTK export of each mode's tracks with and
+tracks in both modes, the VTK export of each mode's tracks with and
 without spatial arcs (Gauss8 has 8 maxima per step; dense-24 gives the
-writer hundreds). For the first noisy-20 series it also holds the
+writer hundreds), and the 5 simple paths of least deviation with their
+VTK export with and without spatial arcs, which hold only a few maxima
+of each step they touch. For the first noisy-20 series it also holds the
 segmentation of step 1 and the refined tracks: at its theta = 0.3r
 simplification cancels about 310 of some 320 maxima per step, so
 relabeling does the most work there. The input volumes are written
@@ -107,6 +109,12 @@ def bench_series(out: str) -> None:
                 run("export", "--tveg", tveg, "--tracks", tracks, "-o", f"{dest}/{mode}.vtk")
                 run("export", "--tveg", tveg, "--tracks", tracks, "--spatial-arcs",
                     "-o", f"{dest}/{mode}_spatial.vtk")
+            few = f"{dest}/least_deviation.json"
+            run("query", "--tveg", tveg, "--tracks", f"{dest}/tracks_simple-paths.json",
+                "--kind", "least-deviation", "--n", "5", "-o", few)
+            run("export", "--tveg", tveg, "--tracks", few, "-o", f"{dest}/least_deviation.vtk")
+            run("export", "--tveg", tveg, "--tracks", few, "--spatial-arcs",
+                "-o", f"{dest}/least_deviation_spatial.vtk")
             if (name, i) == ("noisy-20", 0):
                 run("export", "--what", "segmentation", "--manifest", manifest,
                     "--theta", w.theta, "--t", "1", "-o", f"{dest}/segmentation_1")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat, zip_longest
@@ -300,10 +301,12 @@ def _track_json(tr: Track) -> str:
 
 def export_tracks_json(tracks: list[Track], path: str) -> None:
     """Write the tracks as canonical JSON: the bytes `canonical_json`
-    gives for `tracks_to_dict(tracks)`, one template fill per track."""
+    gives for `tracks_to_dict(tracks)`, one template fill per track,
+    written track by track."""
     with open(path, "w") as fh:
         fh.write('{"tracks":[')
-        fh.write(",".join(map(_track_json, tracks)))
+        for i, tr in enumerate(tracks):
+            fh.write(("," if i else "") + _track_json(tr))
         fh.write("]}\n")
 
 
@@ -372,32 +375,32 @@ def export_tracks_geometry(
     not overlap. Point scalars: time index, track id, event code. With
     `include_spatial`, each track maximum also gets a line to each of
     its saddles. Points are each track's nodes, then its saddles; lines
-    are each track's arcs, then its spatial lines. A point's text is
-    rendered once per node, when a track first touches its step, and
-    reused by every point of that node.
+    are each track's arcs, then its spatial lines. Only the nodes the
+    points use are rendered, each once, in one fill per step, and a
+    node's text is reused by every point of that node.
     """
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
     codes = _event_codes(tveg)
+    held: dict[int, set[int]] = defaultdict(set)  # per step, the ids of its maxima the tracks hold
+    for tr in tracks:
+        for t, mid in tr.nodes:
+            held[t].add(mid)
+    steps = {t: _step_points(tveg.graph_at(t), ids, z_scale, slab_height, include_spatial)
+             for t, ids in held.items()}
     points: list[str] = []  # each point's text
     # each point's scalars: time index, track id, event code
     times: list[int] = []
     track_ids: list[int] = []
     events: list[int] = []
     lines: list[int] = []  # the point indices of each line, flat
-    # per step: each maximum's point text, and the point texts of maximum
-    # row r's saddles at ends[first[r]:first[r + 1]] (arcs are sorted by maximum)
-    steps: dict[int, tuple[list[str], list[int], list[str]]] = {}
 
     for track_id, tr in enumerate(tracks):
         start = len(points)
         index: dict[int, int] = {}  # node id -> its point
         for t, mid in tr.nodes:
-            g, row = tveg.max_row(t, mid)
-            if t not in steps:
-                steps[t] = _step_points(g, t, z_scale, slab_height, include_spatial)
             index[mid] = len(points)
-            points.append(steps[t][0][row])
+            points.append(steps[t][0][mid])
             times.append(t)
             events.append(codes.get((t, mid), 0))
         for a, b in tr.arcs:
@@ -427,22 +430,38 @@ def export_tracks_geometry(
             fh.write("%d\n" * n % tuple(column))
 
 
-def _step_points(g: ExtremumGraph, t: int, z_scale: float, slab_height: float,
-                 spatial: bool) -> tuple[list[str], list[int], list[str]]:
-    """Step t's point text, "x y z'\\n" with z' = z * z_scale + t *
-    slab_height, rendered in one fill once per node (the maxima only
-    unless `spatial`): the maxima's texts in row order; the bounds
-    first[r]:first[r + 1] of maximum row r's arcs; and the text of each
-    arc's saddle, in arc order."""
+def _step_points(g: ExtremumGraph, ids: set[int], z_scale: float, slab_height: float,
+                 spatial: bool) -> tuple[dict[int, str], list[int], list[str]]:
+    """The point text "x y z'\\n", z' = z * z_scale + t * slab_height, of
+    each node of step t that the points use, rendered in one fill: the
+    maxima `ids` and, if `spatial`, their saddles. Returns those texts by
+    node id; then, if `spatial`, the bounds first[r]:first[r + 1] of
+    maximum row r's arcs among the maxima's arcs (sorted by maximum) and
+    the text of each of those arcs' saddle. Raises ValueError unless every
+    id is a maximum of the step."""
+    t, base = g.t, make_node_id(g.t, 0)
+    for mid in (min(ids), max(ids)):
+        if not base <= mid < base + g.n_max:
+            raise ValueError(f"no maximum {mid} at time {t}")
+    used = np.zeros(len(g.value), bool)
+    used[np.fromiter(ids, np.int64, len(ids)) - base] = True
+    if spatial:
+        m, s = g.arcs.T
+        held = used[m]
+        m, s = m[held], s[held]  # the arcs of the maxima `ids`
+        used[s] = True
+    rows = np.flatnonzero(used)
     lift = t * slab_height
-    x, y, z = g.coords[: None if spatial else g.n_max].T.tolist()
+    x, y, z = g.coords[rows].T.tolist()
     lifted = [v * z_scale + lift for v in z]
     text = "%.9g %.9g %.9g\n" * len(x) % tuple(chain.from_iterable(zip(x, y, lifted)))
-    rows = text.splitlines(keepends=True)
+    lines = text.splitlines(keepends=True)  # in row order, so the maxima's first
+    maxima = dict(zip(sorted(ids), lines))
     if not spatial:
-        return rows, [], []
-    first = np.searchsorted(g.arcs[:, 0], np.arange(g.n_max + 1))
-    return rows[: g.n_max], first.tolist(), list(map(rows.__getitem__, g.arcs[:, 1].tolist()))
+        return maxima, [], []
+    first = np.searchsorted(m, np.arange(g.n_max + 1))
+    line = np.cumsum(used) - 1  # each used row's line
+    return maxima, first.tolist(), list(map(lines.__getitem__, line[s].tolist()))
 
 
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:

@@ -15,6 +15,7 @@ from tvex import io as tvio
 from tvex.exgraph import make_node_id
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
+from tvex.query import least_deviation
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks
 
@@ -51,10 +52,12 @@ def assert_same_vtk(tracks, tveg, tmp_path) -> list[str]:
 
 
 def track_lists(tveg) -> list[list[Track]]:
-    """Both modes' tracks, no tracks, and a one-node track per mode."""
+    """Both modes' tracks, every third of them, no tracks, and a one-node
+    track per mode."""
     lists = [extract_tracks(tveg, mode) for mode in ("simple-paths", "components")]
+    thirds = [tracks[1::3] for tracks in lists]
     singles = [[Track(nodes=tracks[0].nodes[:1])] for tracks in lists if tracks]
-    return lists + singles + [[]]
+    return lists + thirds + singles + [[]]
 
 
 def saddle_sharing(tracks, tveg) -> tuple[bool, bool]:
@@ -116,18 +119,21 @@ class TestWriterMatchesOracle:
     def test_dense_noisy_tveg(self, tmp_path):
         """Noisy 20^3 steps at theta 0, hundreds of maxima each: saddles
         border maxima of one bundle and maxima of different tracks, so a
-        saddle's point text is reused, and the paths written in reverse
-        with their nodes reversed touch the steps out of time order."""
+        saddle's point text is reused, the paths written in reverse with
+        their nodes reversed touch the steps out of time order, and the
+        least-deviation paths hold a few maxima of each step they touch."""
         a = np.random.default_rng(20).uniform(0.0, 1.0, (3, 20, 20, 20))
         tveg = compute_tveg(series_of(a), 0.0, ScoreWeights())
         assert min(g.n_max for g in tveg.graphs) > 200
         paths, bundles = (extract_tracks(tveg, mode) for mode in ("simple-paths", "components"))
         backwards = [Track(nodes=tr.nodes[::-1], arcs=tr.arcs) for tr in reversed(paths)]
+        few = least_deviation(paths, tveg, 5)
         assert saddle_sharing(bundles, tveg) == (True, True)
         assert saddle_sharing(paths, tveg)[1]
         first_touch = list(dict.fromkeys(t for tr in backwards for t, _ in tr.nodes))
         assert first_touch != sorted(first_touch)
-        for tracks in (paths, bundles, backwards):
+        assert len({t for tr in few for t, _ in tr.nodes}) > 1
+        for tracks in (paths, bundles, backwards, few):
             assert_same_vtk(tracks, tveg, tmp_path)
 
     @pytest.mark.parametrize("spatial", [False, True])
@@ -137,3 +143,16 @@ class TestWriterMatchesOracle:
         tveg = compute_tveg(series_of(a), 0.0, ScoreWeights())
         text = assert_same_vtk([Track(nodes=[(1, 1 << 32)])], tveg, tmp_path)[int(spatial)]
         assert f"POINTS {1 + spatial} float\n" in text
+
+    @pytest.mark.parametrize("nodes", [
+        [(2, 1 << 32)],  # a maximum of the step before
+        [(1, 2 << 32)],  # a maximum of the step after
+        [(1, 1 << 32), (1, 1 << 32 | 2)],  # a maximum and a saddle of its step
+    ], ids=["earlier step", "later step", "saddle"])
+    def test_node_not_a_maximum_of_its_step(self, tmp_path, nodes):
+        a = np.zeros((2, 1, 1, 5))
+        a[:, 0, 0, [1, 3]] = 1.0  # two maxima and one saddle per step
+        tveg = compute_tveg(series_of(a), 0.0, ScoreWeights())
+        t, bad = nodes[-1]
+        with pytest.raises(ValueError, match=f"^no maximum {bad} at time {t}$"):
+            tvio.export_tracks_geometry([Track(nodes=nodes)], tveg, str(tmp_path / "x.vtk"))
