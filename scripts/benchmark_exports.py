@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the track writers on a seeded noisy Gauss8 series.
+"""Benchmark the tveg and track writers on a seeded noisy Gauss8 series.
 
 Builds a Gauss8 series of `--dims`^3 voxels and 2 steps plus N(0, 0.05^2)
 noise per voxel from `default_rng(48)`, rounded to float32 as a `<f4`
 volume is, computes its tveg at theta = 0 (about 4,200 maxima per step
 at 48^3) and extracts its simple-path tracks. It first checks that
 `export_tracks_json` writes the bytes of `canonical_json(tracks_to_dict(...))`
-for the tracks of both modes, then times `export_tracks_json` and
-`export_tracks_geometry` without and with spatial arcs, each run writing
-a new file: once for all the simple paths, which hold nearly every
-maximum of each step, and once (the `sparse_` writers) for the 10 paths
-of least deviation, as `tvex query --kind least-deviation --n 10` selects
-them, which hold a few maxima of each step they touch. Each figure is the
-best and the median of `--repeats` runs.
+for the tracks of both modes, then times `export_tveg_json`, and
+`export_tracks_json` and `export_tracks_geometry` without and with
+spatial arcs, each run writing a new file: the track writers once for
+all the simple paths, which hold nearly every maximum of each step, and
+once (the `sparse_` writers) for the 10 paths of least deviation, as
+`tvex query --kind least-deviation --n 10` selects them, which hold a few
+maxima of each step they touch. Each figure is the best and the median of
+`--repeats` runs.
 The results go to standard output and to BENCH_exports.json in the
 current directory.
 
@@ -98,7 +99,8 @@ def main() -> int:
     tveg = noisy_tveg(args.dims)
     tracks = extract_tracks(tveg, "simple-paths")
     sparse = least_deviation(tracks, tveg, SPARSE)
-    writers = {**track_writers(tracks, tveg), **track_writers(sparse, tveg, "sparse_")}
+    writers = {"tveg_json": lambda path: tvio.export_tveg_json(tveg, path),
+               **track_writers(tracks, tveg), **track_writers(sparse, tveg, "sparse_")}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         check_tracks_json(tveg, tmp)

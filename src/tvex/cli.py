@@ -85,7 +85,7 @@ def cmd_tveg(args) -> str:
 def cmd_events(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
     ev = tvquery.events_in_window(tveg, tuple(args.window)) if args.window else tveg.events
-    _write(tvio.canonical_json(vars(ev)), args.output)
+    _write(tvio._events_json(ev) + "\n", args.output)
     return f"events: {_counts(ev)}"
 
 

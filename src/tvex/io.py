@@ -21,7 +21,7 @@ from .exgraph import ExtremumGraph, make_node_id, split_node_id
 from .field import read_json
 from .morse import Segmentation
 from .pipeline import check_theta
-from .temporal import FilterMeta, ScoreTuple, ScoreWeights, Tveg
+from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from .tracks import Track
 
 
@@ -67,30 +67,41 @@ def canonical_json(obj) -> str:
 
 
 # one node of a step: keys in sorted order, floats as `_canon` prints
-# them ("%.17g" % v is format(v, ".17g"))
+# them ("%.17g" % v is format(v, ".17g")); eta and x come as `_texts` gives them
 _NODE = (
-    '{"eta":%.17g,"id":%d,"index":%d,"pers":%.17g,"t":%d,"value":%.17g,'
-    '"vertex":%d,"x":[%.17g,%.17g,%.17g]}'
+    '{"eta":%s,"id":%d,"index":%d,"pers":%.17g,"t":%d,"value":%.17g,'
+    '"vertex":%d,"x":[%s,%s,%s]}'
 )
 
 
 _NODE_ROWS = 256  # node rows rendered at a time
 
 
+def _texts(cols: np.ndarray) -> list[list[str]]:
+    """The "%.17g" text of each value of the 2-d float64 array `cols`, one
+    list per row. Each distinct bit pattern is rendered once, in one fill,
+    so -0.0 still prints as "-0"."""
+    bits, inverse = np.unique(cols.view(np.int64), return_inverse=True)
+    texts = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(), object)
+    return texts[inverse.reshape(cols.shape)].tolist()  # the inverse's shape varies by numpy
+
+
 def _step_json(g: ExtremumGraph) -> Iterator[str]:
     """One step's canonical JSON object (arcs of node ids, nodes in row
     order, t) as pieces to write in turn: the arcs text, the nodes text
     `_NODE_ROWS` rows at a time, and the closing text. Each piece is one fill
-    of its template, its rows converted to Python values once per column."""
+    of its template, its rows converted to Python values once per column.
+    Grid positions and the saddles' eta of 0 repeat within a block, so the
+    eta and x columns are rendered through `_texts`."""
     k, t, base = len(g.value), g.t, make_node_id(g.t, 0)
     arcs = ",".join(["[%d,%d]"] * len(g.arcs)) % tuple((g.arcs.ravel() + base).tolist())
     yield '{"arcs":[%s],"nodes":[' % arcs
     index = [3] * g.n_max + [2] * (k - g.n_max)
     for i in range(0, k, _NODE_ROWS):
         j = min(i + _NODE_ROWS, k)
-        x, y, z = g.coords[i:j].T.tolist()
+        eta, x, y, z = _texts(np.vstack((g.eta[i:j], g.coords[i:j].T)))
         rows = zip(
-            g.eta[i:j].tolist(), range(base + i, base + j), index[i:j], g.pers[i:j].tolist(),
+            eta, range(base + i, base + j), index[i:j], g.pers[i:j].tolist(),
             repeat(t, j - i), g.value[i:j].tolist(), g.vertex[i:j].tolist(), x, y, z,
         )
         yield ("," if i else "") + ",".join([_NODE] * (j - i)) % tuple(chain.from_iterable(rows))
@@ -183,7 +194,7 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
     """Write the whole structure as canonical JSON, key by key in sorted
     order, rendering and writing one step and one pair at a time."""
     with open(path, "w") as fh:
-        fh.write('{"events":%s,"steps":[' % _text(vars(tveg.events)))
+        fh.write('{"events":%s,"steps":[' % _events_json(tveg.events))
         for i, g in enumerate(tveg.graphs):
             fh.write("," if i else "")
             fh.writelines(_step_json(g))
@@ -192,6 +203,21 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
             fh.write("," if i else "")
             fh.write(_pair_json(g.t, arcs, meta))
         fh.write('],"theta":%s,"weights":%s}\n' % (_text(tveg.theta), _text(vars(tveg.weights))))
+
+
+def _events_json(ev: EventSets) -> str:
+    """The canonical JSON object of the events (deletions and generations
+    as [node, t] pairs, merges and splits as {node, participants, time}
+    records) as one fill of its template: the bytes `_text(vars(ev))` gives."""
+    record = '{"node":%%d,"participants":[%s],"time":%%d}'
+    pairs = [",".join(["[%d,%d]"] * len(p)) for p in (ev.deletions, ev.generations)]
+    records = [",".join([record % ",".join(["%d"] * len(e["participants"])) for e in r])
+               for r in (ev.merges, ev.splits)]
+    template = '{"deletions":[%s],"generations":[%s],"merges":[%s],"splits":[%s]}' % (
+        *pairs, *records)
+    values = chain(chain.from_iterable(ev.deletions), chain.from_iterable(ev.generations),
+                   *((e["node"], *e["participants"], e["time"]) for e in ev.merges + ev.splits))
+    return template % tuple(values)
 
 
 _ARC = attrgetter("m0", "m1", "s")

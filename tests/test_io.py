@@ -17,7 +17,7 @@ from tvex.query import track_neighborhood
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
-from conftest import random_field, raw_segmentation, two_blob_series
+from conftest import assert_same_text, random_field, raw_segmentation, two_blob_series
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestTvegRoundtrip:
         tvio.export_tveg_json(tvg, p1)
         back = tvio.load_tveg_json(p1)
         tvio.export_tveg_json(back, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert_same_text(open(p1, "rb").read(), open(p2, "rb").read())
 
     def test_loaded_structure_matches(self, tvg, tmp_path):
         p = str(tmp_path / "t.json")
@@ -495,7 +495,7 @@ class TestGeometryExport:
             a, b = str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")
             tvio.export_tracks_geometry(tracks, tvg, a, include_spatial=spatial)
             tvio.export_tracks_geometry(tracks, back, b, include_spatial=spatial)
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert_same_text(open(a, "rb").read(), open(b, "rb").read())
 
 
     def test_track_node_must_be_a_maximum(self, tvg, tmp_path, capsys):
@@ -768,7 +768,8 @@ class TestCli:
             assert main(argv + [str(by_flags), "--kind", spec["kind"], *flags]) == 0
             assert main(argv + [str(by_spec), "--spec", str(spec_path)]) == 0
             text = by_flags.read_text()
-            assert json.loads(text) and by_spec.read_text() == text
+            assert json.loads(text)
+            assert_same_text(by_spec.read_text(), text)
         capsys.readouterr()
 
     def test_zero_k_and_n_exit_2(self, tmp_path, capsys):
@@ -791,7 +792,7 @@ class TestCli:
             spec_path.write_text(json.dumps({"kind": kind}))
             assert main(argv + [str(by_default), "--spec", str(spec_path)]) == 0
             assert main(argv + [str(by_one), "--kind", kind, f"--{key}", "1"]) == 0
-            assert by_default.read_text() == by_one.read_text()
+            assert_same_text(by_default.read_text(), by_one.read_text())
 
     def test_query_neighborhood_from_flags(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=4, sigma=0.2)
@@ -1277,7 +1278,7 @@ class TestDegenerateFields:
             assert main(argv) == 0, argv
         copy = str(tmp_path / "copy.json")
         tvio.export_tveg_json(tvio.load_tveg_json(tveg), copy)
-        assert open(copy, "rb").read() == open(tveg, "rb").read()
+        assert_same_text(open(copy, "rb").read(), open(tveg, "rb").read())
         capsys.readouterr()
 
 
@@ -1308,7 +1309,7 @@ class TestRefineCli:
         want = refine_by_overlap(tveg, series, float(isovalue), min_len=2)
         assert want
         tvio.export_tracks_json(want, str(want_path))
-        assert out.read_text() == want_path.read_text()
+        assert_same_text(out.read_text(), want_path.read_text())
         capsys.readouterr()
 
     def test_loaded_series_gives_the_same_tracks(self, run):

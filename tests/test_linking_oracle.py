@@ -167,6 +167,14 @@ def as_field(a: np.ndarray, t: int) -> ScalarField3D:
 any_float = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# values whose texts differ although they are close or equal as numbers:
+# both zeros, the least subnormals, and neighbours one ulp apart
+repeated_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+    0.1, np.nextafter(0.1, 1.0), -2.5, np.nextafter(-2.5, 0.0), 1e300,
+])
+
+
 class TestStepWriter:
     @given(
         st.lists(
@@ -207,6 +215,19 @@ class TestStepWriter:
         tveg = linked([build_extremum_graph(f, theta) for f in fields], theta=theta)
         self.assert_same_text(tveg)
 
+    @given(st.integers(1, 600), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_values_across_node_blocks(self, k, data):
+        """eta and positions drawn from a small pool repeat within a block,
+        as grid positions and the saddles' eta of 0 do, in blocks that end
+        anywhere among the maxima and the saddles."""
+        eta_x = data.draw(arrays(np.float64, (k, 4), elements=repeated_floats))
+        value, pers = data.draw(arrays(np.float64, (2, k), elements=any_float))
+        g = maxima_graph(3, eta_x[:, 1:], value, pers, eta_x[:, 0])
+        g.n_max = data.draw(st.integers(0, k))
+        tveg = Tveg([g], [], ScoreWeights(), theta=0.0)
+        self.assert_same_text(tveg, (1, 3, 255, 256, 257))
+
     @staticmethod
     def assert_same_text(tveg, node_rows=(1, 3, 256)):
         """Both writers give the same text, with the node table rendered
@@ -233,6 +254,33 @@ class TestStepWriter:
         tveg = linked([build_extremum_graph(f, 0.0) for f in fields])
         assert all(257 < g.n_max < len(g.value) for g in tveg.graphs)
         self.assert_same_text(tveg, (255, 256, 257))
+
+
+node_ids = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1))
+event_records = st.lists(
+    st.fixed_dictionaries({
+        "node": node_ids,
+        "time": st.integers(0, 2**31 - 1),
+        "participants": st.lists(node_ids, min_size=2, max_size=5),
+    }),
+    max_size=4,
+)
+node_times = st.lists(st.tuples(node_ids, st.integers(0, 2**31 - 1)), max_size=6)
+
+
+class TestEventsWriter:
+    @given(st.builds(temporal.EventSets, event_records, event_records, node_times, node_times))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_canonical_json(self, ev):
+        """Any kind may be empty; merges and splits have 2 to 5
+        participants; node ids reach beyond 32 bits."""
+        assert tvio._events_json(ev) + "\n" == tvio.canonical_json(vars(ev))
+
+    def test_linked_steps(self, rng):
+        fields = [as_field(rng.uniform(0.0, 1.0, (8, 8, 8)), t) for t in (1, 2, 3)]
+        ev = linked([build_extremum_graph(f, 0.0) for f in fields]).events
+        assert ev.merges and ev.splits and ev.deletions and ev.generations
+        assert tvio._events_json(ev) + "\n" == oracle.canonical_json(oracle.events_to_dict(ev))
 
 
 def test_src_has_one_step_writer():
