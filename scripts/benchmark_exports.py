@@ -5,8 +5,9 @@ Builds a Gauss8 series of `--dims`^3 voxels and 2 steps plus N(0, 0.05^2)
 noise per voxel from `default_rng(48)`, rounded to float32 as a `<f4`
 volume is, computes its tveg at theta = 0 (about 4,200 maxima per step
 at 48^3) and extracts its simple-path tracks. It first checks that
-`export_tracks_json` writes the bytes of `canonical_json(tracks_to_dict(...))`
-for the tracks of both modes, then times `export_tveg_json`, and
+`export_tracks_json` writes the bytes of `canonical_json(tracks_to_dict(...))`,
+with the dict tree of the oracle in `tests/linking_oracle.py`, for the
+tracks of both modes, then times `export_tveg_json`, and
 `export_tracks_json` and `export_tracks_geometry` without and with
 spatial arcs, each run writing a new file: the track writers once for
 all the simple paths, which hold nearly every maximum of each step, and
@@ -33,7 +34,9 @@ from statistics import median
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
+from linking_oracle import canonical_json, tracks_to_dict
 from tvex import io as tvio
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
@@ -57,14 +60,14 @@ def noisy_tveg(edge):
 
 
 def check_tracks_json(tveg, tmp):
-    """Exit unless the tracks file of each mode is the canonical text."""
+    """Exit unless the tracks file of each mode is the oracle's text."""
     path = os.path.join(tmp, "check.json")
     for mode in ("simple-paths", "components"):
         tracks = extract_tracks(tveg, mode)
         tvio.export_tracks_json(tracks, path)
         with open(path) as fh:
-            if fh.read() != tvio.canonical_json(tvio.tracks_to_dict(tracks)):
-                sys.exit(f"export_tracks_json differs from the canonical writer ({mode})")
+            if fh.read() != canonical_json(tracks_to_dict(tracks)):
+                sys.exit(f"export_tracks_json differs from the oracle writer ({mode})")
 
 
 def track_writers(tracks, tveg, prefix=""):

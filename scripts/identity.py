@@ -15,8 +15,11 @@ The tree holds, for the Gauss8 32^3 x 50 series at theta = 0.05r:
 events (all, and the window 20..30), the tracks in both modes, the
 refined tracks at isovalues 0.1, 0.8 and 0.9, one query of each kind,
 the VTK export with and without spatial arcs, and the segmentation of
-step 30. For each series of the benchmark's gauss8-64, noisy-20 and
-dense-24 workloads (drawn from seed 5) it holds `tveg.json` written
+step 30. Three commands are also recorded as printed to standard output
+without `-o` (`*.stdout.json`, the summary line dropped): `tvex events`,
+the window-events query and the length-threshold query. For each series
+of the benchmark's gauss8-64, noisy-20 and dense-24 workloads (drawn
+from seed 5) it holds `tveg.json` written
 with TVEX_THREADS 1 and 2, its export -> load -> export copy, the
 tracks in both modes, the VTK export of each mode's tracks with and
 without spatial arcs (Gauss8 has 8 maxima per step; dense-24 gives the
@@ -47,12 +50,22 @@ THREADS = ("1", "2")
 SEED = 5  # of the benchmark series
 
 
-def run(*argv: str) -> None:
-    """One `tvex` command; its summary line (with timings) is dropped."""
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(*argv: str) -> str:
+    """One `tvex` command; returns what it printed, which ends with its
+    summary line (with timings)."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
         code = tvex(list(argv))
     if code:
         sys.exit(f"identity: tvex {' '.join(argv)} exited {code}")
+    return printed.getvalue()
+
+
+def run_to_stdout(path: str, *argv: str) -> None:
+    """One `tvex` command without `-o`; what it printed before its summary
+    line is written to `path`."""
+    *text, _summary = run(*argv).splitlines(keepends=True)
+    with open(path, "w") as fh:
+        fh.writelines(text)
 
 
 def tveg_per_thread_count(manifest: str, theta: str, out: str) -> str:
@@ -89,6 +102,10 @@ def gauss8(out: str) -> None:
     run(*query, "window-events", "--window", "20", "30", "-o", f"{out}/query_events.json")
     run(*query, "neighborhood", "--seeds", *seeds, "--hops", "2",
         "-o", f"{out}/query_neighborhood.json")
+    run_to_stdout(f"{out}/events.stdout.json", "events", "--tveg", tveg)
+    run_to_stdout(f"{out}/query_events.stdout.json", *query, "window-events",
+                  "--window", "20", "30")
+    run_to_stdout(f"{out}/query_length.stdout.json", *query, "length-threshold", "--k", "10")
     run("export", "--tveg", tveg, "-o", f"{out}/tracks.vtk")
     run("export", "--tveg", tveg, "--spatial-arcs", "-o", f"{out}/tracks_spatial.vtk")
     run("export", "--what", "segmentation", "--manifest", manifest, "--theta", theta,

@@ -15,10 +15,8 @@ from .field import (
 )
 from .morse import (
     Segmentation,
-    compute_persistence,
     compute_saddles,
     compute_segmentation,
-    merge_tree_oracle,
     simplify,
 )
 from .pipeline import build_graphs, compute_tveg, resolve_theta

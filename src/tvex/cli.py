@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
@@ -85,7 +86,7 @@ def cmd_tveg(args) -> str:
 def cmd_events(args) -> str:
     tveg = tvio.load_tveg_json(args.tveg)
     ev = tvquery.events_in_window(tveg, tuple(args.window)) if args.window else tveg.events
-    _write(tvio._events_json(ev) + "\n", args.output)
+    _write([tvio.events_json(ev), "\n"], args.output)
     return f"events: {_counts(ev)}"
 
 
@@ -127,12 +128,12 @@ def cmd_query(args) -> str:
             "hops": args.hops,
         }
     try:
-        result = _run_query(tveg, q, args.tracks)
+        pieces = _run_query(tveg, q, args.tracks)
     except ValueError as exc:
         if not args.spec:
             raise
         raise ValueError(f"{args.spec}: {exc}") from None
-    _write(tvio.canonical_json(result), args.output)
+    _write(pieces, args.output)
     return f"query: kind={q['kind']}"
 
 
@@ -154,9 +155,10 @@ def _check_spec(q: dict, spec: str) -> None:
         raise ValueError(f"{spec}: 'seeds' must be a non-empty list of integers, got {seeds!r}")
 
 
-def _run_query(tveg, q: dict, tracks_path) -> dict:
-    """Answer one query dict: `kind` plus the keys that kind reads. An
-    absent (or, from the flags, None) `k` or `n` is 1."""
+def _run_query(tveg, q: dict, tracks_path) -> Iterable[str]:
+    """Answer one query dict (`kind` plus the keys that kind reads) as the
+    pieces of its canonical JSON text: tracks and events through their
+    writers in `io`. An absent (or, from the flags, None) `k` or `n` is 1."""
     kind, box, window = q["kind"], q.get("box"), q.get("window")
     if kind in ("length-threshold", "least-deviation"):
         track_list = _tracks_or_paths(tveg, tracks_path)
@@ -165,28 +167,28 @@ def _run_query(tveg, q: dict, tracks_path) -> dict:
             result = tvquery.tracks_longer_than(track_list, k)
         else:
             result = tvquery.least_deviation(track_list, tveg, n)
-        return tvio.tracks_to_dict(result)
+        return tvio.tracks_json(result)
     if kind == "region":
         if box is None or window is None:
             raise ValueError("region query needs --box and --window")
         sel = tvquery.select_in_region(tveg, box, window)
-        return {
+        return [tvio.canonical_json({
             "maxima": sel.maxima,
             "saddles": sel.saddles,
-            "spatial_arcs": [[a, b] for a, b in sel.spatial_arcs],
+            "spatial_arcs": sel.spatial_arcs,
             "temporal_arcs": [[a.m0, a.m1, a.s] for a in sel.temporal_arcs],
-        }
+        })]
     if kind == "window-events":
         if window is None:
             raise ValueError("window-events query needs --window")
-        return vars(tvquery.events_in_window(tveg, window))
+        return [tvio.events_json(tvquery.events_in_window(tveg, window)), "\n"]
     if kind == "neighborhood":
         seeds = q.get("seeds")
         if not seeds:
             raise ValueError("neighborhood query needs --seeds")
         track = tvtracks.Track(nodes=sorted((split_node_id(s)[0], s) for s in seeds), arcs=[])
         nb = tvquery.track_neighborhood(tveg, track, q.get("hops", 0))
-        return {"neighborhood": {str(t): nodes for t, nodes in nb.items()}}
+        return [tvio.canonical_json({"neighborhood": {str(t): n for t, n in nb.items()}})]
     raise ValueError(f"unknown query kind {kind!r}")
 
 
@@ -206,13 +208,13 @@ def _tracks_or_paths(tveg, tracks_path) -> list:
     return track_list
 
 
-def _write(text: str, output) -> None:
-    """Write text to the `-o` file, or to stdout without one."""
+def _write(pieces: Iterable[str], output) -> None:
+    """Write the text pieces to the `-o` file, or to stdout without one."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_export(args) -> str:

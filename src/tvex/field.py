@@ -130,14 +130,21 @@ def _require(entry, keys: tuple[str, ...], where: str) -> None:
             raise ValueError(f"{where} has no {key!r} entry")
 
 
+def finite_number(x) -> bool:
+    """Whether x is an int or a float (not a bool) finite as a float64."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _vector(manifest: dict, key: str, default: float, where: str) -> np.ndarray:
     """Manifest entry `key` (three `default`s if absent): three finite
     numbers, positive for 'spacing'."""
     v = manifest.get(key, [default] * 3)
     positive = key == "spacing"
     if not (isinstance(v, list) and len(v) == 3 and all(
-            type(x) in (int, float) and math.isfinite(x) and (x > 0 or not positive)
-            for x in v)):
+            finite_number(x) and (x > 0 or not positive) for x in v)):
         need = "three finite numbers > 0" if positive else "three finite numbers"
         raise ValueError(f"{where}: {key!r} must be {need}, got {v!r}")
     return np.asarray(v, dtype=np.float64)

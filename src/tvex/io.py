@@ -194,7 +194,7 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
     """Write the whole structure as canonical JSON, key by key in sorted
     order, rendering and writing one step and one pair at a time."""
     with open(path, "w") as fh:
-        fh.write('{"events":%s,"steps":[' % _events_json(tveg.events))
+        fh.write('{"events":%s,"steps":[' % events_json(tveg.events))
         for i, g in enumerate(tveg.graphs):
             fh.write("," if i else "")
             fh.writelines(_step_json(g))
@@ -205,10 +205,11 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         fh.write('],"theta":%s,"weights":%s}\n' % (_text(tveg.theta), _text(vars(tveg.weights))))
 
 
-def _events_json(ev: EventSets) -> str:
+def events_json(ev: EventSets) -> str:
     """The canonical JSON object of the events (deletions and generations
     as [node, t] pairs, merges and splits as {node, participants, time}
-    records) as one fill of its template: the bytes `_text(vars(ev))` gives."""
+    records) as one fill of its template, without a trailing newline: the
+    one writer of events, for `tveg.json`, `tvex events` and queries alike."""
     record = '{"node":%%d,"participants":[%s],"time":%%d}'
     pairs = [",".join(["[%d,%d]"] * len(p)) for p in (ev.deletions, ev.generations)]
     records = [",".join([record % ",".join(["%d"] * len(e["participants"])) for e in r])
@@ -303,37 +304,24 @@ def load_tveg_json(path: str) -> Tveg:
     return tveg
 
 
-def tracks_to_dict(tracks: list[Track]) -> dict:
-    return {
-        "tracks": [
-            {
-                "nodes": [[t, n] for t, n in tr.nodes],
-                "arcs": [[a, b] for a, b in tr.arcs],
-                "length": tr.length,
-            }
-            for tr in tracks
-        ]
-    }
-
-
-def _track_json(tr: Track) -> str:
-    """One track's canonical JSON object (arcs, length, nodes) as one
-    fill of the [a, b] pair template."""
-    arcs, nodes = tr.arcs, tr.nodes
-    template = '{"arcs":[%s],"length":%%d,"nodes":[%s]}' % (
-        ",".join(["[%d,%d]"] * len(arcs)), ",".join(["[%d,%d]"] * len(nodes)))
-    return template % (*chain.from_iterable(arcs), tr.length, *chain.from_iterable(nodes))
+def tracks_json(tracks: list[Track]) -> Iterator[str]:
+    """The canonical JSON text of the tracks (each an object of arcs, length
+    and nodes), trailing newline included, as pieces to write in turn: one
+    fill of the [a, b] pair template per track. The one writer of tracks,
+    for `tracks.json` and the track queries alike."""
+    yield '{"tracks":['
+    for i, tr in enumerate(tracks):
+        arcs, nodes = tr.arcs, tr.nodes
+        template = '%s{"arcs":[%s],"length":%%d,"nodes":[%s]}' % (
+            "," if i else "", ",".join(["[%d,%d]"] * len(arcs)), ",".join(["[%d,%d]"] * len(nodes)))
+        yield template % (*chain.from_iterable(arcs), tr.length, *chain.from_iterable(nodes))
+    yield "]}\n"
 
 
 def export_tracks_json(tracks: list[Track], path: str) -> None:
-    """Write the tracks as canonical JSON: the bytes `canonical_json`
-    gives for `tracks_to_dict(tracks)`, one template fill per track,
-    written track by track."""
+    """Write the tracks as canonical JSON, track by track."""
     with open(path, "w") as fh:
-        fh.write('{"tracks":[')
-        for i, tr in enumerate(tracks):
-            fh.write(("," if i else "") + _track_json(tr))
-        fh.write("]}\n")
+        fh.writelines(tracks_json(tracks))
 
 
 def load_tracks_json(path: str) -> list[Track]:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exgraph import make_node_id, split_node_id
+from .field import finite_number
 from .temporal import EventSets, ScoreTuple, Tveg
 from .tracks import Track
 
@@ -56,7 +56,7 @@ def select_in_region(
         raise ValueError("window start must be <= end")
     if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
             isinstance(c, (list, tuple)) and len(c) == 3
-            and all(type(x) in (int, float) and math.isfinite(x) for x in c) for c in box)):
+            and all(map(finite_number, c)) for c in box)):
         raise ValueError(f"'box' must be two corners of three numbers, got {box!r}")
     lo, hi = np.asarray(box[0], dtype=np.float64), np.asarray(box[1], dtype=np.float64)
     if any(a > b for a, b in zip(*box)):
@@ -100,8 +100,9 @@ def track_neighborhood(
 
     Returns {t: sorted node ids}; layers alternate between maxima and
     saddles as the ball grows through extremum-graph arcs, one sweep
-    over the step's arcs per hop. A node id that is not in its step
-    raises ValueError.
+    over the step's arcs per hop, until `hops` sweeps or a sweep that
+    adds no node (the ball is then the seeds' whole components, whatever
+    `hops` is). A node id that is not in its step raises ValueError.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -119,8 +120,10 @@ def track_neighborhood(
         ball[rows] = True
         m, s = g.arcs.T
         for _ in range(hops):
-            # every arc with an end in the ball brings in its other end
-            hit = ball[m] | ball[s]
+            # every arc with one end in the ball brings in its other end
+            hit = ball[m] != ball[s]
+            if not hit.any():
+                break  # the fixpoint: no further hop adds a node
             ball[m[hit]] = True
             ball[s[hit]] = True
         out[t] = (np.flatnonzero(ball) + make_node_id(t, 0)).tolist()

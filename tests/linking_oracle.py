@@ -4,7 +4,8 @@ These are the straightforward implementations the column code in
 `tvex.temporal` and `tvex.io` must match bit for bit: an (n0, n1, 3)
 difference tensor reduced by `np.linalg.norm`, a per-row sort for the
 two best targets, a rescan of all arcs after every z-removal, and a
-dict tree written by the generic `canonical_json`.
+dict tree written by the generic `canonical_json`. `tracks_to_dict` and
+`events_to_dict` are the dict trees of the tracks and events writers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from tvex.exgraph import ExtremumGraph, make_node_id
 from tvex.io import canonical_json
 from tvex.temporal import EventSets, ScoreTuple, ScoreWeights, Tveg
+from tvex.tracks import Track
 
 
 def normalize_components(g0: ExtremumGraph, g1: ExtremumGraph):
@@ -96,6 +98,19 @@ def events_to_dict(ev: EventSets) -> dict:
         "splits": ev.splits,
         "deletions": [[n, t] for n, t in ev.deletions],
         "generations": [[n, t] for n, t in ev.generations],
+    }
+
+
+def tracks_to_dict(tracks: list[Track]) -> dict:
+    return {
+        "tracks": [
+            {
+                "nodes": [[t, n] for t, n in tr.nodes],
+                "arcs": [[a, b] for a, b in tr.arcs],
+                "length": tr.length,
+            }
+            for tr in tracks
+        ]
     }
 
 

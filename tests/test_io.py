@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import linking_oracle as oracle
 from tvex import io as tvio
 from tvex.cli import main
 from tvex.field import FieldSeries, generate_gauss8, load_series, save_series
 from tvex.pipeline import compute_tveg, resolve_theta
-from tvex.query import track_neighborhood
+from tvex.query import events_in_window, least_deviation, track_neighborhood, tracks_longer_than
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
@@ -772,6 +773,50 @@ class TestCli:
             assert_same_text(by_spec.read_text(), text)
         capsys.readouterr()
 
+    def test_track_and_event_queries_write_the_oracle_text(self, rng, tmp_path, capsys):
+        """The track queries and the window-events query write, from the
+        flags and from a --spec file, to the -o file and to stdout, the text
+        of the oracle's dict trees; `tvex events --window` writes the same
+        text as the window-events query. Noise at theta 0 gives events."""
+        series = FieldSeries([random_field(rng, (8, 8, 8), t) for t in (1, 2, 3, 4)])
+        manifest = save_series(series, str(tmp_path / "d"))
+        out = str(tmp_path / "o")
+        assert main(["tveg", "--manifest", manifest, "--theta", "0", "-o", out]) == 0
+        tveg_path = os.path.join(out, "tveg.json")
+        tveg = tvio.load_tveg_json(tveg_path)
+        paths = extract_tracks(tveg, "simple-paths")
+        window = events_in_window(tveg, (2, 3))
+        assert paths and window.merges + window.splits + window.deletions + window.generations
+        cases = [
+            (["--k", "2"], {"kind": "length-threshold", "k": 2},
+             oracle.tracks_to_dict(tracks_longer_than(paths, 2))),
+            (["--n", "3"], {"kind": "least-deviation", "n": 3},
+             oracle.tracks_to_dict(least_deviation(paths, tveg, 3))),
+            (["--window", "2", "3"], {"kind": "window-events", "window": [2, 3]},
+             oracle.events_to_dict(window)),
+        ]
+        spec_path, res = tmp_path / "q.json", tmp_path / "res.json"
+
+        def written(argv, summary):
+            """The text of `argv` in its -o file, and on stdout before the summary line."""
+            assert main(argv + ["-o", str(res)]) == 0
+            capsys.readouterr()
+            assert main(argv) == 0
+            *lines, last = capsys.readouterr().out.splitlines(keepends=True)
+            assert last.startswith(summary)
+            return res.read_text(), "".join(lines)
+
+        capsys.readouterr()
+        for flags, spec, want in cases:
+            assert json.loads(want := oracle.canonical_json(want)) != {"tracks": []}
+            spec_path.write_text(json.dumps(spec))
+            for given in (["--kind", spec["kind"], *flags], ["--spec", str(spec_path)]):
+                for text in written(["query", "--tveg", tveg_path, *given], "query: "):
+                    assert_same_text(text, want)
+        events_text = oracle.canonical_json(oracle.events_to_dict(window))
+        for text in written(["events", "--tveg", tveg_path, "--window", "2", "3"], "events: "):
+            assert_same_text(text, events_text)
+
     def test_zero_k_and_n_exit_2(self, tmp_path, capsys):
         """0 is a given k or n, not an absent one: it is refused, from the
         flags and from a spec file; an absent one is 1."""
@@ -911,6 +956,7 @@ class TestCli:
         [["a", 0, 0], [1, 1, 1]],
         [[None, 0, 0], [1, 1, 1]],
         [["-1", 0, 0], [1, 1, 1]],
+        [[0, 0, 0], [2**2000, 1, 1]],  # beyond the float range
         5,
     ])
     def test_query_spec_bad_box_is_named(self, tmp_path, capsys, box):
@@ -979,6 +1025,9 @@ class TestCli:
         ("origin", [0.0, 0.0], "'origin' must be three finite numbers, got [0.0, 0.0]"),
         ("spacing", [1.0, 0, 1.0],
          "'spacing' must be three finite numbers > 0, got [1.0, 0, 1.0]"),
+        pytest.param("origin", [0, 10**400, 0],
+                     f"'origin' must be three finite numbers, got [0, {10**400}, 0]",
+                     id="origin-int-beyond-float"),
     ])
     def test_manifest_bad_entry_is_named(self, tmp_path, capsys, key, value, msg):
         series = generate_gauss8((2, 2, 2), steps=2, sigma=0.5)
@@ -1315,10 +1364,10 @@ class TestRefineCli:
     def test_loaded_series_gives_the_same_tracks(self, run):
         tmp, series, manifest, tveg_path = run
         tveg = tvio.load_tveg_json(tveg_path)
-        want = tvio.tracks_to_dict(refine_by_overlap(tveg, series, 0.1, min_len=2))
+        want = oracle.tracks_to_dict(refine_by_overlap(tveg, series, 0.1, min_len=2))
         assert want["tracks"]
         got = refine_by_overlap(tveg, load_series(manifest), 0.1, min_len=2)
-        assert tvio.tracks_to_dict(got) == want
+        assert oracle.tracks_to_dict(got) == want
 
     def test_mismatched_manifest_is_named(self, run, capsys):
         tmp, series, manifest, tveg_path = run

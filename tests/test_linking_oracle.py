@@ -274,13 +274,13 @@ class TestEventsWriter:
     def test_matches_canonical_json(self, ev):
         """Any kind may be empty; merges and splits have 2 to 5
         participants; node ids reach beyond 32 bits."""
-        assert tvio._events_json(ev) + "\n" == tvio.canonical_json(vars(ev))
+        assert tvio.events_json(ev) + "\n" == tvio.canonical_json(vars(ev))
 
     def test_linked_steps(self, rng):
         fields = [as_field(rng.uniform(0.0, 1.0, (8, 8, 8)), t) for t in (1, 2, 3)]
         ev = linked([build_extremum_graph(f, 0.0) for f in fields]).events
         assert ev.merges and ev.splits and ev.deletions and ev.generations
-        assert tvio._events_json(ev) + "\n" == oracle.canonical_json(oracle.events_to_dict(ev))
+        assert tvio.events_json(ev) + "\n" == oracle.canonical_json(oracle.events_to_dict(ev))
 
 
 def test_src_has_one_step_writer():
@@ -289,3 +289,13 @@ def test_src_has_one_step_writer():
         if name.endswith(".py"):
             text = Path(SRC, name).read_text()
             assert not re.search(r"_step_dict|tveg_to_dict", text), name
+
+
+def test_src_has_one_tracks_and_events_writer():
+    """The dict tracks writer lives only in the oracle, and no event set
+    is written from its attributes: `io.tracks_json` and `io.events_json`
+    are the only routes to those texts."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            text = Path(SRC, name).read_text()
+            assert not re.search(r"tracks_to_dict|vars\((ev|tvquery)", text), name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvex.exgraph import make_node_id
+from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
 from tvex.query import (
     events_in_window,
@@ -155,6 +156,16 @@ class TestTrackNeighborhood:
             for t in prev:
                 assert set(prev[t]) <= set(cur[t])
             prev = cur
+
+    def test_hops_past_the_fixpoint(self):
+        """Once a hop adds no node the ball is final: 2**62 hops give, at
+        once, the ball of len(g.value) hops, which no step can outgrow."""
+        tveg = compute_tveg(generate_gauss8((12, 12, 12), steps=4), 0.0, ScoreWeights())
+        tr = extract_tracks(tveg, mode="simple-paths")[0]
+        most = max(len(g.value) for g in tveg.graphs)
+        full = track_neighborhood(tveg, tr, most)
+        assert full != track_neighborhood(tveg, tr, 2)  # the ball grows past 2 hops
+        assert track_neighborhood(tveg, tr, 2**62) == full
 
     def test_rejects_negative_hops(self, tvg, tracks):
         with pytest.raises(ValueError):

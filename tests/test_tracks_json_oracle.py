@@ -1,9 +1,11 @@
 """The template tracks writer against the generic canonical writer, byte
-for byte: `export_tracks_json` must give `canonical_json(tracks_to_dict(...))`."""
+for byte: `export_tracks_json` must give `canonical_json(tracks_to_dict(...))`
+with the oracle's `tracks_to_dict`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linking_oracle as oracle
 from tvex import io as tvio
 from tvex.pipeline import compute_tveg
 from tvex.temporal import ScoreWeights
@@ -15,7 +17,7 @@ from test_vtk_oracle import integer_series, series_of
 
 def assert_same_json(tracks, path):
     tvio.export_tracks_json(tracks, str(path))
-    assert_same_text(path.read_text(), tvio.canonical_json(tvio.tracks_to_dict(tracks)))
+    assert_same_text(path.read_text(), oracle.canonical_json(oracle.tracks_to_dict(tracks)))
 
 
 class TestTracksJsonMatchesCanonical:
