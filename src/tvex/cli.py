@@ -8,6 +8,7 @@ the command's time and returns 0, or a nonzero code with a diagnostic.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -30,6 +31,17 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("dims must be N or NX,NY,NZ")
     return tuple(parts)
+
+
+def _finite(text: str) -> float:
+    """A finite number: argparse names the option of any other value."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_weights(text: str) -> ScoreWeights:
@@ -285,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--refine", action="store_true",
                     help="resolve two-way arcs by clipped-region overlap")
     tr.add_argument("--manifest", default=None)
-    tr.add_argument("--isovalue", type=float, default=0.1)
+    tr.add_argument("--isovalue", type=_finite, default=0.1)
     tr.add_argument("--min-len", type=int, default=10)
     tr.add_argument("-o", "--output", required=True)
     tr.set_defaults(func=cmd_tracks)
@@ -315,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="geometry")
     ex.add_argument("--tveg", default=None)
     ex.add_argument("--tracks", default=None)
-    ex.add_argument("--z-scale", type=float, default=0.1)
-    ex.add_argument("--slab-height", type=float, default=None)
+    ex.add_argument("--z-scale", type=_finite, default=0.1)
+    ex.add_argument("--slab-height", type=_finite, default=None)
     ex.add_argument("--spatial-arcs", action="store_true")
     ex.add_argument("--manifest", default=None)
     ex.add_argument("--theta", default="0.0")

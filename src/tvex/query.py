@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, starmap
 
 import numpy as np
 
@@ -32,15 +33,65 @@ def tracks_longer_than(tracks: list[Track], k: int) -> list[Track]:
 def least_deviation(tracks: list[Track], tveg: Tveg, n: int) -> list[Track]:
     """The n tracks with smallest mean per-step spatial movement.
 
-    Ties break by the track's first node id; length-1 tracks have
-    deviation 0.
+    A track's deviation is the mean distance between the coordinates of
+    its consecutive nodes, in node order; a track of fewer than two nodes
+    has deviation 0 and its nodes are not looked up. Ties break by the
+    track's first node id (-1 for an empty track). Every node of a longer
+    track must be a maximum of `tveg`: the first that is not, in track
+    order, raises the ValueError of `Tveg.max_row`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranked = sorted(
-        tracks, key=lambda tr: (tr.deviation(tveg), tr.nodes[0][1] if tr.nodes else -1)
-    )
-    return ranked[:n]
+    devs = _deviations(tracks, tveg)
+    keys = [(dev, tr.nodes[0][1] if tr.nodes else -1) for dev, tr in zip(devs, tracks)]
+    return [tracks[i] for i in sorted(range(len(tracks)), key=keys.__getitem__)[:n]]
+
+
+def _deviations(tracks: list[Track], tveg: Tveg) -> list[float]:
+    """Each track's mean step distance (0.0 under two nodes), in one
+    column pass. The nodes of all longer tracks are looked up at once in
+    a table of every step's maxima coordinates, and every step's distance
+    is sqrt(d . d) of one stacked `matmul`, which reduces each row by the
+    dot product `np.linalg.norm` takes: the bits of the per-track
+    definition (`einsum` and `(d * d).sum(1)` differ). Each mean adds its
+    track's steps with Python's `sum`, as that definition does, since
+    `np.add.reduceat` adds pairwise and changes the bits past 8 steps."""
+    nodes = [node for tr in tracks if len(tr.nodes) >= 2 for node in tr.nodes]
+    if not nodes:
+        return [0.0] * len(tracks)
+    graphs = tveg.graphs
+    if not graphs:
+        tveg.max_row(*nodes[0])  # raises: the tveg has no step
+    # per step, with a step of no maxima added at each end, so that one
+    # clipped lookup gives the maxima count of any step number
+    n = [g.n_max for g in graphs]
+    n_max = np.array([0, *n, 0])
+    first = np.array([0, *accumulate(n, initial=0)])  # each step's first table row
+    t0 = graphs[0].t - 1  # the added step before the first
+    try:
+        flat = np.fromiter(chain.from_iterable(nodes), np.int64, 2 * len(nodes))
+    except OverflowError:  # an id beyond int64: look each node up by itself
+        rows = [first[g.t - t0] + row for g, row in starmap(tveg.max_row, nodes)]
+    else:
+        t, node = flat[0::2], flat[1::2]
+        i = t - t0
+        node_t, row = split_node_id(node)
+        ok = (node_t == t) & (row < n_max.take(i, mode="clip"))
+        if not ok.all():
+            tveg.max_row(*nodes[int(np.argmin(ok))])  # raises for the first bad node
+        rows = first[i] + row
+    pts = np.concatenate([g.coords[: g.n_max] for g in graphs])[rows]
+    d = pts[1:] - pts[:-1]  # also across track boundaries, never read
+    steps = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).ravel().tolist()
+    devs, at = [], 0
+    for tr in tracks:
+        k = len(tr.nodes)
+        if k < 2:
+            devs.append(0.0)
+            continue
+        devs.append(sum(steps[at : at + k - 1]) / (k - 1))
+        at += k
+    return devs
 
 
 def select_in_region(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dfield
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,26 +24,14 @@ class Track:
     exactly one step at a time.
     """
 
-    nodes: list[tuple[int, int]]  # (t, max_id), sorted
+    nodes: list[tuple[int, int]]  # (t, max_id); in time order when extracted
     arcs: list[tuple[int, int]] = dfield(default_factory=list)
 
     @property
     def length(self) -> int:
-        times = {t for t, _ in self.nodes}
-        return max(times) - min(times) + 1 if times else 0
-
-    def deviation(self, tveg: Tveg) -> float:
-        """Mean step distance of the track's node coordinates."""
-        if len(self.nodes) < 2:
-            return 0.0
-        coords = []
-        for t, mid in self.nodes:
-            g, row = tveg.max_row(t, mid)
-            coords.append(g.coords[row])
-        steps = [
-            float(np.linalg.norm(b - a)) for a, b in zip(coords, coords[1:])
-        ]
-        return sum(steps) / (len(self.nodes) - 1)
+        """Time extent: last step - first step + 1 (0 without nodes), for
+        nodes in any order."""
+        return max(self.nodes)[0] - min(self.nodes)[0] + 1 if self.nodes else 0
 
 
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
@@ -72,31 +62,32 @@ def _simple_paths(arcs: list[ScoreTuple]) -> list[Track]:
     A path passes through a node only if that node has in-degree 1 and
     out-degree 1; branch nodes terminate paths but are shared as
     endpoints, so every arc lands in exactly one path. Output is ordered
-    longest first, ties by first node id.
+    longest first, ties by first node id. Every arc must join step t to
+    t + 1, as the arcs of a Tveg do.
     """
-    out_arcs: dict[int, list[ScoreTuple]] = {}
-    in_deg: dict[int, int] = {}
+    succ: dict[int, list[int]] = {}
     for a in arcs:
-        out_arcs.setdefault(a.m0, []).append(a)
-        in_deg[a.m1] = in_deg.get(a.m1, 0) + 1
-
-    def chains_through(n: int) -> bool:
-        return in_deg.get(n, 0) == 1 and len(out_arcs.get(n, ())) == 1
+        succ.setdefault(a.m0, []).append(a.m1)
+    in_deg = Counter(a.m1 for a in arcs)
+    # each pass-through node (in- and out-degree 1) and its one successor
+    nxt = {n: out[0] for n, out in succ.items() if len(out) == 1 and in_deg[n] == 1}
 
     tracks = []
     # start arcs: source is not a pass-through node; every other arc
     # leaves a pass-through node, so each arc is walked exactly once
     # (time strictly increases, so there are no cycles)
-    for a in sorted(arcs, key=lambda a: (a.m0, a.m1)):
-        if chains_through(a.m0):
+    for a in sorted(arcs, key=attrgetter("m0", "m1")):
+        if a.m0 in nxt:
             continue
-        path = [a]
-        while chains_through(path[-1].m1):
-            path.append(out_arcs[path[-1].m1][0])
-        nodes = [(split_node_id(path[0].m0)[0], path[0].m0)]
-        nodes += [(split_node_id(p.m1)[0], p.m1) for p in path]
-        tracks.append(Track(nodes=nodes, arcs=[(p.m0, p.m1) for p in path]))
-    return sorted(tracks, key=lambda tr: (-tr.length, tr.nodes[0][1]))
+        ids = [a.m0, a.m1]
+        while ids[-1] in nxt:
+            ids.append(nxt[ids[-1]])
+        # arcs join t to t + 1: the times follow from the first node's,
+        # and the path's length is its node count
+        t0 = split_node_id(a.m0)[0]
+        tracks.append(Track(nodes=list(zip(range(t0, t0 + len(ids)), ids)),
+                            arcs=list(zip(ids, ids[1:]))))
+    return sorted(tracks, key=lambda tr: (-len(tr.nodes), tr.nodes[0][1]))
 
 
 def extract_tracks(tveg: Tveg, mode: str = "simple-paths") -> list[Track]:

@@ -13,7 +13,9 @@ import numpy as np
 from tvex.field import FieldSeries
 from tvex.morse import Segmentation, morse_step
 from tvex.temporal import ScoreTuple, Tveg
-from tvex.tracks import Track, _simple_paths
+from tvex.tracks import Track
+
+import tracks_oracle
 
 from conftest import voxel_ids
 
@@ -58,4 +60,4 @@ def refine_by_overlap(
                 if ov > 0:
                     kept.append(a)
         prev = cur
-    return [tr for tr in _simple_paths(kept) if tr.length >= min_len]
+    return [tr for tr in tracks_oracle.simple_paths(kept) if tracks_oracle.length(tr) >= min_len]

@@ -516,6 +516,19 @@ class TestGeometryExport:
                 tvio.export_tracks_geometry([Track(nodes=[(g.t, node)])], tvg,
                                             str(tmp_path / "y.vtk"))
 
+    @pytest.mark.parametrize("option", ["--z-scale", "--slab-height"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_lift_is_named(self, tvg, tmp_path, capsys, option, value):
+        """A lift that is not finite would put nan or inf into every
+        point's z; it exits 2 before any file is read or written."""
+        out = tmp_path / "x.vtk"
+        argv = ["export", "--tveg", str(tmp_path / "missing.json"), f"{option}={value}",
+                "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be a finite number, got {value!r}" in err
+        assert not out.exists()
+
 class TestSegmentationExport:
     def test_raw_roundtrip(self, rng, tmp_path):
         f = random_field(rng, (6, 6, 6), time_index=1)
@@ -1346,7 +1359,7 @@ class TestRefineCli:
 
     def refine(self, tveg_path, manifest, out, isovalue="0.1"):
         return main(["tracks", "--refine", "--tveg", tveg_path, "--manifest", manifest,
-                     "--isovalue", isovalue, "--min-len", "2", "-o", out])
+                     f"--isovalue={isovalue}", "--min-len", "2", "-o", out])
 
     @pytest.mark.parametrize("isovalue", ["0.1", "0.8"])
     def test_matches_refinement_in_memory(self, run, isovalue, capsys):
@@ -1394,3 +1407,14 @@ class TestRefineCli:
             assert err in capsys.readouterr().err
         assert main(["tracks", "--refine", "--tveg", tveg_path, "-o", out]) == 2
         assert "--refine needs --manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_isovalue_is_named(self, run, capsys, value):
+        """A NaN isovalue clips every region away (no voxel compares
+        true), which gave an empty tracks file and exit 0."""
+        tmp, series, manifest, tveg_path = run
+        out = tmp / f"iso_{value}.json"
+        assert self.refine(tveg_path, manifest, str(out), value) == 2
+        err = capsys.readouterr().err
+        assert f"argument --isovalue: must be a finite number, got {value!r}" in err
+        assert not out.exists()

@@ -1,20 +1,28 @@
 """Query layer over a computed time-varying extremum graph."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tvex.exgraph import make_node_id
+from tvex.exgraph import ExtremumGraph, make_node_id
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
 from tvex.query import (
     events_in_window,
+    _deviations,
     least_deviation,
     select_in_region,
     track_neighborhood,
     tracks_longer_than,
 )
-from tvex.temporal import ScoreWeights
+from tvex.temporal import FilterMeta, ScoreWeights, Tveg
 from tvex.tracks import Track, extract_tracks
+
+import tracks_oracle
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +74,7 @@ class TestLengthThreshold:
 class TestLeastDeviation:
     def test_orders_by_mean_step(self, tvg, tracks):
         got = least_deviation(tracks, tvg, len(tracks))
-        devs = [tr.deviation(tvg) for tr in got]
+        devs = [tracks_oracle.deviation(tr, tvg) for tr in got]
         assert devs == sorted(devs)
 
     def test_returns_n(self, tvg, tracks):
@@ -81,6 +89,103 @@ class TestLeastDeviation:
         b = Track(nodes=[(1, 3)])
         got = least_deviation([a, b], tvg, 2)
         assert got == [b, a]
+
+
+# signed zeros, one-ulp neighbours, a subnormal, squares that overflow,
+# and values drawn again and again (coincident points)
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), 0.1, -0.7, 5e-324, 1e300]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def deviation_cases(draw):
+    """A tveg of one to four steps (maxima, then saddles) starting at
+    step -2 to 3, and tracks of 0 to 14 nodes in any order, with up to
+    two nodes that are not maxima of the tveg put anywhere."""
+    t0, steps = draw(st.integers(-2, 3)), draw(st.integers(1, 4))
+    graphs = []
+    for t in range(t0, t0 + steps):
+        n_max, k = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+        k += n_max
+        coords = draw(arrays(np.float64, (k, 3), elements=COORDS))
+        graphs.append(ExtremumGraph(t, n_max, np.arange(k), np.zeros(k), np.zeros(k),
+                                    np.zeros(k), coords))
+    tvg = Tveg(graphs, [([], FilterMeta(0.0, 0.0, 0.0))] * (steps - 1), ScoreWeights())
+
+    def maximum():
+        g = draw(st.sampled_from(graphs))
+        return g.t, make_node_id(g.t, draw(st.integers(0, g.n_max - 1)))
+
+    tracks = [Track(nodes=[maximum() for _ in range(draw(st.integers(0, 14)))])
+              for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2)) if tracks else 0):
+        tr = draw(st.sampled_from(tracks))
+        g = draw(st.sampled_from(graphs))
+        t = draw(st.sampled_from([t0 - 1, t0 + steps, t0 + steps + 7]))
+        bad = draw(st.sampled_from([
+            (g.t, make_node_id(g.t, g.n_max + draw(st.integers(0, 2)))),  # a saddle or past the rows
+            (t, make_node_id(t, 0)),  # a step the tveg does not hold
+            (g.t, make_node_id(g.t + 1, 0)),  # the id of another step
+            (g.t, 2**63 + draw(st.integers(0, 3))),  # an id beyond int64
+        ]))
+        tr.nodes.insert(draw(st.integers(0, len(tr.nodes))), bad)
+    return tvg, tracks
+
+
+class TestLeastDeviationMatchesReference:
+    """The column pass gives the per-track deviations of
+    `tests/tracks_oracle.py` bit for bit, and so its ranking."""
+
+    @given(deviation_cases(), st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # squares of 1e300
+    def test_bit_for_bit(self, case, n):
+        tvg, tracks = case
+        try:
+            want = [tracks_oracle.deviation(tr, tvg) for tr in tracks]
+        except ValueError as exc:
+            for run in (lambda: _deviations(tracks, tvg), lambda: least_deviation(tracks, tvg, n)):
+                with pytest.raises(ValueError) as got:
+                    run()
+                assert str(got.value) == str(exc)
+            return
+        assert [d.hex() for d in _deviations(tracks, tvg)] == [d.hex() for d in want]
+        ranked = least_deviation(tracks, tvg, n)
+        assert list(map(id, ranked)) == list(map(id, tracks_oracle.least_deviation(tracks, tvg, n)))
+
+    def test_single_node_tracks_are_not_looked_up(self, tvg):
+        unknown = Track(nodes=[(99, make_node_id(99, 0))])
+        empty = Track(nodes=[])
+        first = tvg.graphs[0]
+        pair = Track(nodes=[(first.t, int(m)) for m in first.maxima[:2]])  # two blobs apart
+        assert least_deviation([pair, unknown, empty], tvg, 3) == [empty, unknown, pair]
+
+    def test_ids_beyond_int64(self):
+        """At step 2**31 every id is at least 2**63: the nodes are looked
+        up one by one, with the same deviations."""
+        t = 2**31
+        coords = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.1, 0.2, 0.3]])
+        g = ExtremumGraph(t, 2, np.arange(3), np.zeros(3), np.zeros(3), np.zeros(3), coords)
+        tvg = Tveg([g], [], ScoreWeights())
+        a, b, saddle = (make_node_id(t, row) for row in range(3))
+        tracks = [Track(nodes=[(t, a), (t, b), (t, a)]), Track(nodes=[(t, b), (t, b)])]
+        assert _deviations(tracks, tvg) == [5.0, 0.0]
+        assert least_deviation(tracks, tvg, 2) == tracks[::-1]
+        with pytest.raises(ValueError, match=f"^no maximum {saddle} at time {t}$"):
+            least_deviation(tracks + [Track(nodes=[(t, a), (t, saddle)])], tvg, 1)
+
+    def test_first_bad_node_in_track_order(self, tvg):
+        g = tvg.graphs[0]
+        good = (g.t, int(g.maxima[0]))
+        saddle = (g.t, int(g.saddles[0]))
+        outside = (99, make_node_id(99, 0))
+        tracks = [Track(nodes=[good, outside]), Track(nodes=[saddle, good])]
+        with pytest.raises(ValueError, match="^no graph at time 99$"):
+            least_deviation(tracks, tvg, 1)
+        with pytest.raises(ValueError, match=f"^no maximum {saddle[1]} at time {g.t}$"):
+            least_deviation(tracks[::-1], tvg, 1)
 
 
 class TestRegionSelection:

@@ -1,4 +1,4 @@
-"""Track extraction, deviation, and overlap refinement."""
+"""Track extraction, length, deviation, and overlap refinement."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
+from tvex.query import _deviations
 from tvex.temporal import FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
 import refine_oracle
+import tracks_oracle
 from conftest import linked, maxima_graph, random_maxima
 
 
@@ -47,9 +49,21 @@ class TestTrackDataclass:
     def test_empty_track_length(self):
         assert Track(nodes=[]).length == 0
 
+    def test_length_of_unsorted_nodes(self):
+        """Loaded tracks may list their nodes in any order, times repeated."""
+        nodes = [(4, nid(4, 1)), (1, nid(1, 0)), (2, nid(2, 0)), (4, nid(4, 0)), (1, nid(1, 3))]
+        for order in (nodes, nodes[::-1], sorted(nodes)):
+            assert Track(nodes=order).length == 4
+        assert Track(nodes=[(3, nid(3, 0))]).length == 1
+
+    @given(st.lists(st.tuples(st.integers(-3, 6), st.integers(0, 3)), max_size=12))
+    def test_length_matches_reference(self, pairs):
+        tr = Track(nodes=[(t, nid(t, i)) for t, i in pairs])
+        assert tr.length == tracks_oracle.length(tr)
+
     def test_deviation_of_short_track(self):
         tvg = toy_tveg([])
-        assert Track(nodes=[(1, nid(1, 0))]).deviation(tvg) == 0.0
+        assert _deviations([Track(nodes=[(1, nid(1, 0))]), Track(nodes=[])], tvg) == [0.0, 0.0]
 
     def test_deviation_mean_step(self, rng):
         maxima = {1: random_maxima(rng, 1, 1), 2: random_maxima(rng, 1, 2)}
@@ -57,7 +71,7 @@ class TestTrackDataclass:
         tvg = toy_tveg([], graphs=graphs)
         tr = Track(nodes=[(1, int(maxima[1].maxima[0])), (2, int(maxima[2].maxima[0]))])
         expect = float(np.linalg.norm(maxima[2].coords[0] - maxima[1].coords[0]))
-        assert tr.deviation(tvg) == pytest.approx(expect)
+        assert _deviations([tr], tvg) == [expect] == [tracks_oracle.deviation(tr, tvg)]
 
 
 class TestSimplePaths:
@@ -112,6 +126,34 @@ class TestSimplePaths:
         )
         tracks = extract_tracks(tvg, mode="simple-paths")
         assert [tr.length for tr in tracks] == [3, 2]
+
+
+@st.composite
+def arc_graphs(draw):
+    """Temporal arcs t -> t + 1 over up to six steps of up to five maxima,
+    any subset of the pairs of each step pair (any in- and out-degree),
+    starting at step 0 to 3."""
+    t0, steps = draw(st.integers(0, 3)), draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=steps, max_size=steps))
+    arcs = []
+    for t, (n0, n1) in enumerate(zip(sizes, sizes[1:]), start=t0):
+        pairs = draw(st.sets(st.tuples(st.integers(0, n0 - 1), st.integers(0, n1 - 1))))
+        arcs += [(nid(t, i), nid(t + 1, j), 0.5) for i, j in sorted(pairs)]
+    return arcs
+
+
+class TestSimplePathsMatchReference:
+    """Times from the first node and the node count as length give the
+    paths of one `split_node_id` per node (`tests/tracks_oracle.py`)."""
+
+    @given(arc_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_arc_graphs(self, arcs):
+        tvg = toy_tveg(arcs)
+        want = tracks_oracle.simple_paths(tvg.all_arcs())
+        got = extract_tracks(tvg, mode="simple-paths")
+        assert got == want
+        assert [tr.length for tr in got] == [tracks_oracle.length(tr) for tr in want]
 
 
 class TestComponents:
