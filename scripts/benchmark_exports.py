@@ -8,8 +8,11 @@ volume is, computes its tveg at theta = 0 (about 4,200 maxima per step
 at 48^3) and extracts its simple-path tracks. It first checks that
 `export_tracks_json` writes the bytes of `canonical_json(tracks_to_dict(...))`,
 with the dict tree of the oracle in `tests/linking_oracle.py`, for the
-tracks of both modes, and that `least_deviation` ranks the tracks of
-both modes as the per-track reference in `tests/tracks_oracle.py` does.
+tracks of both modes, that `least_deviation` ranks the tracks of both
+modes as the per-track reference in `tests/tracks_oracle.py` does, and
+that `export_tracks_geometry` writes the bytes of the per-point writer in
+`tests/vtk_oracle.py` for the tracks of both modes and the 10 paths of
+least deviation, without and with spatial arcs.
 It then times the track queries: `extract_tracks` in both modes,
 `least_deviation` of the 10 paths of least deviation and the length
 threshold of the paths that span both steps. Then it times
@@ -43,6 +46,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from linking_oracle import canonical_json, tracks_to_dict
 from tracks_oracle import least_deviation as least_deviation_reference
+import vtk_oracle
 from tvex import io as tvio
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
@@ -85,6 +89,23 @@ def check_least_deviation(tveg):
             want = least_deviation_reference(tracks, tveg, n)
             if list(map(id, least_deviation(tracks, tveg, n))) != list(map(id, want)):
                 sys.exit(f"least_deviation differs from the per-track reference ({mode}, n={n})")
+
+
+def check_vtk(tveg, tmp):
+    """Exit unless the VTK file of the tracks of each mode and of the
+    sparse paths, without and with spatial arcs, is the oracle's."""
+    got, want = os.path.join(tmp, "check.vtk"), os.path.join(tmp, "oracle.vtk")
+    paths = extract_tracks(tveg, "simple-paths")
+    cases = {"simple-paths": paths, "components": extract_tracks(tveg, "components"),
+             "sparse": least_deviation(paths, tveg, SPARSE)}
+    for name, tracks in cases.items():
+        for spatial in (False, True):
+            tvio.export_tracks_geometry(tracks, tveg, got, include_spatial=spatial)
+            vtk_oracle.export_tracks_geometry(tracks, tveg, want, include_spatial=spatial)
+            with open(got, "rb") as a, open(want, "rb") as b:
+                if a.read() != b.read():
+                    sys.exit(f"export_tracks_geometry differs from the oracle writer "
+                             f"({name}, spatial={spatial})")
 
 
 def track_queries(tracks, tveg):
@@ -142,6 +163,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         check_tracks_json(tveg, tmp)
         check_least_deviation(tveg)
+        check_vtk(tveg, tmp)
         for name, run in track_queries(tracks, tveg).items():
             run()
             results[name] = summary(name, timed(lambda i: run(), args.repeats))

@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gauss8", action="store_true", help="eight moving Gaussians")
     g.add_argument("--dims", type=_parse_dims, default=(32, 32, 32))
     g.add_argument("--steps", type=int, default=50)
-    g.add_argument("--amplitude", type=float, default=1.0)
-    g.add_argument("--sigma", type=float, default=0.08)
+    g.add_argument("--amplitude", type=_finite, default=1.0)
+    g.add_argument("--sigma", type=_finite, default=0.08)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen)
 

@@ -67,12 +67,15 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
     seg = morse.morse_step(f, theta)
     n_max = len(seg.maxima)
     vertex = np.concatenate([seg.maxima, seg.saddles])
-    value = f.values[vertex]
+    # value and pers take + 0.0, which turns -0.0 into 0.0 and keeps every
+    # other value: JSON reads "-0" back as the integer 0, so a -0.0 would
+    # not round-trip through tveg.json
+    value = f.values[vertex] + 0.0
     sad_rows = np.arange(n_max, len(vertex), dtype=np.int64)
 
     sval = value[n_max:]
     sad_pers = np.minimum(value[seg.pairs[:, 0]] - sval, value[seg.pairs[:, 1]] - sval)
-    pers = np.concatenate([seg.pers, sad_pers])
+    pers = np.concatenate([seg.pers, sad_pers]) + 0.0
 
     arcs = np.concatenate(
         [np.column_stack([seg.pairs[:, k], sad_rows]) for k in (0, 1)]

@@ -261,8 +261,8 @@ def generate_gauss8(
     """
     if steps % 2 != 0 or steps < 2:
         raise ValueError(f"steps must be even and >= 2, got {steps}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     nx, ny, nz = dims
     origin = np.array([-1.0, -1.0, -1.0])
     spacing = np.array(

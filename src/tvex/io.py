@@ -77,12 +77,13 @@ _NODE = (
 _NODE_ROWS = 256  # node rows rendered at a time
 
 
-def _texts(cols: np.ndarray) -> list[list[str]]:
-    """The "%.17g" text of each value of the 2-d float64 array `cols`, one
-    list per row. Each distinct bit pattern is rendered once, in one fill,
-    so -0.0 still prints as "-0"."""
+def _texts(cols: np.ndarray, fmt: str = "%.17g") -> list:
+    """The `fmt` text of each value of the float64 array `cols`, as nested
+    lists of its shape. Each distinct bit pattern is rendered once, in one
+    fill, so -0.0 still prints as "-0"."""
     bits, inverse = np.unique(cols.view(np.int64), return_inverse=True)
-    texts = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(), object)
+    values = tuple(bits.view(np.float64).tolist())
+    texts = np.array(((fmt + " ") * len(values) % values).split(), object)
     return texts[inverse.reshape(cols.shape)].tolist()  # the inverse's shape varies by numpy
 
 
@@ -359,18 +360,18 @@ def _track(tr, where: str) -> Track:
     return Track(nodes=list(map(tuple, tr["nodes"])), arcs=list(map(tuple, tr["arcs"])))
 
 
-def _event_codes(tveg: Tveg) -> dict[tuple[int, int], int]:
-    """Per-(t, node) event code: 1 merge, 2 split, 3 deletion, 4 generation.
+def _event_codes(tveg: Tveg) -> dict[int, int]:
+    """Per node id, its event code: 1 merge, 2 split, 3 deletion, 4 generation.
 
-    First match in that order wins when a node participates in several.
+    First match in that order wins when a node participates in several:
+    the kinds are entered from the last, each over those after it. Every
+    event is recorded at its node's step, so the node id alone keys it.
     """
-    ev, codes = tveg.events, {}
-    for code, records in ((1, ev.merges), (2, ev.splits)):
-        for e in records:
-            codes.setdefault((e["time"], e["node"]), code)
-    for code, records in ((3, ev.deletions), (4, ev.generations)):
-        for n, t in records:
-            codes.setdefault((t, n), code)
+    ev = tveg.events
+    codes = {n: 4 for n, _ in ev.generations}
+    codes.update({n: 3 for n, _ in ev.deletions})
+    codes.update({e["node"]: 2 for e in ev.splits})
+    codes.update({e["node"]: 1 for e in ev.merges})
     return codes
 
 
@@ -389,93 +390,117 @@ def export_tracks_geometry(
     not overlap. Point scalars: time index, track id, event code. With
     `include_spatial`, each track maximum also gets a line to each of
     its saddles. Points are each track's nodes, then its saddles; lines
-    are each track's arcs, then its spatial lines. Only the nodes the
-    points use are rendered, each once, in one fill per step, and a
-    node's text is reused by every point of that node.
+    are each track's arcs, then its spatial lines.
+
+    Each step the tracks touch only selects its rows (`_step_rows`). The
+    rows of all steps are rendered once per file (`_node_texts`), so a
+    maximum's point, time and event texts and its saddles' joined point
+    text are built once, however many points use them; each point of it
+    then adds its spatial lines in one fill and its saddles' scalars as
+    repeated texts.
     """
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
-    codes = _event_codes(tveg)
     held: dict[int, set[int]] = defaultdict(set)  # per step, the ids of its maxima the tracks hold
     for tr in tracks:
         for t, mid in tr.nodes:
             held[t].add(mid)
-    steps = {t: _step_points(tveg.graph_at(t), ids, z_scale, slab_height, include_spatial)
-             for t, ids in held.items()}
-    points: list[str] = []  # each point's text
-    # each point's scalars: time index, track id, event code
-    times: list[int] = []
-    track_ids: list[int] = []
-    events: list[int] = []
-    lines: list[int] = []  # the point indices of each line, flat
+    steps = [_step_rows(tveg.graph_at(t), ids, include_spatial) for t, ids in held.items()]
+    point, saddles = _node_texts(steps, list(held), z_scale, slab_height, _event_codes(tveg))
 
+    points: list[str] = []  # the text of each point, or of a node's saddles
+    lines: list[str] = []  # the text of each line, or of a node's spatial lines
+    times: list[str] = []  # the scalars' texts, each one point's or one node's saddles'
+    track_ids: list[str] = []
+    events: list[str] = []
+    n = m = 0  # points and lines so far
     for track_id, tr in enumerate(tracks):
-        start = len(points)
+        start, nodes, arcs = n, tr.nodes, tr.arcs
         index: dict[int, int] = {}  # node id -> its point
-        for t, mid in tr.nodes:
-            index[mid] = len(points)
-            points.append(steps[t][0][mid])
-            times.append(t)
-            events.append(codes.get((t, mid), 0))
-        for a, b in tr.arcs:
-            lines += index[a], index[b]
+        for t, mid in nodes:
+            index[mid] = n
+            n += 1
+            text, time_text, event_text = point[mid]
+            points.append(text)
+            times.append(time_text)
+            events.append(event_text)
+        for a, b in arcs:
+            lines.append("2 %d %d\n" % (index[a], index[b]))
+        m += len(arcs)
         if include_spatial:
-            for t, mid in tr.nodes:
-                _, first, ends = steps[t]
-                row = split_node_id(mid)[1]
-                lo, hi = first[row], first[row + 1]
-                n = len(points)
-                lines += chain.from_iterable(zip(repeat(index[mid]), range(n, n + hi - lo)))
-                points += ends[lo:hi]
-                times += repeat(t, hi - lo)
-                events += repeat(0, hi - lo)
-        track_ids += repeat(track_id, len(points) - start)
+            for t, mid in nodes:
+                text, c = saddles[mid]
+                points.append(text)
+                lines.append(("2 %d %%d\n" % index[mid]) * c % tuple(range(n, n + c)))
+                times.append(("%d\n" % t) * c)
+                events.append("0\n" * c)
+                n += c
+                m += c
+        track_ids.append(("%d\n" % track_id) * (n - start))
 
-    n, m = len(points), len(lines) // 2
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ntvex tracks\nASCII\nDATASET POLYDATA\n"
                  f"POINTS {n} float\n")
-        fh.writelines(points)
+        fh.write("".join(points))
         fh.write(f"LINES {m} {3 * m}\n")
-        fh.write("2 %d %d\n" * m % tuple(lines))
+        fh.write("".join(lines))
         fh.write(f"POINT_DATA {n}\n")
         for name, column in zip(("time_index", "track_id", "event_code"), (times, track_ids, events)):
             fh.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
-            fh.write("%d\n" * n % tuple(column))
+            fh.write("".join(column))
 
 
-def _step_points(g: ExtremumGraph, ids: set[int], z_scale: float, slab_height: float,
-                 spatial: bool) -> tuple[dict[int, str], list[int], list[str]]:
-    """The point text "x y z'\\n", z' = z * z_scale + t * slab_height, of
-    each node of step t that the points use, rendered in one fill: the
-    maxima `ids` and, if `spatial`, their saddles. Returns those texts by
-    node id; then, if `spatial`, the bounds first[r]:first[r + 1] of
-    maximum row r's arcs among the maxima's arcs (sorted by maximum) and
-    the text of each of those arcs' saddle. Raises ValueError unless every
-    id is a maximum of the step."""
+def _step_rows(g: ExtremumGraph, ids: set[int],
+               spatial: bool) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:
+    """The rows of `g` the points use, in row order: the maxima `ids`,
+    then, if `spatial`, the saddles of their arcs. Returns the ids in
+    order, the rows' coordinates and, if `spatial`, the row among them of
+    each of those arcs' saddle (the arcs sorted by maximum) and the
+    bounds first[i]:first[i + 1] of the i-th maximum's arcs. Raises
+    ValueError unless every id is a maximum of the step."""
     t, base = g.t, make_node_id(g.t, 0)
     for mid in (min(ids), max(ids)):
         if not base <= mid < base + g.n_max:
             raise ValueError(f"no maximum {mid} at time {t}")
-    used = np.zeros(len(g.value), bool)
-    used[np.fromiter(ids, np.int64, len(ids)) - base] = True
-    if spatial:
-        m, s = g.arcs.T
-        held = used[m]
-        m, s = m[held], s[held]  # the arcs of the maxima `ids`
-        used[s] = True
-    rows = np.flatnonzero(used)
-    lift = t * slab_height
-    x, y, z = g.coords[rows].T.tolist()
-    lifted = [v * z_scale + lift for v in z]
-    text = "%.9g %.9g %.9g\n" * len(x) % tuple(chain.from_iterable(zip(x, y, lifted)))
-    lines = text.splitlines(keepends=True)  # in row order, so the maxima's first
-    maxima = dict(zip(sorted(ids), lines))
+    maxima = sorted(ids)
+    rows = np.array(maxima) - base
     if not spatial:
-        return maxima, [], []
-    first = np.searchsorted(m, np.arange(g.n_max + 1))
-    line = np.cumsum(used) - 1  # each used row's line
-    return maxima, first.tolist(), list(map(lines.__getitem__, line[s].tolist()))
+        return maxima, g.coords.take(rows, 0), rows[:0], []
+    used = np.zeros(len(g.value), bool)
+    used[rows] = True
+    m, s = g.arcs[:, 0], g.arcs[:, 1]
+    held = used[m]
+    m, s = m[held], s[held]  # the arcs of the maxima `ids`
+    used[s] = True
+    first = m.searchsorted(rows).tolist() + [len(m)]
+    rows = used.nonzero()[0]
+    return maxima, g.coords.take(rows, 0), rows.searchsorted(s), first
+
+
+def _node_texts(steps: list, ts: list[int], z_scale: float, slab_height: float,
+                codes: dict[int, int]) -> tuple[dict, dict]:
+    """The texts of the maxima of `steps`, the `_step_rows` of steps `ts`,
+    from one render of all their rows, z' = z * z_scale + t * slab_height:
+    each distinct x, y and z' once, then every row's text in one fill.
+    Returns, by maximum id, its point, time and event texts, and its
+    saddles' point texts joined, with their count."""
+    sizes = [len(c) for _, c, _, _ in steps]
+    coords = np.concatenate([c for _, c, _, _ in steps] or [np.empty((0, 3))])
+    coords[:, 2] *= z_scale
+    coords[:, 2] += np.repeat([t * slab_height for t in ts], sizes)
+    texts = ("%s %s %s\n" * len(coords) % tuple(_texts(coords.ravel(), "%.9g"))).splitlines(True)
+    row_texts = np.array(texts, object)
+    point: dict[int, tuple[str, str, str]] = {}
+    saddles: dict[int, tuple[str, int]] = {}
+    at = 0  # the step's first row
+    for (maxima, _, saddle_rows, first), size, t in zip(steps, sizes, ts):
+        point.update(zip(maxima, zip(texts[at:at + len(maxima)], repeat("%d\n" % t),
+                                     ["%d\n" % codes.get(mid, 0) for mid in maxima])))
+        ends = row_texts.take(saddle_rows + at).tolist()  # each arc's saddle text
+        for mid, lo, hi in zip(maxima, first, first[1:]):
+            saddles[mid] = "".join(ends[lo:hi]), hi - lo
+        at += size
+    return point, saddles
 
 
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:

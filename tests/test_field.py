@@ -1,5 +1,6 @@
 """Field container, series I/O, and the synthetic Gauss8 generator."""
 
+import math
 import os
 import threading
 import weakref
@@ -242,6 +243,13 @@ class TestGauss8:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             generate_gauss8((8, 8, 8), steps=4, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        """An infinite sigma would make every voxel the sum of the eight
+        amplitudes, a constant series."""
+        with pytest.raises(ValueError, match=f"^sigma must be positive and finite, got {sigma}$"):
+            generate_gauss8((6, 6, 6), steps=2, sigma=sigma)
 
     def test_time_reversal_exact(self):
         series = generate_gauss8((10, 10, 10), steps=6)

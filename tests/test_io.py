@@ -12,7 +12,7 @@ import pytest
 import linking_oracle as oracle
 from tvex import io as tvio
 from tvex.cli import main
-from tvex.field import FieldSeries, generate_gauss8, load_series, save_series
+from tvex.field import FieldSeries, ScalarField3D, generate_gauss8, load_series, save_series
 from tvex.pipeline import compute_tveg, resolve_theta
 from tvex.query import events_in_window, least_deviation, track_neighborhood, tracks_longer_than
 from tvex.temporal import ScoreWeights
@@ -528,6 +528,27 @@ class TestGeometryExport:
         err = capsys.readouterr().err
         assert f"argument {option}: must be a finite number, got {value!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, field", [
+        ([-1, -1, -0.0, -1, -1, -0.0, -1, -1], '"value":0,'),
+        ([5, 0.0, -0.0, -1, -1, -1, -1, -1], '"pers":0,'),
+    ], ids=["maxima of value -0.0", "a maximum of pers -0.0"])
+    def test_signed_zeros_round_trip(self, tmp_path, values, field):
+        """JSON reads "-0" back as the integer 0, so a node value or pers of
+        -0.0 is stored as 0.0 and export -> load -> export is byte-identical.
+        In the second series the -0.0 voxel outranks the 0.0 voxel beside
+        it (equal values, greater voxel id), a saddle of value 0.0."""
+        a = np.array(values, float)
+        series = FieldSeries([ScalarField3D((8, 1, 1), np.zeros(3), np.ones(3), a.copy(), t)
+                              for t in (1, 2)])
+        tvg = compute_tveg(series, 0.0, ScoreWeights())
+        p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        tvio.export_tveg_json(tvg, p1)
+        tvio.export_tveg_json(tvio.load_tveg_json(p1), p2)
+        text = open(p1).read()
+        assert text.count(field) >= 2 and "-0" not in text
+        assert_same_text(open(p1, "rb").read(), open(p2, "rb").read())
+
 
 class TestSegmentationExport:
     def test_raw_roundtrip(self, rng, tmp_path):
@@ -1198,6 +1219,20 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {msg}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("option", ["--sigma", "--amplitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_gauss8_parameter_is_named(self, tmp_path, capsys, monkeypatch,
+                                                   option, value):
+        """An infinite sigma would write a constant series; each non-finite
+        value exits 2 before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--gauss8", "--dims", "6", "--steps", "2", f"{option}={value}", "-o", "g"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"tvex gen: error: argument {option}: must be a finite number, got {value!r}")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(

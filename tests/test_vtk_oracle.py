@@ -1,5 +1,5 @@
-"""The one-point-table VTK writer against the reference writer in
-`vtk_oracle`, byte for byte."""
+"""The VTK writer, which renders each distinct coordinate once per file,
+against the per-point reference writer in `vtk_oracle`, byte for byte."""
 
 from collections import Counter
 from itertools import combinations
@@ -12,11 +12,11 @@ from hypothesis.extra.numpy import arrays
 
 import vtk_oracle as oracle
 from tvex import io as tvio
-from tvex.exgraph import make_node_id
+from tvex.exgraph import ExtremumGraph, make_node_id
 from tvex.field import FieldSeries, ScalarField3D
 from tvex.pipeline import compute_tveg
 from tvex.query import least_deviation
-from tvex.temporal import ScoreWeights
+from tvex.temporal import FilterMeta, ScoreWeights, Tveg
 from tvex.tracks import Track, extract_tracks
 
 from conftest import assert_same_text
@@ -78,6 +78,20 @@ def saddle_sharing(tracks, tveg) -> tuple[bool, bool]:
                 same |= i == j and m != n
                 other |= i != j
     return same, other
+
+
+def hand_built_tveg(ts) -> Tveg:
+    """Steps `ts` of three maxima and two saddles each, joined by no
+    temporal arcs (so every maximum is deleted and generated), on
+    coordinates where -0.0 and 0.0 share a step and 0.1 sits beside the
+    next float up, which prints the same at %.9g."""
+    up = np.nextafter(0.1, 1.0)
+    coords = np.array([[-0.0, 0.1, -0.0], [0.0, up, 0.0], [0.1, -0.0, up],
+                       [-0.0, up, 0.1], [0.0, 0.0, -0.0]])
+    arcs = np.array([[0, 3], [1, 3], [1, 4], [2, 4]])
+    graphs = [ExtremumGraph(t, 3, np.arange(5), np.zeros(5), np.zeros(5), np.zeros(5),
+                            coords.copy(), arcs=arcs.copy()) for t in ts]
+    return Tveg(graphs, [([], FilterMeta(0.0, 0.0, 0.0))] * (len(ts) - 1), ScoreWeights())
 
 
 @st.composite
@@ -156,3 +170,52 @@ class TestWriterMatchesOracle:
         t, bad = nodes[-1]
         with pytest.raises(ValueError, match=f"^no maximum {bad} at time {t}$"):
             tvio.export_tracks_geometry([Track(nodes=nodes)], tveg, str(tmp_path / "x.vtk"))
+
+
+class TestOncePerFileRender:
+    """Cases aimed at rendering each distinct value once per file and
+    building each node's texts once."""
+
+    def test_signed_zeros_and_values_that_print_alike(self, tmp_path):
+        """-0.0 and 0.0 are distinct bit patterns and print apart; 0.1 and
+        the next float up print alike. Steps -1 and 0 lift z by -0.0 when
+        the slab is flat, so a -0.0 z stays -0.0 there."""
+        tveg = hand_built_tveg((-1, 0))
+        ids = [make_node_id(t, r) for t in (-1, 0) for r in range(3)]
+        tracks = [Track(nodes=[(i >> 32, i) for i in ids])]
+        flat = assert_same_vtk(tracks, tveg, tmp_path)[-1]  # z_scale 1, slab 0, spatial
+        points = flat.split("POINTS 14 float\n")[1].split("LINES")[0].splitlines()
+        assert points[:4] == ["-0 0.1 -0", "0 0.1 0", "0.1 -0 0.1", "-0 0.1 0"]
+        assert points[8:10] == ["0 0 -0"] * 2 and points[12:] == ["0 0 0"] * 2  # saddle row 4
+
+    def test_tracks_touch_steps_one_and_three_of_three(self, tmp_path):
+        tveg = hand_built_tveg((1, 2, 3))
+        a, b, c = make_node_id(1, 0), make_node_id(3, 2), make_node_id(3, 0)
+        tracks = [Track(nodes=[(3, b), (1, a)], arcs=[(a, b)]), Track(nodes=[(3, c)])]
+        text = assert_same_vtk(tracks, tveg, tmp_path)[1]
+        assert "POINTS 6 float\n" in text
+        assert "SCALARS time_index int 1\nLOOKUP_TABLE default\n3\n1\n3\n1\n3\n3\n" in text
+
+    def test_node_repeated_in_a_track_and_shared_by_two(self, tmp_path):
+        tveg = hand_built_tveg((1, 2))
+        a, b = make_node_id(1, 1), make_node_id(2, 1)
+        tracks = [Track(nodes=[(1, a), (2, b), (1, a)], arcs=[(a, b)]), Track(nodes=[(1, a)])]
+        text = assert_same_vtk(tracks, tveg, tmp_path)[1]
+        # a and b are rows 1, of two saddles each: 3 + 6 points, then 1 + 2
+        assert "POINTS 12 float\n" in text
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([(1, 1 << 32), (9, 9 << 32), (1, 1 << 32 | 3)], "no maximum 4294967299 at time 1"),
+        ([(1, 1 << 32 | 3), (9, 9 << 32)], "no maximum 4294967299 at time 1"),
+        ([(9, 9 << 32), (1, 1 << 32 | 3)], "no graph at time 9"),
+    ], ids=["bad maximum after the missing step", "bad maximum first", "missing step first"])
+    def test_first_touched_step_names_the_error(self, tmp_path, nodes, message):
+        """The steps are checked in the order the tracks first touch them,
+        each on its least and greatest id, before anything is written."""
+        tveg = hand_built_tveg((1, 2, 3))
+        out = tmp_path / "x.vtk"
+        for spatial in (False, True):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                tvio.export_tracks_geometry([Track(nodes=nodes)], tveg, str(out),
+                                            include_spatial=spatial)
+        assert not out.exists()
