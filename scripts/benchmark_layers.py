@@ -1,0 +1,299 @@
+#!/usr/bin/env python3
+"""Benchmark each tvex layer on one fixed case matrix.
+
+- morse: `morse_step`, then its stages one at a time in its order, on
+  the first step of gauss8-64 (smooth 64^3, theta = 0.05 r), noisy-24
+  (24^3 plus N(0, 0.05^2) noise, rounded to float32 as a `<f4` volume is,
+  theta = 0) and noisy-64-f64 (the same noise at 64^3, left in float64,
+  so the voxel order takes the stable argsort; theta = 0).
+- linking: `link_pair` with the events of its arcs, then its four stages
+  one at a time, on synthetic pairs of 150, 600, 1500 and 3000 maxima,
+  plus the `tracemalloc` peak of one `compute_scores`.
+- exports: the track queries, the `tveg.json` writer, and the tracks JSON
+  and VTK writers (without and with spatial arcs) of all simple paths and,
+  as `sparse_`, of the 10 of least deviation, on the noisy Gauss8 48^3
+  series of two steps (noise from `default_rng(48)`, float32, theta = 0,
+  about 4,200 maxima a step). Each writer run writes a new file.
+
+Before timing anything it checks the staged Morse pass against
+`morse_step`, the staged linking chain against `link_pair`, the tracks
+file against the dict writer of `tests/linking_oracle.py`, the
+least-deviation ranking against `tests/tracks_oracle.py`, and the VTK
+file of both modes' tracks and the sparse paths, without and with
+spatial arcs, against `tests/vtk_oracle.py`; it exits nonzero, naming the
+check, at the first disagreement. Each figure is the best and the median
+of `--repeats` runs after one warm-up run, printed and written to
+BENCH_layers.json in the current directory.
+
+Usage:
+    python3 scripts/benchmark_layers.py [--repeats 5]
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tempfile
+import time
+import tracemalloc
+from statistics import median
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+
+from linking_oracle import canonical_json, tracks_to_dict
+from tracks_oracle import least_deviation as least_deviation_reference
+import vtk_oracle
+from tvex import io as tvio, morse, temporal
+from tvex.exgraph import ExtremumGraph
+from tvex.field import generate_gauss8
+from tvex.pipeline import compute_tveg
+from tvex.query import least_deviation, tracks_longer_than
+from tvex.temporal import ScoreWeights, link_pair
+from tvex.tracks import extract_tracks
+
+OUT = "BENCH_layers.json"
+# name: (grid edge, noise sd, theta as a fraction of the value range,
+# whether the noisy values are rounded to float32)
+MORSE = {
+    "gauss8-64": (64, 0.0, 0.05, True),
+    "noisy-24": (24, 0.05, 0.0, True),
+    "noisy-64-f64": (64, 0.05, 0.0, False),
+}
+MORSE_STAGES = ("vertex_order", "segmentation", "saddles", "simplify")
+LINK_SIZES = (150, 600, 1500, 3000)
+LINK_STAGES = ("scores", "filter", "z_removal", "events")
+EDGE, STEPS, NOISE, SEED = 48, 2, 0.05, 48  # the series of the exports
+SPARSE = 10  # tracks of the sparse export
+
+
+def noisy_gauss8(edge, noise, seed, single=True):
+    """The Gauss8 series of edge^3 voxels and two steps plus N(0, noise^2)
+    per voxel from `default_rng(seed)`, rounded to float32 if `single`."""
+    series = generate_gauss8((edge, edge, edge), STEPS)
+    rng = np.random.default_rng(seed)
+    for f in series.fields if noise else ():
+        noisy = f.values + rng.normal(0.0, noise, f.num_voxels)
+        f.values = noisy.astype(np.float32).astype(np.float64) if single else noisy
+    return series
+
+
+def stats(label, seconds):
+    """The best and the median of `seconds`, printed after `label`."""
+    best, middle = min(seconds), median(seconds)
+    print(f"{label}: best {best * 1000:.2f} ms, median {middle * 1000:.2f} ms")
+    return {"best_s": best, "median_s": middle}
+
+
+def timed(label, call, repeats):
+    """Best and median seconds of call(i), i = 0 .. repeats - 1, after a
+    warm-up call(-1)."""
+    call(-1)
+    seconds = []
+    for i in range(repeats):
+        t0 = time.perf_counter()
+        call(i)
+        seconds.append(time.perf_counter() - t0)
+    return stats(label, seconds)
+
+
+def staged(label, run, names, repeats):
+    """Best and median seconds of each stage over `repeats` calls of run(),
+    which returns its result and the seconds of each stage."""
+    runs = [run()[1] for _ in range(repeats)]
+    return {name: stats(f"{label} {name}", [r[i] for r in runs]) for i, name in enumerate(names)}
+
+
+def morse_case(name):
+    """The first step of the case's series and its theta."""
+    edge, noise, frac, single = MORSE[name]
+    f = noisy_gauss8(edge, noise, 0, single).fields[0]
+    return f, frac * float(np.ptp(f.values))
+
+
+def staged_morse(f, theta):
+    """`morse_step` one stage at a time: the raw and the simplified
+    segmentation, and the seconds of each stage."""
+    clock = [time.perf_counter()]
+    order = morse.vertex_order(f)
+    clock.append(time.perf_counter())
+    raw = morse.compute_segmentation(f, order)
+    clock.append(time.perf_counter())
+    raw = morse.compute_saddles(raw, order)
+    clock.append(time.perf_counter())
+    seg = morse.simplify(raw, theta, order[0])
+    clock.append(time.perf_counter())
+    return (raw, seg), np.diff(clock).tolist()
+
+
+def synthetic_pair(n):
+    """Graphs of n maxima and no saddles at steps 1 and 2, from `default_rng(0)`."""
+    rng = np.random.default_rng(0)
+    return tuple(ExtremumGraph(t, n, np.arange(n), coords=rng.uniform(-1.0, 1.0, (n, 3)),
+                               value=rng.uniform(0.5, 2.0, n), pers=rng.uniform(0.05, 1.0, n),
+                               eta=rng.uniform(0.1, 3.0, n)) for t in (1, 2))
+
+
+def linked(g0, g1, w):
+    """The work of one pair: `link_pair`, then the events of its arcs."""
+    arcs, _ = link_pair(g0, g1, w)
+    return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+
+
+def staged_link(g0, g1, w):
+    """`linked` one stage at a time: the arcs and events, and the seconds
+    of each stage."""
+    clock = [time.perf_counter()]
+    arcs = temporal.compute_scores(g0, g1, w)
+    clock.append(time.perf_counter())
+    arcs, _ = temporal.filter_scores(arcs)
+    clock.append(time.perf_counter())
+    arcs = temporal.remove_z_configurations(arcs)
+    clock.append(time.perf_counter())
+    ev = temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+    clock.append(time.perf_counter())
+    return (arcs, ev), np.diff(clock).tolist()
+
+
+def check_morse(cases):
+    """Exit unless the staged pass gives `morse_step`'s segmentation."""
+    for name, (f, theta) in cases.items():
+        seg, whole = staged_morse(f, theta)[0][1], morse.morse_step(f, theta)
+        if not all(np.array_equal(getattr(seg, k), getattr(whole, k))
+                   for k in ("labels", "maxima", "pers", "pairs", "saddles")):
+            sys.exit(f"staged Morse pass disagrees with morse_step ({name})")
+
+
+def check_linking(pairs, w):
+    """Exit unless the staged chain gives `link_pair`'s arcs and events."""
+    for n, (g0, g1) in pairs.items():
+        if staged_link(g0, g1, w)[0] != linked(g0, g1, w):
+            sys.exit(f"staged linking chain disagrees with link_pair (n={n})")
+
+
+def check_exports(tveg, tmp):
+    """Exit unless the tracks file of each mode is the oracle's text, the
+    least-deviation ranking of each mode (the sparse paths and the whole)
+    is the per-track reference's, and the VTK file of the tracks of each
+    mode and of the sparse paths, without and with spatial arcs, is the
+    oracle writer's."""
+    got, want = os.path.join(tmp, "check"), os.path.join(tmp, "oracle")
+    cases = {mode: extract_tracks(tveg, mode) for mode in ("simple-paths", "components")}
+    for mode, tracks in cases.items():
+        tvio.export_tracks_json(tracks, got)
+        with open(got) as fh:
+            if fh.read() != canonical_json(tracks_to_dict(tracks)):
+                sys.exit(f"export_tracks_json differs from the oracle writer ({mode})")
+        for n in (SPARSE, len(tracks) or 1):
+            ranked = least_deviation(tracks, tveg, n)
+            if list(map(id, ranked)) != list(map(id, least_deviation_reference(tracks, tveg, n))):
+                sys.exit(f"least_deviation differs from the per-track reference ({mode}, n={n})")
+    cases["sparse"] = least_deviation(cases["simple-paths"], tveg, SPARSE)
+    for name, tracks in cases.items():
+        for spatial in (False, True):
+            tvio.export_tracks_geometry(tracks, tveg, got, include_spatial=spatial)
+            vtk_oracle.export_tracks_geometry(tracks, tveg, want, include_spatial=spatial)
+            with open(got, "rb") as a, open(want, "rb") as b:
+                if a.read() != b.read():
+                    sys.exit(f"export_tracks_geometry differs from the oracle writer "
+                             f"({name}, spatial={spatial})")
+
+
+def bench_morse(name, f, theta, repeats):
+    (raw, seg), _ = staged_morse(f, theta)
+    return {"voxels": f.num_voxels, "theta": theta, "raw_maxima": len(raw.maxima),
+            "raw_saddles": len(raw.saddles), "kept_maxima": len(seg.maxima),
+            "morse_step": timed(f"{name} morse_step", lambda i: morse.morse_step(f, theta),
+                                repeats),
+            "stages": staged(name, lambda: staged_morse(f, theta), MORSE_STAGES, repeats)}
+
+
+def bench_linking(n, g0, g1, w, repeats):
+    arcs, ev = linked(g0, g1, w)
+    tracemalloc.start()
+    try:
+        temporal.compute_scores(g0, g1, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"arcs": len(arcs), "merges": len(ev.merges), "splits": len(ev.splits),
+            "link_pair": timed(f"n={n} link_pair", lambda i: linked(g0, g1, w), repeats),
+            "stages": staged(f"n={n}", lambda: staged_link(g0, g1, w), LINK_STAGES, repeats),
+            "scores_traced_peak_mb": peak / 1e6}
+
+
+def track_writers(tracks, tveg, prefix=""):
+    """The three timed writers of `tracks`, each a function of the path
+    it writes, by name."""
+    return {
+        prefix + "tracks_json": lambda path: tvio.export_tracks_json(tracks, path),
+        prefix + "vtk": lambda path: tvio.export_tracks_geometry(tracks, tveg, path),
+        prefix + "vtk_spatial": lambda path: tvio.export_tracks_geometry(
+            tracks, tveg, path, include_spatial=True),
+    }
+
+
+def bench_exports(tveg, tmp, repeats):
+    tracks = extract_tracks(tveg, "simple-paths")
+    sparse = least_deviation(tracks, tveg, SPARSE)
+    queries = {
+        "simple_paths": lambda: extract_tracks(tveg, "simple-paths"),
+        "components": lambda: extract_tracks(tveg, "components"),
+        "least_deviation": lambda: least_deviation(tracks, tveg, SPARSE),
+        "length_threshold": lambda: tracks_longer_than(tracks, STEPS),
+    }
+    writers = {"tveg_json": lambda path: tvio.export_tveg_json(tveg, path),
+               **track_writers(tracks, tveg), **track_writers(sparse, tveg, "sparse_")}
+    result = {
+        "series": {"dims": [EDGE] * 3, "steps": STEPS, "noise_sd": NOISE, "seed": SEED,
+                   "theta": tveg.theta, "maxima": [g.n_max for g in tveg.graphs],
+                   "nodes": [len(g.value) for g in tveg.graphs]},
+        "tracks": len(tracks), "track_nodes": sum(len(tr.nodes) for tr in tracks),
+        "sparse_tracks": len(sparse), "sparse_track_nodes": sum(len(tr.nodes) for tr in sparse),
+        "queries": {name: timed(name, lambda i: run(), repeats) for name, run in queries.items()},
+        "writers": {},
+    }
+    for name, write in writers.items():
+        path = os.path.join(tmp, name + ".%d")
+        result["writers"][name] = {**timed(name, lambda i: write(path % i), repeats),
+                                   "bytes": os.path.getsize(path % (repeats - 1))}
+    return result
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5, help="timed runs of each job")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    w = ScoreWeights()
+    cases = {name: morse_case(name) for name in MORSE}
+    pairs = {n: synthetic_pair(n) for n in LINK_SIZES}
+    tveg = compute_tveg(noisy_gauss8(EDGE, NOISE, SEED), 0.0, w)
+    with tempfile.TemporaryDirectory() as tmp:
+        check_morse(cases)
+        check_linking(pairs, w)
+        check_exports(tveg, tmp)
+        report = {
+            "repeats": args.repeats,
+            "morse": {name: bench_morse(name, f, theta, args.repeats)
+                      for name, (f, theta) in cases.items()},
+            "linking": {str(n): bench_linking(n, g0, g1, w, args.repeats)
+                        for n, (g0, g1) in pairs.items()},
+            "exports": bench_exports(tveg, tmp, args.repeats),
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "machine": platform.machine(), "cpus": os.cpu_count()},
+        }
+    with open(OUT, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,7 +46,7 @@ def _finite(text: str) -> float:
 
 def _parse_weights(text: str) -> ScoreWeights:
     try:
-        parts = [float(p) for p in text.split(",")]
+        parts = [float(p) + 0.0 for p in text.split(",")]  # -0.0 as 0.0
         if len(parts) != 4:
             raise ValueError("weights must be G,L1,L2,L3")
         return ScoreWeights(*parts)

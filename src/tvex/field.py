@@ -201,12 +201,12 @@ def load_series(manifest_path: str) -> FieldSeries:
         raise ValueError(f"{where}: 'steps': {exc}") from None
 
 
-def save_series(series: FieldSeries, out_dir: str, prefix: str = "vol") -> str:
+def save_series(series: FieldSeries, out_dir: str) -> str:
     """Write raw volumes plus a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     steps = []
     for f in series.fields:
-        name = f"{prefix}_{f.time_index:04d}.raw"
+        name = f"vol_{f.time_index:04d}.raw"
         f.values.astype("<f4").tofile(os.path.join(out_dir, name))
         steps.append({"t": f.time_index, "file": name})
     manifest = {

@@ -136,14 +136,14 @@ def _scalar(v, name: str, types=(int, float)):
 
 
 def _finite(v, name: str) -> float:
-    """v as a float if it is a finite number, else a TypeError."""
+    """v as a float (0.0 for -0.0) if it is a finite number, else a TypeError."""
     if not math.isfinite(_scalar(v, name)):
         raise TypeError(f"{name} must be a finite number, got {v!r}")
-    return float(v)
+    return float(v) + 0.0
 
 
 def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
-    """`values` as a finite `dtype` array of `shape`, or a TypeError naming `name`.
+    """`values` as a finite `dtype` array of `shape` (-0.0 as 0.0), or a TypeError naming `name`.
     The array is made without a forced dtype, so that numpy's kind tells
     the JSON types apart: "i" for integers, "f" once a float is among them,
     "U" for strings, "O" for null or an integer beyond 64 bits."""
@@ -157,7 +157,7 @@ def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
                         f"in the {np.dtype(dtype)} range, of shape {shape}")
     if a.dtype.kind == "f" and not np.isfinite(a).all():  # integers are finite
         raise TypeError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
-    return a.astype(dtype, copy=False)
+    return (a + 0.0).astype(dtype, copy=False) if kinds == "iuf" else a.astype(dtype, copy=False)
 
 
 def _graph_from_step(step: dict) -> ExtremumGraph:
@@ -291,7 +291,7 @@ def load_tveg_json(path: str) -> Tveg:
     graphs = list(map(_graph_from_step, doc["steps"]))
     links = _links_from_pairs(doc["temporal_arcs"], graphs)
     with _reading("weights"):
-        weights = ScoreWeights(*(float(_scalar(doc["weights"][k], f"'{k}'"))
+        weights = ScoreWeights(*(float(_scalar(doc["weights"][k], f"'{k}'")) + 0.0
                                  for k in ("G", "L1", "L2", "L3")))
     with _reading("theta"):
         theta = check_theta(float(_scalar(doc["theta"], "'theta'")), "'theta'", doc["theta"])

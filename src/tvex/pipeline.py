@@ -36,11 +36,11 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
 
 
 def check_theta(value: float, name: str, given) -> float:
-    """`value` if it is a finite number >= 0, else a ValueError that
-    names `name` and shows `given`, the text or JSON it was read from."""
+    """`value` (0.0 for -0.0) if it is a finite number >= 0, else a ValueError
+    that names `name` and shows `given`, the text or JSON it was read from."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {given!r}")
-    return value
+    return value + 0.0
 
 
 def build_graphs(series: FieldSeries, theta: float) -> list[ExtremumGraph]:

@@ -73,6 +73,48 @@ class TestTvegRoundtrip:
         assert [meta.tau for _, meta in back.links] == [meta.tau for _, meta in tvg.links]
 
 
+class TestSignedZeros:
+    """JSON reads "-0" back as the integer 0, so a -0.0 that enters as
+    theta, a weight or a loaded float is stored as 0.0: otherwise export ->
+    load -> export would not be byte-identical."""
+
+    @pytest.mark.parametrize("option, field", [
+        ("--theta=-0", '"theta":0,'), ("--theta=-0r", '"theta":0,'),
+        ("--weights=-0,0.5,0.25,0.25", '"G":0,'),
+    ])
+    def test_cli_options(self, tmp_path, option, field):
+        manifest = save_series(generate_gauss8((8, 8, 8), steps=4), str(tmp_path / "d"))
+        assert main(["tveg", "--manifest", manifest, option, "-o", str(tmp_path)]) == 0
+        path, again = tmp_path / "tveg.json", str(tmp_path / "again.json")
+        assert field in path.read_text()
+        tvio.export_tveg_json(tvio.load_tveg_json(str(path)), again)
+        assert_same_text(path.read_bytes(), open(again, "rb").read())
+
+    @pytest.mark.parametrize("keys, value", [
+        (("steps", 1, "nodes", 0, "pers"), -0.0),
+        (("steps", 1, "nodes", 0, "x", 0), -0.0),
+        (("temporal_arcs", 0, "arcs", 0, 2), -0.0),
+        (("temporal_arcs", 0, "filter", "mu"), -0.0),
+        (("theta",), -0.0),
+        (("weights",), {"G": -0.0, "L1": 0.5, "L2": 0.25, "L3": 0.25}),
+    ], ids=["pers", "x", "s", "mu", "theta", "weights"])
+    def test_loaded_values(self, tvg, tmp_path, keys, value):
+        path, once, twice = (str(tmp_path / name) for name in ("a.json", "b.json", "c.json"))
+        tvio.export_tveg_json(tvg, path)
+        doc = json.load(open(path))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert "-0.0" in open(path).read()
+        tvio.export_tveg_json(tvio.load_tveg_json(path), once)
+        tvio.export_tveg_json(tvio.load_tveg_json(once), twice)
+        assert not re.search(r"[:,\[]-0[,\]}]", open(once).read())
+        assert_same_text(open(once, "rb").read(), open(twice, "rb").read())
+
+
 class TestStreamingExport:
     """`export_tveg_json` writes the file as it renders it, one step's or
     one pair's text at a time."""
