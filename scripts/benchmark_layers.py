@@ -9,14 +9,16 @@
 - linking: `link_pair` with the events of its arcs, then its four stages
   one at a time, on synthetic pairs of 150, 600, 1500 and 3000 maxima,
   plus the `tracemalloc` peak of one `compute_scores`.
-- exports: the track queries, the `tveg.json` writer, and the tracks JSON
-  and VTK writers (without and with spatial arcs) of all simple paths and,
-  as `sparse_`, of the 10 of least deviation, on the noisy Gauss8 48^3
-  series of two steps (noise from `default_rng(48)`, float32, theta = 0,
-  about 4,200 maxima a step). Each writer run writes a new file.
+- exports: the track queries, the `tveg.json` writer and loader, and the
+  tracks JSON and VTK writers (without and with spatial arcs) of all simple
+  paths and, as `sparse_`, of the 10 of least deviation, on the noisy
+  Gauss8 48^3 series of two steps (noise from `default_rng(48)`, float32,
+  theta = 0, about 4,200 maxima a step). Each writer run writes a new file;
+  the loader reads the last `tveg.json` written.
 
 Before timing anything it checks the staged Morse pass against
-`morse_step`, the staged linking chain against `link_pair`, the tracks
+`morse_step`, the staged linking chain against `link_pair`, the loaded
+`tveg.json` against its own bytes when exported again, the tracks
 file against the dict writer of `tests/linking_oracle.py`, the
 least-deviation ranking against `tests/tracks_oracle.py`, and the VTK
 file of both modes' tracks and the sparse paths, without and with
@@ -175,12 +177,18 @@ def check_linking(pairs, w):
 
 
 def check_exports(tveg, tmp):
-    """Exit unless the tracks file of each mode is the oracle's text, the
+    """Exit unless the loaded `tveg.json` exports to the same bytes, the
+    tracks file of each mode is the oracle's text, the
     least-deviation ranking of each mode (the sparse paths and the whole)
     is the per-track reference's, and the VTK file of the tracks of each
     mode and of the sparse paths, without and with spatial arcs, is the
     oracle writer's."""
     got, want = os.path.join(tmp, "check"), os.path.join(tmp, "oracle")
+    tvio.export_tveg_json(tveg, got)
+    tvio.export_tveg_json(tvio.load_tveg_json(got), want)
+    with open(got, "rb") as a, open(want, "rb") as b:
+        if a.read() != b.read():
+            sys.exit("the loaded tveg.json exports to other bytes")
     cases = {mode: extract_tracks(tveg, mode) for mode in ("simple-paths", "components")}
     for mode, tracks in cases.items():
         tvio.export_tracks_json(tracks, got)
@@ -260,6 +268,8 @@ def bench_exports(tveg, tmp, repeats):
         path = os.path.join(tmp, name + ".%d")
         result["writers"][name] = {**timed(name, lambda i: write(path % i), repeats),
                                    "bytes": os.path.getsize(path % (repeats - 1))}
+    stored = os.path.join(tmp, "tveg_json.%d" % (repeats - 1))
+    result["load"] = timed("load", lambda i: tvio.load_tveg_json(stored), repeats)
     return result
 
 

@@ -188,7 +188,7 @@ def _run_query(tveg, q: dict, tracks_path) -> Iterable[str]:
             "maxima": sel.maxima,
             "saddles": sel.saddles,
             "spatial_arcs": sel.spatial_arcs,
-            "temporal_arcs": [[a.m0, a.m1, a.s] for a in sel.temporal_arcs],
+            "temporal_arcs": sel.temporal_arcs,
         })]
     if kind == "window-events":
         if window is None:

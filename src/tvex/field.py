@@ -80,6 +80,13 @@ class Volumes(Sequence):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def check_step_times(first: int, last: int) -> None:
+    """Refuse step times first..last outside [-2**31, 2**31), where node ids
+    t << 32 | row (`exgraph.make_node_id`) fit int64."""
+    if not -2**31 <= first <= last < 2**31:
+        raise ValueError(f"step times must lie in [-2**31, 2**31), got {first}..{last}")
+
+
 class FieldSeries:
     """Contiguous time series of fields sharing one grid: a list of
     fields in memory, or a manifest's `Volumes`. The grid and `times`
@@ -104,6 +111,7 @@ class FieldSeries:
         self.times = range(times[0], times[0] + len(times))
         if times != list(self.times):
             raise ValueError("time indices must increase by 1")
+        check_step_times(self.times[0], self.times[-1])
 
     def __len__(self) -> int:
         return len(self.fields)

@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat, zip_longest
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -144,20 +144,22 @@ def _finite(v, name: str) -> float:
 
 def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
     """`values` as a finite `dtype` array of `shape` (-0.0 as 0.0), or a TypeError naming `name`.
-    The array is made without a forced dtype, so that numpy's kind tells
-    the JSON types apart: "i" for integers, "f" once a float is among them,
-    "U" for strings, "O" for null or an integer beyond 64 bits."""
+    Every value must be a JSON integer, or for float64 an integer or a float;
+    each value's type is checked, since numpy reads a string as its number
+    and true or false as 1 or 0."""
+    types = {int} if dtype == np.int64 else {int, float}
     try:
-        a = np.array(values) if math.prod(shape) else np.empty(shape, dtype)
-    except ValueError:  # lists of unequal lengths
+        a = np.array(values, dtype) if math.prod(shape) else np.empty(shape, dtype)
+    except (TypeError, ValueError, OverflowError):  # no number, unequal lengths, out of range
         a = None
-    kinds = "i" if dtype == np.int64 else "iuf"
-    if a is None or a.shape != shape or a.dtype.kind not in kinds:
-        raise TypeError(f"{name} must be {'integers' if kinds == 'i' else 'numbers'} "
+    if a is None or a.shape != shape or not {*map(type, chain.from_iterable(values))} <= types:
+        raise TypeError(f"{name} must be {'integers' if dtype == np.int64 else 'numbers'} "
                         f"in the {np.dtype(dtype)} range, of shape {shape}")
-    if a.dtype.kind == "f" and not np.isfinite(a).all():  # integers are finite
+    if dtype == np.int64:  # integers are finite
+        return a
+    if not np.isfinite(a).all():
         raise TypeError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
-    return (a + 0.0).astype(dtype, copy=False) if kinds == "iuf" else a.astype(dtype, copy=False)
+    return a + 0.0
 
 
 def _graph_from_step(step: dict) -> ExtremumGraph:
@@ -222,13 +224,10 @@ def events_json(ev: EventSets) -> str:
     return template % tuple(values)
 
 
-_ARC = attrgetter("m0", "m1", "s")
-
-
 def _pair_json(t: int, arcs: list[ScoreTuple], meta: FilterMeta) -> str:
     """The canonical JSON object of the pair t -> t + 1: its arcs as one
     fill of the [m0, m1, s] template, its filter statistics and t."""
-    arcs_text = ",".join(["[%d,%d,%.17g]"] * len(arcs)) % tuple(chain.from_iterable(map(_ARC, arcs)))
+    arcs_text = ",".join(["[%d,%d,%.17g]"] * len(arcs)) % tuple(chain.from_iterable(arcs))
     return '{"arcs":[%s],"filter":%s,"t":%d}' % (arcs_text, _text(vars(meta)), t)
 
 
@@ -390,7 +389,9 @@ def export_tracks_geometry(
     not overlap. Point scalars: time index, track id, event code. With
     `include_spatial`, each track maximum also gets a line to each of
     its saddles. Points are each track's nodes, then its saddles; lines
-    are each track's arcs, then its spatial lines.
+    are each track's arcs, then its spatial lines. Every track node must
+    be a maximum of `tveg`: the first that is not, in track order, raises
+    the ValueError of `Tveg.max_row` before anything is written.
 
     Each step the tracks touch only selects its rows (`_step_rows`). The
     rows of all steps are rendered once per file (`_node_texts`), so a
@@ -399,12 +400,13 @@ def export_tracks_geometry(
     then adds its spatial lines in one fill and its saddles' scalars as
     repeated texts.
     """
+    nodes = [node for tr in tracks for node in tr.nodes]
+    tveg.maxima_rows(nodes)
     if slab_height is None:
         slab_height = _default_slab_height(tveg, z_scale)
     held: dict[int, set[int]] = defaultdict(set)  # per step, the ids of its maxima the tracks hold
-    for tr in tracks:
-        for t, mid in tr.nodes:
-            held[t].add(mid)
+    for t, mid in nodes:
+        held[t].add(mid)
     steps = [_step_rows(tveg.graph_at(t), ids, include_spatial) for t, ids in held.items()]
     point, saddles = _node_texts(steps, list(held), z_scale, slab_height, _event_codes(tveg))
 
@@ -456,12 +458,9 @@ def _step_rows(g: ExtremumGraph, ids: set[int],
     then, if `spatial`, the saddles of their arcs. Returns the ids in
     order, the rows' coordinates and, if `spatial`, the row among them of
     each of those arcs' saddle (the arcs sorted by maximum) and the
-    bounds first[i]:first[i + 1] of the i-th maximum's arcs. Raises
-    ValueError unless every id is a maximum of the step."""
-    t, base = g.t, make_node_id(g.t, 0)
-    for mid in (min(ids), max(ids)):
-        if not base <= mid < base + g.n_max:
-            raise ValueError(f"no maximum {mid} at time {t}")
+    bounds first[i]:first[i + 1] of the i-th maximum's arcs. Every id must
+    be a maximum of the step."""
+    base = make_node_id(g.t, 0)
     maxima = sorted(ids)
     rows = np.array(maxima) - base
     if not spatial:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dfield
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .exgraph import ExtremumGraph, make_node_id, split_node_id
+from .field import check_step_times
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class ScoreWeights:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
 
 
-@dataclass(frozen=True, order=True)
-class ScoreTuple:
+class ScoreTuple(NamedTuple):
     """Candidate correspondence (m0 at t) -> (m1 at t+1) with score s."""
 
     m0: int
@@ -74,7 +75,8 @@ class Tveg:
     """All per-step graphs plus the temporal arcs between them: `links[i]`
     is the (arcs, filter statistics) that `link_pair` gives for
     `graphs[i]` and `graphs[i + 1]`. The events are derived from the
-    arcs, one `detect_events` per pair."""
+    arcs, one `detect_events` per pair. Step times lie in [-2**31, 2**31),
+    so that every node id fits int64."""
 
     graphs: list[ExtremumGraph]
     links: list[tuple[list[ScoreTuple], FilterMeta]]
@@ -85,6 +87,8 @@ class Tveg:
     def __post_init__(self):
         if any(b.t != a.t + 1 for a, b in zip(self.graphs, self.graphs[1:])):
             raise ValueError("graphs must be contiguous in t")
+        if self.graphs:
+            check_step_times(self.graphs[0].t, self.graphs[-1].t)
         if len(self.links) != max(len(self.graphs) - 1, 0):
             raise ValueError("a Tveg needs one link per consecutive pair of graphs")
         self.events = EventSets()
@@ -110,6 +114,28 @@ class Tveg:
         if node_t != t or row >= g.n_max:
             raise ValueError(f"no maximum {node_id} at time {t}")
         return g, row
+
+    def maxima_rows(self, nodes: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Each (t, id) node's row among all maxima (every step's in turn, in
+        row order), in one column pass. The first node, in order, that is not
+        a maximum raises the ValueError of `max_row`."""
+        n = [g.n_max for g in self.graphs]
+        n_max = np.array([0, *n, 0])  # with a step of none at each end, for clipped lookups
+        first = np.array([0, *accumulate(n, initial=0)])  # each step's first row
+        t0 = self.graphs[0].t - 1 if self.graphs else 0  # the added step before the first
+        try:
+            flat = np.fromiter(chain.from_iterable(nodes), np.int64, 2 * len(nodes))
+        except OverflowError:  # beyond int64, where no node id of a graph lies
+            for node in nodes:
+                self.max_row(*node)  # raises for the first bad node
+            raise
+        t, node = flat[0::2], flat[1::2]
+        i = t - t0
+        node_t, row = split_node_id(node)
+        ok = (node_t == t) & (row < n_max.take(i, mode="clip"))
+        if not ok.all():
+            self.max_row(*nodes[int(np.argmin(ok))])  # raises for the first bad node
+        return first[i] + row
 
 
 _ROWS = 256  # rows of g0 scored at a time
@@ -246,7 +272,7 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
             kept[i] = False
             out_deg[a.m0] -= 1
             in_deg[a.m1] -= 1
-    return sorted(compress(arcs, kept), key=lambda a: (a.m0, a.m1))
+    return sorted(compress(arcs, kept))  # by (m0, m1), unique within a pair
 
 
 def link_pair(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dfield
-from operator import attrgetter
 
 import numpy as np
 
@@ -76,7 +75,7 @@ def _simple_paths(arcs: list[ScoreTuple]) -> list[Track]:
     # start arcs: source is not a pass-through node; every other arc
     # leaves a pass-through node, so each arc is walked exactly once
     # (time strictly increases, so there are no cycles)
-    for a in sorted(arcs, key=attrgetter("m0", "m1")):
+    for a in sorted(arcs):  # by (m0, m1), unique among the arcs of a Tveg
         if a.m0 in nxt:
             continue
         ids = [a.m0, a.m1]

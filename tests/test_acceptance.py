@@ -214,13 +214,27 @@ def test_criterion_2c_time_reversal_symmetry(gauss8_run):
         np.array_equal(series[t - 1].values, series[T - t].values)
         for t in range(1, T + 1)
     )
-    sp1 = sum(1 for e in tvg.events.splits if 1 <= e["time"] <= 25)
-    mg2 = sum(1 for e in tvg.events.merges if 26 <= e["time"] <= 50)
+    # a merge recorded at t (its target's step) mirrors a split recorded at
+    # T + 1 - t (its source's step), and a split a merge the same way
+    merges = [e["time"] for e in tvg.events.merges]
+    splits = [e["time"] for e in tvg.events.splits]
+
+    def mirrored_first_half(times):
+        return sorted(T + 1 - t for t in times if t <= T // 2)
+
+    def second_half(times):
+        return sorted(t for t in times if t > T // 2)
+
+    m1, s2 = mirrored_first_half(merges), second_half(splits)
+    s1, m2 = mirrored_first_half(splits), second_half(merges)
+    events_ok = bool(merges or splits) and m1 == s2 and s1 == m2
     _report(
         "2c",
-        "mirrored fields, isomorphic graphs, splits[1,25] == merges[26,50]",
-        fields_ok and mirror_ok and sp1 == mg2,
-        f"fields {fields_ok}, graphs {mirror_ok}, splits {sp1} vs merges {mg2}",
+        "mirrored fields, isomorphic graphs, merges[1,25] mirror splits[26,50] "
+        "and splits[1,25] mirror merges[26,50]",
+        fields_ok and mirror_ok and events_ok,
+        f"fields {fields_ok}, graphs {mirror_ok}, merges[1,25] mirrored {m1} vs "
+        f"splits[26,50] {s2}, splits[1,25] mirrored {s1} vs merges[26,50] {m2}",
     )
 
 

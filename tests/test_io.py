@@ -263,6 +263,10 @@ class TestTvegLoaderChecks:
              "(node 'id', 't', 'index' and 'vertex' must be integers"),
             ("node id a float", "'steps': a value of the wrong JSON type in step 2 (node 'id', "
              "'t', 'index' and 'vertex' must be integers"),
+            ("node vertex true", "'steps': a value of the wrong JSON type in step 2 (node 'id', "
+             "'t', 'index' and 'vertex' must be integers"),
+            ("node value false", "'steps': a value of the wrong JSON type in step 2 (node "
+             "'value', 'pers' and 'eta' must be numbers"),
             ("coordinate a string", "'steps': a value of the wrong JSON type in step 2 (node 'x' "
              "must be numbers"),
             ("temporal arc id a float", "'temporal_arcs': a value of the wrong JSON type in pair "
@@ -346,6 +350,10 @@ class TestTvegLoaderChecks:
             node["vertex"] += 0.7
         elif how == "node id a float":
             node["id"] = float(node["id"])
+        elif how == "node vertex true":  # numpy would read it as 1
+            node["vertex"] = True
+        elif how == "node value false":  # numpy would read it as 0.0
+            node["value"] = False
         elif how == "coordinate a string":
             node["x"][0] = "1.0"
         elif how == "temporal arc id a float":
@@ -393,6 +401,34 @@ class TestTvegLoaderChecks:
             tvio.load_tveg_json(p)
         assert main(["events", "--tveg", p]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t0, named", [
+        (2**31 - 2, None),
+        (2**31, "step times must lie in [-2**31, 2**31), got 2147483648..2147483649"),
+        (-2**31 - 2, "step times must lie in [-2**31, 2**31), got -2147483650..-2147483649"),
+    ])
+    def test_steps_beyond_32_bits_are_named(self, tmp_path, capsys, t0, named):
+        """Steps without nodes hold no node id, yet one beyond [-2**31, 2**31)
+        is refused on load: the ids of its graph would not fit int64."""
+        doc = {
+            "events": {"deletions": [], "generations": [], "merges": [], "splits": []},
+            "steps": [{"arcs": [], "nodes": [], "t": t} for t in (t0, t0 + 1)],
+            "temporal_arcs": [{"arcs": [], "filter": {"mu": 0.0, "sigma": 0.0, "tau": 0.0},
+                               "t": t0}],
+            "theta": 0.0,
+            "weights": {"G": 0.25, "L1": 0.25, "L2": 0.25, "L3": 0.25},
+        }
+        p = tmp_path / "t.json"
+        p.write_text(tvio.canonical_json(doc))
+        argv = ["query", "--tveg", str(p), "--kind", "region", "--box", "0", "0", "0", "1",
+                "1", "1", "--window", str(t0), str(t0 + 1)]
+        if named is None:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith(
+                '{"maxima":[],"saddles":[],"spatial_arcs":[],"temporal_arcs":[]}\n')
+            return
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
 
 
 class TestTvegPairChecks:
@@ -1012,6 +1048,22 @@ class TestCli:
             argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
+
+    @pytest.mark.parametrize("times", [(2**31 - 1, 2**31), (-2**31 - 1, -2**31)])
+    def test_manifest_steps_beyond_32_bits_are_named(self, tmp_path, capsys, times):
+        """Node ids t << 32 | row fit int64 only for steps in [-2**31, 2**31),
+        so a manifest with a step beyond is refused, not linked."""
+        series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)
+        manifest = save_series(series, str(tmp_path / "d"))
+        doc = json.loads(open(manifest).read())
+        for step, t in zip(doc["steps"], times):
+            step["t"] = t
+        path = tmp_path / "d" / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["tveg", "--manifest", str(path), "-o", str(tmp_path / "o")]
+        assert main(argv) == 2
+        msg = f"'steps': step times must lie in [-2**31, 2**31), got {times[0]}..{times[1]}"
+        assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
 
     def test_manifest_skipping_step_times_are_named(self, tmp_path, capsys):
         series = generate_gauss8((4, 4, 4), steps=2, sigma=0.5)

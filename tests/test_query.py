@@ -162,19 +162,29 @@ class TestLeastDeviationMatchesReference:
         pair = Track(nodes=[(first.t, int(m)) for m in first.maxima[:2]])  # two blobs apart
         assert least_deviation([pair, unknown, empty], tvg, 3) == [empty, unknown, pair]
 
-    def test_ids_beyond_int64(self):
-        """At step 2**31 every id is at least 2**63: the nodes are looked
-        up one by one, with the same deviations."""
-        t = 2**31
+    @pytest.mark.parametrize("t, beyond", [(2**31 - 1, 2**31), (-2**31, -2**31 - 1)])
+    def test_steps_beyond_32_bits_are_refused(self, t, beyond):
+        """Node ids t << 32 | row fit int64 for steps in [-2**31, 2**31): a
+        graph one step beyond is refused, one at the bound is looked up in
+        columns, and a node beyond int64 does not hide an earlier bad node."""
         coords = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.1, 0.2, 0.3]])
-        g = ExtremumGraph(t, 2, np.arange(3), np.zeros(3), np.zeros(3), np.zeros(3), coords)
-        tvg = Tveg([g], [], ScoreWeights())
+
+        def graph(t):
+            return ExtremumGraph(t, 2, np.arange(3), np.zeros(3), np.zeros(3), np.zeros(3), coords)
+
+        refused = rf"^step times must lie in \[-2\*\*31, 2\*\*31\), got {beyond}\.\.{beyond}$"
+        with pytest.raises(ValueError, match=refused):
+            Tveg([graph(beyond)], [], ScoreWeights())
+        tvg = Tveg([graph(t)], [], ScoreWeights())
         a, b, saddle = (make_node_id(t, row) for row in range(3))
         tracks = [Track(nodes=[(t, a), (t, b), (t, a)]), Track(nodes=[(t, b), (t, b)])]
         assert _deviations(tracks, tvg) == [5.0, 0.0]
         assert least_deviation(tracks, tvg, 2) == tracks[::-1]
-        with pytest.raises(ValueError, match=f"^no maximum {saddle} at time {t}$"):
-            least_deviation(tracks + [Track(nodes=[(t, a), (t, saddle)])], tvg, 1)
+        outside = (beyond, make_node_id(beyond, 0))  # beyond int64
+        for nodes, named in [([(t, a), outside, (t, saddle)], f"no graph at time {beyond}"),
+                             ([(t, a), (t, saddle), outside], f"no maximum {saddle} at time {t}")]:
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                least_deviation(tracks + [Track(nodes=nodes)], tvg, 1)
 
     def test_first_bad_node_in_track_order(self, tvg):
         g = tvg.graphs[0]

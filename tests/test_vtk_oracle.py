@@ -205,13 +205,13 @@ class TestOncePerFileRender:
         assert "POINTS 12 float\n" in text
 
     @pytest.mark.parametrize("nodes, message", [
-        ([(1, 1 << 32), (9, 9 << 32), (1, 1 << 32 | 3)], "no maximum 4294967299 at time 1"),
+        ([(1, 1 << 32), (9, 9 << 32), (1, 1 << 32 | 3)], "no graph at time 9"),
         ([(1, 1 << 32 | 3), (9, 9 << 32)], "no maximum 4294967299 at time 1"),
         ([(9, 9 << 32), (1, 1 << 32 | 3)], "no graph at time 9"),
     ], ids=["bad maximum after the missing step", "bad maximum first", "missing step first"])
     def test_first_touched_step_names_the_error(self, tmp_path, nodes, message):
-        """The steps are checked in the order the tracks first touch them,
-        each on its least and greatest id, before anything is written."""
+        """The first node that is not a maximum, in track order, names the
+        error, as in `vtk_oracle`, before anything is written."""
         tveg = hand_built_tveg((1, 2, 3))
         out = tmp_path / "x.vtk"
         for spatial in (False, True):
