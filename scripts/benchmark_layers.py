@@ -142,7 +142,7 @@ def synthetic_pair(n):
 def linked(g0, g1, w):
     """The work of one pair: `link_pair`, then the events of its arcs."""
     arcs, _ = link_pair(g0, g1, w)
-    return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+    return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
 
 
 def staged_link(g0, g1, w):
@@ -155,7 +155,7 @@ def staged_link(g0, g1, w):
     clock.append(time.perf_counter())
     arcs = temporal.remove_z_configurations(arcs)
     clock.append(time.perf_counter())
-    ev = temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+    ev = temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
     clock.append(time.perf_counter())
     return (arcs, ev), np.diff(clock).tolist()
 

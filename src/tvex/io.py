@@ -165,7 +165,8 @@ def _column(values, shape: tuple, dtype, name: str) -> np.ndarray:
 def _graph_from_step(step: dict) -> ExtremumGraph:
     """The graph of one stored step, the inverse of `_step_json`. Rejects a
     step whose node ids are not (t, row) in row order, whose maxima do not
-    come first, or whose arcs are not sorted (maximum, saddle) pairs of it."""
+    come first, whose arcs are not sorted (maximum, saddle) pairs of it
+    without repeats, or one of whose saddles has not exactly two arcs."""
     with _reading("steps"):
         t = _scalar(step["t"], "a step's 't'", (int,))
     with _reading("steps", f" in step {t}"):
@@ -188,8 +189,11 @@ def _graph_from_step(step: dict) -> ExtremumGraph:
         arc_t, rows = split_node_id(arcs)
         m, s = rows[:, 0], rows[:, 1]
         ok = (arc_t == t).all() and ((m < n_max) & (n_max <= s) & (s < k)).all()
-        if not (ok and (np.lexsort((s, m)) == np.arange(len(rows))).all()):
+        key = m * k + s  # orders the (m, s) pairs
+        if not (ok and (key[1:] > key[:-1]).all()):
             raise ValueError(f"step {t}: arcs must be sorted (maximum, saddle) pairs")
+        if (np.bincount(s, minlength=k)[n_max:] != 2).any():
+            raise ValueError(f"step {t}: every saddle must have two arcs")
     return ExtremumGraph(t, n_max, vertex, value, pers, eta, coords, arcs=rows)
 
 
@@ -297,9 +301,9 @@ def load_tveg_json(path: str) -> Tveg:
     tveg = Tveg(graphs, links, weights, theta)
     with _reading("events"):
         for kind, records in vars(tveg.events).items():
-            if kind in ("deletions", "generations"):
-                records = [[n, t] for n, t in records]  # as JSON lists
-            if doc["events"][kind] != records:
+            # compared as JSON texts, so that a stored true or 1.0 is not taken for 1
+            stored, derived = (json.dumps(r, sort_keys=True) for r in (doc["events"][kind], records))
+            if stored != derived:
                 raise ValueError(f"events: the stored {kind} are not those the temporal arcs give")
     return tveg
 

@@ -11,7 +11,7 @@ removed greedily by score.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dfield
 from itertools import accumulate, chain, compress
 from typing import NamedTuple
@@ -56,12 +56,6 @@ class EventSets:
     deletions: list[tuple[int, int]] = dfield(default_factory=list)
     generations: list[tuple[int, int]] = dfield(default_factory=list)
 
-    def extend(self, other: "EventSets") -> None:
-        self.merges.extend(other.merges)
-        self.splits.extend(other.splits)
-        self.deletions.extend(other.deletions)
-        self.generations.extend(other.generations)
-
 
 @dataclass
 class FilterMeta:
@@ -74,9 +68,9 @@ class FilterMeta:
 class Tveg:
     """All per-step graphs plus the temporal arcs between them: `links[i]`
     is the (arcs, filter statistics) that `link_pair` gives for
-    `graphs[i]` and `graphs[i + 1]`. The events are derived from the
-    arcs, one `detect_events` per pair. Step times lie in [-2**31, 2**31),
-    so that every node id fits int64."""
+    `graphs[i]` and `graphs[i + 1]`. The events are derived from all the
+    arcs in one `detect_events` call, each at its node's step. Step times
+    lie in [-2**31, 2**31), so that every node id fits int64."""
 
     graphs: list[ExtremumGraph]
     links: list[tuple[list[ScoreTuple], FilterMeta]]
@@ -91,11 +85,9 @@ class Tveg:
             check_step_times(self.graphs[0].t, self.graphs[-1].t)
         if len(self.links) != max(len(self.graphs) - 1, 0):
             raise ValueError("a Tveg needs one link per consecutive pair of graphs")
-        self.events = EventSets()
-        for g0, g1, (arcs, _) in zip(self.graphs, self.graphs[1:], self.links):
-            # the maxima ids as ranges (rows [0, n_max)): cheaper than g.maxima.tolist()
-            ids0, ids1 = (range(make_node_id(g.t, 0), make_node_id(g.t, g.n_max)) for g in (g0, g1))
-            self.events.extend(detect_events(arcs, ids0, ids1, g0.t))
+        # each step's maxima ids as a range (rows [0, n_max)): cheaper than g.maxima.tolist()
+        ids = [range(make_node_id(g.t, 0), make_node_id(g.t, g.n_max)) for g in self.graphs]
+        self.events = detect_events(self.all_arcs(), chain(*ids[:-1]), chain(*ids[1:]))
 
     def all_arcs(self) -> list[ScoreTuple]:
         return list(chain.from_iterable(arcs for arcs, _ in self.links))
@@ -218,31 +210,32 @@ def filter_scores(S: list[ScoreTuple]) -> tuple[list[ScoreTuple], FilterMeta]:
 
 
 def detect_events(
-    arcs: list[ScoreTuple], M0_ids: Sequence[int], M1_ids: Sequence[int], t: int
+    arcs: Iterable[ScoreTuple], sources: Iterable[int], targets: Iterable[int]
 ) -> EventSets:
-    """Classify events from arc degrees between steps t and t+1.
+    """Classify events from arc degrees, in one pass over arcs of any
+    consecutive steps. Each event is recorded at its node's step, id >> 32.
 
     merge: target with in-degree > 1; split: source with out-degree > 1;
-    deletion: source-side maximum with out-degree 0 (recorded at t);
-    generation: target-side maximum with in-degree 0 (recorded at t+1).
+    deletion: maximum of `sources` with out-degree 0;
+    generation: maximum of `targets` with in-degree 0.
+    Every kind comes in node id order, participants in id order too.
     """
     out_deg: dict[int, list[int]] = {}
     in_deg: dict[int, list[int]] = {}
     for a in arcs:
         out_deg.setdefault(a.m0, []).append(a.m1)
         in_deg.setdefault(a.m1, []).append(a.m0)
-    ev = EventSets()
-    for m1 in sorted(in_deg):
-        srcs = sorted(in_deg[m1])
-        if len(srcs) > 1:
-            ev.merges.append({"node": m1, "time": t + 1, "participants": srcs})
-    for m0 in sorted(out_deg):
-        dsts = sorted(out_deg[m0])
-        if len(dsts) > 1:
-            ev.splits.append({"node": m0, "time": t, "participants": dsts})
-    ev.deletions = [(m, t) for m in sorted(M0_ids) if m not in out_deg]
-    ev.generations = [(m, t + 1) for m in sorted(M1_ids) if m not in in_deg]
-    return ev
+
+    def branching(deg: dict[int, list[int]]) -> list[dict]:
+        return [{"node": n, "time": n >> 32, "participants": sorted(ends)}
+                for n, ends in sorted(deg.items()) if len(ends) > 1]
+
+    return EventSets(
+        merges=branching(in_deg),
+        splits=branching(out_deg),
+        deletions=[(m, m >> 32) for m in sorted(sources) if m not in out_deg],
+        generations=[(m, m >> 32) for m in sorted(targets) if m not in in_deg],
+    )
 
 
 def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:

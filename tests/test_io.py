@@ -185,6 +185,10 @@ def _corrupt_steps(doc, how):
         for step in steps:
             for node in step["nodes"]:
                 node["x"] += node["x"]
+    elif how == "arc repeated":
+        steps[1]["arcs"].insert(1, steps[1]["arcs"][0])
+    elif how == "saddle with one arc":
+        del steps[1]["arcs"][0]
 
 
 class TestTvegLoaderChecks:
@@ -198,6 +202,8 @@ class TestTvegLoaderChecks:
             "arcs not sorted",
             "arc to another step",
             "six coordinates",
+            "arc repeated",
+            "saddle with one arc",
         ],
     )
     def test_rejects_layout_with_exit_2(self, tvg, tmp_path, capsys, how):
@@ -457,6 +463,8 @@ class TestTvegPairChecks:
             ("pairs out of order", "temporal arcs 1->2: stored out of order"),
             ("merge the arcs do not give", "events: the stored merges"),
             ("deletion dropped", "events: the stored deletions"),
+            ("deletion time true", "events: the stored deletions"),
+            ("deletion node a float", "events: the stored deletions"),
         ],
     )
     def test_rejects_with_exit_2(self, run, tmp_path, capsys, how, named):
@@ -490,9 +498,14 @@ class TestTvegPairChecks:
         elif how == "deletion dropped":
             assert doc["events"]["deletions"]
             doc["events"]["deletions"].pop()
+        elif how == "deletion time true":
+            next(d for d in doc["events"]["deletions"] if d[1] == 1)[1] = True
+        elif how == "deletion node a float":
+            deletion = doc["events"]["deletions"][0]
+            deletion[0] = float(deletion[0])
         p = str(tmp_path / "t.json")
         with open(p, "w") as fh:
-            fh.write(tvio.canonical_json(doc))
+            json.dump(doc, fh)  # a float as 1.0, where canonical_json writes 1
         with pytest.raises(ValueError, match=named):
             tvio.load_tveg_json(p)
         capsys.readouterr()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvex.exgraph import make_node_id
 from tvex.field import FieldSeries
 from tvex.pipeline import compute_tveg
 from tvex.temporal import (
@@ -235,28 +236,47 @@ class TestRemoveZConfigurations:
 
 
 class TestDetectEvents:
+    """Ids of maxima 1 and 2 at step 5 and of maxima 10 and 11 at step 6;
+    every event's time comes from its node id."""
+
+    a, b = make_node_id(5, 1), make_node_id(5, 2)
+    c, d = make_node_id(6, 10), make_node_id(6, 11)
+
     def test_merge(self):
-        arcs = [ScoreTuple(1, 10, 0.1), ScoreTuple(2, 10, 0.2)]
-        ev = detect_events(arcs, [1, 2], [10], t=5)
-        assert ev.merges == [{"node": 10, "time": 6, "participants": [1, 2]}]
+        a, b, c = self.a, self.b, self.c
+        ev = detect_events([ScoreTuple(a, c, 0.1), ScoreTuple(b, c, 0.2)], [a, b], [c])
+        assert ev.merges == [{"node": c, "time": 6, "participants": [a, b]}]
         assert ev.splits == [] and ev.deletions == [] and ev.generations == []
 
     def test_split(self):
-        arcs = [ScoreTuple(1, 10, 0.1), ScoreTuple(1, 11, 0.2)]
-        ev = detect_events(arcs, [1], [10, 11], t=5)
-        assert ev.splits == [{"node": 1, "time": 5, "participants": [10, 11]}]
+        a, c, d = self.a, self.c, self.d
+        ev = detect_events([ScoreTuple(a, c, 0.1), ScoreTuple(a, d, 0.2)], [a], [c, d])
+        assert ev.splits == [{"node": a, "time": 5, "participants": [c, d]}]
         assert ev.merges == [] and ev.deletions == [] and ev.generations == []
 
     def test_deletion_and_generation(self):
-        arcs = [ScoreTuple(1, 10, 0.1)]
-        ev = detect_events(arcs, [1, 2], [10, 11], t=5)
-        assert ev.deletions == [(2, 5)]
-        assert ev.generations == [(11, 6)]
+        a, b, c, d = self.a, self.b, self.c, self.d
+        ev = detect_events([ScoreTuple(a, c, 0.1)], [a, b], [c, d])
+        assert ev.deletions == [(b, 5)]
+        assert ev.generations == [(d, 6)]
 
     def test_no_arcs_everything_is_event(self):
-        ev = detect_events([], [1, 2], [10], t=3)
-        assert ev.deletions == [(1, 3), (2, 3)]
-        assert ev.generations == [(10, 4)]
+        a, b, c = self.a, self.b, self.c
+        ev = detect_events([], [a, b], [c])
+        assert ev.deletions == [(a, 5), (b, 5)]
+        assert ev.generations == [(c, 6)]
+
+    def test_middle_step_events_at_their_own_step(self):
+        """Over steps 1..3 in one call, a middle maximum without an in-arc
+        is a generation at step 2 and one without an out-arc a deletion
+        at step 2."""
+        first, last = make_node_id(1, 0), make_node_id(3, 0)
+        born, dies = make_node_id(2, 0), make_node_id(2, 1)
+        arcs = [ScoreTuple(first, dies, 0.1), ScoreTuple(born, last, 0.2)]
+        ev = detect_events(arcs, [first, born, dies], [born, dies, last])
+        assert ev.deletions == [(dies, 2)]
+        assert ev.generations == [(born, 2)]
+        assert ev.merges == [] and ev.splits == []
 
 
 class TestLinkPairInvariants:
@@ -267,7 +287,7 @@ class TestLinkPairInvariants:
         g0 = random_maxima(rng, n0, 1)
         g1 = random_maxima(rng, n1, 2)
         arcs, meta = link_pair(g0, g1, ScoreWeights())
-        ev = detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist(), g0.t)
+        ev = detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
 
         ids0 = set(g0.maxima.tolist())
         ids1 = set(g1.maxima.tolist())
@@ -331,7 +351,6 @@ class TestTemporalArcs:
                 tvg.links[t - 1][0],
                 graphs[t - 1].maxima.tolist(),
                 graphs[t].maxima.tolist(),
-                t,
             )
             for t in (1, 2)
         ]
