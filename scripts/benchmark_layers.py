@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark each tvex layer on one fixed case matrix.
 
-- morse: `morse_step`, then its stages one at a time in its order, on
-  the first step of gauss8-64 (smooth 64^3, theta = 0.05 r), noisy-24
-  (24^3 plus N(0, 0.05^2) noise, rounded to float32 as a `<f4` volume is,
-  theta = 0) and noisy-64-f64 (the same noise at 64^3, left in float64,
-  so the voxel order takes the stable argsort; theta = 0).
-- linking: `link_pair` with the events of its arcs, then its four stages
-  one at a time, on synthetic pairs of 150, 600, 1500 and 3000 maxima,
-  plus the `tracemalloc` peak of one `compute_scores`.
+- morse: `morse_step` and its four stages on the first step of gauss8-64
+  (smooth 64^3, theta = 0.05 r), noisy-24 (24^3 plus N(0, 0.05^2) noise,
+  rounded to float32 as a `<f4` volume is, theta = 0) and noisy-64-f64
+  (the same noise at 64^3, left in float64, so the voxel order takes the
+  stable argsort; theta = 0).
+- linking: `link_pair` with the events of its arcs, and its four stages,
+  on synthetic pairs of 150, 600, 1500 and 3000 maxima, plus the
+  `tracemalloc` peak of one `compute_scores`.
 - exports: the track queries, the `tveg.json` writer and loader, and the
   tracks JSON and VTK writers (without and with spatial arcs) of all simple
   paths and, as `sparse_`, of the 10 of least deviation, on the noisy
@@ -16,16 +16,22 @@
   theta = 0, about 4,200 maxima a step). Each writer run writes a new file;
   the loader reads the last `tveg.json` written.
 
-Before timing anything it checks the staged Morse pass against
-`morse_step`, the staged linking chain against `link_pair`, the loaded
-`tveg.json` against its own bytes when exported again, the tracks
-file against the dict writer of `tests/linking_oracle.py`, the
-least-deviation ranking against `tests/tracks_oracle.py`, and the VTK
-file of both modes' tracks and the sparse paths, without and with
-spatial arcs, against `tests/vtk_oracle.py`; it exits nonzero, naming the
-check, at the first disagreement. Each figure is the best and the median
-of `--repeats` runs after one warm-up run, printed and written to
-BENCH_layers.json in the current directory.
+A stage's figure is the self time of that stage's calls inside each
+timed `morse_step` or `linked` run: at import the eight stage functions
+of `morse` and `temporal` are wrapped once by `bench/spans.Recorder`,
+which also counts the raw and kept maxima, the saddles, the arcs and the
+events. A timed run that records no span of a stage exits nonzero,
+naming the stage; a renamed stage function already fails at import.
+
+Before timing anything it checks the loaded `tveg.json` against its own
+bytes when exported again, the tracks file against the dict writer of
+`tests/linking_oracle.py`, the least-deviation ranking against
+`tests/tracks_oracle.py`, and the VTK file of both modes' tracks and the
+sparse paths, without and with spatial arcs, against
+`tests/vtk_oracle.py`; it exits nonzero, naming the check, at the first
+disagreement. Each figure is the best and the median of `--repeats`
+runs after one warm-up run, printed and written to BENCH_layers.json in
+the current directory.
 
 Usage:
     python3 scripts/benchmark_layers.py [--repeats 5]
@@ -43,10 +49,12 @@ from statistics import median
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+for _dir in ("src", "tests", "bench"):
+    sys.path.insert(0, os.path.join(HERE, "..", _dir))
 
 from linking_oracle import canonical_json, tracks_to_dict
+from spans import Recorder
 from tracks_oracle import least_deviation as least_deviation_reference
 import vtk_oracle
 from tvex import io as tvio, morse, temporal
@@ -65,9 +73,20 @@ MORSE = {
     "noisy-24": (24, 0.05, 0.0, True),
     "noisy-64-f64": (64, 0.05, 0.0, False),
 }
-MORSE_STAGES = ("vertex_order", "segmentation", "saddles", "simplify")
 LINK_SIZES = (150, 600, 1500, 3000)
+MORSE_STAGES = ("vertex_order", "segmentation", "saddles", "simplify")
 LINK_STAGES = ("scores", "filter", "z_removal", "events")
+SPANS = Recorder()  # the stages' spans and counters, by their names here
+SPANS.wrap(morse, "vertex_order", "vertex_order")
+SPANS.wrap(morse, "compute_segmentation", "segmentation",
+           {"raw_maxima": lambda seg: len(seg.maxima)})
+SPANS.wrap(morse, "compute_saddles", "saddles", {"raw_saddles": lambda seg: len(seg.saddles)})
+SPANS.wrap(morse, "simplify", "simplify", {"kept_maxima": lambda seg: len(seg.maxima)})
+SPANS.wrap(temporal, "compute_scores", "scores")
+SPANS.wrap(temporal, "filter_scores", "filter")
+SPANS.wrap(temporal, "remove_z_configurations", "z_removal", {"arcs": len})
+SPANS.wrap(temporal, "detect_events", "events",
+           {"merges": lambda ev: len(ev.merges), "splits": lambda ev: len(ev.splits)})
 EDGE, STEPS, NOISE, SEED = 48, 2, 0.05, 48  # the series of the exports
 SPARSE = 10  # tracks of the sparse export
 
@@ -90,23 +109,26 @@ def stats(label, seconds):
     return {"best_s": best, "median_s": middle}
 
 
-def timed(label, call, repeats):
+def timed(label, call, repeats, stages=()):
     """Best and median seconds of call(i), i = 0 .. repeats - 1, after a
-    warm-up call(-1)."""
+    warm-up call(-1); those of the self time of each of `stages` in the
+    same calls, by stage; and the counters of the last call. Exits, naming
+    the stage, if a timed call records no span of one of `stages`."""
     call(-1)
-    seconds = []
+    SPANS.take()
+    seconds, runs = [], []
     for i in range(repeats):
         t0 = time.perf_counter()
         call(i)
         seconds.append(time.perf_counter() - t0)
-    return stats(label, seconds)
-
-
-def staged(label, run, names, repeats):
-    """Best and median seconds of each stage over `repeats` calls of run(),
-    which returns its result and the seconds of each stage."""
-    runs = [run()[1] for _ in range(repeats)]
-    return {name: stats(f"{label} {name}", [r[i] for r in runs]) for i, name in enumerate(names)}
+        runs.append(SPANS.take())
+    for name in stages:
+        if not all(name + "_calls" in run for run in runs):
+            sys.exit(f"{label}: a timed run recorded no {name} span")
+    return (stats(label, seconds),
+            {name: stats(f"{label} {name}", [run[name + "_s"] for run in runs])
+             for name in stages},
+            runs[-1])
 
 
 def morse_case(name):
@@ -114,21 +136,6 @@ def morse_case(name):
     edge, noise, frac, single = MORSE[name]
     f = noisy_gauss8(edge, noise, 0, single).fields[0]
     return f, frac * float(np.ptp(f.values))
-
-
-def staged_morse(f, theta):
-    """`morse_step` one stage at a time: the raw and the simplified
-    segmentation, and the seconds of each stage."""
-    clock = [time.perf_counter()]
-    order = morse.vertex_order(f)
-    clock.append(time.perf_counter())
-    raw = morse.compute_segmentation(f, order)
-    clock.append(time.perf_counter())
-    raw = morse.compute_saddles(raw, order)
-    clock.append(time.perf_counter())
-    seg = morse.simplify(raw, theta, order[0])
-    clock.append(time.perf_counter())
-    return (raw, seg), np.diff(clock).tolist()
 
 
 def synthetic_pair(n):
@@ -143,37 +150,6 @@ def linked(g0, g1, w):
     """The work of one pair: `link_pair`, then the events of its arcs."""
     arcs, _ = link_pair(g0, g1, w)
     return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
-
-
-def staged_link(g0, g1, w):
-    """`linked` one stage at a time: the arcs and events, and the seconds
-    of each stage."""
-    clock = [time.perf_counter()]
-    arcs = temporal.compute_scores(g0, g1, w)
-    clock.append(time.perf_counter())
-    arcs, _ = temporal.filter_scores(arcs)
-    clock.append(time.perf_counter())
-    arcs = temporal.remove_z_configurations(arcs)
-    clock.append(time.perf_counter())
-    ev = temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
-    clock.append(time.perf_counter())
-    return (arcs, ev), np.diff(clock).tolist()
-
-
-def check_morse(cases):
-    """Exit unless the staged pass gives `morse_step`'s segmentation."""
-    for name, (f, theta) in cases.items():
-        seg, whole = staged_morse(f, theta)[0][1], morse.morse_step(f, theta)
-        if not all(np.array_equal(getattr(seg, k), getattr(whole, k))
-                   for k in ("labels", "maxima", "pers", "pairs", "saddles")):
-            sys.exit(f"staged Morse pass disagrees with morse_step ({name})")
-
-
-def check_linking(pairs, w):
-    """Exit unless the staged chain gives `link_pair`'s arcs and events."""
-    for n, (g0, g1) in pairs.items():
-        if staged_link(g0, g1, w)[0] != linked(g0, g1, w):
-            sys.exit(f"staged linking chain disagrees with link_pair (n={n})")
 
 
 def check_exports(tveg, tmp):
@@ -211,26 +187,24 @@ def check_exports(tveg, tmp):
 
 
 def bench_morse(name, f, theta, repeats):
-    (raw, seg), _ = staged_morse(f, theta)
-    return {"voxels": f.num_voxels, "theta": theta, "raw_maxima": len(raw.maxima),
-            "raw_saddles": len(raw.saddles), "kept_maxima": len(seg.maxima),
-            "morse_step": timed(f"{name} morse_step", lambda i: morse.morse_step(f, theta),
-                                repeats),
-            "stages": staged(name, lambda: staged_morse(f, theta), MORSE_STAGES, repeats)}
+    total, stages, counts = timed(f"{name} morse_step", lambda i: morse.morse_step(f, theta),
+                                  repeats, MORSE_STAGES)
+    return {"voxels": f.num_voxels, "theta": theta,
+            **{key: counts[key] for key in ("raw_maxima", "raw_saddles", "kept_maxima")},
+            "morse_step": total, "stages": stages}
 
 
 def bench_linking(n, g0, g1, w, repeats):
-    arcs, ev = linked(g0, g1, w)
+    total, stages, counts = timed(f"n={n} link_pair", lambda i: linked(g0, g1, w), repeats,
+                                  LINK_STAGES)
     tracemalloc.start()
     try:
         temporal.compute_scores(g0, g1, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"arcs": len(arcs), "merges": len(ev.merges), "splits": len(ev.splits),
-            "link_pair": timed(f"n={n} link_pair", lambda i: linked(g0, g1, w), repeats),
-            "stages": staged(f"n={n}", lambda: staged_link(g0, g1, w), LINK_STAGES, repeats),
-            "scores_traced_peak_mb": peak / 1e6}
+    return {**{key: counts[key] for key in ("arcs", "merges", "splits")},
+            "link_pair": total, "stages": stages, "scores_traced_peak_mb": peak / 1e6}
 
 
 def track_writers(tracks, tveg, prefix=""):
@@ -261,15 +235,16 @@ def bench_exports(tveg, tmp, repeats):
                    "nodes": [len(g.value) for g in tveg.graphs]},
         "tracks": len(tracks), "track_nodes": sum(len(tr.nodes) for tr in tracks),
         "sparse_tracks": len(sparse), "sparse_track_nodes": sum(len(tr.nodes) for tr in sparse),
-        "queries": {name: timed(name, lambda i: run(), repeats) for name, run in queries.items()},
+        "queries": {name: timed(name, lambda i: run(), repeats)[0]
+                    for name, run in queries.items()},
         "writers": {},
     }
     for name, write in writers.items():
         path = os.path.join(tmp, name + ".%d")
-        result["writers"][name] = {**timed(name, lambda i: write(path % i), repeats),
+        result["writers"][name] = {**timed(name, lambda i: write(path % i), repeats)[0],
                                    "bytes": os.path.getsize(path % (repeats - 1))}
     stored = os.path.join(tmp, "tveg_json.%d" % (repeats - 1))
-    result["load"] = timed("load", lambda i: tvio.load_tveg_json(stored), repeats)
+    result["load"] = timed("load", lambda i: tvio.load_tveg_json(stored), repeats)[0]
     return result
 
 
@@ -285,8 +260,6 @@ def main() -> int:
     pairs = {n: synthetic_pair(n) for n in LINK_SIZES}
     tveg = compute_tveg(noisy_gauss8(EDGE, NOISE, SEED), 0.0, w)
     with tempfile.TemporaryDirectory() as tmp:
-        check_morse(cases)
-        check_linking(pairs, w)
         check_exports(tveg, tmp)
         report = {
             "repeats": args.repeats,

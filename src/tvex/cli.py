@@ -211,12 +211,16 @@ def _tracks_or_paths(tveg, tracks_path) -> list:
     if not tracks_path:
         return tvtracks.extract_tracks(tveg, mode="simple-paths")
     track_list = tvio.load_tracks_json(tracks_path)
-    for i, track in enumerate(track_list):
-        for t, node in track.nodes:
-            try:
-                tveg.max_row(t, node)
-            except ValueError as exc:
-                raise ValueError(f"{tracks_path}: track {i}: node {[t, node]}: {exc}") from None
+    try:
+        tveg.maxima_rows([node for track in track_list for node in track.nodes])
+    except ValueError:  # find the first bad node's track to name it
+        for i, track in enumerate(track_list):
+            for t, node in track.nodes:
+                try:
+                    tveg.max_row(t, node)
+                except ValueError as exc:
+                    raise ValueError(f"{tracks_path}: track {i}: node {[t, node]}: {exc}") from None
+        raise
     return track_list
 
 

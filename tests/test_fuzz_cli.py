@@ -1,4 +1,5 @@
-"""Hypothesis fuzzing of every JSON input the CLI reads.
+"""Hypothesis fuzzing of every JSON input the CLI reads, and hostile
+volumes through every command that reads a series.
 
 Each case starts from a valid document and replaces or deletes up to
 three of its values (containers included), or draws a JSON document of
@@ -9,6 +10,11 @@ nothing. Every mutated `tveg.json` the loader accepts must reach a fixed
 point in one round: load -> export -> load -> export gives the bytes of
 the first export. Inputs stay small: a manifest's dims are checked
 against the size of its (tiny) volumes before one is read.
+
+The hostile volumes are small manifests whose raw files are a value short
+or long, hold a NaN or an infinity, lie on degenerate grids, hold a
+constant field, or form one step, and a theta above the value range;
+each command must exit 0, 2 or 3 and name the error of a nonzero exit.
 """
 
 import json
@@ -154,3 +160,77 @@ def test_tveg_value_mutations(work, ids, data):
         tvio.export_tveg_json(tvio.load_tveg_json(once), twice)
         with open(once, "rb") as a, open(twice, "rb") as b:
             assert_same_text(a.read(), b.read())
+
+
+RNG = np.random.default_rng(0)
+
+
+def noise(n):
+    return RNG.uniform(0.0, 1.0, n)
+
+
+def spiked(value):
+    """A 4^3 volume of noise holding one `value`."""
+    values = noise(64)
+    values[13] = value
+    return values
+
+
+# name: (dims, the values of each step, theta, the exit of `tvex tveg`)
+HOSTILE_VOLUMES = {
+    "one value short": ((4, 4, 4), [noise(63), noise(64)], "0", 2),
+    "one value long": ((4, 4, 4), [noise(64), noise(65)], "0", 2),
+    "nan": ((4, 4, 4), [noise(64), spiked(np.nan)], "0", 2),
+    "+inf": ((4, 4, 4), [spiked(np.inf), noise(64)], "0", 2),
+    "-inf": ((4, 4, 4), [noise(64), spiked(-np.inf)], "0", 2),
+    "1x1x1": ((1, 1, 1), [noise(1), noise(1)], "0", 0),
+    "1x5x5": ((1, 5, 5), [noise(25), noise(25)], "0", 0),
+    "7x1x1": ((7, 1, 1), [noise(7), noise(7)], "0", 0),
+    "constant": ((4, 4, 4), [np.ones(64), np.ones(64)], "0", 0),
+    "theta 2r": ((4, 4, 4), [noise(64), noise(64)], "2r", 0),
+    "one step": ((4, 4, 4), [noise(64)], "0", 2),
+}
+
+
+@pytest.mark.parametrize("dims, volumes, theta, code", HOSTILE_VOLUMES.values(),
+                         ids=HOSTILE_VOLUMES)
+def test_hostile_volumes(tmp_path, capsys, dims, volumes, theta, code):
+    """`tvex tveg` on the manifest gives the expected exit; where it
+    succeeds, so do `events`, `tracks` (plain and refined) and both
+    exports. A nonzero exit prints an `error:` line."""
+    steps = []
+    for t, values in enumerate(volumes, 1):
+        np.asarray(values, "<f4").tofile(tmp_path / f"v{t}.raw")
+        steps.append({"t": t, "file": f"v{t}.raw"})
+    manifest = write(tmp_path / "manifest.json", {"dims": list(dims), "steps": steps})
+    tveg, tracks = str(tmp_path / "tveg.json"), str(tmp_path / "tracks.json")
+
+    def cli(*argv):
+        got = run(list(argv))
+        err = capsys.readouterr().err
+        assert not got or err.startswith(("error: ", "i/o error: ")), (argv, err)
+        return got
+
+    assert cli("tveg", "--manifest", manifest, "--theta", theta, "-o", str(tmp_path)) == code
+    if code == 0:
+        assert cli("events", "--tveg", tveg, "-o", str(tmp_path / "events.json")) == 0
+        assert cli("tracks", "--tveg", tveg, "-o", tracks) == 0
+        assert cli("tracks", "--tveg", tveg, "--refine", "--manifest", manifest,
+                   "--min-len", "1", "-o", str(tmp_path / "refined.json")) == 0
+        assert cli("export", "--tveg", tveg, "--tracks", tracks, "--spatial-arcs",
+                   "-o", str(tmp_path / "tracks.vtk")) == 0
+        assert cli("export", "--what", "segmentation", "--manifest", manifest,
+                   "--theta", theta, "-o", str(tmp_path / "seg")) == 0
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["gen", "--gauss8", "--dims", "1,2", "-o", "g"], "argument --dims: dims must be N or NX,NY,NZ"),
+    (["gen", "--gauss8", "--sigma", "wide", "-o", "g"],
+     "argument --sigma: invalid float value: 'wide'"),
+], ids=["two dims", "sigma not a number"])
+def test_gen_argument_diagnostics(tmp_path, capsys, monkeypatch, argv, msg):
+    """argparse names the option and exits 2 before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"tvex gen: error: {msg}"
+    assert not any(tmp_path.iterdir())
