@@ -24,14 +24,16 @@ events. A timed run that records no span of a stage exits nonzero,
 naming the stage; a renamed stage function already fails at import.
 
 Before timing anything it checks the loaded `tveg.json` against its own
-bytes when exported again, the tracks file against the dict writer of
-`tests/linking_oracle.py`, the least-deviation ranking against
-`tests/tracks_oracle.py`, and the VTK file of both modes' tracks and the
-sparse paths, without and with spatial arcs, against
-`tests/vtk_oracle.py`; it exits nonzero, naming the check, at the first
-disagreement. Each figure is the best and the median of `--repeats`
-runs after one warm-up run, printed and written to BENCH_layers.json in
-the current directory.
+bytes when exported again; the tracks file, the region answer of the
+whole domain over both steps, the neighbourhood of the first simple path
+at 2 hops and the segmentation sidecar of step 1 at theta = 0 against
+the generic writer of `tests/linking_oracle.py`; the least-deviation
+ranking against `tests/tracks_oracle.py`; and the VTK file of both
+modes' tracks and the sparse paths, without and with spatial arcs,
+against `tests/vtk_oracle.py`. It exits nonzero, naming the check or the
+writer, at the first disagreement. Each figure is the best and the
+median of `--repeats` runs after one warm-up run, printed and written to
+BENCH_layers.json in the current directory.
 
 Usage:
     python3 scripts/benchmark_layers.py [--repeats 5]
@@ -53,7 +55,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 for _dir in ("src", "tests", "bench"):
     sys.path.insert(0, os.path.join(HERE, "..", _dir))
 
-from linking_oracle import canonical_json, tracks_to_dict
+from linking_oracle import (canonical_json, neighborhood_dict, selection_dict, sidecar_dict,
+                            tracks_to_dict)
 from spans import Recorder
 from tracks_oracle import least_deviation as least_deviation_reference
 import vtk_oracle
@@ -61,7 +64,7 @@ from tvex import io as tvio, morse, temporal
 from tvex.exgraph import ExtremumGraph
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
-from tvex.query import least_deviation, tracks_longer_than
+from tvex.query import least_deviation, select_in_region, track_neighborhood, tracks_longer_than
 from tvex.temporal import ScoreWeights, link_pair
 from tvex.tracks import extract_tracks
 
@@ -152,13 +155,15 @@ def linked(g0, g1, w):
     return arcs, temporal.detect_events(arcs, g0.maxima.tolist(), g1.maxima.tolist())
 
 
-def check_exports(tveg, tmp):
+def check_exports(series, tveg, tmp):
     """Exit unless the loaded `tveg.json` exports to the same bytes, the
     tracks file of each mode is the oracle's text, the
     least-deviation ranking of each mode (the sparse paths and the whole)
-    is the per-track reference's, and the VTK file of the tracks of each
+    is the per-track reference's, the VTK file of the tracks of each
     mode and of the sparse paths, without and with spatial arcs, is the
-    oracle writer's."""
+    oracle writer's, and the region answer of the whole domain over all
+    steps, the neighbourhood of the first simple path at 2 hops and the
+    segmentation sidecar of step 1 at theta 0 are the oracle's texts."""
     got, want = os.path.join(tmp, "check"), os.path.join(tmp, "oracle")
     tvio.export_tveg_json(tveg, got)
     tvio.export_tveg_json(tvio.load_tveg_json(got), want)
@@ -184,6 +189,19 @@ def check_exports(tveg, tmp):
                 if a.read() != b.read():
                     sys.exit(f"export_tracks_geometry differs from the oracle writer "
                              f"({name}, spatial={spatial})")
+    coords = np.concatenate([g.coords for g in tveg.graphs])
+    box = [coords.min(0).tolist(), coords.max(0).tolist()]
+    sel = select_in_region(tveg, box, (tveg.graphs[0].t, tveg.graphs[-1].t))
+    nb = track_neighborhood(tveg, cases["simple-paths"][0], 2)
+    seg = morse.morse_step(series.at(1), 0.0)
+    with open(tvio.export_segmentation(seg, os.path.join(tmp, "seg"))[1]) as fh:
+        sidecar = fh.read()
+    texts = {"selection_json": (tvio.selection_json(sel), selection_dict(sel)),
+             "neighborhood_json": (tvio.neighborhood_json(nb), neighborhood_dict(nb)),
+             "export_segmentation": (sidecar, sidecar_dict(seg))}
+    for writer, (text, tree) in texts.items():
+        if text != canonical_json(tree):
+            sys.exit(f"{writer} differs from the oracle writer")
 
 
 def bench_morse(name, f, theta, repeats):
@@ -258,9 +276,10 @@ def main() -> int:
     w = ScoreWeights()
     cases = {name: morse_case(name) for name in MORSE}
     pairs = {n: synthetic_pair(n) for n in LINK_SIZES}
-    tveg = compute_tveg(noisy_gauss8(EDGE, NOISE, SEED), 0.0, w)
+    series = noisy_gauss8(EDGE, NOISE, SEED)
+    tveg = compute_tveg(series, 0.0, w)
     with tempfile.TemporaryDirectory() as tmp:
-        check_exports(tveg, tmp)
+        check_exports(series, tveg, tmp)
         report = {
             "repeats": args.repeats,
             "morse": {name: bench_morse(name, f, theta, args.repeats)

@@ -169,8 +169,8 @@ def _check_spec(q: dict, spec: str) -> None:
 
 def _run_query(tveg, q: dict, tracks_path) -> Iterable[str]:
     """Answer one query dict (`kind` plus the keys that kind reads) as the
-    pieces of its canonical JSON text: tracks and events through their
-    writers in `io`. An absent (or, from the flags, None) `k` or `n` is 1."""
+    pieces of its canonical JSON text, from its kind's writer in `io`.
+    An absent (or, from the flags, None) `k` or `n` is 1."""
     kind, box, window = q["kind"], q.get("box"), q.get("window")
     if kind in ("length-threshold", "least-deviation"):
         track_list = _tracks_or_paths(tveg, tracks_path)
@@ -183,13 +183,7 @@ def _run_query(tveg, q: dict, tracks_path) -> Iterable[str]:
     if kind == "region":
         if box is None or window is None:
             raise ValueError("region query needs --box and --window")
-        sel = tvquery.select_in_region(tveg, box, window)
-        return [tvio.canonical_json({
-            "maxima": sel.maxima,
-            "saddles": sel.saddles,
-            "spatial_arcs": sel.spatial_arcs,
-            "temporal_arcs": sel.temporal_arcs,
-        })]
+        return [tvio.selection_json(tvquery.select_in_region(tveg, box, window))]
     if kind == "window-events":
         if window is None:
             raise ValueError("window-events query needs --window")
@@ -200,7 +194,7 @@ def _run_query(tveg, q: dict, tracks_path) -> Iterable[str]:
             raise ValueError("neighborhood query needs --seeds")
         track = tvtracks.Track(nodes=sorted((split_node_id(s)[0], s) for s in seeds), arcs=[])
         nb = tvquery.track_neighborhood(tveg, track, q.get("hops", 0))
-        return [tvio.canonical_json({"neighborhood": {str(t): n for t, n in nb.items()}})]
+        return [tvio.neighborhood_json(nb)]
     raise ValueError(f"unknown query kind {kind!r}")
 
 

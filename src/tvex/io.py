@@ -2,7 +2,9 @@
 
 All JSON output is canonical: keys sorted, floats printed with 17
 significant digits, so identical inputs produce byte-identical files
-and export -> parse -> export round-trips exactly.
+and export -> parse -> export round-trips exactly. Each record kind has
+one writer, a fill of its template; the generic tree writer they must
+match is the reference in `tests/linking_oracle.py`.
 """
 
 from __future__ import annotations
@@ -21,59 +23,15 @@ from .exgraph import ExtremumGraph, make_node_id, split_node_id
 from .field import read_json
 from .morse import Segmentation
 from .pipeline import check_theta
+from .query import Selection
 from .temporal import EventSets, FilterMeta, ScoreTuple, ScoreWeights, Tveg
 from .tracks import Track
 
 
-def _canon(obj, out: list) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _canon(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _canon(item, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(obj))
-
-
-def _text(obj) -> str:
-    """`obj`'s canonical JSON text, without a trailing newline."""
-    out: list[str] = []
-    _canon(obj, out)
-    return "".join(out)
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text for a tree of dicts/lists/scalars."""
-    return _text(obj) + "\n"
-
-
-# one node of a step: keys in sorted order, floats as `_canon` prints
-# them ("%.17g" % v is format(v, ".17g")); eta and x come as `_texts` gives them
-_NODE = (
-    '{"eta":%s,"id":%d,"index":%d,"pers":%.17g,"t":%d,"value":%.17g,'
-    '"vertex":%d,"x":[%s,%s,%s]}'
-)
-
-
+# one node of a step: keys in sorted order, floats at %.17g; eta and x
+# come as `_texts` gives them
+_NODE = ('{"eta":%s,"id":%d,"index":%d,"pers":%.17g,"t":%d,"value":%.17g,'
+         '"vertex":%d,"x":[%s,%s,%s]}')
 _NODE_ROWS = 256  # node rows rendered at a time
 
 
@@ -209,7 +167,9 @@ def export_tveg_json(tveg: Tveg, path: str) -> None:
         for i, (g, (arcs, meta)) in enumerate(zip(tveg.graphs, tveg.links)):
             fh.write("," if i else "")
             fh.write(_pair_json(g.t, arcs, meta))
-        fh.write('],"theta":%s,"weights":%s}\n' % (_text(tveg.theta), _text(vars(tveg.weights))))
+        w = tveg.weights
+        fh.write('],"theta":%.17g,"weights":{"G":%.17g,"L1":%.17g,"L2":%.17g,"L3":%.17g}}\n'
+                 % (tveg.theta, w.G, w.L1, w.L2, w.L3))
 
 
 def events_json(ev: EventSets) -> str:
@@ -228,11 +188,37 @@ def events_json(ev: EventSets) -> str:
     return template % tuple(values)
 
 
+def _score_arcs(n: int) -> str:
+    """The template of n temporal arcs [m0, m1, s], comma-separated."""
+    return ",".join(["[%d,%d,%.17g]"] * n)
+
+
 def _pair_json(t: int, arcs: list[ScoreTuple], meta: FilterMeta) -> str:
-    """The canonical JSON object of the pair t -> t + 1: its arcs as one
-    fill of the [m0, m1, s] template, its filter statistics and t."""
-    arcs_text = ",".join(["[%d,%d,%.17g]"] * len(arcs)) % tuple(chain.from_iterable(arcs))
-    return '{"arcs":[%s],"filter":%s,"t":%d}' % (arcs_text, _text(vars(meta)), t)
+    """The canonical JSON object of the pair t -> t + 1 (its arcs, its
+    filter statistics and t) as one fill of its template."""
+    template = '{"arcs":[%s],"filter":{"mu":%%.17g,"sigma":%%.17g,"tau":%%.17g},"t":%%d}' % (
+        _score_arcs(len(arcs)))
+    return template % (*chain.from_iterable(arcs), meta.mu, meta.sigma, meta.tau, t)
+
+
+def selection_json(sel: Selection) -> str:
+    """The canonical JSON text of a region answer (its maxima, saddles,
+    [maximum, saddle] spatial arcs and [m0, m1, s] temporal arcs),
+    trailing newline included, as one fill of its template."""
+    template = '{"maxima":[%s],"saddles":[%s],"spatial_arcs":[%s],"temporal_arcs":[%s]}\n' % (
+        ",".join(["%d"] * len(sel.maxima)), ",".join(["%d"] * len(sel.saddles)),
+        ",".join(["[%d,%d]"] * len(sel.spatial_arcs)), _score_arcs(len(sel.temporal_arcs)))
+    return template % (*sel.maxima, *sel.saddles, *chain(*sel.spatial_arcs, *sel.temporal_arcs))
+
+
+def neighborhood_json(nb: dict[int, list[int]]) -> str:
+    """The canonical JSON text of a neighbourhood answer (node ids by step),
+    trailing newline included, as one fill of its template. The steps are
+    keys, so they are sorted as strings: "-1" < "10" < "9"."""
+    steps = sorted(nb.items(), key=lambda item: str(item[0]))
+    template = '{"neighborhood":{%s}}\n' % ",".join(
+        '"%%d":[%s]' % ",".join(["%d"] * len(ids)) for _, ids in steps)
+    return template % tuple(chain.from_iterable((t, *ids) for t, ids in steps))
 
 
 def _temporal_arc(a, t: int, n0: int, n1: int) -> ScoreTuple:
@@ -364,12 +350,10 @@ def _track(tr, where: str) -> Track:
 
 
 def _event_codes(tveg: Tveg) -> dict[int, int]:
-    """Per node id, its event code: 1 merge, 2 split, 3 deletion, 4 generation.
-
-    First match in that order wins when a node participates in several:
-    the kinds are entered from the last, each over those after it. Every
-    event is recorded at its node's step, so the node id alone keys it.
-    """
+    """Per node id, its event code: 1 merge, 2 split, 3 deletion or 4
+    generation, the first in that order that it takes part in (the kinds
+    are entered from the last, each over those after it). Every event is
+    recorded at its node's step, so the node id alone keys it."""
     ev = tveg.events
     codes = {n: 4 for n, _ in ev.generations}
     codes.update({n: 3 for n, _ in ev.deletions})
@@ -378,14 +362,9 @@ def _event_codes(tveg: Tveg) -> dict[int, int]:
     return codes
 
 
-def export_tracks_geometry(
-    tracks: list[Track],
-    tveg: Tveg,
-    path: str,
-    z_scale: float = 0.1,
-    slab_height: float | None = None,
-    include_spatial: bool = False,
-) -> None:
+def export_tracks_geometry(tracks: list[Track], tveg: Tveg, path: str, z_scale: float = 0.1,
+                           slab_height: float | None = None,
+                           include_spatial: bool = False) -> None:
     """Legacy ASCII polydata export of tracks stacked along z.
 
     Point z' = z * z_scale + t * slab_height; slab_height defaults to
@@ -395,7 +374,8 @@ def export_tracks_geometry(
     its saddles. Points are each track's nodes, then its saddles; lines
     are each track's arcs, then its spatial lines. Every track node must
     be a maximum of `tveg`: the first that is not, in track order, raises
-    the ValueError of `Tveg.max_row` before anything is written.
+    the ValueError of `Tveg.max_row` before anything is written, as does
+    a lift that overflows (a z' that is not finite, named by its step).
 
     Each step the tracks touch only selects its rows (`_step_rows`). The
     rows of all steps are rendered once per file (`_node_texts`), so a
@@ -485,12 +465,17 @@ def _node_texts(steps: list, ts: list[int], z_scale: float, slab_height: float,
     """The texts of the maxima of `steps`, the `_step_rows` of steps `ts`,
     from one render of all their rows, z' = z * z_scale + t * slab_height:
     each distinct x, y and z' once, then every row's text in one fill.
+    Raises ValueError, naming the step, if a z' is not finite.
     Returns, by maximum id, its point, time and event texts, and its
     saddles' point texts joined, with their count."""
     sizes = [len(c) for _, c, _, _ in steps]
     coords = np.concatenate([c for _, c, _, _ in steps] or [np.empty((0, 3))])
-    coords[:, 2] *= z_scale
-    coords[:, 2] += np.repeat([t * slab_height for t in ts], sizes)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        coords[:, 2] *= z_scale
+        coords[:, 2] += np.repeat([t * slab_height for t in ts], sizes)
+    if not np.isfinite(coords[:, 2]).all():
+        t = np.repeat(ts, sizes)[~np.isfinite(coords[:, 2])][0]
+        raise ValueError(f"step {t}: the lift z * {z_scale!r} + {t} * {slab_height!r} is not finite")
     texts = ("%s %s %s\n" * len(coords) % tuple(_texts(coords.ravel(), "%.9g"))).splitlines(True)
     row_texts = np.array(texts, object)
     point: dict[int, tuple[str, str, str]] = {}
@@ -509,48 +494,31 @@ def _node_texts(steps: list, ts: list[int], z_scale: float, slab_height: float,
 def _default_slab_height(tveg: Tveg, z_scale: float) -> float:
     """The scaled z-extent of all node coordinates (1 if flat)."""
     zs = np.concatenate([g.coords[:, 2] for g in tveg.graphs] or [np.empty(0)])
-    if not zs.size:
-        return 1.0
-    extent = float(zs.max() - zs.min())
+    extent = float(np.ptp(zs)) if zs.size else 0.0
     return extent * z_scale if extent > 0 else 1.0
 
 
-def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
-    """Raw 32-bit unsigned volume of each voxel's maximum's voxel id, plus
-    a JSON sidecar.
+# one region of the segmentation sidecar: its maximum's voxel id as
+# label and vertex, persistence, voxel count, value and world position
+_REGION = ('{"label":%d,"pers":%.17g,"region_voxels":%d,"value":%.17g,"vertex":%d,'
+           '"x":[%.17g,%.17g,%.17g]}')
 
-    Returns (labels_path, sidecar_path).
-    """
-    labels_path = path_prefix + ".labels.raw"
-    sidecar_path = path_prefix + ".labels.json"
+
+def export_segmentation(seg: Segmentation, path_prefix: str) -> tuple[str, str]:
+    """Write a raw 32-bit unsigned volume of each voxel's maximum's voxel
+    id, and a canonical JSON sidecar of the grid and the regions as one
+    fill of its template. Returns (labels_path, sidecar_path)."""
+    labels_path, sidecar_path = path_prefix + ".labels.raw", path_prefix + ".labels.json"
     seg.maxima.astype("<u4").take(seg.labels).tofile(labels_path)
     f = seg.field
     maxima = seg.maxima.tolist()
-    sizes = np.bincount(seg.labels, minlength=len(maxima))
-    sidecar = {
-        "dims": list(f.dims),
-        "dtype": "<u4",
-        "order": "x-fastest",
-        "maxima": [
-            {
-                "label": m,
-                "x": x,
-                "value": value,
-                "pers": pers,
-                "vertex": m,
-                "region_voxels": size,
-            }
-            for m, x, value, pers, size in zip(
-                maxima,
-                f.world_coords_many(seg.maxima).tolist(),
-                f.values[seg.maxima].tolist(),
-                seg.pers.tolist(),
-                sizes.tolist(),
-            )
-        ],
-    }
+    sizes = np.bincount(seg.labels, minlength=len(maxima)).tolist()
+    x, y, z = f.world_coords_many(seg.maxima).T.tolist()
+    rows = zip(maxima, seg.pers.tolist(), sizes, f.values[seg.maxima].tolist(), maxima, x, y, z)
+    template = '{"dims":[%%d,%%d,%%d],"dtype":"<u4","maxima":[%s],"order":"x-fastest"}\n' % (
+        ",".join([_REGION] * len(maxima)))
     with open(sidecar_path, "w") as fh:
-        fh.write(canonical_json(sidecar))
+        fh.write(template % (*f.dims, *chain.from_iterable(rows)))
     return labels_path, sidecar_path
 
 

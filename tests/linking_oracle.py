@@ -1,21 +1,67 @@
-"""Reference linking and tveg.json writer, one Python object at a time.
+"""Reference linking and canonical JSON writer, one Python object at a time.
 
 These are the straightforward implementations the column code in
-`tvex.temporal` and `tvex.io` must match bit for bit: an (n0, n1, 3)
-difference tensor reduced by `np.linalg.norm`, a per-row sort for the
-two best targets, a rescan of all arcs after every z-removal, and a
-dict tree written by the generic `canonical_json`. `tracks_to_dict` and
-`events_to_dict` are the dict trees of the tracks and events writers.
+`tvex.temporal` and the template writers of `tvex.io` must match bit for
+bit: an (n0, n1, 3) difference tensor reduced by `np.linalg.norm`, a
+per-row sort for the two best targets, a rescan of all arcs after every
+z-removal, and dict trees written by the generic `canonical_json`, a
+recursive walker that dispatches on type. `tvex.io` has no such walker;
+this one is the reference for every canonical text it writes: the dict
+trees of `tveg.json` and its steps (`tveg_to_dict`, `step_dict`), of the
+events, tracks, region and neighbourhood answers (`events_to_dict`,
+`tracks_to_dict`, `selection_dict`, `neighborhood_dict`) and of the
+segmentation sidecar (`sidecar_dict`).
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from tvex.exgraph import ExtremumGraph, make_node_id
-from tvex.io import canonical_json
+from tvex.morse import Segmentation
+from tvex.query import Selection
 from tvex.temporal import EventSets, ScoreTuple, ScoreWeights, Tveg
 from tvex.tracks import Track
+
+
+def _canon(obj, out: list) -> None:
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _canon(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _canon(item, out)
+        out.append("]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format(float(obj), ".17g"))
+    elif obj is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(obj))
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON text for a tree of dicts/lists/scalars: keys
+    sorted as strings, floats at 17 significant digits, a trailing
+    newline."""
+    out: list[str] = []
+    _canon(obj, out)
+    return "".join(out) + "\n"
 
 
 def normalize_components(g0: ExtremumGraph, g1: ExtremumGraph):
@@ -148,3 +194,45 @@ def tveg_json(tveg: Tveg) -> str:
 def extremum_graph_json(g: ExtremumGraph) -> str:
     """The text `export_extremum_graph_json` must write."""
     return canonical_json(step_dict(g))
+
+
+def selection_dict(sel: Selection) -> dict:
+    return {
+        "maxima": sel.maxima,
+        "saddles": sel.saddles,
+        "spatial_arcs": sel.spatial_arcs,
+        "temporal_arcs": sel.temporal_arcs,
+    }
+
+
+def neighborhood_dict(nb: dict[int, list[int]]) -> dict:
+    return {"neighborhood": {str(t): n for t, n in nb.items()}}
+
+
+def sidecar_dict(seg: Segmentation) -> dict:
+    """The tree of the sidecar `export_segmentation` must write."""
+    f = seg.field
+    maxima = seg.maxima.tolist()
+    sizes = np.bincount(seg.labels, minlength=len(maxima))
+    return {
+        "dims": list(f.dims),
+        "dtype": "<u4",
+        "order": "x-fastest",
+        "maxima": [
+            {
+                "label": m,
+                "x": x,
+                "value": value,
+                "pers": pers,
+                "vertex": m,
+                "region_voxels": size,
+            }
+            for m, x, value, pers, size in zip(
+                maxima,
+                f.world_coords_many(seg.maxima).tolist(),
+                f.values[seg.maxima].tolist(),
+                seg.pers.tolist(),
+                sizes.tolist(),
+            )
+        ],
+    }

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from tvex import io as tvio
 from tvex.cli import main
 from tvex.field import FieldSeries, ScalarField3D, generate_gauss8, load_series, save_series
 from tvex.pipeline import compute_tveg, resolve_theta
-from tvex.query import events_in_window, least_deviation, track_neighborhood, tracks_longer_than
+from tvex.query import (events_in_window, least_deviation, select_in_region, track_neighborhood,
+                        tracks_longer_than)
 from tvex.temporal import ScoreWeights
 from tvex.tracks import Track, extract_tracks, refine_by_overlap
 
@@ -29,26 +31,29 @@ def tvg():
 
 
 class TestCanonicalJson:
+    """The generic writer of `linking_oracle`, the reference that every
+    template writer of `tvex.io` is compared with."""
+
     def test_sorted_keys(self):
-        assert tvio.canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
+        assert oracle.canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
 
     def test_float_formatting(self):
-        assert tvio.canonical_json(0.1) == "0.10000000000000001\n"
-        assert tvio.canonical_json(1.0) == "1\n"
+        assert oracle.canonical_json(0.1) == "0.10000000000000001\n"
+        assert oracle.canonical_json(1.0) == "1\n"
 
     def test_float_roundtrips_exactly(self):
         for x in (0.1, 1 / 3, math.pi, 1e-300, 12345.6789):
-            text = tvio.canonical_json(x)
+            text = oracle.canonical_json(x)
             assert float(text) == x
 
     def test_scalars(self):
-        assert tvio.canonical_json(True) == "true\n"
-        assert tvio.canonical_json(None) == "null\n"
-        assert tvio.canonical_json([1, "x"]) == '[1,"x"]\n'
+        assert oracle.canonical_json(True) == "true\n"
+        assert oracle.canonical_json(None) == "null\n"
+        assert oracle.canonical_json([1, "x"]) == '[1,"x"]\n'
 
     def test_numpy_scalars(self):
-        assert tvio.canonical_json(np.int64(3)) == "3\n"
-        assert tvio.canonical_json(np.float64(0.5)) == "0.5\n"
+        assert oracle.canonical_json(np.int64(3)) == "3\n"
+        assert oracle.canonical_json(np.float64(0.5)) == "0.5\n"
 
 
 class TestTvegRoundtrip:
@@ -213,7 +218,7 @@ class TestTvegLoaderChecks:
         assert len(doc["steps"][1]["arcs"]) >= 2
         _corrupt_steps(doc, how)
         with open(p, "w") as fh:
-            fh.write(tvio.canonical_json(doc))
+            fh.write(oracle.canonical_json(doc))
         with pytest.raises(ValueError):
             tvio.load_tveg_json(p)
         assert main(["events", "--tveg", p]) == 2
@@ -231,7 +236,7 @@ class TestTvegLoaderChecks:
         nodes = steps[1]["nodes"]
         nodes[0], nodes[1] = nodes[1], nodes[0]
         with open(p, "w") as fh:
-            fh.write(tvio.canonical_json(doc))
+            fh.write(oracle.canonical_json(doc))
         named = "step 1: arcs must be sorted (maximum, saddle) pairs"
         with pytest.raises(ValueError, match=re.escape(named)):
             tvio.load_tveg_json(p)
@@ -425,7 +430,7 @@ class TestTvegLoaderChecks:
             "weights": {"G": 0.25, "L1": 0.25, "L2": 0.25, "L3": 0.25},
         }
         p = tmp_path / "t.json"
-        p.write_text(tvio.canonical_json(doc))
+        p.write_text(oracle.canonical_json(doc))
         argv = ["query", "--tveg", str(p), "--kind", "region", "--box", "0", "0", "0", "1",
                 "1", "1", "--window", str(t0), str(t0 + 1)]
         if named is None:
@@ -618,6 +623,29 @@ class TestGeometryExport:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"argument {option}: must be a finite number, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--z-scale", "--slab-height"])
+    def test_overflowing_lift_is_named(self, tmp_path, capsys, option):
+        """A finite lift can still overflow: --slab-height 1e308 lifts step
+        2 to 2e308, and --z-scale 1e308 does the same through the default
+        slab height. The first step whose z is not finite is named, with
+        exit 2 and no overflow warning, and no file is written; the library
+        call raises the same error."""
+        series = generate_gauss8((12, 12, 12), steps=4)
+        tveg = compute_tveg(series, 0.05 * series.global_range(), ScoreWeights())
+        path, out = str(tmp_path / "tveg.json"), tmp_path / "x.vtk"
+        tvio.export_tveg_json(tveg, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["export", "--tveg", path, option, "1e308", "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            named = r"error: step 2: the lift z \* \S+ \+ 2 \* \S+ is not finite\n"
+            assert re.fullmatch(named, err)
+            assert not out.exists()
+            with pytest.raises(ValueError, match=re.escape(err[len("error: "):-1])):
+                tvio.export_tracks_geometry(extract_tracks(tveg), tveg, str(out),
+                                            **{option[2:].replace("-", "_"): 1e308})
         assert not out.exists()
 
     @pytest.mark.parametrize("values, field", [
@@ -815,7 +843,7 @@ class TestCli:
         for step in steps:
             with open(os.path.join(out, f"exgraph_{step['t']:04d}.json")) as fh:
                 eg = fh.read()
-            assert eg == tvio.canonical_json(step)
+            assert eg == oracle.canonical_json(step)
             assert eg[:-1] in text
         capsys.readouterr()
 
@@ -899,10 +927,11 @@ class TestCli:
         capsys.readouterr()
 
     def test_track_and_event_queries_write_the_oracle_text(self, rng, tmp_path, capsys):
-        """The track queries and the window-events query write, from the
-        flags and from a --spec file, to the -o file and to stdout, the text
-        of the oracle's dict trees; `tvex events --window` writes the same
-        text as the window-events query. Noise at theta 0 gives events."""
+        """The track queries and the window-events, region and neighbourhood
+        queries write, from the flags and from a --spec file, to the -o file
+        and to stdout, the text of the oracle's dict trees; `tvex events
+        --window` writes the same text as the window-events query. Noise at
+        theta 0 gives events."""
         series = FieldSeries([random_field(rng, (8, 8, 8), t) for t in (1, 2, 3, 4)])
         manifest = save_series(series, str(tmp_path / "d"))
         out = str(tmp_path / "o")
@@ -912,6 +941,7 @@ class TestCli:
         paths = extract_tracks(tveg, "simple-paths")
         window = events_in_window(tveg, (2, 3))
         assert paths and window.merges + window.splits + window.deletions + window.generations
+        seeds = [n for _, n in paths[0].nodes]
         cases = [
             (["--k", "2"], {"kind": "length-threshold", "k": 2},
              oracle.tracks_to_dict(tracks_longer_than(paths, 2))),
@@ -919,6 +949,12 @@ class TestCli:
              oracle.tracks_to_dict(least_deviation(paths, tveg, 3))),
             (["--window", "2", "3"], {"kind": "window-events", "window": [2, 3]},
              oracle.events_to_dict(window)),
+            (["--box", "0", "0", "0", "7", "7", "7", "--window", "2", "3"],
+             {"kind": "region", "box": [[0, 0, 0], [7, 7, 7]], "window": [2, 3]},
+             oracle.selection_dict(select_in_region(tveg, [[0, 0, 0], [7, 7, 7]], (2, 3)))),
+            (["--seeds", *map(str, seeds), "--hops", "1"],
+             {"kind": "neighborhood", "seeds": seeds, "hops": 1},
+             oracle.neighborhood_dict(track_neighborhood(tveg, paths[0], 1))),
         ]
         spec_path, res = tmp_path / "q.json", tmp_path / "res.json"
 

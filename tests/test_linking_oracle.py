@@ -1,5 +1,7 @@
-"""Column linking and the column tveg.json writer against the reference
-implementations in `linking_oracle`, bit for bit."""
+"""Column linking and the template writers of `tvex.io` (tveg.json, its
+steps and pairs, events, the region and neighbourhood answers and the
+segmentation sidecar) against the reference implementations in
+`linking_oracle`, bit for bit."""
 
 import os
 import re
@@ -9,15 +11,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linking_oracle as oracle
-from tvex import io as tvio, temporal
+from tvex import io as tvio, morse, temporal
 from tvex.exgraph import build_extremum_graph
 from tvex.field import ScalarField3D
 from tvex.pipeline import compute_tveg
+from tvex.query import Selection
 from tvex.temporal import (
     FilterMeta,
     ScoreTuple,
@@ -27,7 +30,7 @@ from tvex.temporal import (
     remove_z_configurations,
 )
 
-from conftest import assert_same_text, linked, maxima_graph
+from conftest import assert_same_text, linked, maxima_graph, random_field
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tvex")
 
@@ -186,17 +189,21 @@ class TestStepWriter:
             max_size=3,
         ),
         any_float,
+        score_weights(),
+        st.builds(FilterMeta, any_float, any_float, any_float),
     )
     @settings(max_examples=100, deadline=None)
-    def test_graphs_without_saddles(self, steps, theta):
-        """Maxima-only steps, empty ones and single-node ones among them."""
+    def test_graphs_without_saddles(self, steps, theta, w, meta):
+        """Maxima-only steps, empty ones and single-node ones among them;
+        theta, the weights and the filter statistics drawn, so that their
+        texts need all 17 digits or are -0."""
         graphs = []
         for t, (cols, vertex) in enumerate(steps, start=1):
             g = maxima_graph(t, cols, *cols.T)
             g.vertex = vertex + np.arange(len(cols), dtype=np.int64)
             graphs.append(g)
-        unlinked = [([], FilterMeta(0.0, 0.0, 0.0))] * (len(graphs) - 1)
-        tveg = Tveg(graphs, unlinked, ScoreWeights(), theta=theta)
+        unlinked = [([], meta)] * (len(graphs) - 1)
+        tveg = Tveg(graphs, unlinked, w, theta=theta)
         self.assert_same_text(tveg)
 
     @given(
@@ -274,13 +281,68 @@ class TestEventsWriter:
     def test_matches_canonical_json(self, ev):
         """Any kind may be empty; merges and splits have 2 to 5
         participants; node ids reach beyond 32 bits."""
-        assert tvio.events_json(ev) + "\n" == tvio.canonical_json(vars(ev))
+        assert tvio.events_json(ev) + "\n" == oracle.canonical_json(vars(ev))
 
     def test_linked_steps(self, rng):
         fields = [as_field(rng.uniform(0.0, 1.0, (8, 8, 8)), t) for t in (1, 2, 3)]
         ev = linked([build_extremum_graph(f, 0.0) for f in fields]).events
         assert ev.merges and ev.splits and ev.deletions and ev.generations
         assert tvio.events_json(ev) + "\n" == oracle.canonical_json(oracle.events_to_dict(ev))
+
+
+# repeated scores, neighbours one ulp apart, subnormals and -0.0, or any float
+scores = st.one_of(repeated_floats, any_float)
+
+
+class TestQueryWriters:
+    @given(
+        st.builds(
+            Selection,
+            st.lists(node_ids, max_size=6),
+            st.lists(node_ids, max_size=6),
+            st.lists(st.tuples(node_ids, node_ids), max_size=6),
+            st.lists(st.builds(ScoreTuple, node_ids, node_ids, scores), max_size=8),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_selection(self, sel):
+        """Any list may be empty; node ids reach beyond 32 bits."""
+        want = oracle.canonical_json(oracle.selection_dict(sel))
+        assert tvio.selection_json(sel) == want
+
+    @given(st.dictionaries(st.integers(-2**31, 2**31 - 1), st.lists(node_ids, max_size=5),
+                           max_size=8))
+    @example({9: [1], 10: [2, 3], -1: [], 0: [4], -20: [5]})
+    @settings(max_examples=200, deadline=None)
+    def test_neighborhood(self, nb):
+        """Negative and multi-digit steps: keys sort as strings, so "-1"
+        comes before "-20" and "10" before "9"."""
+        want = oracle.canonical_json(oracle.neighborhood_dict(nb))
+        assert tvio.neighborhood_json(nb) == want
+
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_segmentation_sidecar(self, dims, seed, frac, grid):
+        """Steps of `random_field`, simplified at any theta up to their
+        range, on its unit grid or on one of 17-digit spacings."""
+        f = random_field(np.random.default_rng(seed), dims, time_index=1)
+        if grid:
+            f.origin, f.spacing = np.full(3, -1.0), 2.0 / (np.array(dims) + 6.0)
+        seg = morse.morse_step(f, frac * float(np.ptp(f.values)))
+        with tempfile.TemporaryDirectory() as tmp:
+            _, sidecar = tvio.export_segmentation(seg, os.path.join(tmp, "seg"))
+            assert_same_text(Path(sidecar).read_text(),
+                             oracle.canonical_json(oracle.sidecar_dict(seg)))
+
+
+def test_src_has_no_generic_writer():
+    """The recursive canonical writer lives only in the oracle: every text
+    `tvex` writes comes from a template."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            text = Path(SRC, name).read_text()
+            assert not re.search(r"_canon|canonical_json|def _text\(", text), name
 
 
 def test_src_has_one_step_writer():
