@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark each tvex layer on one fixed case matrix.
 
-- morse: `morse_step` and its four stages on the first step of gauss8-64
+- morse: `morse_step` and its five stages on the first step of gauss8-64
   (smooth 64^3, theta = 0.05 r), noisy-24 (24^3 plus N(0, 0.05^2) noise,
   rounded to float32 as a `<f4` volume is, theta = 0) and noisy-64-f64
   (the same noise at 64^3, left in float64, so the voxel order takes the
@@ -17,7 +17,7 @@
   the loader reads the last `tveg.json` written.
 
 A stage's figure is the self time of that stage's calls inside each
-timed `morse_step` or `linked` run: at import the eight stage functions
+timed `morse_step` or `linked` run: at import the nine stage functions
 of `morse` and `temporal` are wrapped once by `bench/spans.Recorder`,
 which also counts the raw and kept maxima, the saddles, the arcs and the
 events. A timed run that records no span of a stage exits nonzero,
@@ -77,13 +77,15 @@ MORSE = {
     "noisy-64-f64": (64, 0.05, 0.0, False),
 }
 LINK_SIZES = (150, 600, 1500, 3000)
-MORSE_STAGES = ("vertex_order", "segmentation", "saddles", "simplify")
+# `pairing` is timed apart from the rest of `simplify`, which calls it
+MORSE_STAGES = ("vertex_order", "segmentation", "saddles", "pairing", "simplify")
 LINK_STAGES = ("scores", "filter", "z_removal", "events")
 SPANS = Recorder()  # the stages' spans and counters, by their names here
 SPANS.wrap(morse, "vertex_order", "vertex_order")
 SPANS.wrap(morse, "compute_segmentation", "segmentation",
            {"raw_maxima": lambda seg: len(seg.maxima)})
 SPANS.wrap(morse, "compute_saddles", "saddles", {"raw_saddles": lambda seg: len(seg.saddles)})
+SPANS.wrap(morse, "_pairing", "pairing")
 SPANS.wrap(morse, "simplify", "simplify", {"kept_maxima": lambda seg: len(seg.maxima)})
 SPANS.wrap(temporal, "compute_scores", "scores")
 SPANS.wrap(temporal, "filter_scores", "filter")

@@ -26,6 +26,8 @@ NEIGHBOR_OFFSETS = [
 HALF_OFFSETS = [o for o in NEIGHBOR_OFFSETS if o > (0, 0, 0)]
 # (rank of every voxel, voxel of every rank), as `vertex_order` gives it
 VoxelOrder = tuple[np.ndarray, np.ndarray]
+# value bits of an int64: a key and a value packed into one must fit
+_WORD_BITS = 63
 
 
 def _empty_ids(*shape: int) -> np.ndarray:
@@ -144,32 +146,31 @@ def compute_segmentation(f: ScalarField3D, order: VoxelOrder) -> Segmentation:
     )
 
 
-def _best_per_pair(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct region-pair keys, ascending, and each one's best rank.
+def _keep_last(packed: np.ndarray, shift: int) -> np.ndarray:
+    """The greatest entry of each run of equal `packed >> shift`, in
+    ascending order; `packed` is sorted in place.
 
-    Keys and ranks are non-negative. When both fit one int64, the key of
-    each edge goes in the high bits and its rank in the low bits; after
-    one in-place sort the last of each run of equal keys holds the
-    greatest rank. Wider keys take an argsort and a maximum per run.
+    With a key above `shift` bits of value in each entry, this is the
+    distinct keys, each with its greatest value.
     """
-    key_bits = int(keys.max(initial=0)).bit_length()
-    rank_bits = int(ranks.max(initial=0)).bit_length()
-    if key_bits + rank_bits > 63:
-        order = np.argsort(keys)
-        keys, ranks = keys[order], ranks[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        return keys[starts], np.maximum.reduceat(ranks, starts)
-    packed = keys << rank_bits
-    packed |= ranks
     packed.sort()
-    keys = packed >> rank_bits
-    last = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    best = packed[last]
-    best &= (1 << rank_bits) - 1
-    return keys[last], best.astype(ranks.dtype)
+    key = packed >> shift
+    last = np.empty(len(packed), dtype=bool)
+    last[-1:] = True
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    return packed.compress(last)
+
+
+def _best_per_pair(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the greatest value of each, by an
+    argsort and a maximum per run: the path for keys too wide to share
+    an int64 with their values (`_WORD_BITS`)."""
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.maximum.reduceat(values, starts)
 
 
 def _pad(a: np.ndarray, fill: int) -> np.ndarray:
@@ -190,8 +191,10 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
     padded flat arrays each of the 13 half offsets is a constant shift;
     `inner` drops the edges into the padding. Each offset's crossing
     edges are reduced to the best rank per pair of maximum rows before
-    the next offset. The labels are shared with `seg`, which is left as
-    it was.
+    the next offset. The key and rank widths are fixed once from k and
+    n: when they fit `_WORD_BITS`, each edge's pair key is packed above
+    its rank and `_keep_last` reduces them, otherwise `_best_per_pair`
+    does. The labels are shared with `seg`, which is left as it was.
     """
     nx, ny, nz = seg.field.dims
     rank, voxel = order
@@ -199,22 +202,36 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
     lp = _pad(seg.labels.reshape(nz, ny, nx), -1)
     rp = _pad(rank.reshape(nz, ny, nx), -1)
     inner = _pad(np.ones((nz, ny, nx), dtype=bool), False)
+    # a pair's key lo * k + hi is below k * k, an edge rank below n
+    rank_bits = (len(rank) - 1).bit_length()
+    packed = (k * k - 1).bit_length() + rank_bits <= _WORD_BITS
 
-    # empty first blocks: a field without crossing edges gets empty columns
-    keys, ranks = [_empty_ids(0)], [rank[:0]]
+    best = []
     for dz, dy, dx in HALF_OFFSETS:
         s = (dz * (ny + 2) + dy) * (nx + 2) + dx
         cross = lp[:-s] != lp[s:]
         cross &= inner[:-s]
         cross &= inner[s:]
         i = np.flatnonzero(cross)
-        la, lb = lp[i], lp[i + s]
-        key = np.minimum(la, lb).astype(np.int64) * k + np.maximum(la, lb)
-        best = _best_per_pair(key, np.minimum(rp[i], rp[i + s]))
-        keys.append(best[0])
-        ranks.append(best[1])
+        j = i + s
+        la, lb = lp.take(i), lp.take(j)
+        key = np.minimum(la, lb, dtype=np.int64)
+        key *= k
+        key += np.maximum(la, lb)
+        edge = np.minimum(rp.take(i), rp.take(j))
+        if packed:
+            key <<= rank_bits
+            key |= edge
+            best.append(_keep_last(key, rank_bits))
+        else:
+            best.append(np.column_stack(_best_per_pair(key, edge)))
 
-    keys, ranks = _best_per_pair(np.concatenate(keys), np.concatenate(ranks))
+    if packed:
+        ranks = _keep_last(np.concatenate(best), rank_bits)
+        keys = ranks >> rank_bits
+        ranks &= (1 << rank_bits) - 1
+    else:
+        keys, ranks = _best_per_pair(*np.concatenate(best).T)
     # the saddle is the lower vertex of its edge: the voxel of that rank
     return replace(seg, pairs=np.column_stack([keys // k, keys % k]), saddles=voxel[ranks])
 
@@ -230,38 +247,81 @@ def find_root(parent: dict[int, int] | list[int], x: int) -> int:
     return x
 
 
-def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spanning_forest(ends: np.ndarray, k: int) -> np.ndarray:
+    """The edges of the maximum spanning forest of a graph on k vertices,
+    by their positions, ascending; row p of `ends` is edge p's two
+    vertices, and a higher position is a greater edge.
+
+    Borůvka rounds: every component hooks onto the component across its
+    greatest incident edge, which is in the forest. Positions are
+    unique, so two components hook onto each other only across one
+    edge; the lower of the two becomes the root, and pointer jumping
+    resolves the hooks to the merged components' roots. A component is
+    named by a vertex, and edges inside a component drop out after each
+    round.
+    """
+    forest = np.zeros(len(ends), dtype=bool)
+    live = np.arange(len(ends))  # positions of the edges between components
+    ca, cb = ends[:, 0], ends[:, 1]  # their ends' components
+    while len(live):
+        # a live edge's index orders it as its position does
+        best = np.full(k, -1)
+        np.maximum.at(best, ca, np.arange(len(live)))
+        np.maximum.at(best, cb, np.arange(len(live)))
+        c = np.flatnonzero(best >= 0)
+        e = best.take(c)
+        forest[live.take(e)] = True
+        x, y = ca.take(e), cb.take(e)
+        across = np.where(x == c, y, x)
+        hook = np.arange(k)
+        hook[c] = across
+        mutual = c.compress((hook.take(across) == c) & (c < across))
+        hook[mutual] = mutual
+        root = _jump(hook)
+        ca, cb = root.take(ca), root.take(cb)
+        between = ca != cb
+        live, ca, cb = live.compress(between), ca.compress(between), cb.compress(between)
+    return np.flatnonzero(forest)
+
+
+def _pairing(
+    seg: Segmentation, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge-order persistence pairing on the region-adjacency graph.
 
     Edges are processed in decreasing (saddle rank, row) order (Kruskal
     style); when two components merge, the component whose best maximum
     is lower gets paired: pers = f(m) - f(saddle). A component's root is
-    its best maximum.
-    Returns (pers, partner) per maximum row: partner is the row of the
-    maximum across the pairing saddle, -1 for the global maximum, whose
-    persistence is f(max) - f(min).
+    its best maximum. Kruskal merges two components exactly at the edges
+    of the maximum spanning forest under that order and skips every
+    other edge, so only the forest's edges are visited.
+    Returns (pers, partner, order): pers and partner per maximum row,
+    partner being the row of the maximum across the pairing saddle, -1
+    for the global maximum, whose persistence is f(max) - f(min); and
+    the rows of `seg.pairs` in increasing (saddle rank, row) order, so
+    that a row's position there orders the rows by (rank, row).
     """
     k = len(seg.maxima)
-    order = np.argsort(rank[seg.saddles], kind="stable")[::-1]
+    order = np.argsort(rank[seg.saddles], kind="stable")
+    ends = seg.pairs[order]
+    forest = _spanning_forest(ends, k)[::-1]
     mrank = rank[seg.maxima].tolist()
     parent = list(range(k))
     partner = [-1] * k
     died = [-1] * k  # position in `order` of the saddle each row dies at
-    for i, (a, b) in enumerate(seg.pairs[order].tolist()):
+    for p, (a, b) in zip(forest.tolist(), ends[forest].tolist()):
         ra, rb = find_root(parent, a), find_root(parent, b)
-        if ra == rb:
-            continue
         if mrank[ra] < mrank[rb]:
             loser, winner, side = ra, rb, b
         else:
             loser, winner, side = rb, ra, a
-        partner[loser], died[loser] = side, i
+        partner[loser], died[loser] = side, p
         parent[loser] = winner
 
     # a maximum that never dies (died = -1) picks the appended global minimum
     vals = seg.field.values
     floor = np.append(vals[seg.saddles[order]], vals.min())[died]
-    return vals[seg.maxima] - floor, np.array(partner, dtype=np.int64)
+    return vals[seg.maxima] - floor, np.array(partner, dtype=np.int64), order
 
 
 def compute_persistence(seg: Segmentation, rank: np.ndarray) -> dict[int, float]:
@@ -271,7 +331,7 @@ def compute_persistence(seg: Segmentation, rank: np.ndarray) -> dict[int, float]
     The globally greatest maximum gets the essential value
     f(global max) - f(global min).
     """
-    pers, _ = _pairing(seg, rank)
+    pers = _pairing(seg, rank)[0]
     return dict(zip(seg.maxima.tolist(), pers.tolist()))
 
 
@@ -287,37 +347,45 @@ def simplify(seg: Segmentation, theta: float, rank: np.ndarray) -> Segmentation:
     themselves to the one surviving maximum of their tree. Labels and
     pairs are relabeled through one table, the new row of every old
     row's survivor. Each surviving region pair keeps the saddle of
-    greatest (rank, row). The global maximum is never canceled. By the
-    same elder rule a survivor keeps its raw persistence. `rank` is the
-    voxel rank of `vertex_order(seg.field)`. Returns a new Segmentation;
-    `seg` is left as it was.
+    greatest (rank, row), the last in the pairing order: one sort of
+    the pair's (lo, hi) packed above that position. The global maximum
+    is never canceled. By the same elder rule a survivor keeps its raw
+    persistence. `rank` is the voxel rank of `vertex_order(seg.field)`.
+    Returns a new Segmentation; `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    pers, partner = _pairing(seg, rank)
+    pers, partner, order = _pairing(seg, rank)
     canceled = (partner >= 0) & (pers < theta)
     survivor = _jump(np.where(canceled, partner, np.arange(len(seg.maxima))))
-    new_row = (np.cumsum(~canceled) - 1)[survivor]
+    kept = ~canceled
+    new_row = (np.cumsum(kept) - 1)[survivor]
+    k = int(np.count_nonzero(kept))  # the survivors
 
-    ends = new_row[seg.pairs]
-    ends.sort(axis=1)
-    live = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    lo, hi = ends[live, 0], ends[live, 1]
-    # lexsort is stable and `live` ascends, so within each (lo, hi) group
-    # the last row has the greatest (rank, row)
-    order = np.lexsort((rank[seg.saddles[live]], hi, lo))
-    lo, hi = lo[order], hi[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    kept = live[order[last]]
+    # the ends of every region pair, by position in the pairing order
+    a, b = new_row.take(seg.pairs.take(order, axis=0).T)
+    live = np.flatnonzero(a != b)
+    a, b = a.take(live), b.take(live)
+    key = np.minimum(a, b)
+    key *= k
+    key += np.maximum(a, b)
+    pos_bits = (len(order) - 1).bit_length()
+    if (k * k - 1).bit_length() + pos_bits <= _WORD_BITS:
+        key <<= pos_bits
+        key |= live
+        last = _keep_last(key, pos_bits)
+        key = last >> pos_bits
+        last &= (1 << pos_bits) - 1
+    else:
+        key, last = _best_per_pair(key, live)
 
     return Segmentation(
         field=seg.field,
         labels=new_row.astype(seg.labels.dtype).take(seg.labels),
-        maxima=seg.maxima[~canceled],
-        pers=pers[~canceled],
-        pairs=np.column_stack([lo[last], hi[last]]),
-        saddles=seg.saddles[kept],
+        maxima=seg.maxima.compress(kept),
+        pers=pers.compress(kept),
+        pairs=np.column_stack([key // k, key % k]),
+        saddles=seg.saddles.take(order.take(last)),
     )
 
 

@@ -1,15 +1,17 @@
 """Per-voxel Morse passes as they were before the packed-key sorts, the
-box maximum and the flat-edge saddles: the oracle
+box maximum and the flat-edge saddles, and the persistence pairing as
+it was before it visited only the spanning forest: the oracle
 `tests/test_morse_oracle.py` compares `tvex.morse.vertex_order`,
-`_best_per_pair`, `compute_segmentation` and `compute_saddles` with,
-bit for bit.
+`_keep_last`, `_best_per_pair`, `compute_segmentation`,
+`compute_saddles` and `_pairing` with, bit for bit.
 
 The voxel order is one stable argsort of the values; steepest ascent
 runs one compare-and-keep pass per each of the 26 neighbor offsets over
 a padded int64 rank array; saddles mask the strided 3-D views of each
 of the 13 half offsets, key region pairs on voxel ids and reduce them
-by an argsort and a maximum per run. Only the offset lists and the
-`Segmentation` columns come from `tvex.morse`.
+by an argsort and a maximum per run. The pairing is a Kruskal sweep
+over every region pair with its own union-find. Only the offset lists
+and the `Segmentation` columns come from `tvex.morse`.
 """
 
 from __future__ import annotations
@@ -129,3 +131,39 @@ def compute_saddles(f: ScalarField3D, seg: Segmentation) -> Segmentation:
     seg.pairs = np.column_stack([keys // n, keys % n])
     seg.saddles = voxel[ranks]
     return seg
+
+
+def pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pers, partner) per maximum row of a segmentation whose pairs
+    name maxima by row: a Kruskal sweep over every region pair in
+    decreasing (saddle rank, row) order. When two components merge, the
+    one whose best maximum is lower is paired across the saddle; the
+    global maximum has partner -1 and persistence f(max) - f(min)."""
+    k = len(seg.maxima)
+    order = np.argsort(rank[seg.saddles], kind="stable")[::-1]
+    mrank = rank[seg.maxima].tolist()
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    partner = [-1] * k
+    died = [-1] * k  # position in `order` of the saddle each row dies at
+    for i, (a, b) in enumerate(seg.pairs[order].tolist()):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if mrank[ra] < mrank[rb]:
+            loser, winner, side = ra, rb, b
+        else:
+            loser, winner, side = rb, ra, a
+        partner[loser], died[loser] = side, i
+        parent[loser] = winner
+
+    # a maximum that never dies (died = -1) picks the appended global minimum
+    vals = seg.field.values
+    floor = np.append(vals[seg.saddles[order]], vals.min())[died]
+    return vals[seg.maxima] - floor, np.array(partner, dtype=np.int64)

@@ -1,8 +1,9 @@
 """The per-voxel Morse passes against the reference implementations in
 `morse_oracle`, bit for bit: values, dtype and shape of every column,
-and the voxel order and per-pair reduction they rest on. The oracle
-names each maximum by its voxel id, `morse` by its row; the columns are
-converted between the two where they meet."""
+and the voxel order and per-pair reduction they rest on, and the
+persistence pairing against the Kruskal sweep over every region pair.
+The oracle names each maximum by its voxel id, `morse` by its row; the
+columns are converted between the two where they meet."""
 
 import dataclasses
 
@@ -115,9 +116,18 @@ class TestVertexOrder:
             assert_same_order(values)
 
 
+def keep_last(keys, ranks, rank_bits):
+    """`morse._keep_last` on each key packed above its rank, unpacked."""
+    packed = keys << rank_bits
+    packed |= ranks
+    last = morse._keep_last(packed, rank_bits)
+    return last >> rank_bits, (last & ((1 << rank_bits) - 1)).astype(ranks.dtype)
+
+
 class TestBestPerPair:
-    """Both paths of `_best_per_pair`: packed keys when key and rank
-    bits fit 63, the argsort path when they do not."""
+    """Both per-pair reductions against the oracle's: `_keep_last` on
+    keys packed above their ranks, and `_best_per_pair`, the argsort
+    path for keys too wide to pack."""
 
     @given(
         st.integers(1, 40),
@@ -129,13 +139,86 @@ class TestBestPerPair:
         # keys of 21 + shift bits and ranks of 21: packed up to shift 21
         keys = np.array([k for k, _ in edges], dtype=np.int64) << shift
         ranks = np.array([r for _, r in edges], dtype=dtype)
-        assert_same_arrays(morse._best_per_pair(keys, ranks), oracle._best_per_pair(keys, ranks))
+        want = oracle._best_per_pair(keys, ranks)
+        assert_same_arrays(morse._best_per_pair(keys, ranks), want)
+        if shift <= 21:
+            assert_same_arrays(keep_last(keys, ranks, 21), want)
 
     @pytest.mark.parametrize("key_scale", [1, 2**42])
     def test_each_path(self, rng, key_scale):
         keys = rng.integers(0, 50, 1000).astype(np.int64) * key_scale
         ranks = rng.permutation(2**21)[:1000].astype(np.int32)
-        assert_same_arrays(morse._best_per_pair(keys, ranks), oracle._best_per_pair(keys, ranks))
+        want = oracle._best_per_pair(keys, ranks)
+        assert_same_arrays(morse._best_per_pair(keys, ranks), want)
+        if key_scale == 1:
+            assert_same_arrays(keep_last(keys, ranks, 21), want)
+
+
+def chain_field(levels: int) -> ScalarField3D:
+    """A line of 2**levels maxima, one every other voxel. The minimum
+    between maxima j and j + 1 is their saddle, and it is lower the more
+    times 2 divides j + 1: neighbours merge in pairs, then pairs of
+    pairs, so the spanning forest takes one Borůvka round per level."""
+    k = 2**levels
+    values = np.empty(2 * k - 1)
+    values[0::2] = 10.0 + np.arange(k) % 3  # ties between maxima as well
+    j = np.arange(1, k)
+    values[1::2] = -np.log2(j & -j)  # minus the times 2 divides j
+    return line_field(values)
+
+
+def assert_same_pairing(f: ScalarField3D):
+    seg = raw_segmentation(f)
+    rank = morse.vertex_order(f)[0]
+    pers, partner, order = morse._pairing(seg, rank)
+    assert_same_arrays((pers, partner), oracle.pairing(seg, rank))
+    rows = np.arange(len(seg.saddles))
+    assert np.array_equal(order, np.lexsort((rows, rank[seg.saddles])))
+    return seg
+
+
+class TestPairing:
+    """`_pairing`, which visits only the spanning forest's edges, against
+    the Kruskal sweep over every region pair, bit for bit."""
+
+    @given(st.one_of(
+        float_fields,
+        arrays(np.float64, shapes, elements=st.floats(0.0, 1.0, allow_nan=False)),
+        integer_fields,
+        constant_fields,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, a):
+        assert_same_pairing(as_field(a))
+
+    def test_larger_random_fields(self, rng):
+        for i in range(6):
+            f = random_field(rng, (12, 11, 10))
+            if i % 2:
+                f.values = f.values.astype(np.float32).astype(np.float64)
+            assert_same_pairing(f)
+
+    def test_saddles_sharing_a_voxel(self, rng):
+        f = as_field(rng.integers(0, 3, (9, 9, 9)).astype(np.float64))
+        seg = assert_same_pairing(f)
+        assert len(np.unique(seg.saddles)) < len(seg.saddles)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, 3.0], [5.0] * 27])
+    def test_single_maximum(self, values):
+        """A ramp and a constant field: one maximum, no region pairs."""
+        seg = assert_same_pairing(line_field(values))
+        assert len(seg.maxima) == 1 and len(seg.saddles) == 0
+
+    def test_chain_takes_several_rounds(self, monkeypatch):
+        f = chain_field(5)
+        seg = raw_segmentation(f)
+        ends = seg.pairs[morse._pairing(seg, morse.vertex_order(f)[0])[2]]
+        rounds = []  # one pointer jump per round
+        jump = morse._jump
+        monkeypatch.setattr(morse, "_jump", lambda ptr: rounds.append(1) or jump(ptr))
+        assert len(morse._spanning_forest(ends, len(seg.maxima))) == 31
+        assert len(rounds) == 5
+        assert_same_pairing(f)
 
 
 class TestPerVoxelPasses:
@@ -148,6 +231,19 @@ class TestPerVoxelPasses:
         for _ in range(10):
             dims = tuple(int(d) for d in rng.integers(8, 17, 3))
             check(random_field(rng, dims))
+
+    def test_keys_too_wide_to_pack(self, rng, monkeypatch):
+        """With no bits to pack a key and a value into, `compute_saddles`
+        and `simplify` reduce by the argsort path, to the same columns."""
+        cases = []
+        for edge in (6, 11):
+            f = random_field(rng, (edge, edge + 1, edge + 2))
+            f.values = np.round(f.values, 2)  # saddles sharing a voxel
+            cases.append((f, morse.morse_step(f, 0.05)))
+        monkeypatch.setattr(morse, "_WORD_BITS", 0)
+        for f, want in cases:
+            check(f)
+            assert_same_columns(morse.morse_step(f, 0.05), want, COLUMNS + ("pers",))
 
     @given(fields, st.floats(0.0, 1.5, allow_nan=False))
     @settings(max_examples=60, deadline=None)
