@@ -7,8 +7,11 @@
   (the same noise at 64^3, left in float64, so the voxel order takes the
   stable argsort; theta = 0).
 - linking: `link_pair` with the events of its arcs, and its four stages,
-  on synthetic pairs of 150, 600, 1500 and 3000 maxima, plus the
-  `tracemalloc` peak of one `compute_scores`.
+  on synthetic pairs of 150, 600, 1500 and 3000 maxima (points and
+  attributes drawn uniformly, so the pairs have no temporal coherence),
+  and on the coherent pair of the exports' series below (`noisy-48`, steps
+  1 -> 2, where the distance prune of `compute_scores` does its work),
+  plus the `tracemalloc` peak of one `compute_scores`.
 - exports: the track queries, the `tveg.json` writer and loader, and the
   tracks JSON and VTK writers (without and with spatial arcs) of all simple
   paths and, as `sparse_`, of the 10 of least deviation, on the noisy
@@ -214,8 +217,8 @@ def bench_morse(name, f, theta, repeats):
             "morse_step": total, "stages": stages}
 
 
-def bench_linking(n, g0, g1, w, repeats):
-    total, stages, counts = timed(f"n={n} link_pair", lambda i: linked(g0, g1, w), repeats,
+def bench_linking(name, g0, g1, w, repeats):
+    total, stages, counts = timed(f"{name} link_pair", lambda i: linked(g0, g1, w), repeats,
                                   LINK_STAGES)
     tracemalloc.start()
     try:
@@ -223,7 +226,8 @@ def bench_linking(n, g0, g1, w, repeats):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {**{key: counts[key] for key in ("arcs", "merges", "splits")},
+    return {"maxima": [g0.n_max, g1.n_max],
+            **{key: counts[key] for key in ("arcs", "merges", "splits")},
             "link_pair": total, "stages": stages, "scores_traced_peak_mb": peak / 1e6}
 
 
@@ -286,8 +290,9 @@ def main() -> int:
             "repeats": args.repeats,
             "morse": {name: bench_morse(name, f, theta, args.repeats)
                       for name, (f, theta) in cases.items()},
-            "linking": {str(n): bench_linking(n, g0, g1, w, args.repeats)
-                        for n, (g0, g1) in pairs.items()},
+            "linking": {**{str(n): bench_linking(f"n={n}", g0, g1, w, args.repeats)
+                           for n, (g0, g1) in pairs.items()},
+                        "noisy-48": bench_linking("noisy-48", *tveg.graphs, w, args.repeats)},
             "exports": bench_exports(tveg, tmp, args.repeats),
             "environment": {"python": platform.python_version(), "numpy": np.__version__,
                             "machine": platform.machine(), "cpus": os.cpu_count()},

@@ -32,7 +32,10 @@ relabeling does the most work there. Many maxima: one noisy Gauss8
 64^3 series of two float32 steps (noise sd 0.05 from seed 5, about
 9,700 raw maxima and 77,000 region pairs per step) through `tvex eg` at
 theta = 0 and theta = 0.05r, so the pairs, saddles and persistence of
-the pairing and the saddle reduction at their largest are compared too.
+the pairing and the saddle reduction at their largest are compared too;
+and the `tveg.json` of the same noise on a 48^3 series of two steps at
+theta = 0 (about 4,100 maxima a step), so the temporal arcs of a pair
+the distance prune of `compute_scores` scores are compared as well.
 The input volumes are written under `inputs/`.
 """
 
@@ -149,6 +152,8 @@ def many_maxima(out: str) -> None:
     manifest = write_series(params, f"{out}/inputs/noisy-64")
     for theta in ("0.0", "0.05r"):
         run("eg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/noisy-64/eg_{theta}")
+    manifest = write_series({**params, "dims": 48}, f"{out}/inputs/noisy-48")
+    run("tveg", "--manifest", manifest, "--theta", "0.0", "-o", f"{out}/noisy-48")
 
 
 def main() -> int:

@@ -188,6 +188,16 @@ def load_series(manifest_path: str) -> FieldSeries:
         raise ValueError(f"{where}: 'steps' must be a list, got {steps!r}")
     origin = _vector(manifest, "origin", 0.0, where)
     spacing = _vector(manifest, "spacing", 1.0, where)
+    # voxel coordinates lie between origin and the far corner, and rounded -,
+    # squaring and + are monotone: the extent squared bounds every squared distance
+    with np.errstate(over="ignore"):
+        far = origin + spacing * (np.array(dims) - 1)
+        square = (far - origin) ** 2
+        square = square[0] + square[1] + square[2]  # in x, y, z order, as distances are
+    if not (np.isfinite(far).all() and np.isfinite(square)):
+        raise ValueError(f"{where}: the grid of dims {dims}, origin {origin.tolist()} and "
+                         f"spacing {spacing.tolist()} is too large: its far corner or squared "
+                         "extent overflows float64")
     nbytes = 4 * dims[0] * dims[1] * dims[2]
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths, times = [], []

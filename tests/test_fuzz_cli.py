@@ -142,7 +142,8 @@ def test_manifests(work, data):
     files = ["nan.raw", "short.raw", "missing.raw", "", ".", str(work / "a.raw")]
     path = write(work / "manifest.json",
                  mutated(data, doc, st.sampled_from(files) | st.integers(2**31, 2**65)))
-    run(["tveg", "--manifest", path, "-o", str(work / "out")])
+    if run(["tveg", "--manifest", path, "-o", str(work / "out")]) == 0:
+        tvio.load_tveg_json(str(work / "out" / "tveg.json"))
 
 
 @FUZZ
@@ -221,6 +222,38 @@ def test_hostile_volumes(tmp_path, capsys, dims, volumes, theta, code):
                    "-o", str(tmp_path / "tracks.vtk")) == 0
         assert cli("export", "--what", "segmentation", "--manifest", manifest,
                    "--theta", theta, "-o", str(tmp_path / "seg")) == 0
+
+
+# name: (dims, spacing, the exit of `tvex tveg`)
+LARGE_GRIDS = {
+    "2^3 x-spacing 1e200": ((2, 2, 2), [1e200, 1, 1], 2),
+    "4^3 spacing 1e155": ((4, 4, 4), [1e155] * 3, 2),
+    "4^3 spacing 1e150": ((4, 4, 4), [1e150] * 3, 0),
+    "far corner beyond float64": ((3, 1, 1), [1e308, 1, 1], 2),
+}
+
+
+@pytest.mark.parametrize("dims, spacing, code", LARGE_GRIDS.values(), ids=LARGE_GRIDS)
+def test_large_grids(tmp_path, capsys, dims, spacing, code):
+    """A finite spacing whose grid's squared extent or far corner
+    overflows float64 is named with exit 2, before any squared distance
+    between maxima is NaN; a grid just inside float64 gives a `tveg.json`
+    that loads."""
+    n = dims[0] * dims[1] * dims[2]
+    steps = []
+    for t in (1, 2):
+        noise(n).astype("<f4").tofile(tmp_path / f"v{t}.raw")
+        steps.append({"t": t, "file": f"v{t}.raw"})
+    manifest = write(tmp_path / "manifest.json",
+                     {"dims": list(dims), "spacing": spacing, "steps": steps})
+    assert run(["tveg", "--manifest", manifest, "-o", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "the grid of dims" in err, err
+    else:
+        assert not err
+        tveg = tvio.load_tveg_json(str(tmp_path / "tveg.json"))
+        assert all(np.isfinite(meta.mu) for _, meta in tveg.links)
 
 
 @pytest.mark.parametrize("argv, msg", [

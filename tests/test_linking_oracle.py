@@ -6,6 +6,7 @@ segmentation sidecar) against the reference implementations in
 import os
 import re
 import tempfile
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 import linking_oracle as oracle
 from tvex import io as tvio, morse, temporal
 from tvex.exgraph import build_extremum_graph
-from tvex.field import ScalarField3D
+from tvex.field import ScalarField3D, generate_gauss8
 from tvex.pipeline import compute_tveg
 from tvex.query import Selection
 from tvex.temporal import (
@@ -42,14 +43,36 @@ attribute = st.one_of(small_ints, unit_floats)
 
 
 @st.composite
-def maxima_sets(draw, t):
-    """A maxima-only graph of 1 to 9 maxima; coordinates are drawn from
-    a small pool, so several maxima may share a position."""
-    n = draw(st.integers(1, 9))
-    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), 3), elements=attribute))
+def maxima_sets(draw, t, sizes=st.integers(1, 9), pool=None):
+    """A maxima-only graph of `sizes` maxima; coordinates are drawn from
+    `pool`, or from a small drawn pool, so several maxima may share a
+    position."""
+    n = draw(sizes)
+    if pool is None:
+        pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), 3), elements=attribute))
     rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     cols = [draw(arrays(np.float64, n, elements=attribute)) for _ in range(3)]
     return maxima_graph(t, pool[rows], *cols)
+
+
+@st.composite
+def shared_pool_pairs(draw):
+    """Two maxima sets of 1 to 9 whose points come from one pool of 1 to 3
+    points: coincident points across the steps, and all points equal
+    (a distance peak of 0) when the pool has one."""
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 3)), 3), elements=attribute))
+    return draw(maxima_sets(1, pool=pool)), draw(maxima_sets(2, pool=pool))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Maxima of 2 to 40 on the integer lattice 0..4: on a box of 4 lattice
+    steps every point lies on a boundary of the Z-order cells (1024 per
+    axis), points repeat within and across the steps, and attributes of
+    few distinct values tie scores within and across blocks."""
+    pool = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), axis=-1).reshape(-1, 3)
+    sizes = st.integers(2, 40)
+    return draw(maxima_sets(1, sizes, pool)), draw(maxima_sets(2, sizes, pool))
 
 
 @st.composite
@@ -63,6 +86,31 @@ def score_weights(draw):
 def score_bits(arcs):
     """The arcs with each score's exact bits (hex tells -0.0 from 0.0)."""
     return [(a.m0, a.m1, a.s.hex()) for a in arcs]
+
+
+def scorer_paths(n1):
+    """Module constants under which `compute_scores` takes each of its paths
+    on a pair of n1 targets: its own; every target a candidate in blocks of
+    1 to 3 rows; and the distance prune from any count of targets, never
+    falling back, in blocks of 1 to 3 rows, with 2 or 16 seeds and the gaps
+    of 1 or 3 blocks taken at once."""
+    yield {"_ENTRIES": temporal._ENTRIES}
+    for rows in (1, 2, 3):
+        yield {"_ENTRIES": rows * n1}
+    for rows, seeds, group in product((1, 2, 3), (2, 16), (1, 3)):
+        yield {"_ENTRIES": group * n1, "_PRUNE_MIN": 0, "_DENSE_SHARE": 1.0,
+               "_PRUNE_ROWS": rows, "_SEEDS": seeds}
+
+
+def assert_matches_oracle(g0, g1, w, paths=None):
+    """`compute_scores` gives the oracle's arcs, bit for bit, on every path
+    of `scorer_paths` (or of `paths`)."""
+    want = score_bits(oracle.compute_scores(g0, g1, w))
+    for consts in paths or scorer_paths(g1.n_max):
+        with mock.patch.multiple(temporal, **consts):
+            got = compute_scores(g0, g1, w)
+        assert score_bits(got) == want, consts
+        assert all(type(a.m0) is int and type(a.s) is float for a in got)
 
 
 def block_case(rng, n0, n1):
@@ -90,16 +138,61 @@ def all_equal_case(rng, n0, n1):
     )
 
 
+def coherent_pair(rng, n, jitter=0.02):
+    """n maxima on a jittered 3D grid at step 1, each moved by at most
+    `jitter` at step 2. As on a noisy series, one maximum's attributes set
+    the peaks and the others' lie close together (near 1, changing a
+    little), so the distance term decides each maximum's best two."""
+    side = int(np.ceil(n ** (1 / 3)))
+    grid = np.stack(np.meshgrid(*[np.linspace(-1, 1, side)] * 3), axis=-1).reshape(-1, 3)[:n]
+    x0 = grid + rng.uniform(-0.1, 0.1, grid.shape)
+    cols0 = 1 + rng.uniform(0, 0.1, (3, n))
+    cols0[:, 0] = 5.0
+    return (maxima_graph(1, x0, *cols0),
+            maxima_graph(2, x0 + rng.uniform(-jitter, jitter, x0.shape),
+                         *(cols0 + rng.uniform(0, 0.01, (3, n)))))
+
+
+WEIGHTS = [ScoreWeights(), ScoreWeights(0.1, 0.1, 0.7, 0.1), ScoreWeights(0, 0, 1, 0),
+           ScoreWeights(0.5, 0.25, 0, 0.25)]
+
+
+def prune_spy():
+    """A wrapper of `temporal._pruned_blocks` that records what it returns
+    as lists (None, or each block's rows and candidates)."""
+    calls, real = [], temporal._pruned_blocks
+
+    def spy(*args):
+        blocks = real(*args)
+        if blocks is not None:
+            blocks = [(np.array(r), np.array(c)) for r, c in blocks]
+        calls.append(blocks and [(r.tolist(), c.tolist()) for r, c in blocks])
+        return blocks and iter(blocks)
+
+    return calls, mock.patch.object(temporal, "_pruned_blocks", spy)
+
+
 class TestScoring:
     @given(maxima_sets(1), maxima_sets(2), score_weights())
     @settings(max_examples=150, deadline=None)
     def test_compute_scores(self, g0, g1, w):
-        want = score_bits(oracle.compute_scores(g0, g1, w))
-        for rows in (1, 2, 3, 256):  # blocks of 1 to 3 rows split every drawn g0
-            with mock.patch.object(temporal, "_ROWS", rows):
-                got = compute_scores(g0, g1, w)
-            assert score_bits(got) == want
-            assert all(type(a.m0) is int and type(a.s) is float for a in got)
+        assert_matches_oracle(g0, g1, w)
+
+    @given(maxima_sets(1, st.just(1)), maxima_sets(2, st.just(1)), score_weights())
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_one_target(self, g0, g1, w):
+        assert_matches_oracle(g0, g1, w)
+
+    @given(shared_pool_pairs(), score_weights())
+    @settings(max_examples=100, deadline=None)
+    def test_coincident_points(self, pair, w):
+        assert_matches_oracle(*pair, w)
+
+    @given(lattice_pairs(), score_weights())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_points(self, pair, w):
+        """Ties across cells and blocks, points on cell boundaries."""
+        assert_matches_oracle(*pair, w)
 
     @pytest.mark.parametrize("case", [block_case, all_equal_case])
     @pytest.mark.parametrize("n0", [255, 256, 257, 513])
@@ -129,6 +222,123 @@ class TestScoring:
         got = compute_scores(g0, g1, w)
         assert got == oracle.compute_scores(g0, g1, w)
         assert remove_z_configurations(got) == oracle.remove_z_configurations(got)
+
+
+def buffers(nr, nc):
+    return np.empty((3, nr, nc))
+
+
+def brute_peak(A, B):
+    """The greatest squared distance, each axis difference times itself
+    and the axes added in x, y, z order, over all pairs of points of
+    attribute rows A and B."""
+    return max(sum((d * d for d in (a[2:5] - b[2:5]).tolist()), 0.0)
+               for a in A.T for b in B.T)
+
+
+def attribute_rows(points):
+    A = np.zeros((6, len(points)))
+    A[2:5] = np.asarray(points, dtype=np.float64).T
+    return A
+
+
+# coordinates of any sign and size whose squares and their sums stay finite
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0]),
+                        st.floats(-1e100, 1e100, allow_nan=False))
+
+
+class TestDistancePeak:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=coordinates),
+           arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=coordinates),
+           st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_pair(self, a, b, rows):
+        A, B = attribute_rows(a), attribute_rows(b)
+        lo, hi = B[2:5].min(axis=1), B[2:5].max(axis=1)
+        assert temporal._peak_dist2(A, B, lo, hi, rows, buffers) == brute_peak(A, B)
+
+    def test_farthest_pair_off_the_top_bound(self):
+        """The targets' bounding box has an empty corner: the row of the
+        greatest bound (5.12, to that corner) reaches only 2.92; the
+        farthest pair (5.0) is another row's, which the scan must visit."""
+        A = attribute_rows([[-0.6, -0.6, 0.0], [2.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        B = attribute_rows([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        lo, hi = B[2:5].min(axis=1), B[2:5].max(axis=1)
+        assert temporal._peak_dist2(A, B, lo, hi, 1, buffers) == brute_peak(A, B) == 5.0
+        g0 = maxima_graph(1, A[2:5].T, [1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [0.5, 0.0, 1.0])
+        g1 = maxima_graph(2, B[2:5].T, [1.0, 3.0, 2.0], [2.0, 1.0, 1.0], [0.0, 0.5, 1.0])
+        for w in WEIGHTS:
+            assert_matches_oracle(g0, g1, w)
+
+
+class TestDistancePrune:
+    @pytest.mark.parametrize("w", WEIGHTS, ids=str)
+    def test_coherent_pair(self, rng, w):
+        """On a coherent pair the forced prune drops targets, and every
+        path matches the oracle; with L2 = 0 nothing can be pruned, so the
+        blocks take every target."""
+        g0, g1 = coherent_pair(rng, 200)
+        calls, spy = prune_spy()
+        with spy:
+            assert_matches_oracle(g0, g1, w)
+        if w.L2 == 0:
+            assert not calls
+        else:
+            blocks = [b for c in calls for b in c]
+            assert any(len(cols) < g1.n_max for _, cols in blocks)
+            assert all(cols == sorted(cols) for _, cols in blocks)
+
+    def test_row_whose_reach_spans_the_grid(self, rng):
+        """One maximum of g0 has a persistence far from every target's, so
+        its second-best score puts every target within reach: its block
+        takes every target, the others fewer."""
+        g0, g1 = coherent_pair(rng, 150)
+        g0.pers[7] = 50.0
+        calls, spy = prune_spy()
+        consts = {"_PRUNE_MIN": 0, "_DENSE_SHARE": 1.0, "_ENTRIES": 2 * g1.n_max}
+        with spy:
+            assert_matches_oracle(g0, g1, ScoreWeights(), [consts])
+        (blocks,) = calls
+        (cols,) = [cols for rows, cols in blocks if 7 in rows]
+        assert cols == list(range(g1.n_max))
+        assert any(len(cols) < g1.n_max for _, cols in blocks)
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_fallback_rule(self, rng, coherent):
+        """From `_PRUNE_MIN` targets on the prune is tried: a coherent pair
+        keeps it; on a pair with no coherence the blocks' reach covers
+        most targets and the dense blocks score the pair. Below
+        `_PRUNE_MIN` it is not tried."""
+        if coherent:
+            g0, g1 = coherent_pair(rng, 400)
+        else:
+            g0, g1 = (maxima_graph(t, rng.uniform(-1, 1, (400, 3)), *rng.uniform(0, 1, (3, 400)))
+                      for t in (1, 2))
+        w = ScoreWeights()
+        want = score_bits(oracle.compute_scores(g0, g1, w))
+        calls, spy = prune_spy()
+        with spy, mock.patch.object(temporal, "_PRUNE_MIN", 400):
+            assert score_bits(compute_scores(g0, g1, w)) == want
+        with spy, mock.patch.object(temporal, "_PRUNE_MIN", 401):
+            assert score_bits(compute_scores(g0, g1, w)) == want
+        assert len(calls) == 1
+        assert (calls[0] is None) is not coherent
+
+    @pytest.mark.parametrize("w", WEIGHTS[:2], ids=str)
+    def test_noisy_field_pair(self, w):
+        """Two steps of a noisy Gauss8 24^3 series at theta 0 (some 550
+        maxima a step), with the prune from any count of targets."""
+        series = generate_gauss8((24, 24, 24), 2)
+        rng = np.random.default_rng(24)
+        graphs = []
+        for f in series.fields:
+            noisy = f.values + rng.normal(0.0, 0.05, f.num_voxels)
+            f.values = noisy.astype(np.float32).astype(np.float64)
+            graphs.append(build_extremum_graph(f, 0.0))
+        calls, spy = prune_spy()
+        with spy:
+            assert_matches_oracle(*graphs, w, [{"_PRUNE_MIN": 0}])
+        assert calls and calls[0] is not None
 
 
 arc_lists = st.lists(

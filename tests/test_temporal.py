@@ -128,6 +128,15 @@ class TestComputeScores:
         assert out == sorted(out, key=lambda a: (a.m0, a.m1))
         assert out == compute_scores(M0, M1, ScoreWeights())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_raise(self):
+        """Points 2e200 apart: their squared distance overflows float64, and
+        the scores would be NaN."""
+        M0 = mk_maxima(1, 1, coords=(-1e200, 0, 0))
+        M1 = mk_maxima(2, 2, coords=[(1e200, 0, 0), (0, 0, 0)])
+        with pytest.raises(ValueError, match="overflow"):
+            compute_scores(M0, M1, ScoreWeights())
+
     def test_distance_only_weights_pick_nearest(self):
         M0 = mk_maxima(1, 1, coords=(0, 0, 0))
         M1 = mk_maxima(2, 3, coords=[(0, 0, 3), (0, 0, 1), (0, 0, 2)])
