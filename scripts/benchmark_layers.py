@@ -5,7 +5,10 @@
   (smooth 64^3, theta = 0.05 r), noisy-24 (24^3 plus N(0, 0.05^2) noise,
   rounded to float32 as a `<f4` volume is, theta = 0) and noisy-64-f64
   (the same noise at 64^3, left in float64, so the voxel order takes the
-  stable argsort; theta = 0).
+  stable argsort; theta = 0), plus the `tracemalloc` peak of one
+  `morse_step` (`morse_traced_peak_mb`) and, timed in runs of
+  `build_extremum_graph` apart, graph assembly: the self time of
+  `build_extremum_graph` outside its `morse_step` (`graph_assembly`).
 - linking: `link_pair` with the events of its arcs, and its four stages,
   on synthetic pairs of 150, 600, 1500 and 3000 maxima (points and
   attributes drawn uniformly, so the pairs have no temporal coherence),
@@ -20,8 +23,9 @@
   the loader reads the last `tveg.json` written.
 
 A stage's figure is the self time of that stage's calls inside each
-timed `morse_step` or `linked` run: at import the nine stage functions
-of `morse` and `temporal` are wrapped once by `bench/spans.Recorder`,
+timed `morse_step`, `build_extremum_graph` or `linked` run: at import
+`morse_step`, `build_extremum_graph` and the nine stage functions of
+`morse` and `temporal` are wrapped once by `bench/spans.Recorder`,
 which also counts the raw and kept maxima, the saddles, the arcs and the
 events. A timed run that records no span of a stage exits nonzero,
 naming the stage; a renamed stage function already fails at import.
@@ -63,7 +67,7 @@ from linking_oracle import (canonical_json, neighborhood_dict, selection_dict, s
 from spans import Recorder
 from tracks_oracle import least_deviation as least_deviation_reference
 import vtk_oracle
-from tvex import io as tvio, morse, temporal
+from tvex import exgraph, io as tvio, morse, temporal
 from tvex.exgraph import ExtremumGraph
 from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
@@ -90,6 +94,10 @@ SPANS.wrap(morse, "compute_segmentation", "segmentation",
 SPANS.wrap(morse, "compute_saddles", "saddles", {"raw_saddles": lambda seg: len(seg.saddles)})
 SPANS.wrap(morse, "_pairing", "pairing")
 SPANS.wrap(morse, "simplify", "simplify", {"kept_maxima": lambda seg: len(seg.maxima)})
+# graph assembly is the self time of `build_extremum_graph`, whose one
+# child span is `morse_step`
+SPANS.wrap(morse, "morse_step", "morse_step")
+SPANS.wrap(exgraph, "build_extremum_graph", "graph_assembly")
 SPANS.wrap(temporal, "compute_scores", "scores")
 SPANS.wrap(temporal, "filter_scores", "filter")
 SPANS.wrap(temporal, "remove_z_configurations", "z_removal", {"arcs": len})
@@ -209,26 +217,35 @@ def check_exports(series, tveg, tmp):
             sys.exit(f"{writer} differs from the oracle writer")
 
 
+def traced_peak_mb(call):
+    """The `tracemalloc` peak of one call(), in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def bench_morse(name, f, theta, repeats):
     total, stages, counts = timed(f"{name} morse_step", lambda i: morse.morse_step(f, theta),
                                   repeats, MORSE_STAGES)
+    _, assembly, _ = timed(f"{name} build_extremum_graph",
+                           lambda i: exgraph.build_extremum_graph(f, theta), repeats,
+                           ("graph_assembly",))
     return {"voxels": f.num_voxels, "theta": theta,
             **{key: counts[key] for key in ("raw_maxima", "raw_saddles", "kept_maxima")},
-            "morse_step": total, "stages": stages}
+            "morse_step": total, "stages": stages, **assembly,
+            "morse_traced_peak_mb": traced_peak_mb(lambda: morse.morse_step(f, theta))}
 
 
 def bench_linking(name, g0, g1, w, repeats):
     total, stages, counts = timed(f"{name} link_pair", lambda i: linked(g0, g1, w), repeats,
                                   LINK_STAGES)
-    tracemalloc.start()
-    try:
-        temporal.compute_scores(g0, g1, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     return {"maxima": [g0.n_max, g1.n_max],
             **{key: counts[key] for key in ("arcs", "merges", "splits")},
-            "link_pair": total, "stages": stages, "scores_traced_peak_mb": peak / 1e6}
+            "link_pair": total, "stages": stages,
+            "scores_traced_peak_mb": traced_peak_mb(lambda: temporal.compute_scores(g0, g1, w))}
 
 
 def track_writers(tracks, tveg, prefix=""):

@@ -15,23 +15,19 @@ import numpy as np
 from .field import ScalarField3D
 
 # (dz, dy, dx) offsets of the 26-neighborhood
-NEIGHBOR_OFFSETS = [
-    (dz, dy, dx)
-    for dz in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dx in (-1, 0, 1)
-    if (dz, dy, dx) != (0, 0, 0)
-]
+NEIGHBOR_OFFSETS = [(dz, dy, dx) for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                    if (dz, dy, dx) != (0, 0, 0)]
 # the 13 "positive" offsets; each undirected grid edge is visited once
 HALF_OFFSETS = [o for o in NEIGHBOR_OFFSETS if o > (0, 0, 0)]
 # (rank of every voxel, voxel of every rank), as `vertex_order` gives it
 VoxelOrder = tuple[np.ndarray, np.ndarray]
-# value bits of an int64: a key and a value packed into one must fit
-_WORD_BITS = 63
+# the signed words a packed key may take, by the value bits each holds
+_WORDS = ((31, np.int32), (63, np.int64))
 
 
-def _empty_ids(*shape: int) -> np.ndarray:
-    return np.empty(shape, dtype=np.int64)
+def _word(bits: int) -> type | None:
+    """The narrowest word of `_WORDS` holding `bits` value bits; None: argsort."""
+    return next((word for width, word in _WORDS if bits <= width), None)
 
 
 @dataclass
@@ -49,10 +45,10 @@ class Segmentation:
 
     field: ScalarField3D
     labels: np.ndarray
-    maxima: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
+    maxima: np.ndarray = dfield(default_factory=lambda: np.empty(0, np.int64))
     pers: np.ndarray = dfield(default_factory=lambda: np.zeros(0))
-    pairs: np.ndarray = dfield(default_factory=lambda: _empty_ids(0, 2))
-    saddles: np.ndarray = dfield(default_factory=lambda: _empty_ids(0))
+    pairs: np.ndarray = dfield(default_factory=lambda: np.empty((0, 2), np.int64))
+    saddles: np.ndarray = dfield(default_factory=lambda: np.empty(0, np.int64))
 
 
 def vertex_order(f: ScalarField3D) -> VoxelOrder:
@@ -67,8 +63,8 @@ def vertex_order(f: ScalarField3D) -> VoxelOrder:
     way and is equal exactly when the values are, and one in-place sort
     of the int64 keys code << 32 | voxel id gives the voxel of every rank
     in the low 32 bits. Other values take a stable argsort. The voxel of
-    each rank is the sort order itself, so a step builds one inverse
-    permutation.
+    each rank is the sort order: the ranks are scattered through it, and
+    it is returned narrowed to their dtype.
     """
     n = f.num_voxels
     # voxel ids fit the low 32 bits of a key up to 2**31 voxels
@@ -85,7 +81,7 @@ def vertex_order(f: ScalarField3D) -> VoxelOrder:
     dtype = np.int32 if n < 2**31 else np.int64
     rank = np.empty(n, dtype=dtype)
     rank[voxel] = np.arange(n, dtype=dtype)
-    return rank, voxel
+    return rank, voxel.astype(dtype, copy=False)
 
 
 def _float32_codes(values: np.ndarray) -> np.ndarray | None:
@@ -109,8 +105,8 @@ def _steepest_neighbor(f: ScalarField3D, order: VoxelOrder) -> np.ndarray:
 
     Ranks are unique, so the greatest rank in v's 3x3x3 box (clipped at
     the border) is v's own exactly when v is a maximum, and otherwise
-    that of its steepest neighbor: next[v] is the voxel of that rank.
-    The box maximum is separable, a width-3 running maximum per axis.
+    that of its steepest neighbor: next[v] is the voxel of that rank, as
+    intp. The box maximum is separable, a width-3 running maximum per axis.
     """
     rank, voxel = order
     nx, ny, nz = f.dims
@@ -121,16 +117,18 @@ def _steepest_neighbor(f: ScalarField3D, order: VoxelOrder) -> np.ndarray:
         src, box = box, box.copy()
         np.maximum(box[hi], src[lo], out=box[hi])
         np.maximum(box[lo], src[hi], out=box[lo])
-    return voxel[box.ravel()]
+    del src  # off the peak of the gather
+    return voxel[box.ravel()].astype(np.intp, copy=False)
 
 
 def _jump(ptr: np.ndarray) -> np.ndarray:
-    """Follow pointers to their fixed points by pointer jumping."""
+    """Follow pointers to their fixed points by pointer jumping; `ptr` is overwritten."""
+    jumped = np.empty_like(ptr)
     while True:
-        jumped = ptr[ptr]
+        ptr.take(ptr, out=jumped, mode="clip")  # in range; "clip" writes `out` unbuffered
         if np.array_equal(jumped, ptr):
             return ptr
-        ptr = jumped
+        ptr, jumped = jumped, ptr
 
 
 def compute_segmentation(f: ScalarField3D, order: VoxelOrder) -> Segmentation:
@@ -141,18 +139,13 @@ def compute_segmentation(f: ScalarField3D, order: VoxelOrder) -> Segmentation:
     nxt = _jump(nxt)  # each voxel's maximum; the row table comes after, off the peak
     row = np.empty_like(order[0])  # set at the maxima only
     row[maxima] = np.arange(len(maxima), dtype=row.dtype)
-    return Segmentation(
-        field=f, labels=row[nxt], maxima=maxima, pers=np.zeros(len(maxima))
-    )
+    return Segmentation(field=f, labels=row[nxt], maxima=maxima, pers=np.zeros(len(maxima)))
 
 
 def _keep_last(packed: np.ndarray, shift: int) -> np.ndarray:
-    """The greatest entry of each run of equal `packed >> shift`, in
-    ascending order; `packed` is sorted in place.
-
-    With a key above `shift` bits of value in each entry, this is the
-    distinct keys, each with its greatest value.
-    """
+    """The greatest entry of each run of equal `packed >> shift`, ascending
+    (`packed` is sorted in place): of entries that pack a key above `shift`
+    bits of value, each distinct key with its greatest value."""
     packed.sort()
     key = packed >> shift
     last = np.empty(len(packed), dtype=bool)
@@ -161,10 +154,16 @@ def _keep_last(packed: np.ndarray, shift: int) -> np.ndarray:
     return packed.compress(last)
 
 
-def _best_per_pair(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the greatest value of each, by an
-    argsort and a maximum per run: the path for keys too wide to share
-    an int64 with their values (`_WORD_BITS`)."""
+def _best_per_pair(keys: np.ndarray, values: np.ndarray, bits: int = 0,
+                   word: type | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the greatest value of each: by
+    `_keep_last` of keys << bits | values in `word`, or, with no word
+    (`_word` gave None), an argsort and a maximum per run."""
+    if word:
+        packed = keys.astype(word, copy=False) << bits
+        packed |= values  # cast to `word`, which holds them
+        packed = _keep_last(packed, bits)
+        return packed >> bits, packed & ((1 << bits) - 1)
     order = np.argsort(keys)
     keys, values = keys[order], values[order]
     first = np.ones(len(keys), dtype=bool)
@@ -192,9 +191,9 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
     `inner` drops the edges into the padding. Each offset's crossing
     edges are reduced to the best rank per pair of maximum rows before
     the next offset. The key and rank widths are fixed once from k and
-    n: when they fit `_WORD_BITS`, each edge's pair key is packed above
-    its rank and `_keep_last` reduces them, otherwise `_best_per_pair`
-    does. The labels are shared with `seg`, which is left as it was.
+    n: each edge's pair key is packed above its rank in the narrowest
+    word that holds both (`_word`) for `_keep_last`, or, when none does,
+    `_best_per_pair` reduces them. The labels are shared with `seg`.
     """
     nx, ny, nz = seg.field.dims
     rank, voxel = order
@@ -204,7 +203,7 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
     inner = _pad(np.ones((nz, ny, nx), dtype=bool), False)
     # a pair's key lo * k + hi is below k * k, an edge rank below n
     rank_bits = (len(rank) - 1).bit_length()
-    packed = (k * k - 1).bit_length() + rank_bits <= _WORD_BITS
+    word = _word((k * k - 1).bit_length() + rank_bits)
 
     best = []
     for dz, dy, dx in HALF_OFFSETS:
@@ -215,25 +214,25 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
         i = np.flatnonzero(cross)
         j = i + s
         la, lb = lp.take(i), lp.take(j)
-        key = np.minimum(la, lb, dtype=np.int64)
+        key = np.minimum(la, lb, dtype=word or np.int64)
         key *= k
         key += np.maximum(la, lb)
         edge = np.minimum(rp.take(i), rp.take(j))
-        if packed:
+        if word:  # packed across the offsets: half the bytes of two columns
             key <<= rank_bits
             key |= edge
             best.append(_keep_last(key, rank_bits))
         else:
             best.append(np.column_stack(_best_per_pair(key, edge)))
-
-    if packed:
-        ranks = _keep_last(np.concatenate(best), rank_bits)
-        keys = ranks >> rank_bits
-        ranks &= (1 << rank_bits) - 1
+    best = np.concatenate(best)
+    if word:
+        best = _keep_last(best, rank_bits)
+        keys, ranks = best >> rank_bits, best & ((1 << rank_bits) - 1)
     else:
-        keys, ranks = _best_per_pair(*np.concatenate(best).T)
+        keys, ranks = _best_per_pair(*best.T)
     # the saddle is the lower vertex of its edge: the voxel of that rank
-    return replace(seg, pairs=np.column_stack([keys // k, keys % k]), saddles=voxel[ranks])
+    pairs = np.column_stack(np.divmod(keys.astype(np.int64, copy=False), k))
+    return replace(seg, pairs=pairs, saddles=voxel.take(ranks).astype(np.int64, copy=False))
 
 
 def find_root(parent: dict[int, int] | list[int], x: int) -> int:
@@ -284,9 +283,7 @@ def _spanning_forest(ends: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(forest)
 
 
-def _pairing(
-    seg: Segmentation, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge-order persistence pairing on the region-adjacency graph.
 
     Edges are processed in decreasing (saddle rank, row) order (Kruskal
@@ -299,10 +296,19 @@ def _pairing(
     partner being the row of the maximum across the pairing saddle, -1
     for the global maximum, whose persistence is f(max) - f(min); and
     the rows of `seg.pairs` in increasing (saddle rank, row) order, so
-    that a row's position there orders the rows by (rank, row).
+    that a row's position there orders the rows by (rank, row), by one
+    sort of rank << row bits | row (`_word`) or a stable argsort.
     """
-    k = len(seg.maxima)
-    order = np.argsort(rank[seg.saddles], kind="stable")
+    k, rows = len(seg.maxima), len(seg.saddles)
+    row_bits = (rows - 1).bit_length()
+    word = _word((len(rank) - 1).bit_length() + row_bits)
+    order = rank.take(seg.saddles)
+    if word is None:
+        order = np.argsort(order, kind="stable")
+    else:
+        order = order.astype(word, copy=False) << row_bits | np.arange(rows, dtype=word)
+        order.sort()
+        order = (order & ((1 << row_bits) - 1)).astype(np.intp, copy=False)
     ends = seg.pairs[order]
     forest = _spanning_forest(ends, k)[::-1]
     mrank = rank[seg.maxima].tolist()
@@ -348,10 +354,10 @@ def simplify(seg: Segmentation, theta: float, rank: np.ndarray) -> Segmentation:
     pairs are relabeled through one table, the new row of every old
     row's survivor. Each surviving region pair keeps the saddle of
     greatest (rank, row), the last in the pairing order: one sort of
-    the pair's (lo, hi) packed above that position. The global maximum
-    is never canceled. By the same elder rule a survivor keeps its raw
-    persistence. `rank` is the voxel rank of `vertex_order(seg.field)`.
-    Returns a new Segmentation; `seg` is left as it was.
+    the pair's (lo, hi) packed above that position in the narrowest word
+    (`_word`), or an argsort. The global maximum is never canceled. By
+    the same elder rule a survivor keeps its raw persistence. `rank` is
+    the voxel rank of `vertex_order(seg.field)`; `seg` is left as it was.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -366,25 +372,19 @@ def simplify(seg: Segmentation, theta: float, rank: np.ndarray) -> Segmentation:
     a, b = new_row.take(seg.pairs.take(order, axis=0).T)
     live = np.flatnonzero(a != b)
     a, b = a.take(live), b.take(live)
-    key = np.minimum(a, b)
+    pos_bits = (len(order) - 1).bit_length()
+    word = _word((k * k - 1).bit_length() + pos_bits)
+    key = np.minimum(a, b, dtype=word or np.int64)
     key *= k
     key += np.maximum(a, b)
-    pos_bits = (len(order) - 1).bit_length()
-    if (k * k - 1).bit_length() + pos_bits <= _WORD_BITS:
-        key <<= pos_bits
-        key |= live
-        last = _keep_last(key, pos_bits)
-        key = last >> pos_bits
-        last &= (1 << pos_bits) - 1
-    else:
-        key, last = _best_per_pair(key, live)
+    key, last = _best_per_pair(key, live, pos_bits, word)
 
     return Segmentation(
         field=seg.field,
         labels=new_row.astype(seg.labels.dtype).take(seg.labels),
         maxima=seg.maxima.compress(kept),
         pers=pers.compress(kept),
-        pairs=np.column_stack([key // k, key % k]),
+        pairs=np.column_stack(np.divmod(key.astype(np.int64, copy=False), k)),
         saddles=seg.saddles.take(order.take(last)),
     )
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import morse_oracle as oracle
+from iterative_simplify import iterative_simplify
 from tvex import morse
+from tvex.exgraph import build_extremum_graph
 from tvex.field import ScalarField3D
 
 from conftest import random_field, raw_segmentation, voxel_ids
@@ -92,8 +94,11 @@ def assert_same_arrays(got: tuple, want: tuple) -> None:
 
 
 def assert_same_order(values) -> None:
+    """The oracle's ranks, dtype included, and its voxel of each rank in
+    the dtype of the ranks."""
     f = line_field(values)
-    assert_same_arrays(morse.vertex_order(f), oracle.vertex_order(f))
+    (rank, voxel), (want_rank, want_voxel) = morse.vertex_order(f), oracle.vertex_order(f)
+    assert_same_arrays((rank, voxel), (want_rank, want_voxel.astype(want_rank.dtype)))
 
 
 class TestVertexOrder:
@@ -105,7 +110,7 @@ class TestVertexOrder:
     def test_single_voxel(self):
         rank, voxel = morse.vertex_order(line_field([-0.0]))
         assert rank.tolist() == [0] and rank.dtype == np.int32
-        assert voxel.tolist() == [0] and voxel.dtype == np.int64
+        assert voxel.tolist() == [0] and voxel.dtype == np.int32
 
     def test_signed_zeros_tie_and_keep_id_order(self):
         rank, _ = morse.vertex_order(line_field([0.0, -0.0, -DENORMAL, DENORMAL, -0.0]))
@@ -126,8 +131,9 @@ def keep_last(keys, ranks, rank_bits):
 
 class TestBestPerPair:
     """Both per-pair reductions against the oracle's: `_keep_last` on
-    keys packed above their ranks, and `_best_per_pair`, the argsort
-    path for keys too wide to pack."""
+    keys packed above their ranks, and `_best_per_pair`, which packs
+    them in the word it is given, or, given none, takes the argsort path
+    for keys too wide to pack."""
 
     @given(
         st.integers(1, 40),
@@ -152,6 +158,10 @@ class TestBestPerPair:
         assert_same_arrays(morse._best_per_pair(keys, ranks), want)
         if key_scale == 1:
             assert_same_arrays(keep_last(keys, ranks, 21), want)
+            # keys of 6 bits above ranks of 21 fit either word
+            for word in (np.int32, np.int64):
+                got = morse._best_per_pair(keys, ranks, 21, word)
+                assert all(g.dtype == word and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def chain_field(levels: int) -> ScalarField3D:
@@ -221,6 +231,26 @@ class TestPairing:
         assert_same_pairing(f)
 
 
+def lattice_field(rng, dims) -> ScalarField3D:
+    """Noise in [0, 1) with 10 added at every voxel of even coordinates:
+    each of those is a maximum, and every other voxel is next to one, so
+    the field has exactly the product of ceil(dim / 2) maxima."""
+    nx, ny, nz = dims
+    a = rng.uniform(0.0, 1.0, (nz, ny, nx))
+    a[::2, ::2, ::2] += 10.0
+    return as_field(a)
+
+
+# the words a packed key may take under each choice, as `_WORDS` lists them
+WORDS = {"int32": morse._WORDS, "int64": ((63, np.int64),), "argsort": ()}
+WORD_CHOICE = {"int32": lambda bits: np.int32 if bits <= 31 else np.int64,
+               "int64": lambda bits: np.int64, "argsort": lambda bits: None}
+SEGMENTATION_DTYPES = {"labels": np.int32, "maxima": np.int64, "pers": np.float64,
+                       "pairs": np.int64, "saddles": np.int64}
+GRAPH_DTYPES = {"vertex": np.int64, "value": np.float64, "pers": np.float64,
+                "eta": np.float64, "coords": np.float64, "arcs": np.int64}
+
+
 class TestPerVoxelPasses:
     @given(fields)
     @settings(max_examples=150, deadline=None)
@@ -240,10 +270,47 @@ class TestPerVoxelPasses:
             f = random_field(rng, (edge, edge + 1, edge + 2))
             f.values = np.round(f.values, 2)  # saddles sharing a voxel
             cases.append((f, morse.morse_step(f, 0.05)))
-        monkeypatch.setattr(morse, "_WORD_BITS", 0)
+        monkeypatch.setattr(morse, "_WORDS", ())
         for f, want in cases:
             check(f)
             assert_same_columns(morse.morse_step(f, 0.05), want, COLUMNS + ("pers",))
+
+    def test_word_limits(self):
+        assert [morse._word(bits) for bits in (0, 31, 32, 63, 64)] == [
+            np.int32, np.int32, np.int64, np.int64, None]
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_each_word(self, rng, monkeypatch, word):
+        """Under each word the packed keys may take, and with none, the
+        saddles, the pairing and its order, and `morse_step` match the
+        oracles bit for bit, and the column dtypes stay as they are. The
+        lattice fields need exactly 31 and 32 bits for the saddle keys."""
+        cases = []
+        for edge in (6, 11):
+            f = random_field(rng, (edge, edge + 1, edge + 2))
+            f.values = np.round(f.values, 2)  # saddles sharing a voxel
+            cases.append((f, 0.05, None))
+        cases += [(lattice_field(rng, (15, 16, 17)), 0.0, 31),
+                  (lattice_field(rng, (16, 16, 17)), 0.0, 32)]
+        wants = [iterative_simplify(oracle.compute_saddles(f, oracle.compute_segmentation(f)),
+                                    theta) for f, theta, _ in cases]
+        monkeypatch.setattr(morse, "_WORDS", WORDS[word])
+        chosen, word_of = [], morse._word
+        monkeypatch.setattr(morse, "_word", lambda bits: chosen.append(
+            (bits, word_of(bits))) or word_of(bits))
+        for (f, theta, saddle_bits), want in zip(cases, wants):
+            check(f)
+            assert_same_pairing(f)
+            chosen.clear()
+            got = morse.morse_step(f, theta)
+            # compute_saddles asks first, then _pairing and simplify
+            assert saddle_bits is None or chosen[0][0] == saddle_bits
+            assert all(w == WORD_CHOICE[word](bits) for bits, w in chosen)
+            assert_same_columns(voxel_ids(got), want, COLUMNS + ("pers",))
+            assert {name: getattr(got, name).dtype for name in SEGMENTATION_DTYPES} \
+                == SEGMENTATION_DTYPES
+            graph = build_extremum_graph(f, theta)
+            assert {name: getattr(graph, name).dtype for name in GRAPH_DTYPES} == GRAPH_DTYPES
 
     @given(fields, st.floats(0.0, 1.5, allow_nan=False))
     @settings(max_examples=60, deadline=None)
