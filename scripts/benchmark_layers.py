@@ -15,7 +15,8 @@
   and on the coherent pair of the exports' series below (`noisy-48`, steps
   1 -> 2, where the distance prune of `compute_scores` does its work),
   plus the `tracemalloc` peak of one `compute_scores`.
-- exports: the track queries, the `tveg.json` writer and loader, and the
+- exports: the track queries, overlap refinement (`refine_by_overlap` at
+  isovalue 0.1 and min_len 2), the `tveg.json` writer and loader, and the
   tracks JSON and VTK writers (without and with spatial arcs) of all simple
   paths and, as `sparse_`, of the 10 of least deviation, on the noisy
   Gauss8 48^3 series of two steps (noise from `default_rng(48)`, float32,
@@ -73,7 +74,7 @@ from tvex.field import generate_gauss8
 from tvex.pipeline import compute_tveg
 from tvex.query import least_deviation, select_in_region, track_neighborhood, tracks_longer_than
 from tvex.temporal import ScoreWeights, link_pair
-from tvex.tracks import extract_tracks
+from tvex.tracks import extract_tracks, refine_by_overlap
 
 OUT = "BENCH_layers.json"
 # name: (grid edge, noise sd, theta as a fraction of the value range,
@@ -105,6 +106,7 @@ SPANS.wrap(temporal, "detect_events", "events",
            {"merges": lambda ev: len(ev.merges), "splits": lambda ev: len(ev.splits)})
 EDGE, STEPS, NOISE, SEED = 48, 2, 0.05, 48  # the series of the exports
 SPARSE = 10  # tracks of the sparse export
+ISOVALUE, MIN_LEN = 0.1, STEPS  # of the timed overlap refinement
 
 
 def noisy_gauss8(edge, noise, seed, single=True):
@@ -259,7 +261,7 @@ def track_writers(tracks, tveg, prefix=""):
     }
 
 
-def bench_exports(tveg, tmp, repeats):
+def bench_exports(series, tveg, tmp, repeats):
     tracks = extract_tracks(tveg, "simple-paths")
     sparse = least_deviation(tracks, tveg, SPARSE)
     queries = {
@@ -267,6 +269,7 @@ def bench_exports(tveg, tmp, repeats):
         "components": lambda: extract_tracks(tveg, "components"),
         "least_deviation": lambda: least_deviation(tracks, tveg, SPARSE),
         "length_threshold": lambda: tracks_longer_than(tracks, STEPS),
+        "refine": lambda: refine_by_overlap(tveg, series, ISOVALUE, MIN_LEN),
     }
     writers = {"tveg_json": lambda path: tvio.export_tveg_json(tveg, path),
                **track_writers(tracks, tveg), **track_writers(sparse, tveg, "sparse_")}
@@ -276,6 +279,7 @@ def bench_exports(tveg, tmp, repeats):
                    "nodes": [len(g.value) for g in tveg.graphs]},
         "tracks": len(tracks), "track_nodes": sum(len(tr.nodes) for tr in tracks),
         "sparse_tracks": len(sparse), "sparse_track_nodes": sum(len(tr.nodes) for tr in sparse),
+        "refined_tracks": len(queries["refine"]()),
         "queries": {name: timed(name, lambda i: run(), repeats)[0]
                     for name, run in queries.items()},
         "writers": {},
@@ -310,7 +314,7 @@ def main() -> int:
             "linking": {**{str(n): bench_linking(f"n={n}", g0, g1, w, args.repeats)
                            for n, (g0, g1) in pairs.items()},
                         "noisy-48": bench_linking("noisy-48", *tveg.graphs, w, args.repeats)},
-            "exports": bench_exports(tveg, tmp, args.repeats),
+            "exports": bench_exports(series, tveg, tmp, args.repeats),
             "environment": {"python": platform.python_version(), "numpy": np.__version__,
                             "machine": platform.machine(), "cpus": os.cpu_count()},
         }

@@ -77,10 +77,10 @@ def build_extremum_graph(f: ScalarField3D, theta: float) -> ExtremumGraph:
     sad_pers = np.minimum(value[seg.pairs[:, 0]] - sval, value[seg.pairs[:, 1]] - sval)
     pers = np.concatenate([seg.pers, sad_pers]) + 0.0
 
-    arcs = np.concatenate(
-        [np.column_stack([seg.pairs[:, k], sad_rows]) for k in (0, 1)]
-    )
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    # arcs in (maximum, saddle) row order by one sort of max << 32 | saddle
+    key = (seg.pairs << 32 | sad_rows[:, None]).ravel()
+    key.sort()
+    arcs = np.column_stack(split_node_id(key))
     # eta in sorted-arc order: each maximum's terms are added one at a
     # time in ascending saddle row order
     eta = np.zeros(len(vertex))

@@ -157,13 +157,11 @@ def _dist2(a: np.ndarray, b: np.ndarray, out: np.ndarray, d: np.ndarray) -> np.n
     return out
 
 
-def _score(a, b, peaks, w: ScoreWeights, out: np.ndarray, have_d2: bool = False) -> np.ndarray:
+def _score(a, b, peaks, w: ScoreWeights, out: np.ndarray) -> np.ndarray:
     """G*P + L1*J + L2*D + L3*N, added left to right, of attribute rows a
-    against b (which broadcast), into out[0]. out[1] holds the squared
-    distances if `have_d2`, and out[2] is scratch."""
+    against b (which broadcast), into out[0]; out[1] and out[2] are scratch."""
     S, comp, d = out
-    if not have_d2:
-        _dist2(a, b, comp, d)
+    _dist2(a, b, comp, d)
     _scaled(np.abs(np.subtract(a[0], b[0], out=S), out=S), peaks[0], w.G)
     S += _scaled(np.abs(np.subtract(a[1], b[1], out=d), out=d), peaks[1], w.L1)
     S += _scaled(np.sqrt(comp, out=comp), peaks[2], w.L2)
@@ -271,12 +269,12 @@ def compute_scores(
     over its peak across all pairs, or 0 if that peak is 0. Rounded `-`
     and `sqrt` are monotone, so the P, J and N peaks come exactly from
     column extremes, and the D peak from the squared distances of the few
-    rows that `_peak_dist2` bounds (of all rows when they make one block).
-    Rows are then scored in blocks, each score element by element with the
-    same rounded ops, so no block changes a bit. A block is
-    `_ENTRIES // |g1|` rows in id order against every target (its three
-    buffers of `_ENTRIES` float64 stay in cache); or, from `_PRUNE_MIN`
-    targets on, one of `_pruned_blocks`: rows in Z-order against only the
+    rows that `_peak_dist2` bounds. Rows are then scored in blocks, each
+    score element by element with the same rounded ops, so no block
+    changes a bit. A block is `_ENTRIES // |g1|` rows in id order against
+    every target (three buffers of `_ENTRIES` float64, sized once for the
+    largest block, stay in cache); or, from `_PRUNE_MIN` targets on, one
+    of `_pruned_blocks`: rows in Z-order against only the
     targets that can be among their best two, unless those are more than
     `_DENSE_SHARE` of the targets on average. Candidates are in id order,
     so ties break by target id: `argmin` returns the first minimum. A
@@ -289,32 +287,25 @@ def compute_scores(
     lo, hi = B.min(axis=1), B.max(axis=1)
     peaks = np.maximum(A.max(axis=1) - lo, hi - A.min(axis=1))[[0, 1, 2, 5]]
     rows = max(1, _ENTRIES // n1)
-    buf = np.empty(3 * min(n0, rows) * n1)
+    buf = np.empty(3 * min(n0, max(rows, _PRUNE_ROWS)) * n1)  # for the largest block
 
     def buffers(nr: int, nc: int) -> np.ndarray:
         """Three (nr, nc) arrays: the scores, a component and scratch."""
-        nonlocal buf
-        if buf.size < 3 * nr * nc:
-            buf = np.empty(3 * nr * nc)
         return buf[: 3 * nr * nc].reshape(3, nr, nc)
 
-    one_block = n0 <= rows
-    if one_block:  # its squared distances give the peak and stay for the scores
-        peaks[2] = _dist2(A[:, :, None], B[:, None], *buffers(n0, n1)[1:]).max()
-    else:
-        peaks[2] = _peak_dist2(A, B, lo[2:5], hi[2:5], rows, buffers)
+    peaks[2] = _peak_dist2(A, B, lo[2:5], hi[2:5], rows, buffers)
     if not np.isfinite(peaks[2]):
         raise ValueError("squared distances between maxima overflow float64")
     peaks[2] = np.sqrt(peaks[2])
     blocks = None
-    if n1 >= max(_PRUNE_MIN, 2) and not one_block and peaks[2] > 0 and w.L2 > 0:
+    if n1 >= max(_PRUNE_MIN, 2) and peaks[2] > 0 and w.L2 > 0:
         blocks = _pruned_blocks(A, B, lo[2:5], hi[2:5], peaks, w)
     if blocks is None:
         blocks = ((slice(i, i + rows), slice(None)) for i in range(0, n0, rows))
     ids0, ids1, found = g0.maxima, g1.maxima, []
     for r, c in blocks:
         a, b = A[:, r, None], B[:, None, c]
-        S = _score(a, b, peaks, w, buffers(a.shape[1], b.shape[2]), one_block)
+        S = _score(a, b, peaks, w, buffers(a.shape[1], b.shape[2]))
         at = np.arange(len(S))
         for _ in range(min(2, S.shape[1])):  # the best target, then the best once it is masked
             pick = S.argmin(axis=1)
@@ -407,8 +398,7 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
 def link_pair(
     g0: ExtremumGraph, g1: ExtremumGraph, w: ScoreWeights
 ) -> tuple[list[ScoreTuple], FilterMeta]:
-    """Full correspondence computation for one consecutive pair."""
-    if not g0.n_max or not g1.n_max:
-        return [], FilterMeta(mu=0.0, sigma=0.0, tau=0.0)
-    S, meta = filter_scores(compute_scores(g0, g1, w))
+    """Full correspondence computation for one consecutive pair; a pair
+    with no maxima on a side has no arcs and the empty filter statistics."""
+    S, meta = filter_scores(compute_scores(g0, g1, w) if g0.n_max and g1.n_max else [])
     return remove_z_configurations(S), meta

@@ -35,7 +35,7 @@ class Track:
 
 def _components(arcs: list[ScoreTuple]) -> list[Track]:
     """One bundle per connected component: its arcs grouped by their
-    root in one pass, its nodes the ends of those arcs."""
+    root in one pass, its nodes the ends of those arcs in id order."""
     parent: dict[int, int] = {}
     for a in arcs:
         parent.setdefault(a.m0, a.m0)
@@ -48,7 +48,7 @@ def _components(arcs: list[ScoreTuple]) -> list[Track]:
         comp_arcs.setdefault(find_root(parent, a.m0), []).append((a.m0, a.m1))
     return [
         Track(
-            nodes=sorted({(split_node_id(n)[0], n) for arc in comp for n in arc}),
+            nodes=[(n >> 32, n) for n in sorted({n for arc in comp for n in arc})],
             arcs=sorted(comp),
         )
         for _, comp in sorted(comp_arcs.items())

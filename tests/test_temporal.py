@@ -289,6 +289,13 @@ class TestDetectEvents:
 
 
 class TestLinkPairInvariants:
+    @pytest.mark.parametrize("n0, n1", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side(self, n0, n1):
+        """A pair with no maxima on a side, either side, has no arcs and
+        the empty filter statistics."""
+        arcs, meta = link_pair(mk_maxima(1, n0), mk_maxima(2, n1), ScoreWeights())
+        assert (arcs, meta) == ([], FilterMeta(0.0, 0.0, 0.0))
+
     @given(n0=st.integers(1, 8), n1=st.integers(1, 8), seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_structural_invariants(self, n0, n1, seed):
