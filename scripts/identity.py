@@ -33,9 +33,12 @@ relabeling does the most work there. Many maxima: one noisy Gauss8
 9,700 raw maxima and 77,000 region pairs per step) through `tvex eg` at
 theta = 0 and theta = 0.05r, so the pairs, saddles and persistence of
 the pairing and the saddle reduction at their largest are compared too;
-and the `tveg.json` of the same noise on a 48^3 series of two steps at
-theta = 0 (about 4,100 maxima a step), so the temporal arcs of a pair
-the distance prune of `compute_scores` scores are compared as well.
+its step 1 at theta = 0 a second time with `tvex.morse._WORDS` emptied,
+so that every packed sort of the Morse pass takes the two-row int64
+layout, at about 9,600 maxima; and the `tveg.json` of the same noise on
+a 48^3 series of two steps at theta = 0 (about 4,100 maxima a step), so
+the temporal arcs of a pair the distance prune of `compute_scores`
+scores are compared as well.
 The input volumes are written under `inputs/`.
 """
 
@@ -45,11 +48,12 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "bench"))
 
-from tvex import io as tvio  # noqa: E402
+from tvex import io as tvio, morse  # noqa: E402
 from tvex.cli import main as tvex  # noqa: E402
 from workloads import GAUSS8_SIGMA, WORKLOADS, series_params, write_series  # noqa: E402
 
@@ -152,6 +156,9 @@ def many_maxima(out: str) -> None:
     manifest = write_series(params, f"{out}/inputs/noisy-64")
     for theta in ("0.0", "0.05r"):
         run("eg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/noisy-64/eg_{theta}")
+    with mock.patch.object(morse, "_WORDS", ()):  # no word: the two-row layout
+        run("eg", "--manifest", manifest, "--theta", "0.0", "--t", "1",
+            "-o", f"{out}/noisy-64/eg_0.0_two_rows")
     manifest = write_series({**params, "dims": 48}, f"{out}/inputs/noisy-48")
     run("tveg", "--manifest", manifest, "--theta", "0.0", "-o", f"{out}/noisy-48")
 

@@ -26,7 +26,7 @@ _WORDS = ((31, np.int32), (63, np.int64))
 
 
 def _word(bits: int) -> type | None:
-    """The narrowest word of `_WORDS` holding `bits` value bits; None: argsort."""
+    """The narrowest word of `_WORDS` holding `bits` value bits; None: two rows."""
     return next((word for width, word in _WORDS if bits <= width), None)
 
 
@@ -142,34 +142,45 @@ def compute_segmentation(f: ScalarField3D, order: VoxelOrder) -> Segmentation:
     return Segmentation(field=f, labels=row[nxt], maxima=maxima, pers=np.zeros(len(maxima)))
 
 
-def _keep_last(packed: np.ndarray, shift: int) -> np.ndarray:
-    """The greatest entry of each run of equal `packed >> shift`, ascending
-    (`packed` is sorted in place): of entries that pack a key above `shift`
-    bits of value, each distinct key with its greatest value."""
-    packed.sort()
-    key = packed >> shift
-    last = np.empty(len(packed), dtype=bool)
+def _pack(keys: np.ndarray, values: np.ndarray, bits: int, word: type | None) -> np.ndarray:
+    """(key, value) pairs: keys << bits | values in `word`, shifted in place
+    (`keys` is overwritten: pass a temporary), or, with no word (`_word`
+    gave None), the two-row int64 array of keys over values."""
+    if word is None:
+        return np.stack((keys, values), dtype=np.int64)
+    pairs = keys.astype(word, copy=False)
+    pairs <<= bits
+    pairs |= values  # cast to `word`, which holds them
+    return pairs
+
+
+def _unpack(pairs: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and the values of `_pack`'s pairs."""
+    return tuple(pairs) if pairs.ndim == 2 else (pairs >> bits, pairs & ((1 << bits) - 1))
+
+
+def _sorted(pairs: np.ndarray) -> np.ndarray:
+    """`_pack`'s pairs by key, then value; packed ones are sorted in place."""
+    if pairs.ndim == 2:
+        return pairs.take(np.lexsort(pairs[::-1]), axis=1)
+    pairs.sort()
+    return pairs
+
+
+def _keep_last(pairs: np.ndarray, bits: int) -> np.ndarray:
+    """Of `_pack`'s pairs, each distinct key with its greatest value, by key."""
+    pairs = _sorted(pairs)
+    key = pairs[0] if pairs.ndim == 2 else pairs >> bits
+    last = np.empty(len(key), dtype=bool)
     last[-1:] = True
     np.not_equal(key[1:], key[:-1], out=last[:-1])
-    return packed.compress(last)
+    return pairs.compress(last, axis=-1)
 
 
 def _best_per_pair(keys: np.ndarray, values: np.ndarray, bits: int = 0,
                    word: type | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the greatest value of each: by
-    `_keep_last` of keys << bits | values in `word`, or, with no word
-    (`_word` gave None), an argsort and a maximum per run."""
-    if word:
-        packed = keys.astype(word, copy=False) << bits
-        packed |= values  # cast to `word`, which holds them
-        packed = _keep_last(packed, bits)
-        return packed >> bits, packed & ((1 << bits) - 1)
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    return keys[starts], np.maximum.reduceat(values, starts)
+    """Each distinct key, ascending, and its greatest value (`_pack` overwrites `keys`)."""
+    return _unpack(_keep_last(_pack(keys, values, bits, word), bits), bits)
 
 
 def _pad(a: np.ndarray, fill: int) -> np.ndarray:
@@ -191,9 +202,9 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
     `inner` drops the edges into the padding. Each offset's crossing
     edges are reduced to the best rank per pair of maximum rows before
     the next offset. The key and rank widths are fixed once from k and
-    n: each edge's pair key is packed above its rank in the narrowest
-    word that holds both (`_word`) for `_keep_last`, or, when none does,
-    `_best_per_pair` reduces them. The labels are shared with `seg`.
+    n: each edge's pair key is packed above its rank (`_pack`) in the
+    narrowest word that holds both (`_word`), and `_keep_last` reduces
+    them, per offset and across the offsets. The labels are shared with `seg`.
     """
     nx, ny, nz = seg.field.dims
     rank, voxel = order
@@ -218,18 +229,9 @@ def compute_saddles(seg: Segmentation, order: VoxelOrder) -> Segmentation:
         key *= k
         key += np.maximum(la, lb)
         edge = np.minimum(rp.take(i), rp.take(j))
-        if word:  # packed across the offsets: half the bytes of two columns
-            key <<= rank_bits
-            key |= edge
-            best.append(_keep_last(key, rank_bits))
-        else:
-            best.append(np.column_stack(_best_per_pair(key, edge)))
-    best = np.concatenate(best)
-    if word:
-        best = _keep_last(best, rank_bits)
-        keys, ranks = best >> rank_bits, best & ((1 << rank_bits) - 1)
-    else:
-        keys, ranks = _best_per_pair(*best.T)
+        best.append(_keep_last(_pack(key, edge, rank_bits, word), rank_bits))
+    best = np.concatenate(best, axis=-1)  # the per-offset arrays freed before the reduction
+    keys, ranks = _unpack(_keep_last(best, rank_bits), rank_bits)
     # the saddle is the lower vertex of its edge: the voxel of that rank
     pairs = np.column_stack(np.divmod(keys.astype(np.int64, copy=False), k))
     return replace(seg, pairs=pairs, saddles=voxel.take(ranks).astype(np.int64, copy=False))
@@ -297,18 +299,13 @@ def _pairing(seg: Segmentation, rank: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for the global maximum, whose persistence is f(max) - f(min); and
     the rows of `seg.pairs` in increasing (saddle rank, row) order, so
     that a row's position there orders the rows by (rank, row), by one
-    sort of rank << row bits | row (`_word`) or a stable argsort.
+    sort of each saddle's rank packed above its row (`_pack`).
     """
     k, rows = len(seg.maxima), len(seg.saddles)
     row_bits = (rows - 1).bit_length()
     word = _word((len(rank) - 1).bit_length() + row_bits)
-    order = rank.take(seg.saddles)
-    if word is None:
-        order = np.argsort(order, kind="stable")
-    else:
-        order = order.astype(word, copy=False) << row_bits | np.arange(rows, dtype=word)
-        order.sort()
-        order = (order & ((1 << row_bits) - 1)).astype(np.intp, copy=False)
+    order = _sorted(_pack(rank.take(seg.saddles), np.arange(rows), row_bits, word))
+    order = _unpack(order, row_bits)[1].astype(np.intp, copy=False)
     ends = seg.pairs[order]
     forest = _spanning_forest(ends, k)[::-1]
     mrank = rank[seg.maxima].tolist()
@@ -353,9 +350,9 @@ def simplify(seg: Segmentation, theta: float, rank: np.ndarray) -> Segmentation:
     themselves to the one surviving maximum of their tree. Labels and
     pairs are relabeled through one table, the new row of every old
     row's survivor. Each surviving region pair keeps the saddle of
-    greatest (rank, row), the last in the pairing order: one sort of
-    the pair's (lo, hi) packed above that position in the narrowest word
-    (`_word`), or an argsort. The global maximum is never canceled. By
+    greatest (rank, row), the last in the pairing order: `_keep_last` of
+    the pair's (lo, hi) packed above that position (`_pack`) in the
+    narrowest word (`_word`). The global maximum is never canceled. By
     the same elder rule a survivor keeps its raw persistence. `rank` is
     the voxel rank of `vertex_order(seg.field)`; `seg` is left as it was.
     """

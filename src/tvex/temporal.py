@@ -211,7 +211,7 @@ def _peak_dist2(A, B, lo, hi, rows: int, buffers) -> float:
     return peak
 
 
-def _pruned_blocks(A, B, lo, hi, peaks, w: ScoreWeights):
+def _pruned_blocks(A, B, lo, hi, peaks, w: ScoreWeights, rows: int, buffers):
     """Blocks of `_PRUNE_ROWS` rows in Z-order, each with the targets that
     can be among the two best of one of its rows, in id order; or None
     when those are more than `_DENSE_SHARE` of all targets on average.
@@ -227,7 +227,7 @@ def _pruned_blocks(A, B, lo, hi, peaks, w: ScoreWeights):
     rounded ops, is at most each pair's. If that exceeds the block's bound,
     the target scores strictly above the second best of every row of the
     block, so it is among the best two of none, ties by target id
-    included."""
+    included. The gaps of `rows` blocks are taken at once, in `buffers`."""
     n0, n1 = A.shape[1], B.shape[1]
     ext = hi - lo
     key0, key1 = _zorder(A, lo, ext), _zorder(B, lo, ext)
@@ -242,11 +242,9 @@ def _pruned_blocks(A, B, lo, hi, peaks, w: ScoreWeights):
     a = A[2:5, order0]
     alo, ahi = np.minimum.reduceat(a, starts, axis=1), np.maximum.reduceat(a, starts, axis=1)
     near = np.empty((len(starts), n1), bool)
-    group = max(1, _ENTRIES // n1)  # blocks whose gaps are taken at once
-    buf = np.empty((3, min(group, len(starts)), n1))
-    for i in range(0, len(starts), group):
-        s = slice(i, i + group)
-        lb, gap, d = buf[:, : len(near[s])]
+    for i in range(0, len(starts), rows):
+        s = slice(i, i + rows)
+        lb, gap, d = buffers(len(near[s]), n1)
         lb.fill(0.0)  # 0 + x is x: the gaps squared are added in x, y, z order
         for k in range(3):
             np.subtract(B[2 + k], ahi[k, s, None], out=gap)
@@ -272,13 +270,13 @@ def compute_scores(
     rows that `_peak_dist2` bounds. Rows are then scored in blocks, each
     score element by element with the same rounded ops, so no block
     changes a bit. A block is `_ENTRIES // |g1|` rows in id order against
-    every target (three buffers of `_ENTRIES` float64, sized once for the
-    largest block, stay in cache); or, from `_PRUNE_MIN` targets on, one
-    of `_pruned_blocks`: rows in Z-order against only the
-    targets that can be among their best two, unless those are more than
-    `_DENSE_SHARE` of the targets on average. Candidates are in id order,
-    so ties break by target id: `argmin` returns the first minimum. A
-    squared distance that overflows float64 raises ValueError.
+    every target (its three buffers of `_ENTRIES` float64 stay in cache);
+    or, from `_PRUNE_MIN` targets on, one of `_pruned_blocks`: rows in
+    Z-order against only the targets that can be among their best two,
+    unless those are more than `_DENSE_SHARE` of the targets on average,
+    with buffers sized once for the largest of them. Candidates are in id
+    order, so ties break by target id: `argmin` returns the first minimum.
+    A squared distance that overflows float64 raises ValueError.
     """
     n0, n1 = g0.n_max, g1.n_max
     if not n0 or not n1:
@@ -287,7 +285,7 @@ def compute_scores(
     lo, hi = B.min(axis=1), B.max(axis=1)
     peaks = np.maximum(A.max(axis=1) - lo, hi - A.min(axis=1))[[0, 1, 2, 5]]
     rows = max(1, _ENTRIES // n1)
-    buf = np.empty(3 * min(n0, max(rows, _PRUNE_ROWS)) * n1)  # for the largest block
+    buf = np.empty(3 * min(n0, rows) * n1)  # for the largest block in id order
 
     def buffers(nr: int, nc: int) -> np.ndarray:
         """Three (nr, nc) arrays: the scores, a component and scratch."""
@@ -299,9 +297,12 @@ def compute_scores(
     peaks[2] = np.sqrt(peaks[2])
     blocks = None
     if n1 >= max(_PRUNE_MIN, 2) and peaks[2] > 0 and w.L2 > 0:
-        blocks = _pruned_blocks(A, B, lo[2:5], hi[2:5], peaks, w)
+        blocks = _pruned_blocks(A, B, lo[2:5], hi[2:5], peaks, w, rows, buffers)
     if blocks is None:
         blocks = ((slice(i, i + rows), slice(None)) for i in range(0, n0, rows))
+    else:  # one buffer for the largest pruned block
+        blocks = list(blocks)
+        buf = np.empty(3 * max(len(r) * len(c) for r, c in blocks))
     ids0, ids1, found = g0.maxima, g1.maxima, []
     for r, c in blocks:
         a, b = A[:, r, None], B[:, None, c]

@@ -129,11 +129,15 @@ def keep_last(keys, ranks, rank_bits):
     return last >> rank_bits, (last & ((1 << rank_bits) - 1)).astype(ranks.dtype)
 
 
+def as_int64(arrays: tuple) -> tuple:
+    return tuple(a.astype(np.int64) for a in arrays)
+
+
 class TestBestPerPair:
     """Both per-pair reductions against the oracle's: `_keep_last` on
     keys packed above their ranks, and `_best_per_pair`, which packs
-    them in the word it is given, or, given none, takes the argsort path
-    for keys too wide to pack."""
+    them in the word it is given, or, given none, keeps them as two
+    int64 rows for keys too wide to pack."""
 
     @given(
         st.integers(1, 40),
@@ -146,7 +150,7 @@ class TestBestPerPair:
         keys = np.array([k for k, _ in edges], dtype=np.int64) << shift
         ranks = np.array([r for _, r in edges], dtype=dtype)
         want = oracle._best_per_pair(keys, ranks)
-        assert_same_arrays(morse._best_per_pair(keys, ranks), want)
+        assert_same_arrays(morse._best_per_pair(keys, ranks), as_int64(want))
         if shift <= 21:
             assert_same_arrays(keep_last(keys, ranks, 21), want)
 
@@ -155,13 +159,39 @@ class TestBestPerPair:
         keys = rng.integers(0, 50, 1000).astype(np.int64) * key_scale
         ranks = rng.permutation(2**21)[:1000].astype(np.int32)
         want = oracle._best_per_pair(keys, ranks)
-        assert_same_arrays(morse._best_per_pair(keys, ranks), want)
+        assert_same_arrays(morse._best_per_pair(keys, ranks), as_int64(want))
         if key_scale == 1:
             assert_same_arrays(keep_last(keys, ranks, 21), want)
             # keys of 6 bits above ranks of 21 fit either word
             for word in (np.int32, np.int64):
-                got = morse._best_per_pair(keys, ranks, 21, word)
+                got = morse._best_per_pair(keys.copy(), ranks, 21, word)
                 assert all(g.dtype == word and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# (word, key bits, value bits) of each pair layout; the last is too wide for any word
+LAYOUTS = {"int32": (np.int32, 19, 12), "int64": (np.int64, 40, 21), "two rows": (None, 62, 40)}
+
+
+class TestPairLayout:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_pack_reduce_unpack(self, rng, layout):
+        """`_pack`, then `_sorted` or `_keep_last`, then `_unpack`, give back
+        the pairs in `np.lexsort` order and the oracle's best value per key,
+        in the word, or as int64 with none."""
+        word, key_bits, bits = LAYOUTS[layout]
+        assert morse._word(key_bits + bits) is word
+        some = rng.integers(0, 2**key_bits - 1, 30)
+        keys = rng.choice(np.concatenate((some, some + 1)), 3000)  # neighbours tell bits apart
+        keys[:2] = 0, 2**key_bits - 1
+        values = rng.integers(0, 2**bits, 3000)
+        values[:2] = 2**bits - 1, 0
+        order = np.lexsort((values, keys))
+        got = morse._unpack(morse._sorted(morse._pack(keys.copy(), values, bits, word)), bits)
+        assert_same_arrays(got, tuple(a[order].astype(word or np.int64) for a in (keys, values)))
+        packed = morse._pack(keys.copy(), values, bits, word)
+        got = morse._unpack(morse._keep_last(packed, bits), bits)
+        want = oracle._best_per_pair(keys, values)
+        assert_same_arrays(got, tuple(a.astype(word or np.int64) for a in want))
 
 
 def chain_field(levels: int) -> ScalarField3D:
