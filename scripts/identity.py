@@ -11,8 +11,8 @@ every canonical output byte-identical:
     diff -r /tmp/id-old /tmp/id-new
 
 The tree holds, for the Gauss8 32^3 x 50 series at theta = 0.05r:
-`tveg.json` written with TVEX_THREADS 1 and 2, the `eg` files, the
-events (all, and the window 20..30), the tracks in both modes, the
+`tveg.json` and the `eg` files, each written with TVEX_THREADS 1 and 2,
+the events (all, and the window 20..30), the tracks in both modes, the
 refined tracks at isovalues 0.1, 0.8 and 0.9, one query of each kind,
 the VTK export with and without spatial arcs, and the segmentation of
 step 30. Three commands are also recorded as printed to standard output
@@ -79,13 +79,14 @@ def run_to_stdout(path: str, *argv: str) -> None:
         fh.writelines(text)
 
 
-def tveg_per_thread_count(manifest: str, theta: str, out: str) -> str:
-    """`tvex tveg` once per thread count into out/threads<n>/; returns the
-    first tveg.json. Only `tveg` reads TVEX_THREADS."""
+def per_thread_count(command: str, manifest: str, theta: str, out: str) -> str:
+    """`tvex <command>` (`tveg` or `eg`, which read TVEX_THREADS) once per
+    thread count into out/threads<n>/; returns the first of those
+    directories. TVEX_THREADS is left at the last count."""
     for n in THREADS:
         os.environ["TVEX_THREADS"] = n
-        run("tveg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/threads{n}")
-    return f"{out}/threads{THREADS[0]}/tveg.json"
+        run(command, "--manifest", manifest, "--theta", theta, "-o", f"{out}/threads{n}")
+    return f"{out}/threads{THREADS[0]}"
 
 
 def gauss8(out: str) -> None:
@@ -93,8 +94,8 @@ def gauss8(out: str) -> None:
     run("gen", "--gauss8", "--dims", "32", "--steps", "50", "-o", f"{out}/inputs/gauss8")
     manifest = f"{out}/inputs/gauss8/manifest.json"
     out = f"{out}/gauss8"
-    tveg = tveg_per_thread_count(manifest, theta, out)
-    run("eg", "--manifest", manifest, "--theta", theta, "-o", f"{out}/eg")
+    tveg = per_thread_count("tveg", manifest, theta, out) + "/tveg.json"
+    per_thread_count("eg", manifest, theta, f"{out}/eg")
     run("events", "--tveg", tveg, "-o", f"{out}/events.json")
     run("events", "--tveg", tveg, "--window", "20", "30", "-o", f"{out}/events_20_30.json")
     paths = f"{out}/tracks_simple_paths.json"
@@ -129,7 +130,7 @@ def bench_series(out: str) -> None:
         for i, params in enumerate(series_params(w, SEED, smoke=False, steps=None)):
             manifest = write_series(params, f"{out}/inputs/{name}/series{i}")
             dest = f"{out}/{name}/series{i}"
-            tveg = tveg_per_thread_count(manifest, w.theta, dest)
+            tveg = per_thread_count("tveg", manifest, w.theta, dest) + "/tveg.json"
             tvio.export_tveg_json(tvio.load_tveg_json(tveg), f"{dest}/copy.json")
             for mode in ("simple-paths", "components"):
                 tracks = f"{dest}/tracks_{mode}.json"

@@ -19,7 +19,7 @@ from .morse import (
     compute_segmentation,
     simplify,
 )
-from .pipeline import build_graphs, compute_tveg, resolve_theta
+from .pipeline import compute_tveg, resolve_theta
 from .temporal import (
     EventSets,
     ScoreTuple,

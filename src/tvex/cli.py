@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from . import io as tvio
 from . import morse, pipeline, query as tvquery, tracks as tvtracks
-from .exgraph import build_extremum_graph, split_node_id
+from .exgraph import split_node_id
 from .field import generate_gauss8, load_series, read_json, save_series
 from .temporal import ScoreWeights
 
@@ -75,10 +75,8 @@ def cmd_eg(args) -> str:
     os.makedirs(args.output, exist_ok=True)
     fields = series.fields if args.t is None else [series.at(args.t)]
     n_nodes = 0
-    for f in fields:
-        g = build_extremum_graph(f, theta)
-        path = os.path.join(args.output, f"exgraph_{f.time_index:04d}.json")
-        tvio.export_extremum_graph_json(g, path)
+    for g in pipeline.graphs(fields, theta):
+        tvio.export_extremum_graph_json(g, os.path.join(args.output, f"exgraph_{g.t:04d}.json"))
         n_nodes += len(g.value)
     return f"eg: {len(fields)} graphs, {n_nodes} nodes, theta={theta:.6g} -> {args.output}"
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 from .exgraph import ExtremumGraph, build_extremum_graph
-from .field import FieldSeries
+from .field import FieldSeries, ScalarField3D
 from .temporal import ScoreWeights, Tveg, link_pair
 
 
@@ -31,7 +32,11 @@ def resolve_theta(spec: str | float, series: FieldSeries) -> float:
     finite and >= 0; that is checked before any volume is read.
     """
     relative = isinstance(spec, str) and spec.endswith("r")
-    value = check_theta(float(spec[:-1] if relative else spec), "theta", spec)
+    try:
+        value = float(spec[:-1] if relative else spec)
+    except ValueError:  # not a number: named as a NaN would be
+        value = math.nan
+    value = check_theta(value, "theta", spec)
     return value * series.global_range() if relative else value
 
 
@@ -43,20 +48,15 @@ def check_theta(value: float, name: str, given) -> float:
     return value + 0.0
 
 
-def build_graphs(series: FieldSeries, theta: float) -> list[ExtremumGraph]:
-    """Per-step extremum graphs, built on TVEX_THREADS workers.
-
-    Each task reads its own step, so at most one volume per worker is
-    live. Results are assembled in time order, so the output is
-    independent of the worker count.
-    """
-    fields = series.fields
+def graphs(fields: Sequence[ScalarField3D], theta: float) -> Iterator[ExtremumGraph]:
+    """Each field's extremum graph in the order of `fields`, built on
+    TVEX_THREADS workers; each task reads its own step."""
     workers = thread_count()
     if workers <= 1 or len(fields) == 1:
-        return [build_extremum_graph(f, theta) for f in fields]
+        yield from (build_extremum_graph(f, theta) for f in fields)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        graphs = pool.map(lambda i: build_extremum_graph(fields[i], theta), range(len(fields)))
-        return list(graphs)
+        yield from pool.map(lambda i: build_extremum_graph(fields[i], theta), range(len(fields)))
 
 
 def compute_tveg(
@@ -65,8 +65,8 @@ def compute_tveg(
     weights: ScoreWeights,
     t_range: tuple[int, int] | None = None,
 ) -> Tveg:
-    """Full pipeline: graphs for each step, then temporal linking.
-    `t_range` (p, r) keeps the steps p..r; no other step is read."""
+    """Full pipeline: each pair is linked as soon as its second graph is
+    built. `t_range` (p, r) keeps the steps p..r; no other step is read."""
     fields = series.fields
     if t_range is not None:
         p, r = t_range
@@ -74,6 +74,9 @@ def compute_tveg(
         fields = fields[max(p - t0, 0) : max(r - t0 + 1, 0)]
     if len(fields) < 2:
         raise ValueError("need at least 2 time steps")
-    graphs = build_graphs(FieldSeries(fields), theta)
-    links = [link_pair(g0, g1, weights) for g0, g1 in zip(graphs, graphs[1:])]
-    return Tveg(graphs, links, weights, theta)
+    steps, links = [], []
+    for g in graphs(fields, theta):
+        if steps:
+            links.append(link_pair(steps[-1], g, weights))
+        steps.append(g)
+    return Tveg(steps, links, weights, theta)

@@ -10,7 +10,6 @@ removed greedily by score.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dfield
 from itertools import accumulate, chain, compress
@@ -379,20 +378,20 @@ def remove_z_configurations(arcs: list[ScoreTuple]) -> list[ScoreTuple]:
     removing those that still offend removes the same arcs in the same
     order as rescanning after every removal.
     """
-    out_deg = Counter(a.m0 for a in arcs)
-    in_deg = Counter(a.m1 for a in arcs)
-
-    def offends(a: ScoreTuple) -> bool:
-        return out_deg[a.m0] >= 2 and in_deg[a.m1] >= 2
-
+    if not arcs:
+        return []
+    m0, m1, s = map(np.array, zip(*arcs))
+    _, src, out_deg = np.unique(m0, return_inverse=True, return_counts=True)
+    _, dst, in_deg = np.unique(m1, return_inverse=True, return_counts=True)
+    offenders = np.flatnonzero((out_deg[src] >= 2) & (in_deg[dst] >= 2))
+    order = offenders[np.lexsort((m1[offenders], m0[offenders], s[offenders]))[::-1]]
+    src, dst, out_deg, in_deg = src.tolist(), dst.tolist(), out_deg.tolist(), in_deg.tolist()
     kept = [True] * len(arcs)
-    offenders = [i for i, a in enumerate(arcs) if offends(a)]
-    for i in sorted(offenders, key=lambda i: (arcs[i].s, arcs[i].m0, arcs[i].m1), reverse=True):
-        a = arcs[i]
-        if offends(a):
+    for i in order.tolist():
+        if out_deg[src[i]] >= 2 and in_deg[dst[i]] >= 2:
             kept[i] = False
-            out_deg[a.m0] -= 1
-            in_deg[a.m1] -= 1
+            out_deg[src[i]] -= 1
+            in_deg[dst[i]] -= 1
     return sorted(compress(arcs, kept))  # by (m0, m1), unique within a pair
 
 

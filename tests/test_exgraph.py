@@ -8,6 +8,7 @@ import pytest
 from tvex import morse, pipeline
 from tvex.exgraph import build_extremum_graph, make_node_id, split_node_id
 from tvex.morse import simplify
+from tvex.temporal import ScoreWeights
 
 from conftest import random_field, raw_segmentation, two_blob_series
 
@@ -140,8 +141,30 @@ def test_vertex_order_runs_once_per_step(rng, monkeypatch):
         assert counted.call_count == 1
         series = two_blob_series(steps=3, dims=(8, 8, 8))
         monkeypatch.setenv("TVEX_THREADS", "1")
-        pipeline.build_graphs(series, 0.05)
+        pipeline.compute_tveg(series, 0.05, ScoreWeights())
         assert counted.call_count == 1 + len(series)
+
+
+def test_each_pair_is_linked_once_its_second_graph_is_built(monkeypatch):
+    """At one worker the graphs and the links interleave: build 1, build 2,
+    link 1->2, build 3, link 2->3, ..."""
+    calls = []
+    build, link = pipeline.build_extremum_graph, pipeline.link_pair
+
+    def spied_build(f, theta):
+        calls.append(("build", f.time_index))
+        return build(f, theta)
+
+    def spied_link(g0, g1, w):
+        calls.append(("link", g0.t, g1.t))
+        return link(g0, g1, w)
+
+    monkeypatch.setattr(pipeline, "build_extremum_graph", spied_build)
+    monkeypatch.setattr(pipeline, "link_pair", spied_link)
+    monkeypatch.setenv("TVEX_THREADS", "1")
+    pipeline.compute_tveg(two_blob_series(steps=4, dims=(8, 8, 8)), 0.05, ScoreWeights())
+    assert calls == [("build", 1), ("build", 2), ("link", 1, 2), ("build", 3),
+                     ("link", 2, 3), ("build", 4), ("link", 3, 4)]
 
 
 def test_graph_holds_no_voxel_rank(rng):

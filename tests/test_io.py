@@ -1048,12 +1048,26 @@ class TestCli:
     def test_bad_thread_count_is_named(self, tmp_path, capsys, monkeypatch):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
         manifest = save_series(series, str(tmp_path / "d"))
-        argv = ["tveg", "--manifest", manifest, "-o", str(tmp_path / "o")]
-        for bad in ("abc", "0", "-2"):
-            monkeypatch.setenv("TVEX_THREADS", bad)
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err == f"error: TVEX_THREADS must be a positive integer, got '{bad}'\n"
+        for command in ("tveg", "eg"):
+            argv = [command, "--manifest", manifest, "-o", str(tmp_path / "o")]
+            for bad in ("abc", "0", "-2"):
+                monkeypatch.setenv("TVEX_THREADS", bad)
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: TVEX_THREADS must be a positive integer, got '{bad}'\n"
+
+    def test_eg_files_do_not_depend_on_the_thread_count(self, tmp_path, rng, capsys, monkeypatch):
+        fields = [random_field(rng, (8, 8, 8), time_index=t) for t in range(1, 6)]
+        manifest = save_series(FieldSeries(fields), str(tmp_path / "d"))
+        trees = []
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("TVEX_THREADS", str(threads))
+            out = tmp_path / f"eg{threads}"
+            assert main(["eg", "--manifest", manifest, "--theta", "0.05r", "-o", str(out)]) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert sorted(trees[0]) == [f"exgraph_{t:04d}.json" for t in range(1, 6)]
+        assert trees[1] == trees[0] and trees[2] == trees[0]
 
     def test_manifest_missing_key_is_named(self, tmp_path, capsys):
         series = generate_gauss8((8, 8, 8), steps=2, sigma=0.2)
@@ -1217,7 +1231,9 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: manifest {path}: {msg}\n"
 
-    @pytest.mark.parametrize("theta", ["nan", "inf", "nanr", "-infr", "-0.5r", "-1"])
+    @pytest.mark.parametrize(
+        "theta", ["nan", "inf", "nanr", "-infr", "-0.5r", "-1", "abc", "r", "0.1x"]
+    )
     def test_bad_theta_is_named_before_any_volume_is_read(self, tmp_path, capsys, theta):
         manifest = save_series(generate_gauss8((4, 4, 4), steps=2), str(tmp_path / "d"))
         raw = tmp_path / "d" / "vol_0001.raw"

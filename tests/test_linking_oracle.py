@@ -354,6 +354,10 @@ arc_lists = st.lists(
 
 class TestZRemoval:
     @given(arc_lists)
+    # three offenders tie at s = 0.5: the greater source id goes first,
+    # then the greater target id
+    @example([ScoreTuple(0, 10, 0.5), ScoreTuple(1, 11, 0.25), ScoreTuple(1, 10, 0.5),
+              ScoreTuple(0, 11, 0.5)])
     @settings(max_examples=300, deadline=None)
     def test_matches_rescan(self, arcs):
         assert remove_z_configurations(arcs) == oracle.remove_z_configurations(arcs)
